@@ -8,7 +8,7 @@ state-vector engine.
 """
 
 from ._kernels import BACKEND
-from .classify import CodeClass, classify, is_closed_mod_phase, is_xor_subgroup, linearity_note
+from .classify import CodeClass, classify, is_closed_mod_phase, is_xor_subgroup
 from .codes import (
     QuantumCode,
     SeedState,
@@ -99,7 +99,6 @@ __all__ = [
     "format_pauli",
     "is_closed_mod_phase",
     "is_xor_subgroup",
-    "linearity_note",
     "max_dimension",
     "parse_bits",
     "parse_pauli",

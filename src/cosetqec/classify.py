@@ -16,29 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._kernels import rank_f2
 from .codes import QuantumCode
 from .pauli import PauliOperator
 
 
 def is_xor_subgroup(strings: Iterable[int]) -> bool:
-    """True iff the set contains zero and is closed under XOR."""
+    """True iff the set contains zero and is closed under XOR.
+
+    A set spans a subgroup of 2^rank elements, so it is that subgroup
+    exactly when it has that many elements: O(S.p) instead of checking
+    all S^2 pairs.  The empty set has rank 0 and fails."""
     values = set(strings)
-    if not values or 0 not in values:
-        return False
-    return all(a ^ b in values for a in values for b in values)
+    return len(values) == 1 << rank_f2(list(values))
 
 
 def is_closed_mod_phase(ops: Sequence[PauliOperator]) -> bool:
     """True iff the operators contain the identity and are closed under
-    multiplication with phases ignored."""
-    classes = {(op.x, op.z) for op in ops}
-    if (0, 0) not in classes:
-        return False
-    return all(
-        (x1 ^ x2, z1 ^ z2) in classes
-        for (x1, z1) in classes
-        for (x2, z2) in classes
-    )
+    multiplication with phases ignored, i.e. their packed classes
+    x | z << width form an XOR subgroup."""
+    return is_xor_subgroup(op.x | op.z << op.width for op in ops)
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,6 @@ class CodeClass:
     csb_is_group: bool
     additive: bool
     bcw_is_group_strict: bool
-    linear: bool
 
 
 _TYPE = {
@@ -73,11 +69,4 @@ def classify(code: QuantumCode) -> CodeClass:
         csb_is_group=csb,
         additive=(tag == "I"),
         bcw_is_group_strict=bcw_strict,
-        linear=bcw,
     )
-
-
-def linearity_note(code: QuantumCode) -> str:
-    """"linear" when the codeword coset labels form an XOR subgroup, so
-    the classical image of the code is a linear code."""
-    return "linear" if is_xor_subgroup(code.labels) else "nonlinear"

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from ._kernels import BACKEND
-from .classify import classify, linearity_note
+from .classify import classify
 from .codes import QuantumCode, build_code, punctured_seed, seed_state
 from .oracle import (
     ORTHOGONALITY_MAX_WIDTH,
@@ -176,7 +176,8 @@ def _cmd_classify(args) -> int:
     print(f"codeword operators (strict mod phase): {flag[cls.bcw_is_group_strict]}")
     print(f"seed strings: {flag[cls.csb_is_group]}")
     print(f"additive: {'yes' if cls.additive else 'no'}")
-    print(f"classical correspondence: {linearity_note(code)}")
+    linear = "linear" if cls.bcw_is_group else "nonlinear"
+    print(f"classical correspondence: {linear}")
     return EXIT_OK
 
 

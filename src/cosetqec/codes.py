@@ -12,6 +12,13 @@ closure element whose Y count is odd contributes an imaginary unit (for
 example the group generated by Y alone seeds |0> + i|1>), and that unit
 is a coset invariant of the diagonal subgroup, so no sign convention can
 remove it.
+
+Both the seed and the codeword operators come from the group's packed
+closure walk (see :mod:`cosetqec.stabilizer`).  A coset is one solved
+member XOR the closure classes, and its representative is the member of
+least weight, ties broken by the letter string; both are compared on one
+packed integer key per member, so only the chosen representatives are
+ever built as operator objects.
 """
 
 from __future__ import annotations
@@ -98,26 +105,29 @@ def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
     Element i^d X^x Z^z sends |base> to i^d (-1)^(z.base) |base^x|, so all
     elements sharing an X part land on one string; after sign
     normalization they agree, every coefficient has magnitude equal to
-    the diagonal subgroup size, and only the unit i^k is kept.  Refuses
-    groups whose diagonal subgroup does not fix |base> with +1, since the
-    character sum then cancels every coefficient to zero.
+    the diagonal subgroup size, and only the unit i^k is kept.  The terms
+    come from one pass over the packed closure walk
+    (:attr:`StabilizerGroup.closure_packed`); no operator objects are
+    built.  Refuses groups whose diagonal subgroup does not fix |base>
+    with +1, since the character sum then cancels every coefficient to
+    zero; that check runs over the whole walk before any coefficient is
+    formed.
     """
     p = group.width
-    for s in group.closure():
-        if s.x == 0:
-            # diagonal Hermitian elements have an even phase exponent
-            if (s.phase // 2 + (s.z & base).bit_count()) % 2:
-                raise GroupError(
-                    f"group is not sign-normalized for base "
-                    f"{format_bits(base, p)}: element {format_pauli(s)} acts as -1 "
-                    "(the seed would cancel to zero); call normalized() first"
-                )
+    phases, xs, zs = group.closure_packed
+    for ph, x, z in zip(phases, xs, zs):
+        # diagonal Hermitian elements have an even phase exponent
+        if x == 0 and ((ph >> 1) + (z & base).bit_count()) & 1:
+            raise GroupError(
+                f"group is not sign-normalized for base "
+                f"{format_bits(base, p)}: element "
+                f"{format_pauli(PauliOperator(ph, x, z, p))} acts as -1 "
+                "(the seed would cancel to zero); call normalized() first"
+            )
     coeffs: dict[int, int] = {}
-    for s in group.closure():
-        unit = (s.phase + 2 * ((s.z & base).bit_count() & 1)) % 4
-        string = base ^ s.x
-        prev = coeffs.setdefault(string, unit)
-        if prev != unit:
+    for ph, x, z in zip(phases, xs, zs):
+        unit = (ph + 2 * ((z & base).bit_count() & 1)) & 3
+        if coeffs.setdefault(base ^ x, unit) != unit:
             raise GroupError("inconsistent seed coefficients; group signs are broken")
     terms = tuple(
         (unit, string) for string, unit in sorted(coeffs.items())
@@ -145,16 +155,61 @@ def punctured_seed(seed: SeedState, removed: Iterable[int | str]) -> SeedState:
     return SeedState(kept, seed.width, base=seed.base, origin=SEED_PUNCTURED)
 
 
+def _letter_key(x: int, z: int, p: int) -> int:
+    # Packs (x, z) so that integer order is the order of the letter
+    # string: qubit j fills bits 2(p-1-j)+1 (z_j) and 2(p-1-j) (x_j ^ z_j),
+    # which codes I, X, Y, Z as 0, 1, 2, 3 with qubit 0 most significant.
+    # The map is linear over GF(2).
+    key = 0
+    for j in range(p):
+        key = (key << 2) | ((z >> j) & 1) << 1 | ((x ^ z) >> j) & 1
+    return key
+
+
+def _from_letter_key(key: int, p: int) -> tuple[int, int]:
+    x = z = 0
+    for j in range(p):
+        pair = key >> (2 * (p - 1 - j))
+        zj = (pair >> 1) & 1
+        x |= ((pair ^ zj) & 1) << j
+        z |= zj << j
+    return x, z
+
+
+def _class_keys(group: StabilizerGroup) -> list[int]:
+    """Letter keys of the closure classes, by the closure's doubling walk
+    (the key map is linear, so key(element i times generator t) is
+    key(element i) XOR key(generator t))."""
+    p = group.width
+    keys = [0]
+    for g in group.generators:
+        kg = _letter_key(g.x, g.z, p)
+        keys += [k ^ kg for k in keys]
+    return keys
+
+
+def _lightest(group: StabilizerGroup, keys: list[int], label: int) -> PauliOperator:
+    # The coset is one solved member XOR the closure classes.  Each
+    # member's weight counts its nonzero key pairs and sits above the
+    # key, so one integer minimum orders by (weight, letter string).
+    p = group.width
+    rkey = _letter_key(*group._solve_member(label), p)
+    shift = 2 * p
+    pairs = int("01" * p, 2)
+    best = min([
+        (((v := k ^ rkey) | v >> 1) & pairs).bit_count() << shift | v
+        for k in keys
+    ])
+    x, z = _from_letter_key(best & ((1 << shift) - 1), p)
+    return PauliOperator.from_symplectic(x, z, p)
+
+
 def coset_representative(group: StabilizerGroup, label: int) -> PauliOperator:
     """The minimum-weight member of the coset, ties broken by the
-    lexicographically smallest letter string; label 0 gives the identity."""
-    best: tuple[tuple[int, str], PauliOperator] | None = None
-    for m in group.coset_members(label):
-        key = (m.weight, m.body())
-        if best is None or key < best[0]:
-            best = (key, m)
-    assert best is not None
-    return best[1]
+    lexicographically smallest letter string (I<X<Y<Z, qubit 0 first);
+    label 0 gives the identity.  Only the winner is built as an
+    operator."""
+    return _lightest(group, _class_keys(group), label)
 
 
 @dataclass(frozen=True)
@@ -227,8 +282,12 @@ def build_code(
     The stored group keeps the caller's generators, so the given labels
     keep their meaning; sign normalization happens only on the internal
     copy that derives the seed state, which is a frame-independent
-    object.  Codeword operators are chosen by the min-weight/lex policy.
-    An explicit ``seed`` (e.g. punctured) replaces the derived one.
+    object, and whose closure is walked once for the seed terms.  The
+    letter keys of the closure classes are computed once; each requested
+    coset is one solved member XOR those classes, and its min-weight/lex
+    representative is picked on the packed keys, so only the K winners
+    become operator objects.  An explicit ``seed`` (e.g. punctured)
+    replaces the derived one.
     """
     if not labels:
         raise ValueError("no coset labels given")
@@ -241,5 +300,6 @@ def build_code(
         )
     if seed is None:
         seed = seed_state(group.normalized(0), 0)
-    ops = tuple(coset_representative(group, lab) for lab in labels)
+    keys = _class_keys(group)
+    ops = tuple(_lightest(group, keys, lab) for lab in labels)
     return QuantumCode(group=group, seed=seed, codeword_ops=ops, labels=tuple(labels))

@@ -20,6 +20,9 @@ from .pauli import ErrorSet, PauliOperator
 from .stabilizer import StabilizerGroup, enumerate_groups
 
 DEFAULT_BUDGET = 100_000
+# The compiled scan holds the error set in fixed 1024-entry arrays; the
+# cap is checked here so that both kernel lanes refuse the same sets.
+MAX_SEARCH_ERRORS = 1024
 _BLOCK = 2048
 
 
@@ -187,6 +190,11 @@ def search_code(
                 f"codewords exceeds the {1 << p} available cosets"
             ),
             candidates_tried=0,
+        )
+    if len(errors) > MAX_SEARCH_ERRORS:
+        raise ValueError(
+            f"error set has {len(errors)} entries; search handles at most "
+            f"{MAX_SEARCH_ERRORS}"
         )
     if strategy == "exhaustive":
         return _exhaustive_search(errors, k_target)

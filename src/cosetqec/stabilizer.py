@@ -9,6 +9,14 @@ is a group homomorphism onto Z_2^p whose kernel is the closure mod
 phase: it indexes the partition of all 4^p Pauli classes into 2^p
 cosets, and that label map is the only representation of the partition
 this module ever stores.
+
+The closure itself is made by one walk over packed integers: three
+parallel lists of phases, X masks and Z masks, doubled once per
+generator, with the phase carried as in the Aaronson-Gottesman tableau
+(quant-ph/0406196).  Operator objects are built from it only on request
+(:meth:`StabilizerGroup.closure`, :meth:`StabilizerGroup.coset_members`);
+the seed, the coset representatives and the mod-phase class set read
+the packed lists directly.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from typing import Iterator, Sequence
 
 from ._kernels import random_group_packed, symplectic_parity, syndrome_bits
 from .pauli import (
+    MAX_WIDTH,
     PauliOperator,
     WidthMismatchError,
     format_pauli,
@@ -107,13 +116,34 @@ class StabilizerGroup:
         return syndrome_bits(op.x, op.z, xs, zs)
 
     @cached_property
+    def closure_packed(self) -> tuple[list[int], list[int], list[int]]:
+        """The closure as three parallel lists (phases, xs, zs): element
+        lam is ``i**phases[lam] * X^xs[lam] * Z^zs[lam]``, in the index
+        order of :meth:`closure`.  No operator objects are built; the
+        lists are cached, so callers must not modify them."""
+        # Doubling walk: element i + 2^t is element i times generator t,
+        # for every i < 2^t.  By associativity this is the ordered product
+        # of the generators selected by the bits of the index, i.e.
+        # generator[low bit of lam] times element[lam ^ low bit].  The
+        # phase is carried as in the Aaronson-Gottesman tableau: i^a X^x
+        # Z^z times i^b X^x' Z^z' is i^(a+b) (-1)^(z.x') X^(x^x') Z^(z^z').
+        phases, xs, zs = [0], [0], [0]
+        for g in self.generators:
+            gp, gx, gz = g.phase, g.x, g.z
+            phases += [
+                (ph + gp + 2 * ((z & gx).bit_count() & 1)) & 3
+                for ph, z in zip(phases, zs)
+            ]
+            xs += [x ^ gx for x in xs]
+            zs += [z ^ gz for z in zs]
+        return phases, xs, zs
+
+    @cached_property
     def _closure(self) -> tuple[PauliOperator, ...]:
         p = self.width
-        elems = [PauliOperator.identity(p)]
-        for lam in range(1, 1 << p):
-            lo = lam & -lam
-            elems.append(self.generators[lo.bit_length() - 1] * elems[lam ^ lo])
-        return tuple(elems)
+        return tuple(
+            PauliOperator(ph, x, z, p) for ph, x, z in zip(*self.closure_packed)
+        )
 
     def closure(self) -> tuple[PauliOperator, ...]:
         """All 2^p elements; index lam is the ordered product of the
@@ -123,15 +153,17 @@ class StabilizerGroup:
     @cached_property
     def closure_classes(self) -> frozenset[tuple[int, int]]:
         """The closure as a set of (x, z) pairs, i.e. mod phase."""
-        return frozenset((s.x, s.z) for s in self._closure)
+        _, xs, zs = self.closure_packed
+        return frozenset(zip(xs, zs))
 
     def contains_mod_phase(self, op: PauliOperator) -> bool:
         return (op.x, op.z) in self.closure_classes
 
-    def _solve_member(self, label: int) -> PauliOperator:
-        """One operator with the requested syndrome, via a GF(2) solve of
-        the p x 2p symplectic system (always solvable: generators are
-        independent)."""
+    def _solve_member(self, label: int) -> tuple[int, int]:
+        """The (x, z) of one class with the requested syndrome, via a
+        GF(2) solve of the p x 2p symplectic system (always solvable:
+        generators are independent).  Its coset is this class XOR the
+        closure classes."""
         p = self.width
         if not 0 <= label < (1 << p):
             raise ValueError(f"label {label} out of range for width {p}")
@@ -156,19 +188,21 @@ class StabilizerGroup:
             w, r = pivots[bit]
             if r ^ (((w ^ (1 << bit)) & v).bit_count() & 1):
                 v |= 1 << bit
-        member = PauliOperator.from_symplectic(v & ((1 << p) - 1), v >> p, p)
-        assert self.syndrome(member) == label
-        return member
+        x, z = v & ((1 << p) - 1), v >> p
+        assert syndrome_bits(x, z, *self._packed) == label
+        return x, z
 
     def coset_members(self, label: int) -> tuple[PauliOperator, ...]:
         """The 2^p mod-phase classes with the given syndrome, as canonical
-        Hermitian representatives; label 0 gives the closure itself."""
-        rep = self._solve_member(label)
-        out = []
-        for s in self._closure:
-            prod = rep * s
-            out.append(PauliOperator.from_symplectic(prod.x, prod.z, self.width))
-        return tuple(out)
+        Hermitian representatives in closure index order; label 0 gives
+        the closure itself."""
+        p = self.width
+        rx, rz = self._solve_member(label)
+        _, xs, zs = self.closure_packed
+        return tuple(
+            PauliOperator.from_symplectic(rx ^ x, rz ^ z, p)
+            for x, z in zip(xs, zs)
+        )
 
     def normalized(self, base: int = 0) -> "StabilizerGroup":
         """Re-choose generators so the diagonal subgroup (elements with no
@@ -218,9 +252,10 @@ def format_label(label: int, width: int) -> str:
 def random_group(p: int, seed: int) -> StabilizerGroup:
     """Deterministic greedy sampler: draw random operators, keep those
     that commute with everything kept and raise the mod-phase rank, until
-    p generators are held.  Generators come out in canonical + form."""
-    if p < 1:
-        raise ValueError(f"width must be at least 1, got {p}")
+    p generators are held.  Generators come out in canonical + form.
+    Widths above MAX_WIDTH are refused before the sampler starts."""
+    if not 1 <= p <= MAX_WIDTH:
+        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {p}")
     xs, zs = random_group_packed(p, seed)
     gens = tuple(
         PauliOperator.from_symplectic(x, z, p) for x, z in zip(xs, zs)

@@ -5,7 +5,6 @@ from cosetqec import (
     classify,
     is_closed_mod_phase,
     is_xor_subgroup,
-    linearity_note,
     parse_pauli,
     punctured_seed,
     random_group,
@@ -58,7 +57,6 @@ class TestClassify:
         assert cls.additive
         assert cls.bcw_is_group and cls.csb_is_group
         assert cls.bcw_is_group_strict
-        assert linearity_note(rep3) == "linear"
 
     def test_type_ii_open_label_set(self):
         # labels {000, 100, 010} are not XOR-closed over a subgroup seed
@@ -67,7 +65,6 @@ class TestClassify:
         assert cls.type_tag == "II"
         assert not cls.bcw_is_group and cls.csb_is_group
         assert not cls.additive
-        assert linearity_note(code) == "nonlinear"
 
     def test_type_iii_punctured_subgroup_labels(self):
         g = x_group(3)
@@ -127,4 +124,4 @@ class TestClassify:
         for name, code, _ in golden_suite:
             cls = classify(code)
             if cls.type_tag == "I":
-                assert cls.linear, name
+                assert cls.bcw_is_group, name

@@ -170,7 +170,21 @@ class TestClassify:
         assert rc == 0
         assert "type: I" in out
         assert "additive: yes" in out
-        assert "linear" in out
+        assert "classical correspondence: linear\n" in out
+
+    def test_type_ii_is_nonlinear(self, workdir, capsys):
+        code = workdir / "open.json"
+        assert main([
+            "build",
+            "--cartanion", str(workdir / "diag3.json"),
+            "--labels", "000,100,010",
+            "-o", str(code),
+        ]) == 0
+        rc = main(["classify", "--code", str(code)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "type: II" in out
+        assert "classical correspondence: nonlinear\n" in out
 
 
 class TestSearch:

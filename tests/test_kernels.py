@@ -1,20 +1,60 @@
 """Cross-lane equality: the compiled kernels must match the pure-Python
-fallback bit for bit (same RNG stream, same tie-breaking)."""
+fallback bit for bit (same RNG stream, same tie-breaking).
 
+When the extension is not installed but a C compiler is, the committed
+``_speedups.c`` is compiled into a temporary directory and loaded under
+its package name, so these tests run on a plain checkout; with neither,
+they are skipped."""
+
+import importlib
+import importlib.util
 import os
 import random
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
+import cosetqec.search as search
+from cosetqec import ErrorSet, PauliOperator
 from cosetqec._kernels import _fallback as fb
 
-compiled = pytest.importorskip(
-    "cosetqec._kernels._speedups", reason="compiled kernels not built"
-)
+NAME = "cosetqec._kernels._speedups"
 
-LANES = [fb, compiled]
+
+def _build(tmp_dir: Path):
+    cc = shutil.which("gcc") or shutil.which("cc")
+    include = sysconfig.get_paths()["include"]
+    if cc is None or not Path(include, "Python.h").exists():
+        pytest.skip("compiled kernels not built and no C toolchain to build them")
+    source = Path(fb.__file__).with_name("_speedups.c")
+    target = tmp_dir / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
+        check=True,
+        capture_output=True,
+    )
+    spec = importlib.util.spec_from_file_location(NAME, target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    try:
+        installed = importlib.import_module(NAME)
+    except ImportError:
+        installed = None
+    if installed is not None:
+        yield installed
+        return
+    sys.modules[NAME] = module = _build(tmp_path_factory.mktemp("speedups"))
+    yield module
+    del sys.modules[NAME]
 
 
 def test_pure_env_var_selects_fallback():
@@ -27,24 +67,20 @@ def test_pure_env_var_selects_fallback():
     assert proc.stdout.strip() == "python"
 
 
-def lane_ids():
-    return ["python", "compiled"]
-
-
 class TestMicroKernels:
-    def test_mix64_agrees(self):
+    def test_mix64_agrees(self, compiled):
         rng = random.Random(0)
         for _ in range(200):
             z = rng.getrandbits(64)
             assert fb.mix64(z) == compiled.mix64(z)
 
-    def test_symplectic_parity_agrees(self):
+    def test_symplectic_parity_agrees(self, compiled):
         rng = random.Random(1)
         for _ in range(500):
             args = [rng.getrandbits(24) for _ in range(4)]
             assert fb.symplectic_parity(*args) == compiled.symplectic_parity(*args)
 
-    def test_multiply_agrees(self):
+    def test_multiply_agrees(self, compiled):
         rng = random.Random(2)
         for _ in range(500):
             args = (
@@ -57,13 +93,13 @@ class TestMicroKernels:
             )
             assert fb.multiply_packed(*args) == compiled.multiply_packed(*args)
 
-    def test_rank_agrees(self):
+    def test_rank_agrees(self, compiled):
         rng = random.Random(3)
         for _ in range(200):
             rows = [rng.getrandbits(16) for _ in range(rng.randrange(1, 9))]
             assert fb.rank_f2(rows) == compiled.rank_f2(rows)
 
-    def test_syndrome_agrees(self):
+    def test_syndrome_agrees(self, compiled):
         rng = random.Random(4)
         for _ in range(200):
             p = rng.randrange(1, 7)
@@ -76,14 +112,14 @@ class TestMicroKernels:
 
 
 class TestSamplers:
-    def test_random_group_streams_identical(self):
+    def test_random_group_streams_identical(self, compiled):
         for p in (1, 2, 3, 5, 8):
             for seed in range(20):
                 assert fb.random_group_packed(p, seed) == compiled.random_group_packed(
                     p, seed
                 )
 
-    def test_greedy_scan_identical(self):
+    def test_greedy_scan_identical(self, compiled):
         rng = random.Random(5)
         for _ in range(100):
             p = rng.randrange(2, 7)
@@ -94,7 +130,7 @@ class TestSamplers:
                     compiled.greedy_label_scan(p, labels, k_target)
                 )
 
-    def test_search_streams_identical(self):
+    def test_search_streams_identical(self, compiled):
         from cosetqec.golden import single_qubit_errors
 
         errs = single_qubit_errors(5)
@@ -110,14 +146,14 @@ class TestSamplers:
                 assert a[1] == list(b[1]) and a[2] == list(b[2])
                 assert a[3] == list(b[3])
 
-    def test_search_blocks_compose(self):
+    def test_search_blocks_compose(self, compiled):
         # scanning [0, 200) equals scanning [0, 100) then [100, 200)
         from cosetqec.golden import single_qubit_errors
 
         errs = single_qubit_errors(5)
         ea = [e.x for e in errs]
         eb = [e.z for e in errs]
-        for lane in LANES:
+        for lane in (fb, compiled):
             whole = lane.search_range(5, ea, eb, 2, 13, 0, 200)
             first = lane.search_range(5, ea, eb, 2, 13, 0, 100)
             hit = first if first is not None else lane.search_range(
@@ -126,3 +162,21 @@ class TestSamplers:
             assert (whole is None) == (hit is None)
             if whole is not None:
                 assert whole[0] == hit[0]
+
+
+class TestRefusals:
+    def test_error_set_cap_is_the_same_on_both_lanes(self, compiled, monkeypatch):
+        errs = ErrorSet(
+            tuple(
+                PauliOperator(0, 0, z, 16)
+                for z in range(search.MAX_SEARCH_ERRORS + 2)
+            )
+        )
+        messages = []
+        for lane in (fb, compiled):
+            monkeypatch.setattr(search, "search_range", lane.search_range)
+            with pytest.raises(ValueError) as info:
+                search.search_code(errs, 1, strategy="random", budget=1)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "at most 1024" in messages[0]

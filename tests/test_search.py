@@ -19,6 +19,7 @@ from cosetqec.golden import (
     single_qubit_errors,
     x_flips,
 )
+from cosetqec.search import MAX_SEARCH_ERRORS
 
 labels_strategy = st.lists(
     st.integers(0, 31), min_size=1, max_size=6, unique=True
@@ -105,6 +106,14 @@ class TestSearch:
         result = search_code(errs, 2, strategy="random", budget=10)
         assert not result.found
         assert "counting" in result.reason
+
+    def test_error_set_cap(self):
+        # 1026 distinct errors at p=16, K=1 pass the counting bound
+        errs = ErrorSet(
+            tuple(PauliOperator(0, 0, z, 16) for z in range(MAX_SEARCH_ERRORS + 2))
+        )
+        with pytest.raises(ValueError, match="at most 1024"):
+            search_code(errs, 1, strategy="random", budget=1)
 
     def test_not_found_message_hedges(self):
         # zero budget scans nothing; the message must say not-found is not

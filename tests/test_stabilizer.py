@@ -193,6 +193,17 @@ class TestRandomGroup:
         g = random_group(3, seed=42)
         assert StabilizerGroup(g.generators).width == 3
 
+    @pytest.mark.parametrize("p", [0, 25])
+    def test_width_refused_before_sampling(self, p, monkeypatch):
+        import cosetqec.stabilizer as stabilizer
+
+        def sampler(*args):
+            raise AssertionError("the sampler must not start")
+
+        monkeypatch.setattr(stabilizer, "random_group_packed", sampler)
+        with pytest.raises(ValueError, match="width must be in 1..24"):
+            random_group(p, 1)
+
 
 class TestEnumerate:
     def test_width_1_exact(self):
