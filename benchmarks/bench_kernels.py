@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Compare the compiled kernel lane against the pure-Python fallback.
 
-Times the micro kernels and the two loops that dominate real runs: group
-sampling and randomized code search.  Run from a checkout:
+Times the kernels that have both lanes: the syndrome map, which is hot
+on decode, and the two loops that dominate search: group sampling and
+the candidate scan.  Run from a checkout:
 
     python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -30,38 +31,20 @@ def _time(fn, *args, repeat: int) -> float:
     return best
 
 
-def bench_multiply(impl, n=200_000):
+def bench_syndrome(impl, n=200_000):
+    from cosetqec.stabilizer import random_group
+
+    group = random_group(12, 3)
+    xs = [g.x for g in group.generators]
+    zs = [g.z for g in group.generators]
     rng = random.Random(0)
-    ops = [
-        (
-            rng.randrange(4),
-            rng.getrandbits(12),
-            rng.getrandbits(12),
-            rng.randrange(4),
-            rng.getrandbits(12),
-            rng.getrandbits(12),
-        )
-        for _ in range(1000)
-    ]
-    mul = impl.multiply_packed
+    ops = [(rng.getrandbits(12), rng.getrandbits(12)) for _ in range(1000)]
+    syndrome = impl.syndrome_bits
 
     def run():
         for _ in range(n // 1000):
-            for args in ops:
-                mul(*args)
-
-    return run, n
-
-
-def bench_rank(impl, n=20_000):
-    rng = random.Random(1)
-    batches = [[rng.getrandbits(24) for _ in range(12)] for _ in range(200)]
-    rank = impl.rank_f2
-
-    def run():
-        for _ in range(n // 200):
-            for rows in batches:
-                rank(rows)
+            for a, b in ops:
+                syndrome(a, b, xs, zs)
 
     return run, n
 
@@ -92,8 +75,7 @@ def bench_search(impl, n=50_000):
 
 
 BENCHES = [
-    ("multiply_packed", bench_multiply),
-    ("rank_f2", bench_rank),
+    ("syndrome_bits p=12", bench_syndrome),
     ("random_group p=5", bench_sample_groups),
     ("search candidates p=5", bench_search),
 ]

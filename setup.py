@@ -1,14 +1,11 @@
 """Build script: compiles the optional kernel extension.
 
 The package is fully functional without it (a pure-Python fallback is
-selected at import time), so any failure to cythonize or compile only
-downgrades performance.  Set COSETQEC_NO_EXT=1 to skip the extension
-build entirely.
+selected at import time), so a failed compile only downgrades
+performance.  The extension is hand-written C; a C compiler suffices.
 """
 
-import os
-
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -28,16 +25,7 @@ class OptionalBuildExt(build_ext):
                   "falling back to pure Python")
 
 
-ext_modules = []
-if os.environ.get("COSETQEC_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/cosetqec/_kernels/_speedups.pyx"],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        print("warning: Cython unavailable; building without the kernel extension")
-
+ext_modules = [
+    Extension("cosetqec._kernels._speedups", ["src/cosetqec/_kernels/_speedups.c"])
+]
 setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})

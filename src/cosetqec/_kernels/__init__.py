@@ -1,6 +1,8 @@
 """Kernel dispatch: compiled extension when available, pure Python otherwise.
 
-Set ``COSETQEC_PURE=1`` to force the pure-Python lane regardless of
+Only the four batch kernels that pay off end to end have a compiled lane
+(``_speedups.c``); ``_fallback`` is the pure lane and the reference.  Set
+``COSETQEC_PURE=1`` to force the pure-Python lane regardless of
 whether the extension was built.  ``BACKEND`` records the active lane.
 """
 
@@ -22,10 +24,6 @@ else:
 
         BACKEND = "python"
 
-mix64 = _impl.mix64
-symplectic_parity = _impl.symplectic_parity
-multiply_packed = _impl.multiply_packed
-rank_f2 = _impl.rank_f2
 syndrome_bits = _impl.syndrome_bits
 random_group_packed = _impl.random_group_packed
 greedy_label_scan = _impl.greedy_label_scan
@@ -33,10 +31,6 @@ search_range = _impl.search_range
 
 __all__ = [
     "BACKEND",
-    "mix64",
-    "symplectic_parity",
-    "multiply_packed",
-    "rank_f2",
     "syndrome_bits",
     "random_group_packed",
     "greedy_label_scan",

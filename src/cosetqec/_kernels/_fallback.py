@@ -1,9 +1,9 @@
-"""Pure-Python implementations of the bit-packed hot kernels.
+"""Pure-Python implementations of the bit-packed batch kernels.
 
-This module mirrors the compiled extension exactly: same RNG
-(splitmix64), same draw order, same tie-breaking.  Both lanes must
-produce bit-identical groups, labels, and search results for a given
-seed; tests enforce this whenever the compiled lane is available.
+The compiled lane (``_speedups.c``) mirrors this module exactly: same RNG
+(splitmix64), same draw order, same tie-breaking, same refusals.  Both
+lanes must produce bit-identical groups, labels, and search results for a
+given seed; tests enforce this whenever a C compiler is available.
 
 Packing: a width-p Pauli is a pair of p-bit masks (x, z); a symplectic
 vector is the 2p-bit integer x | (z << p).  All widths are <= 24, so
@@ -15,7 +15,14 @@ from __future__ import annotations
 from typing import Sequence
 
 MASK64 = (1 << 64) - 1
+MAX_WIDTH = 24
+MAX_ERRORS = 1024
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _check_width(p: int) -> None:
+    if not 1 <= p <= MAX_WIDTH:
+        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {p}")
 
 
 def mix64(z: int) -> int:
@@ -24,34 +31,6 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
-
-
-def symplectic_parity(a1: int, b1: int, a2: int, b2: int) -> int:
-    """Return (a1.b2 + b1.a2) mod 2: 0 if the operators commute, 1 if not."""
-    return ((a1 & b2).bit_count() + (b1 & a2).bit_count()) & 1
-
-
-def multiply_packed(d1: int, a1: int, b1: int, d2: int, a2: int, b2: int):
-    """Product of i^d1 X^a1 Z^b1 and i^d2 X^a2 Z^b2 as (phase, x, z)."""
-    phase = (d1 + d2 + 2 * ((b1 & a2).bit_count() & 1)) & 3
-    return phase, a1 ^ a2, b1 ^ b2
-
-
-def rank_f2(rows: Sequence[int]) -> int:
-    """Rank over GF(2) of integer bitmask rows (leading-bit elimination)."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        w = row
-        while w:
-            hb = w.bit_length() - 1
-            if hb in pivots:
-                w ^= pivots[hb]
-            else:
-                pivots[hb] = w
-                rank += 1
-                break
-    return rank
 
 
 def syndrome_bits(a: int, b: int, gens_a: Sequence[int], gens_b: Sequence[int]) -> int:
@@ -70,6 +49,11 @@ def random_group_packed(p: int, seed: int):
     keeping each draw that commutes with everything kept so far and
     raises the GF(2) rank.  Returns (xs, zs) lists of length p.
     """
+    _check_width(p)
+    return _sample_group(p, seed)
+
+
+def _sample_group(p: int, seed: int):
     state = seed & MASK64
     vmask = (1 << (2 * p)) - 1
     pmask = (1 << p) - 1
@@ -106,8 +90,17 @@ def greedy_label_scan(p: int, err_labels: Sequence[int], k_target: int = -1):
     label when every XOR with the error labels is still unused.
 
     ``k_target >= 0`` stops as soon as that many labels are kept; -1 runs
-    the full scan (maximum greedy dimension).
+    the full scan (maximum greedy dimension).  Labels outside 0..2^p-1
+    are refused.
     """
+    _check_width(p)
+    for e in err_labels:
+        if not 0 <= e < 1 << p:
+            raise ValueError(f"label {e} out of range for width {p}")
+    return _greedy(p, err_labels, k_target)
+
+
+def _greedy(p: int, err_labels: Sequence[int], k_target: int) -> list[int]:
     used = bytearray(1 << p)
     kept: list[int] = []
     for lam in range(1 << p):
@@ -137,12 +130,18 @@ def search_range(
     Candidate i gets its own decorrelated splitmix64 stream derived from
     (seed, i), samples a group, and is accepted when all error labels are
     distinct and the greedy scan keeps k_target labels.  Returns
-    (index, xs, zs, labels) for the first hit, or None.
+    (index, xs, zs, labels) for the first hit, or None.  Error sets over
+    MAX_ERRORS entries are refused.
     """
+    _check_width(p)
     n = len(errs_a)
+    if n > MAX_ERRORS:
+        raise ValueError(
+            f"error set has {n} entries; search handles at most {MAX_ERRORS}"
+        )
     for i in range(start, start + count):
         st = mix64((seed + (i + 1) * _GOLDEN) & MASK64)
-        xs, zs = random_group_packed(p, st)
+        xs, zs = _sample_group(p, st)
         seen = 0
         labels: list[int] = []
         ok = True
@@ -155,7 +154,7 @@ def search_range(
             labels.append(lab)
         if not ok:
             continue
-        kept = greedy_label_scan(p, labels, k_target)
+        kept = _greedy(p, labels, k_target)
         if len(kept) >= k_target:
             return i, xs, zs, kept
     return None

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._kernels import rank_f2
 from .codes import QuantumCode
-from .pauli import PauliOperator
+from .pauli import PauliOperator, rank_f2
 
 
 def is_xor_subgroup(strings: Iterable[int]) -> bool:
@@ -28,7 +27,7 @@ def is_xor_subgroup(strings: Iterable[int]) -> bool:
     exactly when it has that many elements: O(S.p) instead of checking
     all S^2 pairs.  The empty set has rank 0 and fails."""
     values = set(strings)
-    return len(values) == 1 << rank_f2(list(values))
+    return len(values) == 1 << rank_f2(values)
 
 
 def is_closed_mod_phase(ops: Sequence[PauliOperator]) -> bool:

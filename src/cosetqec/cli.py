@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -245,8 +244,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get("COSETQEC_WORKERS", "1")),
-        help="worker processes for randomized search (1 = sequential baseline)",
+        default=None,
+        help="worker processes for random search (default $COSETQEC_WORKERS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -265,10 +265,6 @@ class KLReport:
     passed: bool
     witness: tuple[int, int, int, int] | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.passed
-
 
 def check_knill_laflamme(code: QuantumCode, errors: ErrorSet) -> KLReport:
     """Verify the standard correctability conditions over the dense

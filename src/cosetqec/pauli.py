@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from ._kernels import multiply_packed, rank_f2, symplectic_parity
-
 MAX_WIDTH = 24
 
 _PREFIX_TO_EXP = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
@@ -70,10 +68,9 @@ class PauliOperator:
             raise WidthMismatchError(
                 f"cannot multiply width {self.width} by width {other.width}"
             )
-        phase, x, z = multiply_packed(
-            self.phase, self.x, self.z, other.phase, other.x, other.z
-        )
-        return PauliOperator(phase, x, z, self.width)
+        # Moving other's X past self's Z gives (-1)^(z1.x2).
+        phase = self.phase + other.phase + 2 * (self.z & other.x).bit_count()
+        return PauliOperator(phase, self.x ^ other.x, self.z ^ other.z, self.width)
 
     def adjoint(self) -> "PauliOperator":
         """Conjugate transpose; equals self exactly when Hermitian."""
@@ -156,6 +153,24 @@ def parse_pauli(text: str, width: int | None = None) -> PauliOperator:
 def format_pauli(op: PauliOperator) -> str:
     """Inverse of :func:`parse_pauli` on canonical forms."""
     return _EXP_TO_PREFIX[op.sign_exp] + op.body()
+
+
+def symplectic_parity(a1: int, b1: int, a2: int, b2: int) -> int:
+    """Return (a1.b2 + b1.a2) mod 2: 0 if the operators commute, 1 if not."""
+    return ((a1 & b2).bit_count() + (b1 & a2).bit_count()) & 1
+
+
+def rank_f2(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of integer bitmask rows (leading-bit elimination)."""
+    pivots: dict[int, int] = {}
+    for w in rows:
+        while w:
+            hb = w.bit_length() - 1
+            if hb not in pivots:
+                pivots[hb] = w
+                break
+            w ^= pivots[hb]
+    return len(pivots)
 
 
 def symplectic_product(s1: PauliOperator, s2: PauliOperator) -> int:

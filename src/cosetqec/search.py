@@ -20,8 +20,7 @@ from .pauli import ErrorSet, PauliOperator
 from .stabilizer import StabilizerGroup, enumerate_groups
 
 DEFAULT_BUDGET = 100_000
-# The compiled scan holds the error set in fixed 1024-entry arrays; the
-# cap is checked here so that both kernel lanes refuse the same sets.
+# Both kernel lanes refuse larger error sets, with one message.
 MAX_SEARCH_ERRORS = 1024
 _BLOCK = 2048
 
@@ -176,7 +175,8 @@ def search_code(
 
     ``strategy`` is "exhaustive" (width <= 3 only) or "random".  Results
     are deterministic in (strategy, budget, seed); any returned code
-    passes the distinct-label verdict by construction.
+    passes the distinct-label verdict by construction.  ``workers=None``
+    reads the worker count from ``COSETQEC_WORKERS`` (default 1).
     """
     if k_target < 1:
         raise ValueError("dimension target must be at least 1")
@@ -190,11 +190,6 @@ def search_code(
                 f"codewords exceeds the {1 << p} available cosets"
             ),
             candidates_tried=0,
-        )
-    if len(errors) > MAX_SEARCH_ERRORS:
-        raise ValueError(
-            f"error set has {len(errors)} entries; search handles at most "
-            f"{MAX_SEARCH_ERRORS}"
         )
     if strategy == "exhaustive":
         return _exhaustive_search(errors, k_target)

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from ._kernels import random_group_packed, symplectic_parity, syndrome_bits
+from ._kernels import random_group_packed, syndrome_bits
 from .pauli import (
     MAX_WIDTH,
     PauliOperator,
     WidthMismatchError,
     format_pauli,
     parse_pauli,
+    symplectic_parity,
 )
 
 ENUMERATION_MAX_WIDTH = 3
@@ -68,15 +69,13 @@ class StabilizerGroup:
         for i, j in itertools.combinations(range(p), 2):
             if symplectic_parity(gens[i].x, gens[i].z, gens[j].x, gens[j].z):
                 raise GroupError(f"generators {i} and {j} anticommute")
-        self._check_independent()
-
-    def _check_independent(self) -> None:
-        # Leading-bit elimination with combination tracking: a row that
-        # reduces to zero names the dependent subset.
-        p = self.width
+        # Leading-bit elimination with combination tracking on the check
+        # vectors z | x << p (syndrome bit t of v = x | z << p is row t . v):
+        # a row that reduces to zero names the dependent subset, and the
+        # pivots later solve for a member of any coset.
         pivots: dict[int, tuple[int, int]] = {}
         for idx, g in enumerate(self.generators):
-            w = g.x | (g.z << p)
+            w = g.z | (g.x << p)
             comb = 1 << idx
             while w:
                 hb = w.bit_length() - 1
@@ -93,6 +92,7 @@ class StabilizerGroup:
                     "dependent generators: the product of indices "
                     f"{subset} is +/-identity mod phase"
                 )
+        object.__setattr__(self, "_pivots", pivots)
 
     @property
     def width(self) -> int:
@@ -167,25 +167,10 @@ class StabilizerGroup:
         p = self.width
         if not 0 <= label < (1 << p):
             raise ValueError(f"label {label} out of range for width {p}")
-        pivots: dict[int, tuple[int, int]] = {}
-        for t, g in enumerate(self.generators):
-            w = g.z | (g.x << p)
-            r = (label >> t) & 1
-            while w:
-                hb = w.bit_length() - 1
-                if hb in pivots:
-                    pw, pr = pivots[hb]
-                    w ^= pw
-                    r ^= pr
-                else:
-                    pivots[hb] = (w, r)
-                    break
-            else:
-                if r:
-                    raise GroupError("inconsistent syndrome system")
         v = 0
-        for bit in sorted(pivots):
-            w, r = pivots[bit]
+        for bit in sorted(self._pivots):
+            w, comb = self._pivots[bit]
+            r = (label & comb).bit_count() & 1
             if r ^ (((w ^ (1 << bit)) & v).bit_count() & 1):
                 v |= 1 << bit
         x, z = v & ((1 << p) - 1), v >> p

@@ -211,6 +211,35 @@ class TestSearch:
         ])
         assert rc == 1
 
+    def test_workers_default_comes_from_the_environment(
+        self, workdir, capsys, monkeypatch
+    ):
+        import cosetqec.cli as cli
+        import cosetqec.search as search
+
+        seen = {}
+        real_search, real_random = cli.search_code, search._random_search
+
+        def spy_search(*args, **kwargs):
+            seen["cli"] = kwargs["workers"]
+            return real_search(*args, **kwargs)
+
+        def spy_random(errors, k_target, budget, seed, workers):
+            seen["scan"] = workers
+            return real_random(errors, k_target, budget, seed, workers)
+
+        monkeypatch.setenv("COSETQEC_WORKERS", "2")
+        monkeypatch.setattr(cli, "search_code", spy_search)
+        monkeypatch.setattr(search, "_random_search", spy_random)
+        rc = main([
+            "search",
+            "--errors", str(workdir / "xflips.txt"),
+            "--k", "2",
+            "--budget", "200",
+        ])
+        assert rc == 0
+        assert seen == {"cli": None, "scan": 2}
+
 
 class TestDiagnose:
     def test_lookup(self, workdir, capsys):

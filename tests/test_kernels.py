@@ -1,10 +1,10 @@
 """Cross-lane equality: the compiled kernels must match the pure-Python
-fallback bit for bit (same RNG stream, same tie-breaking).
+fallback bit for bit (same RNG stream, same tie-breaking, same refusals).
 
-When the extension is not installed but a C compiler is, the committed
-``_speedups.c`` is compiled into a temporary directory and loaded under
-its package name, so these tests run on a plain checkout; with neither,
-they are skipped."""
+When the extension is not installed but a C compiler is, the hand-written
+``_speedups.c`` is compiled with ``-O2 -Wall -Werror`` into a temporary
+directory and loaded under its package name, so these tests run on a
+plain checkout; with neither, they are skipped."""
 
 import importlib
 import importlib.util
@@ -33,7 +33,8 @@ def _build(tmp_dir: Path):
     source = Path(fb.__file__).with_name("_speedups.c")
     target = tmp_dir / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
     subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
+        [cc, "-O2", "-Wall", "-Werror", "-shared", "-fPIC", f"-I{include}",
+         str(source), "-o", str(target)],
         check=True,
         capture_output=True,
     )
@@ -68,37 +69,6 @@ def test_pure_env_var_selects_fallback():
 
 
 class TestMicroKernels:
-    def test_mix64_agrees(self, compiled):
-        rng = random.Random(0)
-        for _ in range(200):
-            z = rng.getrandbits(64)
-            assert fb.mix64(z) == compiled.mix64(z)
-
-    def test_symplectic_parity_agrees(self, compiled):
-        rng = random.Random(1)
-        for _ in range(500):
-            args = [rng.getrandbits(24) for _ in range(4)]
-            assert fb.symplectic_parity(*args) == compiled.symplectic_parity(*args)
-
-    def test_multiply_agrees(self, compiled):
-        rng = random.Random(2)
-        for _ in range(500):
-            args = (
-                rng.randrange(4),
-                rng.getrandbits(20),
-                rng.getrandbits(20),
-                rng.randrange(4),
-                rng.getrandbits(20),
-                rng.getrandbits(20),
-            )
-            assert fb.multiply_packed(*args) == compiled.multiply_packed(*args)
-
-    def test_rank_agrees(self, compiled):
-        rng = random.Random(3)
-        for _ in range(200):
-            rows = [rng.getrandbits(16) for _ in range(rng.randrange(1, 9))]
-            assert fb.rank_f2(rows) == compiled.rank_f2(rows)
-
     def test_syndrome_agrees(self, compiled):
         rng = random.Random(4)
         for _ in range(200):
@@ -106,6 +76,18 @@ class TestMicroKernels:
             ga = [rng.getrandbits(p) for _ in range(p)]
             gb = [rng.getrandbits(p) for _ in range(p)]
             a, b = rng.getrandbits(p), rng.getrandbits(p)
+            assert fb.syndrome_bits(a, b, ga, gb) == compiled.syndrome_bits(
+                a, b, ga, gb
+            )
+
+    def test_syndrome_has_no_generator_cap(self, compiled):
+        # the compiled lane reads the lists in place: past 24 generators
+        # and past one 64-bit word it still matches the fallback
+        rng = random.Random(6)
+        for n in (0, 25, 64, 65, 130):
+            ga = [rng.getrandbits(20) for _ in range(n)]
+            gb = [rng.getrandbits(20) for _ in range(n)]
+            a, b = rng.getrandbits(20), rng.getrandbits(20)
             assert fb.syndrome_bits(a, b, ga, gb) == compiled.syndrome_bits(
                 a, b, ga, gb
             )
@@ -146,6 +128,26 @@ class TestSamplers:
                 assert a[1] == list(b[1]) and a[2] == list(b[2])
                 assert a[3] == list(b[3])
 
+    def test_search_edge_arguments_identical(self, compiled):
+        # negative or 64-bit-wrapping seeds and starts, empty ranges
+        from cosetqec.golden import single_qubit_errors
+
+        errs = single_qubit_errors(5)
+        ea = [e.x for e in errs]
+        eb = [e.z for e in errs]
+        hits = 0
+        for seed, start, count in [
+            (-5, 0, 500),
+            ((1 << 64) + 3, -40, 500),
+            (2, (1 << 64) - 7, 500),
+            (2, 10, 0),
+            (2, 10, -3),
+        ]:
+            want = fb.search_range(5, ea, eb, 2, seed, start, count)
+            assert compiled.search_range(5, ea, eb, 2, seed, start, count) == want
+            hits += want is not None
+        assert hits >= 2
+
     def test_search_blocks_compose(self, compiled):
         # scanning [0, 200) equals scanning [0, 100) then [100, 200)
         from cosetqec.golden import single_qubit_errors
@@ -164,7 +166,48 @@ class TestSamplers:
                 assert whole[0] == hit[0]
 
 
+def _refusal(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
 class TestRefusals:
+    @pytest.mark.parametrize("p", [0, -1, 25, 64, 1 << 70])
+    def test_width_is_refused_the_same_on_both_lanes(self, compiled, p):
+        calls = [
+            lambda lane: lane.random_group_packed(p, 1),
+            lambda lane: lane.greedy_label_scan(p, [0], 1),
+            lambda lane: lane.search_range(p, [0], [0], 1, 1, 0, 1),
+        ]
+        for call in calls:
+            want = _refusal(lambda: call(fb))
+            assert want == (ValueError, f"width must be in 1..24, got {p}")
+            assert _refusal(lambda: call(compiled)) == want
+
+    @pytest.mark.parametrize("label", [8, 9, 255, -1, 1 << 70])
+    def test_out_of_range_label_is_refused_the_same_on_both_lanes(
+        self, compiled, label
+    ):
+        labels = [0, 1, label]
+        want = _refusal(lambda: fb.greedy_label_scan(3, labels, -1))
+        assert want == (ValueError, f"label {label} out of range for width 3")
+        assert _refusal(lambda: compiled.greedy_label_scan(3, labels, -1)) == want
+
+    def test_search_error_cap_is_the_same_on_both_lanes(self, compiled):
+        ea = list(range(fb.MAX_ERRORS + 1))
+        eb = [0] * len(ea)
+        want = _refusal(lambda: fb.search_range(16, ea, eb, 1, 0, 0, 1))
+        assert want == (
+            ValueError,
+            "error set has 1025 entries; search handles at most 1024",
+        )
+        assert _refusal(lambda: compiled.search_range(16, ea, eb, 1, 0, 0, 1)) == want
+        # at the cap both lanes scan
+        assert compiled.search_range(16, ea[:-1], eb[:-1], 1, 0, 0, 3) == (
+            fb.search_range(16, ea[:-1], eb[:-1], 1, 0, 0, 3)
+        )
+
     def test_error_set_cap_is_the_same_on_both_lanes(self, compiled, monkeypatch):
         errs = ErrorSet(
             tuple(
