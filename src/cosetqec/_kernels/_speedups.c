@@ -37,6 +37,20 @@ width_arg(PyObject *obj)
     return PyErr_Occurred() ? -1 : (int)p;
 }
 
+/* *out = obj clamped to the long long range; 0 with an exception set unless
+   obj is an int.  Every long long bound (k_target, count) means the same at
+   the clamp as beyond it: no scan keeps 2^63 labels or reaches candidate
+   2^63. */
+static int
+read_clamped(PyObject *obj, long long *out)
+{
+    int overflow;
+    *out = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (overflow)
+        *out = overflow > 0 ? LLONG_MAX : LLONG_MIN;
+    return !(*out == -1 && PyErr_Occurred());
+}
+
 /* *out = obj; 0 with an exception set unless obj is an int in 0..2^64-1. */
 static int
 read_u64(PyObject *obj, u64 *out)
@@ -114,28 +128,12 @@ u64_list(const u64 *values, int n)
 static PyObject *
 syndrome_bits(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError,
-                            "syndrome_bits() takes 4 arguments (%zd given)", nargs);
-    Py_ssize_t n = PyObject_Length(args[2]);
-    if (n > 64) {
-        /* No group has this many generators (widths stop at 24); the
-           reference answers, so the lanes share no cap to disagree on. */
-        PyObject *fb = PyImport_ImportModule("cosetqec._kernels._fallback");
-        PyObject *fn = fb ? PyObject_GetAttrString(fb, "syndrome_bits") : NULL;
-        PyObject *result = fn ? PyObject_Vectorcall(fn, args, nargs, NULL) : NULL;
-        Py_XDECREF(fb);
-        Py_XDECREF(fn);
-        return result;
-    }
-    PyObject *ga = n < 0 ? NULL : PySequence_Fast(args[2], "gens_a");
+    Py_ssize_t n = nargs == 4 ? PyObject_Length(args[2]) : -1;
+    PyObject *ga = n < 0 || n > 64 ? NULL : PySequence_Fast(args[2], "gens_a");
     PyObject *gb = ga ? PySequence_Fast(args[3], "gens_b") : NULL;
     u64 a = 0, b = 0, x = 0, z = 0, bits = 0;
-    int ok = gb != NULL && read_u64(args[0], &a) && read_u64(args[1], &b);
-    if (ok && PySequence_Fast_GET_SIZE(gb) < n) {
-        PyErr_SetString(PyExc_IndexError, "gens_b is shorter than gens_a");
-        ok = 0;
-    }
+    int ok = gb != NULL && PySequence_Fast_GET_SIZE(gb) >= n
+             && read_u64(args[0], &a) && read_u64(args[1], &b);
     for (Py_ssize_t t = 0; ok && t < n; t++) {
         ok = read_u64(PySequence_Fast_GET_ITEM(ga, t), &x)
              && read_u64(PySequence_Fast_GET_ITEM(gb, t), &z);
@@ -143,7 +141,19 @@ syndrome_bits(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     Py_XDECREF(ga);
     Py_XDECREF(gb);
-    return ok ? PyLong_FromUnsignedLongLong(bits) : NULL;
+    if (ok)
+        return PyLong_FromUnsignedLongLong(bits);
+    /* More than 64 generators (no group has that many: widths stop at 24),
+       or arguments that are not four int lists and ints in 0..2^64-1: the
+       reference answers or raises, so the lanes share no cap or error path
+       to disagree on. */
+    PyErr_Clear();
+    PyObject *fb = PyImport_ImportModule("cosetqec._kernels._fallback");
+    PyObject *fn = fb ? PyObject_GetAttrString(fb, "syndrome_bits") : NULL;
+    PyObject *result = fn ? PyObject_Vectorcall(fn, args, nargs, NULL) : NULL;
+    Py_XDECREF(fb);
+    Py_XDECREF(fn);
+    return result;
 }
 
 static PyObject *
@@ -170,13 +180,15 @@ static PyObject *
 greedy_label_scan(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"p", "err_labels", "k_target", NULL};
-    PyObject *p_obj, *labels_obj, *out = NULL;
+    PyObject *p_obj, *labels_obj, *k_obj = NULL, *out = NULL;
     long long k_target = -1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|L", kwlist, &p_obj,
-                                     &labels_obj, &k_target))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|O", kwlist, &p_obj,
+                                     &labels_obj, &k_obj))
         return NULL;
     int p = width_arg(p_obj);
-    PyObject *labels = p < 0 ? NULL : PySequence_Fast(labels_obj, "err_labels");
+    if (p < 0 || (k_obj != NULL && !read_clamped(k_obj, &k_target)))
+        return NULL;
+    PyObject *labels = PySequence_Fast(labels_obj, "err_labels");
     if (labels == NULL)
         return NULL;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(labels);
@@ -207,14 +219,16 @@ search_range(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"p", "errs_a", "errs_b", "k_target", "seed",
                              "start", "count", NULL};
-    PyObject *p_obj, *ea_obj, *eb_obj, *seed_obj, *start_obj;
+    PyObject *p_obj, *ea_obj, *eb_obj, *k_obj, *seed_obj, *start_obj, *count_obj;
     long long k_target, count;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOLOOL", kwlist, &p_obj,
-                                     &ea_obj, &eb_obj, &k_target, &seed_obj,
-                                     &start_obj, &count))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOOO", kwlist, &p_obj,
+                                     &ea_obj, &eb_obj, &k_obj, &seed_obj,
+                                     &start_obj, &count_obj))
         return NULL;
     int p = width_arg(p_obj);
-    Py_ssize_t n = p < 0 ? 0 : PyObject_Length(ea_obj);
+    if (p < 0 || !read_clamped(k_obj, &k_target) || !read_clamped(count_obj, &count))
+        return NULL;
+    Py_ssize_t n = PyObject_Length(ea_obj);
     if (n > MAX_ERRORS)
         PyErr_Format(PyExc_ValueError,
                      "error set has %zd entries; search handles at most %d",
@@ -233,7 +247,7 @@ search_range(PyObject *self, PyObject *args, PyObject *kwargs)
         Py_XDECREF(b);
     }
     /* One table for the collision check and the greedy scan; both re-zero it. */
-    size_t size = (size_t)1 << (p < 0 ? 0 : p);
+    size_t size = (size_t)1 << p;
     char *seen = PyErr_Occurred() ? NULL : PyMem_Calloc(size, 1);
     if (seen == NULL)
         return PyErr_Occurred() ? NULL : PyErr_NoMemory();

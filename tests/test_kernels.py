@@ -172,6 +172,14 @@ def _refusal(call):
     return type(info.value), str(info.value)
 
 
+def _outcome(call):
+    """The result, or the exception's type and message."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestRefusals:
     @pytest.mark.parametrize("p", [0, -1, 25, 64, 1 << 70])
     def test_width_is_refused_the_same_on_both_lanes(self, compiled, p):
@@ -207,6 +215,42 @@ class TestRefusals:
         assert compiled.search_range(16, ea[:-1], eb[:-1], 1, 0, 0, 3) == (
             fb.search_range(16, ea[:-1], eb[:-1], 1, 0, 0, 3)
         )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (-1, 0, [1], [1]),
+            (0, -5, [-3, 2], [7, -1]),
+            (3, 1, [1, -2], [-8, 4]),
+            (1 << 64, 1, [1], [1 << 70]),
+            (1, 1, [1, 2], [1]),
+            (1, 1, [1.0], [1]),
+        ],
+    )
+    def test_syndrome_out_of_domain_is_the_same_on_both_lanes(self, compiled, args):
+        # negative or 65-bit masks, a short gens_b, a float: the compiled
+        # lane hands whatever it cannot convert to the reference
+        want = _outcome(lambda: fb.syndrome_bits(*args))
+        assert _outcome(lambda: compiled.syndrome_bits(*args)) == want
+
+    @pytest.mark.parametrize("k_target", [1 << 63, -(1 << 70)])
+    def test_huge_k_target_is_the_same_on_both_lanes(self, compiled, k_target):
+        want = fb.greedy_label_scan(4, [0, 3, 5], k_target)
+        assert want == compiled.greedy_label_scan(4, [0, 3, 5], k_target)
+        ea, eb = [0, 1, 0], [0, 0, 1]  # I, X and Z on qubit 0
+        want = fb.search_range(4, ea, eb, k_target, 9, 0, 40)
+        assert want == compiled.search_range(4, ea, eb, k_target, 9, 0, 40)
+        # 2^63 labels are never kept; a hugely negative target always is
+        assert (want is None) == (k_target > 0)
+
+    def test_huge_count_is_the_same_on_both_lanes(self, compiled):
+        # identity-only errors: the first candidate hits, so neither lane
+        # walks the 2^64-candidate range
+        want = fb.search_range(5, [0], [0], 1, 3, 7, 1 << 64)
+        assert want is not None and want[0] == 7
+        assert compiled.search_range(5, [0], [0], 1, 3, 7, 1 << 64) == want
+        for count in (-(1 << 70), 0):
+            assert compiled.search_range(5, [0], [0], 1, 3, 7, count) is None
 
     def test_error_set_cap_is_the_same_on_both_lanes(self, compiled, monkeypatch):
         errs = ErrorSet(

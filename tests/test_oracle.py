@@ -1,9 +1,18 @@
-"""Dense-state engine: exact arithmetic and the structural sweeps."""
+"""Dense-state engine: exact arithmetic and the structural sweeps.
 
+The per-operator sweeps the oracle used before the Walsh-Hadamard
+transform and the Hermitian Gram are kept here as slow references, and the
+oracle must return the same reports as they do."""
+
+import ast
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cosetqec.oracle as oracle
 
 from cosetqec import (
     DenseState,
@@ -28,6 +37,8 @@ from cosetqec.golden import (
     single_qubit_errors,
     x_flips,
 )
+from cosetqec.oracle import KLReport, OracleReport
+from cosetqec.pauli import format_pauli
 from cosetqec.stabilizer import StabilizerGroup
 
 from conftest import pauli_matrix, state_vector
@@ -36,6 +47,67 @@ from conftest import pauli_matrix, state_vector
 def group_of(*strings):
     width = len(strings[0])
     return StabilizerGroup(tuple(parse_pauli(s, width) for s in strings))
+
+
+def reference_apply(state, op):
+    """One amplitude at a time: |a> -> i^d (-1)^(z.a) |a^x>."""
+    size = 1 << state.width
+    re = [0] * size
+    im = [0] * size
+    for a in range(size):
+        r, i = state.re[a], state.im[a]
+        k = (op.phase + 2 * ((op.z & a).bit_count() & 1)) & 3
+        for _ in range(k):  # times i, k times
+            r, i = -i, r
+        re[a ^ op.x], im[a ^ op.x] = r, i
+    return DenseState(tuple(re), tuple(im), state.width)
+
+
+def reference_dichotomy(group):
+    """Apply each of the 4^p Hermitian representatives to the seed and
+    take the inner product: 8^p operations."""
+    p = group.width
+    norm = group.normalized(0)
+    seed = DenseState.from_seed(seed_state(norm, 0))
+    n2 = seed.norm2
+    members = norm.closure_classes
+    violations = []
+    cases = 0
+    for x in range(1 << p):
+        for z in range(1 << p):
+            cases += 1
+            op = PauliOperator.from_symplectic(x, z, p)
+            val = seed.inner(reference_apply(seed, op))
+            if (x, z) in members:
+                if val not in ((n2, 0), (-n2, 0)):
+                    violations.append(
+                        f"{format_pauli(op)}: inside but expectation {val} != +/-{n2}"
+                    )
+            elif val != (0, 0):
+                violations.append(
+                    f"{format_pauli(op)}: outside but expectation {val} != 0"
+                )
+    return OracleReport("overlap-dichotomy", cases, tuple(violations))
+
+
+def reference_knill_laflamme(code, errors):
+    """Every (a, b, i, j) inner product computed afresh, in witness order."""
+    words = [
+        reference_apply(DenseState.from_seed(code.seed), op)
+        for op in code.codeword_ops
+    ]
+    moved = [[reference_apply(w, e) for w in words] for e in errors]
+    k = len(words)
+    for a in range(len(errors)):
+        for b in range(len(errors)):
+            c_ab = moved[a][0].inner(moved[b][0])
+            for i in range(k):
+                for j in range(k):
+                    val = moved[a][i].inner(moved[b][j])
+                    want = c_ab if i == j else (0, 0)
+                    if val != want:
+                        return KLReport(passed=False, witness=(a, b, i, j))
+    return KLReport(passed=True)
 
 
 class TestDenseState:
@@ -276,3 +348,130 @@ class TestCodewordStates:
             for a in range(len(words)):
                 for b in range(a + 1, len(words)):
                     assert words[a].is_orthogonal(words[b]), name
+
+
+class TestAgainstReference:
+    """The transform, the Gram and the permuting apply give the reports the
+    per-operator sweeps give, field by field and violation by violation."""
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_apply_matches_reference(self, p):
+        rng = random.Random(11 * p)
+        for _ in range(20):
+            state = DenseState(
+                tuple(rng.randint(-3, 3) for _ in range(1 << p)),
+                tuple(rng.randint(-3, 3) for _ in range(1 << p)),
+                p,
+            )
+            op = PauliOperator(
+                rng.randrange(4), rng.randrange(1 << p), rng.randrange(1 << p), p
+            )
+            assert state.apply(op) == reference_apply(state, op)
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_dichotomy_random_groups(self, p):
+        for k in range(3 if p < 6 else 1):
+            g = random_group(p, seed=53 * p + k)
+            assert check_overlap_dichotomy(g) == reference_dichotomy(g)
+
+    @pytest.mark.parametrize("strings", [("Y",), ("XX", "ZZ"), ("YY", "XX")])
+    def test_dichotomy_y_and_bell(self, strings):
+        g = group_of(*strings)
+        assert check_overlap_dichotomy(g) == reference_dichotomy(g)
+
+    @pytest.mark.parametrize(
+        "group", [group_of("Y"), group_of("YY", "XX"), random_group(4, seed=3)]
+    )
+    def test_dichotomy_violations_match(self, group, monkeypatch):
+        # drop the class with the most Y letters and add the outside class
+        # with the most, so the messages carry nontrivial phases
+        def y_count(xz):
+            return (xz[0] & xz[1]).bit_count(), xz
+
+        classes = group.normalized(0).closure_classes
+        size = 1 << group.width
+        outside = {(x, z) for x in range(size) for z in range(size)} - classes
+        dropped, extra = max(classes, key=y_count), max(outside, key=y_count)
+        monkeypatch.setattr(
+            StabilizerGroup,
+            "closure_classes",
+            property(lambda self: (classes - {dropped}) | {extra}),
+        )
+        report = check_overlap_dichotomy(group)
+        assert report == reference_dichotomy(group)
+        assert len(report.violations) == 2
+        assert any(": outside but" in v for v in report.violations)
+        assert any(": inside but expectation (0, 0)" in v for v in report.violations)
+
+    def test_kl_golden(self, golden_suite):
+        for name, code, errs in golden_suite:
+            assert check_knill_laflamme(code, errs) == reference_knill_laflamme(
+                code, errs
+            ), name
+
+    def test_kl_z_error_witness(self, rep3):
+        errs = ErrorSet((PauliOperator.identity(3), parse_pauli("ZII")))
+        report = check_knill_laflamme(rep3, errs)
+        assert report == reference_knill_laflamme(rep3, errs)
+        assert report.witness == (0, 1, 1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_kl_random_codes(self, data):
+        p = data.draw(st.integers(1, 5), label="p")
+        group = random_group(p, seed=data.draw(st.integers(0, 10**6), label="seed"))
+        size = 1 << p
+        labels = data.draw(
+            st.lists(st.integers(1, size - 1), max_size=min(3, size - 1), unique=True),
+            label="labels",
+        )
+        non_identity = st.tuples(
+            st.integers(0, size - 1), st.integers(0, size - 1)
+        ).filter(any)
+        classes = data.draw(
+            st.lists(non_identity, max_size=4, unique=True), label="errors"
+        )
+        # an error set starts with the identity
+        errs = ErrorSet(
+            tuple(PauliOperator.from_symplectic(x, z, p) for x, z in [(0, 0), *classes])
+        )
+        code = build_code(group, [0, *labels])  # a code starts at the zero coset
+        assert check_knill_laflamme(code, errs) == reference_knill_laflamme(
+            code, errs
+        )
+
+    def test_eigenvectors_and_orthogonality_golden(self, golden_suite, monkeypatch):
+        # the two sweeps are unchanged apart from apply: swapping in the
+        # reference apply must leave every report as it is
+        def reports():
+            return [
+                (check_eigenvectors(code, errs), check_syndrome_orthogonality(code, errs))
+                for _, code, errs in golden_suite
+            ]
+
+        fast = reports()
+        monkeypatch.setattr(DenseState, "apply", reference_apply)
+        assert fast == reports()
+
+
+class TestIndependence:
+    FORBIDDEN = ("cosetqec._kernels", "cosetqec.verify")
+
+    def imported_modules(self):
+        tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module
+                if node.level:  # oracle.py sits directly in the package
+                    base = ".".join(filter(None, ["cosetqec", node.module]))
+                yield base
+                yield from (f"{base}.{alias.name}" for alias in node.names)
+
+    def test_oracle_imports_neither_kernels_nor_verify(self):
+        seen = list(self.imported_modules())
+        assert "cosetqec.codes" in seen  # the scan does see relative imports
+        for name in seen:
+            for banned in self.FORBIDDEN:
+                assert name != banned and not name.startswith(banned + "."), name
