@@ -71,13 +71,17 @@ class SyndromeTable:
                 yield i, j, lab
 
 
-def build_table(code: QuantumCode, errors: ErrorSet) -> SyndromeTable:
-    """Compute every product label twice, once from the product operator
-    and once by XOR additivity, and insist the two agree."""
+def _check_widths(code: QuantumCode, errors: ErrorSet) -> None:
     if errors.width != code.width:
         raise WidthMismatchError(
             f"error width {errors.width} != code width {code.width}"
         )
+
+
+def build_table(code: QuantumCode, errors: ErrorSet) -> SyndromeTable:
+    """Compute every product label twice, once from the product operator
+    and once by XOR additivity, and insist the two agree."""
+    _check_widths(code, errors)
     group = code.group
     err_labels = [group.syndrome(e) for e in errors]
     rows = []
@@ -97,6 +101,7 @@ def build_table(code: QuantumCode, errors: ErrorSet) -> SyndromeTable:
 
 def check_correctable(code: QuantumCode, errors: ErrorSet) -> Verdict:
     """Distinct-label criterion; reports the first row-major collision."""
+    _check_widths(code, errors)
     algebraic_only = code.seed.origin != SEED_STABILIZER
     n, k, p = len(errors), code.dimension, code.width
     if n * k > (1 << p):

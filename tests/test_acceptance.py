@@ -21,6 +21,7 @@ from cosetqec import (
     check_overlap_dichotomy,
     check_syndrome_orthogonality,
     classify,
+    max_dimension,
     punctured_seed,
     random_group,
     search_code,
@@ -223,3 +224,15 @@ def test_criterion_10_classification():
         classes = [classify(c) for c in fixtures]
         assert [c.type_tag for c in classes] == ["I", "II", "III", "IV"]
         assert [c.additive for c in classes] == [True, False, False, False]
+
+
+def test_criterion_11_eigenvectors_at_cap():
+    """The eigenvector check runs at its documented width cap, p=12."""
+    with criterion(11, "eigenvectors-at-cap", 30.0):
+        group = random_group(12, seed=1)
+        errs = single_qubit_errors(12)
+        labels = max_dimension(group, errs).labels[:4]
+        code = build_code(group, list(labels))
+        report = check_eigenvectors(code, errs)
+        assert report.ok, report.violations[:3]
+        assert report.cases == 152 * 4096  # (4 codewords + 37 x 4 syndromes) x 2^12

@@ -6,10 +6,12 @@ import sys
 
 import pytest
 
+from cosetqec import format_pauli
 from cosetqec.cli import main
 from cosetqec.golden import (
     cat_code,
     repetition_code,
+    single_qubit_errors,
 )
 
 REP3_GROUP = {"width": 3, "generators": ["ZII", "IZI", "IIZ"]}
@@ -128,6 +130,20 @@ class TestVerify:
             "--errors", str(wide),
         ])
         assert rc == 2
+
+    def test_width_mismatch_past_pigeonhole_exit_two(self, workdir, capsys):
+        # 16 five-qubit errors x 2 codewords exceed the 2^3 labels of rep3
+        wide = workdir / "single5.txt"
+        wide.write_text(
+            "".join(format_pauli(e) + "\n" for e in single_qubit_errors(5))
+        )
+        rc = main([
+            "verify",
+            "--code", str(workdir / "rep3.json"),
+            "--errors", str(wide),
+        ])
+        assert rc == 2
+        assert "error width 5 != code width 3" in capsys.readouterr().err
 
     def test_oracle_skipped_past_width_cap(self, tmp_path, capsys):
         import json as _json

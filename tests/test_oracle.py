@@ -1,8 +1,9 @@
 """Dense-state engine: exact arithmetic and the structural sweeps.
 
 The per-operator sweeps the oracle used before the Walsh-Hadamard
-transform and the Hermitian Gram are kept here as slow references, and the
-oracle must return the same reports as they do."""
+transform, the Hermitian Gram and the generator-first eigenvector check
+are kept here as slow references, and the oracle must return the same
+reports as they do."""
 
 import ast
 import random
@@ -28,6 +29,7 @@ from cosetqec import (
     check_syndrome_orthogonality,
     codeword_states,
     parse_pauli,
+    punctured_seed,
     random_group,
     seed_state,
     syndrome_states,
@@ -88,6 +90,25 @@ def reference_dichotomy(group):
                     f"{format_pauli(op)}: outside but expectation {val} != 0"
                 )
     return OracleReport("overlap-dichotomy", cases, tuple(violations))
+
+
+def reference_eigenvectors(code, errors=None):
+    """Every state against all 2^p closure elements, in closure order."""
+    states = [(f"codeword {j}", s) for j, s in enumerate(codeword_states(code))]
+    if errors is not None:
+        states += [
+            (f"syndrome ({i},{j})", s) for i, j, s in syndrome_states(code, errors)
+        ]
+    violations = []
+    cases = 0
+    for name, state in states:
+        for elem in code.group.closure():
+            cases += 1
+            if state.eigencheck(elem) is None:
+                violations.append(
+                    f"{name} is not an eigenvector of {format_pauli(elem)}"
+                )
+    return OracleReport("eigenvectors", cases, tuple(violations))
 
 
 def reference_knill_laflamme(code, errors):
@@ -351,8 +372,9 @@ class TestCodewordStates:
 
 
 class TestAgainstReference:
-    """The transform, the Gram and the permuting apply give the reports the
-    per-operator sweeps give, field by field and violation by violation."""
+    """The transform, the Gram, the permuting apply and the generator-first
+    eigenvector check give the reports the per-operator sweeps give, field
+    by field and violation by violation."""
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_apply_matches_reference(self, p):
@@ -440,9 +462,80 @@ class TestAgainstReference:
             code, errs
         )
 
+    def test_eigenvectors_golden(self, golden_suite):
+        for name, code, errs in golden_suite:
+            for errors in (None, errs):
+                report = check_eigenvectors(code, errors)
+                assert report == reference_eigenvectors(code, errors), name
+                assert report.ok, name
+
+    @pytest.mark.parametrize(
+        "group, removed",
+        [
+            (group_of("XII", "IXI", "IIX"), ["011", "101"]),
+            (group_of("XXI", "IXX", "ZZZ"), ["000", "011"]),
+            (random_group(4, seed=3), None),
+            (random_group(5, seed=8), None),
+            # |+++> with qubit t cut down to |0> fails generator t alone
+            *(
+                (group_of("XII", "IXI", "IIX"), [s for s in range(8) if s >> t & 1])
+                for t in range(3)
+            ),
+        ],
+    )
+    def test_eigenvectors_punctured_violations(self, group, removed):
+        seed = seed_state(group.normalized(0))
+        if removed is None:  # drop the two highest strings
+            removed = sorted(seed.strings)[-2:]
+        code = build_code(group, [0, 1], seed=punctured_seed(seed, removed))
+        for errors in (None, single_qubit_errors(group.width)):
+            report = check_eigenvectors(code, errors)
+            assert report == reference_eigenvectors(code, errors)
+            assert not report.ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_eigenvectors_random_codes(self, data):
+        p = data.draw(st.integers(1, 6), label="p")
+        group = random_group(p, seed=data.draw(st.integers(0, 10**6), label="seed"))
+        size = 1 << p
+        labels = data.draw(
+            st.lists(st.integers(1, size - 1), max_size=min(3, size - 1), unique=True),
+            label="labels",
+        )
+        seed = seed_state(group.normalized(0))
+        strings = sorted(seed.strings)
+        if len(strings) > 2 and data.draw(st.booleans(), label="puncture"):
+            removed = data.draw(
+                st.lists(
+                    st.sampled_from(strings),
+                    min_size=2,
+                    max_size=len(strings) - 1,
+                    unique=True,
+                ),
+                label="removed",
+            )
+            seed = punctured_seed(seed, removed)
+        code = build_code(group, [0, *labels], seed=seed)
+        non_identity = st.tuples(
+            st.integers(0, size - 1), st.integers(0, size - 1)
+        ).filter(any)
+        classes = data.draw(
+            st.lists(non_identity, max_size=4, unique=True), label="errors"
+        )
+        errs = None
+        if data.draw(st.booleans(), label="with errors"):
+            errs = ErrorSet(
+                tuple(
+                    PauliOperator.from_symplectic(x, z, p)
+                    for x, z in [(0, 0), *classes]
+                )
+            )
+        assert check_eigenvectors(code, errs) == reference_eigenvectors(code, errs)
+
     def test_eigenvectors_and_orthogonality_golden(self, golden_suite, monkeypatch):
-        # the two sweeps are unchanged apart from apply: swapping in the
-        # reference apply must leave every report as it is
+        # both sweeps act through apply: swapping in the reference apply
+        # must leave every report as it is
         def reports():
             return [
                 (check_eigenvectors(code, errs), check_syndrome_orthogonality(code, errs))

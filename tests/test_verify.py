@@ -6,6 +6,7 @@ from cosetqec import (
     ErrorSet,
     PauliOperator,
     UnknownSyndromeError,
+    WidthMismatchError,
     build_code,
     build_table,
     check_correctable,
@@ -17,6 +18,7 @@ from cosetqec import (
 )
 from cosetqec.golden import (
     diagonal_group,
+    repetition_code,
     single_qubit_errors,
     x_flips,
     z_flips,
@@ -84,6 +86,11 @@ class TestCorrectable:
         verdict = check_correctable(code, errs)
         assert not verdict.correctable
         assert verdict.pigeonhole
+
+    def test_width_mismatch_refused_before_pigeonhole(self):
+        # 16 errors x 2 codewords > 2^3 would hit the pigeonhole shortcut
+        with pytest.raises(WidthMismatchError, match="error width 5 != code width 3"):
+            check_correctable(repetition_code(), single_qubit_errors(5))
 
     def test_punctured_seed_is_algebraic_only(self):
         from cosetqec import punctured_seed, seed_state
