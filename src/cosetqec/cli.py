@@ -30,6 +30,7 @@ from .verify import (
     build_table,
     check_correctable,
     diagnose,
+    pigeonhole,
 )
 
 EXIT_OK = 0
@@ -91,10 +92,8 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     code = _load_code(args.code)
     errors = _load_errors(args.errors)
-    table = None
-    verdict = check_correctable(code, errors)
-    if not verdict.pigeonhole:
-        table = build_table(code, errors)
+    table = None if pigeonhole(code, errors) else build_table(code, errors)
+    verdict = check_correctable(code, errors, table)
     oracle_note = None
     want_oracle = args.oracle or verdict.algebraic_only
     if want_oracle and not verdict.pigeonhole:
@@ -207,12 +206,13 @@ def _cmd_diagnose(args) -> int:
     code = _load_code(args.code)
     errors = _load_errors(args.errors)
     observed = parse_bits(args.observed, code.width)
-    verdict = check_correctable(code, errors)
+    table = None if pigeonhole(code, errors) else build_table(code, errors)
+    verdict = check_correctable(code, errors, table)
     if not verdict.correctable:
         print("code does not correct this error set; diagnosis unavailable")
         return EXIT_NEGATIVE
     try:
-        result = diagnose(code, errors, observed)
+        result = diagnose(code, errors, observed, table)
     except UnknownSyndromeError as exc:
         print(f"unknown syndrome: {exc}")
         return EXIT_NEGATIVE

@@ -11,6 +11,16 @@ this framework is an integer times a fourth root of unity.
 Normalization is never applied: a state is a (vector, norm2) pair, and
 normalized quantities are formed as exact ratios on demand.
 
+Inner products are bit-sliced.  Each state caches, for A = re || im and
+for B = im || -re, a sign mask of the negative lanes and the bit planes
+of the magnitudes, one lane per amplitude, as Python ints.  Then
+<u|v> = A_u . A_v + i (A_u . B_v), and each dot product is
+sum_{j,l} 2^(j+l) * (popcount(X_j & Y_l) - 2 * popcount(X_j & Y_l & (s_u ^ s_v)))
+over the planes X_j of one side and Y_l of the other, with signs s.  The
+cost is the product of the two plane counts in big-int ANDs and popcounts
+of 2^(p+1) bits; the codeword and syndrome states have amplitudes in
+{0, +/-1, +/-i}, so one plane each.
+
 The overlap-dichotomy sweep does not apply each of the 4^p operators in
 turn.  For a fixed X part x, the expectations <seed|X^x Z^z|seed> over
 all z are the Walsh-Hadamard transform of the integer sequence
@@ -35,8 +45,8 @@ therefore still costs the full 2^p sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
+from functools import cached_property, reduce
+from itertools import compress, repeat
 from operator import add, itemgetter, mul, or_, sub
 
 from .codes import QuantumCode, SeedState
@@ -63,6 +73,49 @@ def _check_dense_width(width: int, cap: int = MAX_WIDTH) -> None:
         )
 
 
+# bytes.translate tables for the bit slicing.  Amplitudes in [-128, 127]
+# are read as the bytes v + 128: _NEGATIVE turns such a byte into "1" when
+# v < 0 and _MAGNITUDE into |v|.  _BIT[b] turns a magnitude byte into bit b
+# of it, as "0" or "1", so that int(..., 2) packs one lane per bit.
+_NEGATIVE = bytes(b"01"[v < 128] for v in range(256))
+_MAGNITUDE = bytes(abs(v - 128) for v in range(256))
+_BIT = [bytes(b"01"[m >> b & 1] for m in range(256)) for b in range(8)]
+
+
+def _bit_slices(values: tuple[int, ...]) -> tuple[int, list[int]]:
+    """(sign mask, magnitude bit planes) of an integer sequence, one lane
+    per value: lane t is bit len(values)-1-t of each mask, the sign mask
+    marks the negative values and plane j holds bit j of every |value|.
+    There are as many planes as the largest magnitude has bits."""
+    try:
+        biased = bytes(map(add, values, repeat(128)))
+    except ValueError:  # some value is outside [-128, 127]
+        mags = list(map(abs, values))
+        size = (max(mags).bit_length() + 7) // 8  # bytes per magnitude
+        raw = b"".join(map(int.to_bytes, mags, repeat(size), repeat("little")))
+        negative = bytes(map((0).__gt__, values)).translate(_BIT[0])
+    else:
+        size, raw = 1, biased.translate(_MAGNITUDE)
+        negative = biased.translate(_NEGATIVE)
+    # byte k of every magnitude is raw[k::size]
+    depth = 8 * (size - 1) + max(raw[size - 1 :: size]).bit_length()
+    planes = [int(raw[j >> 3 :: size].translate(_BIT[j & 7]), 2) for j in range(depth)]
+    return int(negative, 2), planes
+
+
+def _sliced_dot(
+    sign_u: int, planes_u: list[int], sign_v: int, planes_v: list[int]
+) -> int:
+    """sum_t u[t] * v[t] from bit slices of u and v over the same lanes."""
+    neg = sign_u ^ sign_v
+    total = 0
+    for j, a in enumerate(planes_u):
+        for l, b in enumerate(planes_v):
+            both = a & b
+            total += (both.bit_count() - 2 * (both & neg).bit_count()) << (j + l)
+    return total
+
+
 # Multiplication of a Gaussian integer (re, im) by i^k.
 def _unit_mul(re: int, im: int, k: int) -> tuple[int, int]:
     k &= 3
@@ -87,6 +140,11 @@ class DenseState:
         _check_dense_width(self.width)
         if len(self.re) != (1 << self.width) or len(self.im) != (1 << self.width):
             raise ValueError("amplitude arrays must have length 2^width")
+        kinds = set(map(type, self.re))
+        kinds.update(map(type, self.im))
+        if not kinds <= {int}:
+            names = ", ".join(sorted(t.__name__ for t in kinds - {int}))
+            raise TypeError(f"amplitudes must be int, got {names}")
 
     @cached_property
     def norm2(self) -> int:
@@ -130,16 +188,41 @@ class DenseState:
             re, im = tuple(-v for v in im), re
         return DenseState(re, im, self.width)
 
+    @cached_property
+    def _slices(self) -> tuple[int, list[int], int, list[int]]:
+        """Bit slices of re || im and of im || -re, as (sign mask,
+        magnitude planes) each; see _bit_slices for the lane layout."""
+        n = len(self.re)
+        sign, planes = _bit_slices(self.re + self.im)
+        # re fills the top n lanes and im the bottom n, so swapping the
+        # halves of every plane lays the magnitudes out as im || re
+        low = (1 << n) - 1
+        swapped = [(a & low) << n | a >> n for a in planes]
+        nonzero = reduce(or_, planes, 0)
+        # im || -re is negative where im is negative and where re is positive
+        flipped = (sign & low) << n | (nonzero & ~sign) >> n
+        return sign, planes, flipped, swapped
+
     def inner(self, other: "DenseState") -> tuple[int, int]:
         """<self|other> as an exact Gaussian integer (conjugate-linear in
-        self); divide by norms only if you must, as an exact ratio."""
+        self); divide by norms only if you must, as an exact ratio.
+
+        With A = re || im and B = im || -re, the real part is A_u . A_v and
+        the imaginary part A_u . B_v.  Each dot product of bit-sliced
+        vectors, with sign masks s and magnitude planes X_j and Y_l, is
+        sum_{j,l} 2^(j+l) * (popcount(X_j & Y_l)
+                              - 2 * popcount(X_j & Y_l & (s_u ^ s_v))),
+        so it costs (planes of u) x (planes of v) big-int ANDs and
+        popcounts over 2^(width+1) lanes.  The states the pipeline builds
+        have amplitudes in {0, +/-1, +/-i}: one plane each."""
         if other.width != self.width:
             raise WidthMismatchError("inner product of mismatched widths")
-        re = im = 0
-        for ur, ui, vr, vi in zip(self.re, self.im, other.re, other.im):
-            re += ur * vr + ui * vi
-            im += ur * vi - ui * vr
-        return re, im
+        sign_u, planes_u, _, _ = self._slices
+        sign_a, planes_a, sign_b, planes_b = other._slices
+        return (
+            _sliced_dot(sign_u, planes_u, sign_a, planes_a),
+            _sliced_dot(sign_u, planes_u, sign_b, planes_b),
+        )
 
     def is_orthogonal(self, other: "DenseState") -> bool:
         return self.inner(other) == (0, 0)

@@ -99,16 +99,38 @@ def build_table(code: QuantumCode, errors: ErrorSet) -> SyndromeTable:
     return SyndromeTable(code=code, errors=errors, rows=tuple(rows))
 
 
-def check_correctable(code: QuantumCode, errors: ErrorSet) -> Verdict:
-    """Distinct-label criterion; reports the first row-major collision."""
+def pigeonhole(code: QuantumCode, errors: ErrorSet) -> bool:
+    """True when the N*K products outnumber the 2^p cosets, so that no
+    table of them can have distinct labels."""
+    return len(errors) * code.dimension > (1 << code.width)
+
+
+def _check_table(
+    code: QuantumCode, errors: ErrorSet, table: SyndromeTable | None
+) -> SyndromeTable:
+    """The given table, refused unless it was built for this code and
+    error set, or a fresh one."""
+    if table is None:
+        return build_table(code, errors)
+    # tuples compare items by identity first, so the usual case is cheap
+    if (table.code, table.errors) != (code, errors):
+        raise ValueError("syndrome table was built for another code or error set")
+    return table
+
+
+def check_correctable(
+    code: QuantumCode, errors: ErrorSet, table: SyndromeTable | None = None
+) -> Verdict:
+    """Distinct-label criterion; reports the first row-major collision.
+    A prebuilt ``table`` for the same code and errors is used instead of
+    building one; the pigeonhole refusal never looks at it."""
     _check_widths(code, errors)
     algebraic_only = code.seed.origin != SEED_STABILIZER
-    n, k, p = len(errors), code.dimension, code.width
-    if n * k > (1 << p):
+    if pigeonhole(code, errors):
         return Verdict(
             correctable=False, pigeonhole=True, algebraic_only=algebraic_only
         )
-    table = build_table(code, errors)
+    table = _check_table(code, errors, table)
     seen: dict[int, tuple[int, int]] = {}
     for i, j, lab in table.iter_entries():
         if lab in seen:
@@ -138,10 +160,9 @@ def diagnose(
     """Invert the syndrome table at an observed label.  The returned
     error operator is the correction to apply (self-inverse up to sign).
     Requires a correctable pairing; raises UnknownSyndromeError when the
-    label is not in the table."""
-    if table is None:
-        table = build_table(code, errors)
-    inverse = table.inverse
+    label is not in the table.  A prebuilt ``table`` must belong to the
+    same code and errors."""
+    inverse = _check_table(code, errors, table).inverse
     if inverse is None:
         raise ValueError("syndrome table is not injective; code does not correct this set")
     hit = inverse.get(observed)

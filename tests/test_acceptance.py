@@ -8,6 +8,7 @@ the package, so the only stated tolerances are the runtime budgets.
 import random
 import time
 from contextlib import contextmanager
+from math import comb
 
 import numpy as np
 
@@ -236,3 +237,18 @@ def test_criterion_11_eigenvectors_at_cap():
         report = check_eigenvectors(code, errs)
         assert report.ok, report.violations[:3]
         assert report.cases == 152 * 4096  # (4 codewords + 37 x 4 syndromes) x 2^12
+
+
+def test_criterion_12_orthogonality_and_kl_at_cap():
+    """Syndrome orthogonality and Knill-Laflamme run at their documented
+    width cap, p=12, each within its budget."""
+    group = random_group(12, seed=1)
+    errs = single_qubit_errors(12)
+    labels = max_dimension(group, errs).labels[:4]
+    code = build_code(group, list(labels))
+    with criterion(12, "orthogonality-at-cap", 30.0):
+        report = check_syndrome_orthogonality(code, errs)
+        assert report.ok, report.violations[:3]
+        assert report.cases == comb(148, 2)  # 37 errors x 4 codewords
+    with criterion(12, "knill-laflamme-at-cap", 30.0):
+        assert check_knill_laflamme(code, errs).passed

@@ -1,22 +1,69 @@
 """End-to-end command-line checks (driving main() in-process)."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cosetqec.cli as cli
+import cosetqec.verify as verify
 from cosetqec import format_pauli
 from cosetqec.cli import main
 from cosetqec.golden import (
     cat_code,
+    golden_codes,
+    golden_error_sets,
     repetition_code,
     single_qubit_errors,
+    x_flips,
+    z_flips,
 )
+from cosetqec.stabilizer import format_label
 
 REP3_GROUP = {"width": 3, "generators": ["ZII", "IZI", "IIZ"]}
 XFLIPS = "III\nXII\nIXI\nIIX\n"
 ZFLIPS = "III\nZII\nIZI\nIIZ\n"
+
+
+GOLDEN_OUTPUTS = Path(__file__).parent / "data" / "cli_golden_outputs.json"
+
+
+def golden_cli_runs(tmp_path):
+    """{run: [exit code, stdout]} for verify (TSV, and JSON with the
+    oracle) and diagnose at every observed label, on each golden code
+    against its own error set and the single-qubit, X-flip and Z-flip
+    sets of its width."""
+    out = {}
+    for name, code in golden_codes().items():
+        p = code.width
+        code_path = tmp_path / f"{name}.json"
+        code_path.write_text(json.dumps(code.to_dict()))
+        error_sets = {
+            "own": golden_error_sets()[name],
+            "single": single_qubit_errors(p),
+            "x": x_flips(p),
+            "z": z_flips(p),
+        }
+        for set_name, errors in error_sets.items():
+            err_path = tmp_path / f"{name}-{set_name}.txt"
+            err_path.write_text("".join(format_pauli(e) + "\n" for e in errors))
+            files = ["--code", str(code_path), "--errors", str(err_path)]
+            runs = [["verify", *files], ["verify", "--json", "--oracle", *files]]
+            runs += [
+                ["diagnose", *files, "--observed", format_label(o, p)]
+                for o in range(1 << p)
+            ]
+            for argv in runs:
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    rc = main(argv)
+                key = " ".join([name, set_name, *(a for a in argv if a not in files)])
+                out[key] = [rc, buf.getvalue()]
+    return out
 
 
 @pytest.fixture
@@ -290,6 +337,41 @@ class TestDiagnose:
         ])
         assert rc == 1
         assert "does not correct" in capsys.readouterr().out
+
+
+class TestGoldenOutputs:
+    def test_verify_and_diagnose_output_pinned(self, tmp_path):
+        # recorded before the syndrome table was shared between the
+        # verdict and the listing or lookup
+        want = json.loads(GOLDEN_OUTPUTS.read_text())
+        assert golden_cli_runs(tmp_path) == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify"],
+            ["verify", "--json", "--oracle"],
+            ["diagnose", "--observed", "010"],
+            ["diagnose", "--observed", "111"],
+        ],
+    )
+    def test_table_built_once(self, workdir, capsys, monkeypatch, argv):
+        build = verify.build_table
+        calls = []
+
+        def counting(code, errors):
+            calls.append(code)
+            return build(code, errors)
+
+        monkeypatch.setattr(verify, "build_table", counting)
+        monkeypatch.setattr(cli, "build_table", counting)
+        main([
+            argv[0],
+            "--code", str(workdir / "rep3.json"),
+            "--errors", str(workdir / "xflips.txt"),
+            *argv[1:],
+        ])
+        assert len(calls) == 1
 
 
 class TestSelftest:

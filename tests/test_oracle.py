@@ -1,9 +1,10 @@
 """Dense-state engine: exact arithmetic and the structural sweeps.
 
 The per-operator sweeps the oracle used before the Walsh-Hadamard
-transform, the Hermitian Gram and the generator-first eigenvector check
-are kept here as slow references, and the oracle must return the same
-reports as they do."""
+transform, the Hermitian Gram and the generator-first eigenvector check,
+and the per-amplitude inner product it used before bit slicing, are kept
+here as slow references, and the oracle must return the same reports as
+they do."""
 
 import ast
 import random
@@ -21,6 +22,7 @@ from cosetqec import (
     OracleLimitError,
     PauliOperator,
     SeedState,
+    WidthMismatchError,
     build_code,
     check_correctable,
     check_eigenvectors,
@@ -41,6 +43,7 @@ from cosetqec.golden import (
 )
 from cosetqec.oracle import KLReport, OracleReport
 from cosetqec.pauli import format_pauli
+from cosetqec.selftest import run_selftest
 from cosetqec.stabilizer import StabilizerGroup
 
 from conftest import pauli_matrix, state_vector
@@ -49,6 +52,17 @@ from conftest import pauli_matrix, state_vector
 def group_of(*strings):
     width = len(strings[0])
     return StabilizerGroup(tuple(parse_pauli(s, width) for s in strings))
+
+
+def reference_inner(u, v):
+    """<u|v> one amplitude pair at a time."""
+    if v.width != u.width:
+        raise WidthMismatchError("inner product of mismatched widths")
+    re = im = 0
+    for ur, ui, vr, vi in zip(u.re, u.im, v.re, v.im):
+        re += ur * vr + ui * vi
+        im += ur * vi - ui * vr
+    return re, im
 
 
 def reference_apply(state, op):
@@ -220,6 +234,30 @@ class TestDenseState:
         v = DenseState((1, 0), (0, 0), 1)  # |0>
         assert u.inner(v) == (0, -1)
         assert v.inner(u) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "bad, kind", [(0.0, "float"), (1.5, "float"), (1j, "complex"), ("1", "str")]
+    )
+    def test_non_integer_amplitude_refused(self, bad, kind):
+        with pytest.raises(TypeError, match=kind):
+            DenseState((1, bad), (0, 0), 1)
+        with pytest.raises(TypeError, match=kind):
+            DenseState((1, 0), (bad, 0), 1)
+
+    def test_inner_mismatched_widths(self):
+        with pytest.raises(WidthMismatchError):
+            DenseState.from_basis(0, 2).inner(DenseState.from_basis(0, 3))
+
+    def test_inner_at_the_byte_boundaries(self):
+        # the slices read [-128, 127] from single bytes and the rest from
+        # wider ones
+        edges = (-(1 << 70), -256, -129, -128, -127, -1, 0, 1, 127, 128, 255, 256)
+        for a in edges:
+            for b in edges:
+                u = DenseState((a, b), (b, -a), 1)
+                v = DenseState((b, 1), (-1, a), 1)
+                assert u.inner(v) == reference_inner(u, v), (a, b)
+                assert u.inner(u) == (u.norm2, 0)
 
     def test_eigencheck(self):
         zero = DenseState.from_basis(0, 3)
@@ -533,6 +571,131 @@ class TestAgainstReference:
             )
         assert check_eigenvectors(code, errs) == reference_eigenvectors(code, errs)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_inner_random_vectors(self, data):
+        p = data.draw(st.integers(0, 6), label="p")
+
+        def state(label):
+            # small bounds keep one plane, large ones need up to 71
+            bound = data.draw(
+                st.sampled_from([0, 1, 2, 127, 128, 1000, 1 << 70]), label=label
+            )
+            amps = st.lists(
+                st.integers(-bound, bound), min_size=1 << p, max_size=1 << p
+            )
+            re = data.draw(amps, label=f"{label} re")
+            im = data.draw(amps, label=f"{label} im")
+            return DenseState(tuple(re), tuple(im), p)
+
+        u, v = state("u"), state("v")
+        assert u.inner(v) == reference_inner(u, v)
+        assert v.inner(u) == reference_inner(v, u)
+        assert u.inner(u) == reference_inner(u, u) == (u.norm2, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_inner_mixed_signs(self, data):
+        # every amplitude is +/-m with one magnitude m per state, so the
+        # sign masks alone decide the sums
+        p = data.draw(st.integers(0, 6), label="p")
+        signs = st.lists(st.sampled_from([-1, 1]), min_size=1 << p, max_size=1 << p)
+        states = []
+        for label in "uv":
+            m = data.draw(st.integers(1, 1 << 70), label=f"{label} magnitude")
+            re = data.draw(signs, label=f"{label} re")
+            im = data.draw(signs, label=f"{label} im")
+            states.append(
+                DenseState(tuple(m * r for r in re), tuple(m * i for i in im), p)
+            )
+        u, v = states
+        assert u.inner(v) == reference_inner(u, v)
+
+    @pytest.mark.parametrize("p", range(7))
+    def test_inner_zero_vector(self, p):
+        rng = random.Random(p)
+        zero = DenseState((0,) * (1 << p), (0,) * (1 << p), p)
+        v = DenseState(
+            tuple(rng.randint(-(1 << 70), 1 << 70) for _ in range(1 << p)),
+            tuple(rng.randint(-3, 3) for _ in range(1 << p)),
+            p,
+        )
+        assert zero.inner(v) == v.inner(zero) == zero.inner(zero) == (0, 0)
+
+    @staticmethod
+    def pair_reports(code, errs):
+        return (
+            check_syndrome_orthogonality(code, errs),
+            check_knill_laflamme(code, errs),
+        )
+
+    def test_pair_checks_golden_with_reference_inner(self, golden_suite, monkeypatch):
+        fast = [self.pair_reports(code, errs) for _, code, errs in golden_suite]
+        results = run_selftest(max_width=5, seed=3)
+        monkeypatch.setattr(DenseState, "inner", reference_inner)
+        assert fast == [self.pair_reports(code, errs) for _, code, errs in golden_suite]
+        assert results == run_selftest(max_width=5, seed=3)
+
+    @pytest.mark.parametrize(
+        "group, removed",
+        [
+            (group_of("XII", "IXI", "IIX"), ["011", "101"]),
+            (group_of("XXI", "IXX", "ZZZ"), ["000", "011"]),
+            (random_group(4, seed=3), None),
+            (random_group(5, seed=8), None),
+        ],
+    )
+    def test_pair_checks_punctured_with_reference_inner(
+        self, group, removed, monkeypatch
+    ):
+        seed = seed_state(group.normalized(0))
+        if removed is None:  # drop the two highest strings
+            removed = sorted(seed.strings)[-2:]
+        code = build_code(group, [0, 1], seed=punctured_seed(seed, removed))
+        errs = single_qubit_errors(group.width)
+        fast = self.pair_reports(code, errs)
+        assert not fast[0].ok  # the biconditional fails on these cuts
+        monkeypatch.setattr(DenseState, "inner", reference_inner)
+        assert fast == self.pair_reports(code, errs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_pair_checks_random_codes_with_reference_inner(self, data):
+        p = data.draw(st.integers(1, 6), label="p")
+        group = random_group(p, seed=data.draw(st.integers(0, 10**6), label="seed"))
+        size = 1 << p
+        labels = data.draw(
+            st.lists(st.integers(1, size - 1), max_size=min(3, size - 1), unique=True),
+            label="labels",
+        )
+        seed = seed_state(group.normalized(0))
+        strings = sorted(seed.strings)
+        if len(strings) > 2 and data.draw(st.booleans(), label="puncture"):
+            removed = data.draw(
+                st.lists(
+                    st.sampled_from(strings),
+                    min_size=2,
+                    max_size=len(strings) - 1,
+                    unique=True,
+                ),
+                label="removed",
+            )
+            seed = punctured_seed(seed, removed)
+        code = build_code(group, [0, *labels], seed=seed)
+        non_identity = st.tuples(
+            st.integers(0, size - 1), st.integers(0, size - 1)
+        ).filter(any)
+        classes = data.draw(
+            st.lists(non_identity, max_size=4, unique=True), label="errors"
+        )
+        errs = ErrorSet(
+            tuple(PauliOperator.from_symplectic(x, z, p) for x, z in [(0, 0), *classes])
+        )
+        fast = self.pair_reports(code, errs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DenseState, "inner", reference_inner)
+            assert fast == self.pair_reports(code, errs)
+
     def test_eigenvectors_and_orthogonality_golden(self, golden_suite, monkeypatch):
         # both sweeps act through apply: swapping in the reference apply
         # must leave every report as it is
@@ -549,10 +712,14 @@ class TestAgainstReference:
 
 class TestIndependence:
     FORBIDDEN = ("cosetqec._kernels", "cosetqec.verify")
+    # the engine promises exact integer arithmetic only
+    NON_INTEGER = ("math", "cmath", "fractions", "decimal", "numpy")
+
+    def tree(self):
+        return ast.parse(open(oracle.__file__, encoding="utf-8").read())
 
     def imported_modules(self):
-        tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
-        for node in ast.walk(tree):
+        for node in ast.walk(self.tree()):
             if isinstance(node, ast.Import):
                 yield from (alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
@@ -568,3 +735,20 @@ class TestIndependence:
         for name in seen:
             for banned in self.FORBIDDEN:
                 assert name != banned and not name.startswith(banned + "."), name
+
+    def test_oracle_imports_no_non_integer_arithmetic(self):
+        for name in self.imported_modules():
+            for banned in self.NON_INTEGER:
+                assert name != banned and not name.startswith(banned + "."), name
+
+    def test_oracle_has_no_float_or_complex_constant(self):
+        constants = [
+            node.value
+            for node in ast.walk(self.tree())
+            if isinstance(node, ast.Constant)
+        ]
+        assert 1 in constants  # the scan does see numeric constants
+        assert not [c for c in constants if isinstance(c, (float, complex))]
+
+    def test_oracle_has_no_true_division(self):
+        assert not [n for n in ast.walk(self.tree()) if isinstance(n, ast.Div)]

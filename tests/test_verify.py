@@ -2,6 +2,7 @@
 
 import pytest
 
+import cosetqec.verify as verify
 from cosetqec import (
     ErrorSet,
     PauliOperator,
@@ -23,6 +24,7 @@ from cosetqec.golden import (
     x_flips,
     z_flips,
 )
+from cosetqec.verify import pigeonhole
 
 
 class TestTable:
@@ -92,6 +94,44 @@ class TestCorrectable:
         with pytest.raises(WidthMismatchError, match="error width 5 != code width 3"):
             check_correctable(repetition_code(), single_qubit_errors(5))
 
+    def test_prebuilt_table_gives_the_same_verdicts(self, golden_suite):
+        for name, code, errs in golden_suite:
+            if pigeonhole(code, errs):
+                continue
+            table = build_table(code, errs)
+            assert check_correctable(code, errs, table) == check_correctable(
+                code, errs
+            ), name
+
+    def test_prebuilt_table_is_not_rebuilt(self, rep3, monkeypatch):
+        table = build_table(rep3, x_flips(3))
+        monkeypatch.setattr(verify, "build_table", None)  # any call fails
+        assert check_correctable(rep3, x_flips(3), table).correctable
+
+    def test_equal_code_and_errors_accept_the_table(self):
+        table = build_table(repetition_code(), x_flips(3))
+        assert check_correctable(repetition_code(), x_flips(3), table).correctable
+
+    def test_table_of_another_code_refused(self, rep3, cat3):
+        table = build_table(cat3, x_flips(3))
+        with pytest.raises(ValueError, match="another code or error set"):
+            check_correctable(rep3, x_flips(3), table)
+
+    def test_table_of_another_error_set_refused(self, rep3):
+        table = build_table(rep3, z_flips(3))
+        with pytest.raises(ValueError, match="another code or error set"):
+            check_correctable(rep3, x_flips(3), table)
+
+    def test_width_and_pigeonhole_come_before_the_table(self, rep3, cat3):
+        alien = build_table(cat3, z_flips(3))
+        with pytest.raises(WidthMismatchError):
+            check_correctable(rep3, single_qubit_errors(5), alien)
+        crowd = ErrorSet(
+            tuple(parse_pauli(s) for s in ("III", "XII", "IXI", "IIX", "XXI"))
+        )
+        verdict = check_correctable(rep3, crowd, alien)
+        assert verdict.pigeonhole and not verdict.correctable
+
     def test_punctured_seed_is_algebraic_only(self):
         from cosetqec import punctured_seed, seed_state
         from cosetqec.stabilizer import StabilizerGroup
@@ -128,6 +168,11 @@ class TestDiagnose:
         errs = ErrorSet((PauliOperator.identity(3), parse_pauli("XII")))
         with pytest.raises(UnknownSyndromeError):
             diagnose(rep3, errs, parse_bits("010"))
+
+    def test_table_of_another_error_set_refused(self, rep3):
+        table = build_table(rep3, ErrorSet((PauliOperator.identity(3),)))
+        with pytest.raises(ValueError, match="another code or error set"):
+            diagnose(rep3, x_flips(3), 0, table)
 
     def test_requires_injective_table(self, cat3):
         with pytest.raises(ValueError, match="not injective"):
