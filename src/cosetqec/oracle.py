@@ -140,11 +140,13 @@ class DenseState:
         _check_dense_width(self.width)
         if len(self.re) != (1 << self.width) or len(self.im) != (1 << self.width):
             raise ValueError("amplitude arrays must have length 2^width")
-        kinds = set(map(type, self.re))
-        kinds.update(map(type, self.im))
-        if not kinds <= {int}:
-            names = ", ".join(sorted(t.__name__ for t in kinds - {int}))
-            raise TypeError(f"amplitudes must be int, got {names}")
+        # one C-level pass per part: a sum of ints is an int, a float or
+        # complex amplitude makes the sum a float or complex, and a str
+        # makes sum raise TypeError itself
+        for part in (self.re, self.im):
+            kind = type(sum(part))
+            if kind is not int:
+                raise TypeError(f"amplitudes must be int, got {kind.__name__}")
 
     @cached_property
     def norm2(self) -> int:
