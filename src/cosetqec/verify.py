@@ -112,8 +112,10 @@ def _check_table(
     error set, or a fresh one."""
     if table is None:
         return build_table(code, errors)
-    # tuples compare items by identity first, so the usual case is cheap
-    if (table.code, table.errors) != (code, errors):
+    # identity first: an equal but distinct code is compared seed by seed
+    if (table.code is not code and table.code != code) or (
+        table.errors is not errors and table.errors != errors
+    ):
         raise ValueError("syndrome table was built for another code or error set")
     return table
 
