@@ -105,11 +105,11 @@ def pigeonhole(code: QuantumCode, errors: ErrorSet) -> bool:
     return len(errors) * code.dimension > (1 << code.width)
 
 
-def _check_table(
+def _table_for(
     code: QuantumCode, errors: ErrorSet, table: SyndromeTable | None
 ) -> SyndromeTable:
-    """The given table, refused unless it was built for this code and
-    error set, or a fresh one."""
+    """The prebuilt table, refused with ValueError unless it was built
+    for this code and error set, or a fresh one when none is given."""
     if table is None:
         return build_table(code, errors)
     # identity first: an equal but distinct code is compared seed by seed
@@ -132,7 +132,7 @@ def check_correctable(
         return Verdict(
             correctable=False, pigeonhole=True, algebraic_only=algebraic_only
         )
-    table = _check_table(code, errors, table)
+    table = _table_for(code, errors, table)
     seen: dict[int, tuple[int, int]] = {}
     for i, j, lab in table.iter_entries():
         if lab in seen:
@@ -164,7 +164,7 @@ def diagnose(
     Requires a correctable pairing; raises UnknownSyndromeError when the
     label is not in the table.  A prebuilt ``table`` must belong to the
     same code and errors."""
-    inverse = _check_table(code, errors, table).inverse
+    inverse = _table_for(code, errors, table).inverse
     if inverse is None:
         raise ValueError("syndrome table is not injective; code does not correct this set")
     hit = inverse.get(observed)
