@@ -37,18 +37,6 @@ def is_closed_mod_phase(ops: Sequence[PauliOperator]) -> bool:
     return is_xor_subgroup(op.x | op.z << op.width for op in ops)
 
 
-@dataclass(frozen=True)
-class CodeClass:
-    """Classification outcome; ``bcw_is_group`` is the label-level
-    (representative-independent) predicate used for the type."""
-
-    type_tag: str
-    bcw_is_group: bool
-    csb_is_group: bool
-    additive: bool
-    bcw_is_group_strict: bool
-
-
 _TYPE = {
     (True, True): "I",
     (False, True): "II",
@@ -57,15 +45,27 @@ _TYPE = {
 }
 
 
+@dataclass(frozen=True)
+class CodeClass:
+    """Classification outcome; ``bcw_is_group`` is the label-level
+    (representative-independent) predicate used for the type."""
+
+    bcw_is_group: bool
+    csb_is_group: bool
+    bcw_is_group_strict: bool
+
+    @property
+    def type_tag(self) -> str:
+        return _TYPE[(self.bcw_is_group, self.csb_is_group)]
+
+    @property
+    def additive(self) -> bool:
+        return self.type_tag == "I"
+
+
 def classify(code: QuantumCode) -> CodeClass:
-    bcw = is_xor_subgroup(code.labels)
-    bcw_strict = is_closed_mod_phase(code.codeword_ops)
-    csb = is_xor_subgroup(s ^ code.seed.base for s in code.seed.strings)
-    tag = _TYPE[(bcw, csb)]
     return CodeClass(
-        type_tag=tag,
-        bcw_is_group=bcw,
-        csb_is_group=csb,
-        additive=(tag == "I"),
-        bcw_is_group_strict=bcw_strict,
+        bcw_is_group=is_xor_subgroup(code.labels),
+        csb_is_group=is_xor_subgroup(s ^ code.seed.base for s in code.seed.strings),
+        bcw_is_group_strict=is_closed_mod_phase(code.codeword_ops),
     )

@@ -15,15 +15,11 @@ from . import __version__
 from ._kernels import BACKEND
 from .classify import classify
 from .codes import QuantumCode, build_code, punctured_seed, seed_state
-from .oracle import (
-    ORTHOGONALITY_MAX_WIDTH,
-    OracleLimitError,
-    check_syndrome_orthogonality,
-)
-from .pauli import ErrorSet, ParseError, WidthMismatchError, format_pauli, parse_bits
+from .oracle import ORTHOGONALITY_MAX_WIDTH, check_syndrome_orthogonality
+from .pauli import ErrorSet, ParseError, format_pauli, parse_bits
 from .search import DEFAULT_BUDGET, search_code
 from .selftest import format_tap, run_selftest
-from .stabilizer import GroupError, StabilizerGroup, format_label
+from .stabilizer import StabilizerGroup, format_label
 from .verify import (
     InternalCheckError,
     UnknownSyndromeError,
@@ -37,6 +33,8 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+_ENTRY_KEYS = ("error_index", "codeword_index", "error", "codeword", "label")
 
 
 def _load_json(path: str) -> dict:
@@ -82,8 +80,7 @@ def _cmd_build(args) -> int:
     seed = None
     if args.puncture:
         base_seed = seed_state(group.normalized(0), 0)
-        removed = [tok for tok in args.puncture.split(",")]
-        seed = punctured_seed(base_seed, removed)
+        seed = punctured_seed(base_seed, args.puncture.split(","))
     code = build_code(group, labels, seed=seed)
     _emit(json.dumps(code.to_dict(), indent=2), args.output)
     return EXIT_OK
@@ -110,6 +107,15 @@ def _cmd_verify(args) -> int:
                 oracle_note = (
                     "oracle DISAGREES with labels: " + "; ".join(report.violations[:3])
                 )
+    # (i, j, error, codeword, label) per table entry, for either output
+    entries = None
+    if table is not None:
+        err_text = [format_pauli(e) for e in errors]
+        word_text = [format_pauli(op) for op in code.codeword_ops]
+        entries = [
+            (i, j, err_text[i], word_text[j], format_label(lab, code.width))
+            for i, j, lab in table.iter_entries()
+        ]
     if args.json:
         payload: dict = {
             "correctable": verdict.correctable,
@@ -117,30 +123,16 @@ def _cmd_verify(args) -> int:
             "algebraic_only": verdict.algebraic_only,
             "collision": list(verdict.collision) if verdict.collision else None,
         }
-        if table is not None:
-            payload["entries"] = [
-                {
-                    "error_index": i,
-                    "codeword_index": j,
-                    "error": format_pauli(errors[i]),
-                    "codeword": format_pauli(code.codeword_ops[j]),
-                    "label": format_label(lab, code.width),
-                }
-                for i, j, lab in table.iter_entries()
-            ]
+        if entries is not None:
+            payload["entries"] = [dict(zip(_ENTRY_KEYS, entry)) for entry in entries]
         if oracle_note:
             payload["oracle"] = oracle_note
         _emit(json.dumps(payload, indent=2), args.output)
     else:
         lines = []
-        if table is not None:
+        if entries is not None:
             lines.append("i\tj\terror\tcodeword\tlabel")
-            for i, j, lab in table.iter_entries():
-                lines.append(
-                    f"{i}\t{j}\t{format_pauli(errors[i])}\t"
-                    f"{format_pauli(code.codeword_ops[j])}\t"
-                    f"{format_label(lab, code.width)}"
-                )
+            lines += ("\t".join(map(str, entry)) for entry in entries)
         if verdict.correctable:
             lines.append("verdict: correctable")
         elif verdict.pigeonhole:
@@ -307,10 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, GroupError, WidthMismatchError, OracleLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # parse, group, width and oracle-cap refusals too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalCheckError as exc:

@@ -23,7 +23,7 @@ ever built as operator objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .pauli import (
@@ -50,8 +50,10 @@ class SeedState:
 
     ``terms`` holds (unit, string) pairs where the coefficient of the
     basis string is i**unit; strings are distinct and at least one term
-    is present.  ``origin`` records how the seed was made: derived from a
-    group closure, punctured from such a seed, or supplied explicitly.
+    is present.  ``base`` is the basis string the closure was applied to,
+    a width-bit string like the terms.  ``origin`` records how the seed
+    was made: derived from a group closure, punctured from such a seed,
+    or supplied explicitly.
     """
 
     terms: tuple[tuple[int, int], ...]
@@ -65,6 +67,8 @@ class SeedState:
         if self.origin not in (SEED_STABILIZER, SEED_PUNCTURED, SEED_EXPLICIT):
             raise ValueError(f"unknown seed origin {self.origin!r}")
         mask = (1 << self.width) - 1
+        if not 0 <= self.base <= mask:
+            raise ValueError(f"seed base {self.base:#x} exceeds width {self.width}")
         seen = set()
         for unit, string in self.terms:
             if not 0 <= unit <= 3:
@@ -251,7 +255,7 @@ class QuantumCode:
         return len(self.codeword_ops)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "width": self.width,
             "cartanion": self.group.to_dict(),
             "seed": self.seed.term_tokens(),
@@ -259,6 +263,9 @@ class QuantumCode:
             "labels": [format_label(lab, self.width) for lab in self.labels],
             "seed_origin": self.seed.origin,
         }
+        if self.seed.base:  # only a nonzero base, so base-0 files stay as they were
+            out["seed_base"] = format_bits(self.seed.base, self.width)
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuantumCode":
@@ -266,6 +273,8 @@ class QuantumCode:
         group = StabilizerGroup.from_dict(data["cartanion"])
         origin = data.get("seed_origin", SEED_EXPLICIT)
         seed = SeedState.from_tokens(data["seed"], width, origin=origin)
+        if "seed_base" in data:
+            seed = replace(seed, base=parse_bits(data["seed_base"], width))
         ops = tuple(parse_pauli(s, width) for s in data["codeword_spinors"])
         labels = tuple(parse_bits(s, width) for s in data["labels"])
         return cls(group=group, seed=seed, codeword_ops=ops, labels=labels)

@@ -32,14 +32,14 @@ The Knill-Laflamme check reads a Hermitian Gram matrix of the syndrome
 states: each unordered pair's inner product is taken once and the mirror
 entry is its conjugate.
 
-The eigenvector check applies only the p generators to each state at
-first.  The generators are Hermitian and pairwise commuting and every
-closure element is their product, so a state that is a +/-1 eigenvector
-of each generator is one of all 2^p elements.  Its report still counts
-every (state, closure element) pair as a case.  Only when some state
-fails a generator does the check sweep all 2^p elements for every state,
-so that the violations name elements in closure order; a failing state
-therefore still costs the full 2^p sweep.
+The eigenvector check makes one pass over the states and applies only
+the p generators to each.  The generators are Hermitian and pairwise
+commuting and every closure element is their product, so a state that is
+a +/-1 eigenvector of each generator is one of all 2^p elements.  Only a
+state that fails a generator is swept against all 2^p elements, so that
+its violations name elements in closure order; a failing state therefore
+still costs the full 2^p sweep, and a passing one costs p applications.
+The report counts every (state, closure element) pair as a case.
 """
 
 from __future__ import annotations
@@ -347,15 +347,13 @@ def check_eigenvectors(
     """Every basis codeword (and, with an error set, every syndrome state)
     must be an exact +/-1 eigenvector of every closure element.
 
-    Each state is checked against the p generators first.  When every
-    state passes, the report covers all 2^p closure elements without
-    applying them: the generators are Hermitian and pairwise commuting,
-    and each closure element is their ordered product, so a +/-1
-    eigenvector of every generator is one of every element.  ``cases``
-    counts the (state, closure element) pairs covered, states * 2^p,
-    either way.  When any state fails a generator, every state is swept
-    against all 2^p elements, so violations are reported per element in
-    closure order; a failing state thus still costs the full sweep."""
+    Each state is checked against the p generators.  The generators are
+    Hermitian and pairwise commuting, and each closure element is their
+    ordered product, so a +/-1 eigenvector of every generator is one of
+    every element and needs no more work.  Only a state that fails a
+    generator is swept against all 2^p elements, so its violations are
+    reported per element in closure order.  ``cases`` counts the (state,
+    closure element) pairs covered, states * 2^p."""
     _check_dense_width(code.width, ORTHOGONALITY_MAX_WIDTH)
     states: list[tuple[str, DenseState]] = [
         (f"codeword {j}", s) for j, s in enumerate(codeword_states(code))
@@ -365,23 +363,18 @@ def check_eigenvectors(
             (f"syndrome ({i},{j})", s)
             for i, j, s in syndrome_states(code, errors)
         ]
-    # products of commuting Hermitian operators keep +/-1 eigenvectors
-    if all(
-        state.eigencheck(g) is not None
-        for _, state in states
-        for g in code.group.generators
-    ):
-        return OracleReport("eigenvectors", len(states) << code.width, ())
+    group = code.group
     violations = []
-    cases = 0
     for name, state in states:
-        for elem in code.group.closure():
-            cases += 1
-            if state.eigencheck(elem) is None:
-                violations.append(
-                    f"{name} is not an eigenvector of {format_pauli(elem)}"
-                )
-    return OracleReport("eigenvectors", cases, tuple(violations))
+        # products of commuting Hermitian operators keep +/-1 eigenvectors
+        if all(state.eigencheck(g) is not None for g in group.generators):
+            continue
+        violations += (
+            f"{name} is not an eigenvector of {format_pauli(elem)}"
+            for elem in group.closure()
+            if state.eigencheck(elem) is None
+        )
+    return OracleReport("eigenvectors", len(states) << code.width, tuple(violations))
 
 
 def check_syndrome_orthogonality(
@@ -421,8 +414,11 @@ def check_syndrome_orthogonality(
 class KLReport:
     """Knill-Laflamme cross-check: <psi_i|Ea' Eb|psi_j> = c_ab delta_ij."""
 
-    passed: bool
     witness: tuple[int, int, int, int] | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 def _gram(states: list[DenseState]) -> list[list[tuple[int, int]]]:
@@ -458,6 +454,6 @@ def check_knill_laflamme(code: QuantumCode, errors: ErrorSet) -> KLReport:
                 for j in range(k):
                     want = c_ab if i == j else (0, 0)
                     if row[b * k + j] != want:
-                        return KLReport(passed=False, witness=(a, b, i, j))
-    return KLReport(passed=True)
+                        return KLReport(witness=(a, b, i, j))
+    return KLReport()
 

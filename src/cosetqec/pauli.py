@@ -102,9 +102,6 @@ class PauliOperator:
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0 and self.phase == 0
 
-    def equal_mod_phase(self, other: "PauliOperator") -> bool:
-        return (self.x, self.z, self.width) == (other.x, other.z, other.width)
-
     def body(self) -> str:
         """Unsigned letter string, e.g. ``"XIZ"``."""
         letters = []

@@ -45,9 +45,12 @@ class MaxDimension:
     error indices sharing a coset when the error labels collide (the scan
     then runs over the distinct labels only)."""
 
-    dimension: int
     labels: tuple[int, ...]
     degenerate_pair: tuple[int, int] | None = None
+
+    @property
+    def dimension(self) -> int:
+        return len(self.labels)
 
 
 def max_dimension(group: StabilizerGroup, errors: ErrorSet) -> MaxDimension:
@@ -65,18 +68,19 @@ def max_dimension(group: StabilizerGroup, errors: ErrorSet) -> MaxDimension:
     distinct = sorted(seen)
     kept = greedy_label_scan(p, distinct, -1)
     assert len(kept) * len(distinct) <= (1 << p)
-    return MaxDimension(
-        dimension=len(kept), labels=tuple(kept), degenerate_pair=degenerate
-    )
+    return MaxDimension(labels=tuple(kept), degenerate_pair=degenerate)
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    found: bool
     code: QuantumCode | None
     reason: str
     candidates_tried: int
     hit_index: int | None = None
+
+    @property
+    def found(self) -> bool:
+        return self.code is not None
 
 
 def _packed_errors(errors: ErrorSet) -> tuple[list[int], list[int]]:
@@ -114,7 +118,6 @@ def _random_search(
             hit = search_range(p, ea, eb, k_target, seed, 0, budget)
     if hit is None:
         return SearchResult(
-            found=False,
             code=None,
             reason=(
                 f"no hit within budget {budget} (not a proof of nonexistence; "
@@ -128,7 +131,6 @@ def _random_search(
     )
     code = build_code(group, list(labels[:k_target]))
     return SearchResult(
-        found=True,
         code=code,
         reason=f"hit at candidate index {index}",
         candidates_tried=index + 1,
@@ -147,14 +149,12 @@ def _exhaustive_search(errors: ErrorSet, k_target: int) -> SearchResult:
         if result.dimension >= k_target:
             code = build_code(group, list(result.labels[:k_target]))
             return SearchResult(
-                found=True,
                 code=code,
                 reason=f"hit at enumeration index {tried - 1}",
                 candidates_tried=tried,
                 hit_index=tried - 1,
             )
     return SearchResult(
-        found=False,
         code=None,
         reason=f"exhausted all {tried} groups at width {p}; no such code exists "
         "under this construction",
@@ -183,7 +183,6 @@ def search_code(
     p = errors.width
     if len(errors) * k_target > (1 << p):
         return SearchResult(
-            found=False,
             code=None,
             reason=(
                 f"impossible by counting: {len(errors)} errors x {k_target} "

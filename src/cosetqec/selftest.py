@@ -21,6 +21,9 @@ from .oracle import (
 from .stabilizer import random_group
 from .verify import check_correctable
 
+# random groups per width for the overlap-dichotomy checks
+GROUPS_PER_WIDTH = 3
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -29,12 +32,12 @@ class CheckResult:
     detail: str = ""
 
 
-def run_selftest(max_width: int = 4, seed: int = 1, groups_per_width: int = 3):
+def run_selftest(max_width: int = 4, seed: int = 1):
     """Run the suite and return a list of CheckResult, deterministically."""
     results: list[CheckResult] = []
 
     for p in range(2, min(max_width, 4) + 1):
-        for k in range(groups_per_width):
+        for k in range(GROUPS_PER_WIDTH):
             g = random_group(p, seed + 97 * p + k)
             report = check_overlap_dichotomy(g)
             results.append(

@@ -156,9 +156,6 @@ class StabilizerGroup:
         _, xs, zs = self.closure_packed
         return frozenset(zip(xs, zs))
 
-    def contains_mod_phase(self, op: PauliOperator) -> bool:
-        return (op.x, op.z) in self.closure_classes
-
     def _solve_member(self, label: int) -> tuple[int, int]:
         """The (x, z) of one class with the requested syndrome, via a
         GF(2) solve of the p x 2p symplectic system (always solvable:

@@ -6,6 +6,12 @@ all error x codeword products are distinct.  This runs at widths the
 dense-state engine cannot reach; for seeds that are not full group
 closures the verdict is flagged as algebraic-only so callers know to
 ask the dense engine for confirmation.
+
+A syndrome table decides distinctness in one cached row-major pass over
+its entries: the pass stops at the first repeated label, which is the
+verdict's collision, or runs to the end and leaves the label ->
+(error, codeword) inverse that diagnosis reads.  The verdict and the
+diagnosis of one table share that pass.
 """
 
 from __future__ import annotations
@@ -37,10 +43,13 @@ class Verdict:
     orthogonal syndrome states.
     """
 
-    correctable: bool
     collision: tuple[int, int, int, int] | None = None
     pigeonhole: bool = False
     algebraic_only: bool = False
+
+    @property
+    def correctable(self) -> bool:
+        return self.collision is None and not self.pigeonhole
 
 
 @dataclass(frozen=True)
@@ -52,15 +61,26 @@ class SyndromeTable:
     rows: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def inverse(self) -> dict[int, tuple[int, int]] | None:
-        """Label -> (error index, codeword index); None if not injective."""
-        out: dict[int, tuple[int, int]] = {}
+    def _scan(self) -> tuple[tuple[int, ...] | None, dict[int, tuple[int, int]] | None]:
+        """(collision, inverse) from one row-major pass, exactly one None."""
+        seen: dict[int, tuple[int, int]] = {}
         for i, row in enumerate(self.rows):
             for j, lab in enumerate(row):
-                if lab in out:
-                    return None
-                out[lab] = (i, j)
-        return out
+                if lab in seen:
+                    return (*seen[lab], i, j), None
+                seen[lab] = (i, j)
+        return None, seen
+
+    @property
+    def collision(self) -> tuple[int, int, int, int] | None:
+        """The first repeated label in row-major order as (i1, j1, i2, j2),
+        or None when every label is distinct."""
+        return self._scan[0]
+
+    @property
+    def inverse(self) -> dict[int, tuple[int, int]] | None:
+        """Label -> (error index, codeword index); None if not injective."""
+        return self._scan[1]
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -123,27 +143,15 @@ def _table_for(
 def check_correctable(
     code: QuantumCode, errors: ErrorSet, table: SyndromeTable | None = None
 ) -> Verdict:
-    """Distinct-label criterion; reports the first row-major collision.
-    A prebuilt ``table`` for the same code and errors is used instead of
-    building one; the pigeonhole refusal never looks at it."""
+    """Distinct-label criterion; reports the table's first row-major
+    collision.  A prebuilt ``table`` for the same code and errors is used
+    instead of building one; the pigeonhole refusal never looks at it."""
     _check_widths(code, errors)
     algebraic_only = code.seed.origin != SEED_STABILIZER
     if pigeonhole(code, errors):
-        return Verdict(
-            correctable=False, pigeonhole=True, algebraic_only=algebraic_only
-        )
-    table = _table_for(code, errors, table)
-    seen: dict[int, tuple[int, int]] = {}
-    for i, j, lab in table.iter_entries():
-        if lab in seen:
-            i1, j1 = seen[lab]
-            return Verdict(
-                correctable=False,
-                collision=(i1, j1, i, j),
-                algebraic_only=algebraic_only,
-            )
-        seen[lab] = (i, j)
-    return Verdict(correctable=True, algebraic_only=algebraic_only)
+        return Verdict(pigeonhole=True, algebraic_only=algebraic_only)
+    collision = _table_for(code, errors, table).collision
+    return Verdict(collision=collision, algebraic_only=algebraic_only)
 
 
 @dataclass(frozen=True)

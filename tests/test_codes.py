@@ -9,6 +9,7 @@ from cosetqec import (
     SeedState,
     StabilizerGroup,
     build_code,
+    classify,
     coset_representative,
     format_pauli,
     parse_bits,
@@ -99,6 +100,11 @@ class TestSeedState:
         assert seed.term_tokens() == [["+", "10"]]
         assert seed.base == base
 
+    @pytest.mark.parametrize("base", [-1, 8])
+    def test_base_outside_the_width_refused(self, base):
+        with pytest.raises(ValueError, match="seed base"):
+            SeedState(((0, 0),), 3, base=base)
+
 
 class TestCosetRepresentative:
     def test_diagonal_all_ones(self):
@@ -160,6 +166,18 @@ class TestBuildCode:
         assert again.labels == five2.labels
         assert again.seed.terms == five2.seed.terms
         assert again.seed.origin == SEED_STABILIZER
+        assert "seed_base" not in five2.to_dict()
+
+    def test_json_round_trip_keeps_a_nonzero_base(self):
+        g = group_of("XXX", "ZZI", "IZZ")
+        base = parse_bits("001")
+        code = build_code(g, [0], seed=seed_state(g.normalized(base), base))
+        data = code.to_dict()
+        assert data["seed_base"] == "001"
+        again = QuantumCode.from_dict(data)
+        assert again.seed == code.seed
+        assert classify(again) == classify(code)
+        assert classify(again).type_tag == "I"
 
 
 class TestPuncture:

@@ -141,8 +141,8 @@ def reference_knill_laflamme(code, errors):
                     val = moved[a][i].inner(moved[b][j])
                     want = c_ab if i == j else (0, 0)
                     if val != want:
-                        return KLReport(passed=False, witness=(a, b, i, j))
-    return KLReport(passed=True)
+                        return KLReport(witness=(a, b, i, j))
+    return KLReport()
 
 
 class TestDenseState:
@@ -307,6 +307,36 @@ class TestEigenvectors:
         cut = punctured_seed(seed_state(g.normalized(0)), ["011", "101"])
         code = build_code(g, [0], seed=cut)
         assert not check_eigenvectors(code).ok
+
+    def test_only_states_failing_a_generator_are_swept(self, monkeypatch):
+        # every state of one code is a Pauli image of its seed, so they all
+        # pass or all fail; mixing the codewords of a full and a punctured
+        # seed over one group shows the sweep following each state
+        g = group_of("XII", "IXI", "IIX")
+        cut = punctured_seed(seed_state(g.normalized(0)), ["011", "101"])
+        code = build_code(g, [0, 1], seed=cut)
+        good, bad = codeword_states(build_code(g, [0, 1])), codeword_states(code)
+        mixed = [good[0], bad[0], good[1], bad[1]]
+        want = [
+            f"codeword {j} is not an eigenvector of {format_pauli(elem)}"
+            for j, state in enumerate(mixed)
+            for elem in g.closure()
+            if state.eigencheck(elem) is None
+        ]
+        applied = {}
+        real = DenseState.eigencheck
+
+        def counting(state, op):
+            applied[id(state)] = applied.get(id(state), 0) + 1
+            return real(state, op)
+
+        monkeypatch.setattr(oracle, "codeword_states", lambda _: mixed)
+        monkeypatch.setattr(DenseState, "eigencheck", counting)
+        report = check_eigenvectors(code)
+        # a passing state sees the p generators only
+        assert [applied[id(s)] > g.width for s in mixed] == [False, True, False, True]
+        assert report == OracleReport("eigenvectors", len(mixed) << g.width, tuple(want))
+        assert want
 
 
 class TestSyndromeOrthogonality:

@@ -1,12 +1,21 @@
 """Syndrome tables, correctability verdicts, and diagnosis."""
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosetqec.verify as verify
 from cosetqec import (
+    CodeClass,
     ErrorSet,
+    KLReport,
+    MaxDimension,
     PauliOperator,
+    SearchResult,
     UnknownSyndromeError,
+    Verdict,
     WidthMismatchError,
     build_code,
     build_table,
@@ -16,6 +25,7 @@ from cosetqec import (
     format_pauli,
     parse_bits,
     parse_pauli,
+    random_group,
 )
 from cosetqec.golden import (
     diagonal_group,
@@ -50,6 +60,113 @@ class TestTable:
     def test_additivity_always_consistent(self, five2):
         # build_table cross-checks product syndromes against XOR additivity
         build_table(five2, single_qubit_errors(5))
+
+
+def first_repeat(table):
+    """The first row-major entry whose label came earlier, as (i1, j1, i2,
+    j2), by comparing it with every entry before it."""
+    entries = list(table.iter_entries())
+    for t, (i, j, lab) in enumerate(entries):
+        for i1, j1, earlier in entries[:t]:
+            if earlier == lab:
+                return i1, j1, i, j
+    return None
+
+
+def assert_scan_matches_brute_force(table):
+    assert table.collision == first_repeat(table)
+    assert (table.inverse is None) == (table.collision is not None)
+    if table.inverse is not None:
+        assert table.inverse == {lab: (i, j) for i, j, lab in table.iter_entries()}
+
+
+class TestCollision:
+    def test_golden_suite(self, golden_suite):
+        for _, code, errs in golden_suite:
+            assert_scan_matches_brute_force(build_table(code, errs))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_codes(self, data):
+        p = data.draw(st.integers(1, 6), label="p")
+        group = random_group(p, seed=data.draw(st.integers(0, 10**6), label="seed"))
+        size = 1 << p
+        labels = data.draw(
+            st.lists(st.integers(1, size - 1), max_size=min(4, size - 1), unique=True),
+            label="labels",
+        )
+        code = build_code(group, [0, *labels])
+        classes = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(any),
+                max_size=6,
+                unique=True,
+            ),
+            label="errors",
+        )
+        errs = ErrorSet(
+            tuple(PauliOperator.from_symplectic(x, z, p) for x, z in [(0, 0), *classes])
+        )
+        table = build_table(code, errs)
+        assert_scan_matches_brute_force(table)
+        if not verify.pigeonhole(code, errs):
+            assert check_correctable(code, errs, table).collision == table.collision
+
+
+# each result type with the fields it stored before its restated ones
+# became properties
+RESTATED = [
+    (Verdict, {"correctable": True, "pigeonhole": True}),
+    (KLReport, {"passed": True, "witness": None}),
+    (
+        CodeClass,
+        {
+            "type_tag": "I",
+            "bcw_is_group": True,
+            "csb_is_group": True,
+            "additive": True,
+            "bcw_is_group_strict": True,
+        },
+    ),
+    (MaxDimension, {"dimension": 1, "labels": (0,)}),
+    (
+        SearchResult,
+        {"found": False, "code": None, "reason": "", "candidates_tried": 0},
+    ),
+]
+
+
+class TestDerivedFields:
+    @pytest.mark.parametrize("cls, kwargs", RESTATED, ids=[c.__name__ for c, _ in RESTATED])
+    def test_restated_fields_are_not_arguments(self, cls, kwargs):
+        with pytest.raises(TypeError):
+            cls(**kwargs)
+
+    def test_stored_field_count(self):
+        assert sum(len(fields(cls)) for cls, _ in RESTATED) == 13
+
+    def test_verdict(self):
+        assert Verdict().correctable
+        assert not Verdict(collision=(1, 0, 2, 0)).correctable
+        assert not Verdict(pigeonhole=True).correctable
+
+    def test_kl_report(self):
+        assert KLReport().passed
+        assert not KLReport(witness=(0, 1, 0, 0)).passed
+
+    @pytest.mark.parametrize(
+        "bcw, csb, tag",
+        [(True, True, "I"), (False, True, "II"), (True, False, "III"), (False, False, "IV")],
+    )
+    def test_code_class(self, bcw, csb, tag):
+        cls = CodeClass(bcw_is_group=bcw, csb_is_group=csb, bcw_is_group_strict=False)
+        assert cls.type_tag == tag
+        assert cls.additive == (tag == "I")
+
+    def test_max_dimension_and_search_result(self, rep3):
+        assert MaxDimension(labels=(0, 3, 5)).dimension == 3
+        assert SearchResult(rep3, "hit", 1, 0).found
+        assert not SearchResult(None, "miss", 5).found
 
 
 class TestCorrectable:
