@@ -2,10 +2,12 @@
 """Compare the compiled kernel lane against the pure-Python fallback.
 
 Times the kernels that have both lanes: the syndrome map, which is hot
-on decode, and the two loops that dominate search: group sampling and
-the candidate scan.  Run from a checkout:
+on decode (its build once per group, and its calls), and the two loops
+that dominate search: group sampling and the candidate scan.  Each
+factory takes a lane module and a size ``n`` and returns the timed
+callable and the operations it performs.  Run from a checkout:
 
-    python3 benchmarks/bench_kernels.py [--repeat N]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N]
 """
 
 from __future__ import annotations
@@ -31,22 +33,36 @@ def _time(fn, *args, repeat: int) -> float:
     return best
 
 
-def bench_syndrome(impl, n=200_000):
+def _group_masks(p=12, seed=3):
     from cosetqec.stabilizer import random_group
 
-    group = random_group(12, 3)
-    xs = [g.x for g in group.generators]
-    zs = [g.z for g in group.generators]
-    rng = random.Random(0)
-    ops = [(rng.getrandbits(12), rng.getrandbits(12)) for _ in range(1000)]
-    syndrome = impl.syndrome_bits
+    group = random_group(p, seed)
+    return [g.x for g in group.generators], [g.z for g in group.generators]
+
+
+def bench_map_build(impl, n=2_000):
+    xs, zs = _group_masks()
+    build = impl.syndrome_map
 
     def run():
-        for _ in range(n // 1000):
-            for a, b in ops:
-                syndrome(a, b, xs, zs)
+        for _ in range(n):
+            build(xs, zs)
 
     return run, n
+
+
+def bench_map_calls(impl, n=200_000):
+    label = impl.syndrome_map(*_group_masks())
+    rng = random.Random(0)
+    ops = [(rng.getrandbits(12), rng.getrandbits(12)) for _ in range(1000)]
+    rounds = max(1, n // 1000)
+
+    def run():
+        for _ in range(rounds):
+            for a, b in ops:
+                label(a, b)
+
+    return run, rounds * 1000
 
 
 def bench_sample_groups(impl, n=20_000):
@@ -75,7 +91,8 @@ def bench_search(impl, n=50_000):
 
 
 BENCHES = [
-    ("syndrome_bits p=12", bench_syndrome),
+    ("syndrome_map build p=12", bench_map_build),
+    ("syndrome_map calls p=12", bench_map_calls),
     ("random_group p=5", bench_sample_groups),
     ("search candidates p=5", bench_search),
 ]

@@ -24,14 +24,14 @@ else:
 
         BACKEND = "python"
 
-syndrome_bits = _impl.syndrome_bits
+syndrome_map = _impl.syndrome_map
 random_group_packed = _impl.random_group_packed
 greedy_label_scan = _impl.greedy_label_scan
 search_range = _impl.search_range
 
 __all__ = [
     "BACKEND",
-    "syndrome_bits",
+    "syndrome_map",
     "random_group_packed",
     "greedy_label_scan",
     "search_range",

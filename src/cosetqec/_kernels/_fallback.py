@@ -34,12 +34,69 @@ def mix64(z: int) -> int:
 
 
 def syndrome_bits(a: int, b: int, gens_a: Sequence[int], gens_b: Sequence[int]) -> int:
-    """Commutation pattern of (a, b) against each generator, bit t = generator t."""
+    """Commutation pattern of (a, b) against each generator, bit t = generator t.
+
+    The per-generator reference: ``search_range`` uses it for groups it
+    meets once, and the tests compare both lanes' maps against it."""
     bits = 0
     for t in range(len(gens_a)):
         if ((a & gens_b[t]).bit_count() + (b & gens_a[t]).bit_count()) & 1:
             bits |= 1 << t
     return bits
+
+
+def syndrome_map(gens_a: Sequence[int], gens_b: Sequence[int]):
+    """The callable ``label(a, b) == syndrome_bits(a, b, gens_a, gens_b)``
+    for any ints a, b.
+
+    The label is linear in v = (a & amask) | (b & bmask) << w, where the
+    masks keep the bits a generator can meet, so it is the XOR of one
+    lookup per byte of v into a table of that byte's 256 column sums (the
+    "Four Russians" method).  Refuses generator lists of unequal length
+    and masks that are not non-negative ints."""
+    ga, gb = list(gens_a), list(gens_b)
+    if len(ga) != len(gb):
+        raise ValueError(f"gens_a has {len(ga)} masks, gens_b has {len(gb)}")
+    for g in ga + gb:
+        if not isinstance(g, int) or g < 0:
+            raise ValueError(f"generator mask {g!r} is not a non-negative int")
+    amask = bmask = 0
+    for x, z in zip(ga, gb):
+        amask |= z
+        bmask |= x
+    w = amask.bit_length()
+    # column j of the check matrix: the label of v = 1 << j
+    cols = [0] * (w + bmask.bit_length())
+    for t, (x, z) in enumerate(zip(ga, gb)):
+        for mask, shift in ((z, 0), (x, w)):
+            while mask:
+                j = mask.bit_length() - 1
+                cols[shift + j] |= 1 << t
+                mask ^= 1 << j
+    tables = []
+    for i in range(0, len(cols), 8):
+        table = [0]
+        for col in cols[i : i + 8]:
+            table += [s ^ col for s in table]
+        tables.append(table)
+    if len(tables) <= 3:  # every width up to 12: three unrolled lookups
+        t0, t1, t2 = tables + [[0]] * (3 - len(tables))
+
+        def label(a, b):
+            v = a & amask | (b & bmask) << w
+            return t0[v & 255] ^ t1[v >> 8 & 255] ^ t2[v >> 16]
+
+    else:
+
+        def label(a, b):
+            v = a & amask | (b & bmask) << w
+            bits = 0
+            for table in tables:
+                bits ^= table[v & 255]
+                v >>= 8
+            return bits
+
+    return label
 
 
 def random_group_packed(p: int, seed: int):

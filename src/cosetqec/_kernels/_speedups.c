@@ -4,6 +4,7 @@
  * touched.  tests/test_kernels.py compares the two lanes. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stddef.h>
 
 typedef unsigned long long u64;
 
@@ -125,34 +126,114 @@ u64_list(const u64 *values, int n)
     return out;
 }
 
+/* The pure-Python lane's `name`, called with these arguments.  Every call a
+   compiled kernel cannot read as it expects goes here, so the lanes share
+   one error path and no cap to disagree on. */
 static PyObject *
-syndrome_bits(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+reference(const char *name, PyObject *const *args, size_t nargsf,
+          PyObject *kwnames)
 {
-    Py_ssize_t n = nargs == 4 ? PyObject_Length(args[2]) : -1;
-    PyObject *ga = n < 0 || n > 64 ? NULL : PySequence_Fast(args[2], "gens_a");
-    PyObject *gb = ga ? PySequence_Fast(args[3], "gens_b") : NULL;
-    u64 a = 0, b = 0, x = 0, z = 0, bits = 0;
-    int ok = gb != NULL && PySequence_Fast_GET_SIZE(gb) >= n
-             && read_u64(args[0], &a) && read_u64(args[1], &b);
-    for (Py_ssize_t t = 0; ok && t < n; t++) {
-        ok = read_u64(PySequence_Fast_GET_ITEM(ga, t), &x)
-             && read_u64(PySequence_Fast_GET_ITEM(gb, t), &z);
-        bits |= (u64)(ok && anticommutes(a, b, x, z)) << t;
+    PyObject *fb = PyImport_ImportModule("cosetqec._kernels._fallback");
+    PyObject *fn = fb ? PyObject_GetAttrString(fb, name) : NULL;
+    PyObject *result = fn ? PyObject_Vectorcall(fn, args, nargsf, kwnames) : NULL;
+    Py_XDECREF(fb);
+    Py_XDECREF(fn);
+    return result;
+}
+
+/* A syndrome map: the generators as u64 masks, read once.  `gens` keeps
+   them as (gens_a, gens_b) for the pure map `pure`, which is built on the
+   first call whose arguments are not two ints in 0..2^64-1. */
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    int n;
+    u64 xs[64], zs[64];
+    PyObject *gens, *pure;
+} SyndromeMap;
+
+static PyObject *
+map_call(PyObject *obj, PyObject *const *args, size_t nargsf, PyObject *kwnames)
+{
+    SyndromeMap *m = (SyndromeMap *)obj;
+    u64 a, b, bits = 0;
+    if (PyVectorcall_NARGS(nargsf) == 2 && kwnames == NULL
+        && read_u64(args[0], &a) && read_u64(args[1], &b)) {
+        for (int t = 0; t < m->n; t++)
+            bits |= (u64)anticommutes(a, b, m->xs[t], m->zs[t]) << t;
+        return PyLong_FromUnsignedLongLong(bits);
+    }
+    PyErr_Clear();
+    if (m->pure == NULL) {
+        PyObject *pair[2] = {PyTuple_GET_ITEM(m->gens, 0),
+                             PyTuple_GET_ITEM(m->gens, 1)};
+        PyObject *pure = reference("syndrome_map", pair, 2, NULL);
+        if (pure == NULL)
+            return NULL;
+        /* the build runs Python code, so another thread may have won */
+        if (m->pure == NULL)
+            m->pure = pure;
+        else
+            Py_DECREF(pure);
+    }
+    return PyObject_Vectorcall(m->pure, args, nargsf, kwnames);
+}
+
+static void
+map_dealloc(PyObject *obj)
+{
+    SyndromeMap *m = (SyndromeMap *)obj;
+    Py_XDECREF(m->gens);
+    Py_XDECREF(m->pure);
+    Py_TYPE(obj)->tp_free(obj);
+}
+
+static PyTypeObject SyndromeMapType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "cosetqec._kernels._speedups.SyndromeMap",
+    .tp_basicsize = sizeof(SyndromeMap),
+    .tp_dealloc = map_dealloc,
+    .tp_vectorcall_offset = offsetof(SyndromeMap, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "label(a, b): commutation pattern of (a, b) against the "
+              "generators, bit t = generator t.",
+};
+
+static PyObject *
+syndrome_map(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+             PyObject *kwnames)
+{
+    PyObject *ga = nargs == 2 && kwnames == NULL ? PySequence_Tuple(args[0]) : NULL;
+    PyObject *gb = ga ? PySequence_Tuple(args[1]) : NULL;
+    Py_ssize_t n = gb ? PyTuple_GET_SIZE(ga) : -1;
+    SyndromeMap *m = NULL;
+    if (n >= 0 && n <= 64 && PyTuple_GET_SIZE(gb) == n
+        && (m = PyObject_New(SyndromeMap, &SyndromeMapType)) != NULL) {
+        m->vectorcall = map_call;
+        m->n = (int)n;
+        m->pure = NULL;
+        m->gens = PyTuple_Pack(2, ga, gb);
+    }
+    int ok = m != NULL && m->gens != NULL;
+    for (Py_ssize_t t = 0; ok && t < n; t++)
+        ok = read_u64(PyTuple_GET_ITEM(ga, t), &m->xs[t])
+             && read_u64(PyTuple_GET_ITEM(gb, t), &m->zs[t]);
+    PyObject *result = (PyObject *)m;
+    if (!ok) {
+        /* More than 64 generators (no group has that many: widths stop at
+           24), or generators that are not two equally long lists of ints
+           in 0..2^64-1: the pure lane builds its map or refuses.  It gets
+           the lists as read, in case an iterator was consumed. */
+        Py_CLEAR(result);
+        PyErr_Clear();
+        PyObject *pair[2] = {ga ? ga : args[0], gb ? gb : args[1]};
+        result = nargs == 2 && kwnames == NULL
+                     ? reference("syndrome_map", pair, 2, NULL)
+                     : reference("syndrome_map", args, nargs, kwnames);
     }
     Py_XDECREF(ga);
     Py_XDECREF(gb);
-    if (ok)
-        return PyLong_FromUnsignedLongLong(bits);
-    /* More than 64 generators (no group has that many: widths stop at 24),
-       or arguments that are not four int lists and ints in 0..2^64-1: the
-       reference answers or raises, so the lanes share no cap or error path
-       to disagree on. */
-    PyErr_Clear();
-    PyObject *fb = PyImport_ImportModule("cosetqec._kernels._fallback");
-    PyObject *fn = fb ? PyObject_GetAttrString(fb, "syndrome_bits") : NULL;
-    PyObject *result = fn ? PyObject_Vectorcall(fn, args, nargs, NULL) : NULL;
-    Py_XDECREF(fb);
-    Py_XDECREF(fn);
     return result;
 }
 
@@ -294,8 +375,9 @@ search_range(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 static PyMethodDef methods[] = {
-    {"syndrome_bits", (PyCFunction)(void (*)(void))syndrome_bits, METH_FASTCALL,
-     "Commutation pattern of (a, b) against each generator, bit t = generator t."},
+    {"syndrome_map", (PyCFunction)(void (*)(void))syndrome_map,
+     METH_FASTCALL | METH_KEYWORDS,
+     "syndrome_map(gens_a, gens_b) -> label(a, b), the group's syndrome map."},
     {"random_group_packed", (PyCFunction)(void (*)(void))random_group_packed,
      METH_VARARGS | METH_KEYWORDS, "Sample p independent commuting (x, z) pairs."},
     {"greedy_label_scan", (PyCFunction)(void (*)(void))greedy_label_scan,
@@ -313,5 +395,5 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__speedups(void)
 {
-    return PyModule_Create(&module);
+    return PyType_Ready(&SyndromeMapType) < 0 ? NULL : PyModule_Create(&module);
 }

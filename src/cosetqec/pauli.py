@@ -196,17 +196,17 @@ def parse_bits(text: str, width: int | None = None) -> int:
     s = text.strip()
     if width is not None and len(s) != width:
         raise ParseError(f"expected {width} bits, got {len(s)} in {text!r}")
-    value = 0
-    for j, ch in enumerate(s):
-        if ch == "1":
-            value |= 1 << j
-        elif ch != "0":
-            raise ParseError(f"invalid bit {ch!r} at position {j} in {text!r}")
-    return value
+    if s.strip("01"):  # some character is not a bit; name the first one
+        j, ch = next((j, ch) for j, ch in enumerate(s) if ch not in "01")
+        raise ParseError(f"invalid bit {ch!r} at position {j} in {text!r}")
+    return int(s[::-1], 2) if s else 0
 
 
 def format_bits(value: int, width: int) -> str:
-    return "".join("1" if (value >> j) & 1 else "0" for j in range(width))
+    """The low ``width`` bits of ``value``; character j is bit j."""
+    # a sentinel bit above the top one keeps the leading zeros
+    top = 1 << width
+    return format(value & (top - 1) | top, "b")[:0:-1]
 
 
 @dataclass(frozen=True, slots=True)

@@ -180,6 +180,8 @@ def search_code(
     """
     if k_target < 1:
         raise ValueError("dimension target must be at least 1")
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     p = errors.width
     if len(errors) * k_target > (1 << p):
         return SearchResult(

@@ -26,11 +26,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from ._kernels import random_group_packed, syndrome_bits
+from ._kernels import random_group_packed, syndrome_map
 from .pauli import (
     MAX_WIDTH,
     PauliOperator,
     WidthMismatchError,
+    format_bits,
     format_pauli,
     parse_pauli,
     symplectic_parity,
@@ -99,11 +100,18 @@ class StabilizerGroup:
         return self.generators[0].width
 
     @cached_property
-    def _packed(self) -> tuple[list[int], list[int]]:
-        return (
-            [g.x for g in self.generators],
-            [g.z for g in self.generators],
-        )
+    def syndrome_map(self):
+        """The label callable ``(x, z) -> syndrome`` of the masks of one
+        width-p operator, built once per group; it checks no width."""
+        gens = self.generators
+        return syndrome_map([g.x for g in gens], [g.z for g in gens])
+
+    def __getstate__(self) -> dict:
+        # the cached map is a closure or a C object, neither picklable;
+        # an unpickled group builds its own on first use
+        state = dict(self.__dict__)
+        state.pop("syndrome_map", None)
+        return state
 
     def syndrome(self, op: PauliOperator) -> int:
         """Coset label of ``op``: bit t is its commutation value against
@@ -112,8 +120,7 @@ class StabilizerGroup:
             raise WidthMismatchError(
                 f"operator width {op.width} != group width {self.width}"
             )
-        xs, zs = self._packed
-        return syndrome_bits(op.x, op.z, xs, zs)
+        return self.syndrome_map(op.x, op.z)
 
     @cached_property
     def closure_packed(self) -> tuple[list[int], list[int], list[int]]:
@@ -171,7 +178,7 @@ class StabilizerGroup:
             if r ^ (((w ^ (1 << bit)) & v).bit_count() & 1):
                 v |= 1 << bit
         x, z = v & ((1 << p) - 1), v >> p
-        assert syndrome_bits(x, z, *self._packed) == label
+        assert self.syndrome_map(x, z) == label
         return x, z
 
     def coset_members(self, label: int) -> tuple[PauliOperator, ...]:
@@ -226,9 +233,8 @@ class StabilizerGroup:
         return cls(gens)
 
 
-def format_label(label: int, width: int) -> str:
-    """Coset label as a bit string; character t is the bit for generator t."""
-    return "".join("1" if (label >> t) & 1 else "0" for t in range(width))
+# A coset label as a bit string: character t is the bit for generator t.
+format_label = format_bits
 
 
 def random_group(p: int, seed: int) -> StabilizerGroup:

@@ -99,23 +99,21 @@ def _check_widths(code: QuantumCode, errors: ErrorSet) -> None:
 
 
 def build_table(code: QuantumCode, errors: ErrorSet) -> SyndromeTable:
-    """Compute every product label twice, once from the product operator
-    and once by XOR additivity, and insist the two agree."""
+    """Compute every product label twice, once from the product's X and
+    Z masks and once by XOR additivity, and insist the two agree."""
     _check_widths(code, errors)
-    group = code.group
-    err_labels = [group.syndrome(e) for e in errors]
+    label = code.group.syndrome_map
+    words = [(op.x, op.z) for op in code.codeword_ops]
     rows = []
     for i, err in enumerate(errors):
-        row = []
-        for j, op in enumerate(code.codeword_ops):
-            direct = group.syndrome(err * op)
-            additive = err_labels[i] ^ code.labels[j]
-            if direct != additive:
-                raise InternalCheckError(
-                    f"syndrome additivity failed at entry ({i}, {j})"
-                )
-            row.append(direct)
-        rows.append(tuple(row))
+        ex, ez = err.x, err.z
+        row = tuple([label(ex ^ x, ez ^ z) for x, z in words])
+        err_label = label(ex, ez)
+        additive = tuple([err_label ^ lab for lab in code.labels])
+        if row != additive:
+            j = next(j for j, (d, a) in enumerate(zip(row, additive)) if d != a)
+            raise InternalCheckError(f"syndrome additivity failed at entry ({i}, {j})")
+        rows.append(row)
     return SyndromeTable(code=code, errors=errors, rows=tuple(rows))
 
 
@@ -171,15 +169,19 @@ def diagnose(
     error operator is the correction to apply (self-inverse up to sign).
     Requires a correctable pairing; raises UnknownSyndromeError when the
     label is not in the table.  A prebuilt ``table`` must belong to the
-    same code and errors."""
+    same code and errors.  A label outside 0..2^p-1 is refused with
+    ValueError."""
     inverse = _table_for(code, errors, table).inverse
     if inverse is None:
         raise ValueError("syndrome table is not injective; code does not correct this set")
     hit = inverse.get(observed)
     if hit is None:
+        p = code.width
+        # every table label is in range, so only a miss needs the check
+        if not 0 <= observed < 1 << p:
+            raise ValueError(f"label {observed} out of range for width {p}")
         raise UnknownSyndromeError(
-            f"label {format_label(observed, code.width)} matches no "
-            "error/codeword product"
+            f"label {format_label(observed, p)} matches no error/codeword product"
         )
     i, j = hit
     return Diagnosis(error_index=i, codeword_index=j, correction=errors[i])

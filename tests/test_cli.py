@@ -274,6 +274,16 @@ class TestSearch:
         ])
         assert rc == 1
 
+    def test_negative_budget_exits_2(self, workdir, capsys):
+        rc = main([
+            "search",
+            "--errors", str(workdir / "xflips.txt"),
+            "--k", "2",
+            "--budget", "-5",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: budget must be at least 0, got -5\n"
+
     def test_workers_default_comes_from_the_environment(
         self, workdir, capsys, monkeypatch
     ):

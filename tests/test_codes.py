@@ -105,6 +105,26 @@ class TestSeedState:
         with pytest.raises(ValueError, match="seed base"):
             SeedState(((0, 0),), 3, base=base)
 
+    @pytest.mark.parametrize(
+        "terms,error,message",
+        [
+            (((0, 0), (0, 0)), ValueError, "duplicate basis string 000"),
+            (((0, 0), (4, 1)), ValueError, "coefficient exponent 4 out of range"),
+            (((-1, 0),), ValueError, "coefficient exponent -1 out of range"),
+            (((0, 0), (0, 8)), ValueError, "basis string 0x8 exceeds width 3"),
+            (((0, -1),), ValueError, "basis string -0x1 exceeds width 3"),
+            # the first failing term in term order is named
+            (((0, 1), (0, 1), (5, 2)), ValueError, "duplicate basis string 100"),
+            (((0, 9), (0, 1), (0, 1)), ValueError, "basis string 0x9 exceeds width 3"),
+            (((0, 0), (0, "1")), TypeError,
+             "'<=' not supported between instances of 'int' and 'str'"),
+        ],
+    )
+    def test_bad_terms_name_the_first_failing_term(self, terms, error, message):
+        with pytest.raises(error) as info:
+            SeedState(terms, 3)
+        assert str(info.value) == message
+
 
 class TestCosetRepresentative:
     def test_diagonal_all_ones(self):

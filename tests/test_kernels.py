@@ -17,6 +17,8 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosetqec.search as search
 from cosetqec import ErrorSet, PauliOperator
@@ -68,29 +70,56 @@ def test_pure_env_var_selects_fallback():
     assert proc.stdout.strip() == "python"
 
 
+def _masks(rng, n, bits):
+    return [rng.getrandbits(bits) for _ in range(n)]
+
+
 class TestMicroKernels:
     def test_syndrome_agrees(self, compiled):
+        # widths 1..24: one to six table bytes on the pure lane
         rng = random.Random(4)
-        for _ in range(200):
-            p = rng.randrange(1, 7)
-            ga = [rng.getrandbits(p) for _ in range(p)]
-            gb = [rng.getrandbits(p) for _ in range(p)]
+        for _ in range(400):
+            p = rng.randrange(1, 25)
+            ga, gb = _masks(rng, p, p), _masks(rng, p, p)
             a, b = rng.getrandbits(p), rng.getrandbits(p)
-            assert fb.syndrome_bits(a, b, ga, gb) == compiled.syndrome_bits(
-                a, b, ga, gb
-            )
+            want = fb.syndrome_bits(a, b, ga, gb)
+            assert compiled.syndrome_map(ga, gb)(a, b) == want
+            assert fb.syndrome_map(ga, gb)(a, b) == want
 
     def test_syndrome_has_no_generator_cap(self, compiled):
-        # the compiled lane reads the lists in place: past 24 generators
-        # and past one 64-bit word it still matches the fallback
+        # past 24 generators and past one 64-bit word both maps still
+        # match the reference (the compiled lane hands over to the pure map)
         rng = random.Random(6)
         for n in (0, 25, 64, 65, 130):
-            ga = [rng.getrandbits(20) for _ in range(n)]
-            gb = [rng.getrandbits(20) for _ in range(n)]
+            ga, gb = _masks(rng, n, 20), _masks(rng, n, 20)
             a, b = rng.getrandbits(20), rng.getrandbits(20)
-            assert fb.syndrome_bits(a, b, ga, gb) == compiled.syndrome_bits(
-                a, b, ga, gb
-            )
+            want = fb.syndrome_bits(a, b, ga, gb)
+            assert compiled.syndrome_map(ga, gb)(a, b) == want
+            assert fb.syndrome_map(ga, gb)(a, b) == want
+
+    def test_map_reads_its_lists_once(self, compiled):
+        # later edits to the caller's lists do not reach a built map
+        for lane in (fb, compiled):
+            ga, gb = [1, 0], [0, 2]
+            label = lane.syndrome_map(ga, gb)
+            ga[0], gb[1] = 0, 0
+            assert label(1, 1) == 1 and label(2, 0) == 2
+            assert lane.syndrome_map(iter([1, 0]), iter([0, 2]))(3, 0) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_map_equals_the_reference(data):
+    """The pure map equals the per-generator loop for p = 1..24, at
+    arguments inside the width and beyond it, negative ones included."""
+    p = data.draw(st.integers(1, 24), label="p")
+    masks = st.lists(st.integers(0, (1 << p) - 1), min_size=p, max_size=p)
+    ga, gb = data.draw(masks, label="gens_a"), data.draw(masks, label="gens_b")
+    label = fb.syndrome_map(ga, gb)
+    args = st.integers(0, (1 << p) - 1) | st.integers(-(1 << 70), 1 << 70)
+    for _ in range(8):
+        a, b = data.draw(args, label="a"), data.draw(args, label="b")
+        assert label(a, b) == fb.syndrome_bits(a, b, ga, gb)
 
 
 class TestSamplers:
@@ -228,10 +257,53 @@ class TestRefusals:
         ],
     )
     def test_syndrome_out_of_domain_is_the_same_on_both_lanes(self, compiled, args):
-        # negative or 65-bit masks, a short gens_b, a float: the compiled
-        # lane hands whatever it cannot convert to the reference
-        want = _outcome(lambda: fb.syndrome_bits(*args))
-        assert _outcome(lambda: compiled.syndrome_bits(*args)) == want
+        # negative or 65-bit masks and arguments, unequal lists, a float:
+        # the compiled lane hands whatever it cannot read to the pure map
+        a, b, ga, gb = args
+        want = _outcome(lambda: fb.syndrome_map(ga, gb)(a, b))
+        assert _outcome(lambda: compiled.syndrome_map(ga, gb)(a, b)) == want
+
+    def test_refused_generators(self, compiled):
+        for ga, gb, message in [
+            ([1, 2], [1], "gens_a has 2 masks, gens_b has 1"),
+            ([-3, 2], [7, 1], "generator mask -3 is not a non-negative int"),
+            ([1.0], [1], "generator mask 1.0 is not a non-negative int"),
+            ([1], ["1"], "generator mask '1' is not a non-negative int"),
+        ]:
+            for lane in (fb, compiled):
+                assert _refusal(lambda: lane.syndrome_map(ga, gb)) == (
+                    ValueError,
+                    message,
+                )
+        want = _refusal(lambda: fb.syndrome_map(5, [1]))
+        assert want[0] is TypeError
+        assert _refusal(lambda: compiled.syndrome_map(5, [1])) == want
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda label: label(1.5, 0),
+            lambda label: label(1, "0"),
+            lambda label: label(None, 1),
+            lambda label: label(1),
+            lambda label: label(1, 2, 3),
+            lambda label: label(1, b=2),
+            lambda label: label(-1, 1 << 80),
+            lambda label: label(True, 1 << 63),
+        ],
+    )
+    def test_out_of_domain_arguments_are_the_same_on_both_lanes(self, compiled, call):
+        ga, gb = [1, 2, 4], [6, 1, 0]
+        want = _outcome(lambda: call(fb.syndrome_map(ga, gb)))
+        assert _outcome(lambda: call(compiled.syndrome_map(ga, gb))) == want
+
+    def test_constructor_arguments_are_the_same_on_both_lanes(self, compiled):
+        for call in [
+            lambda lane: lane.syndrome_map([1]),
+            lambda lane: lane.syndrome_map([1], [2], [3]),
+            lambda lane: lane.syndrome_map(gens_a=[1], gens_b=[2])(1, 1),
+        ]:
+            assert _outcome(lambda: call(compiled)) == _outcome(lambda: call(fb))
 
     @pytest.mark.parametrize("k_target", [1 << 63, -(1 << 70)])
     def test_huge_k_target_is_the_same_on_both_lanes(self, compiled, k_target):
@@ -267,3 +339,19 @@ class TestRefusals:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert "at most 1024" in messages[0]
+
+
+@pytest.mark.parametrize("lane", ["python", "compiled"])
+def test_bench_kernels_factories_run(request, lane):
+    """benchmarks/bench_kernels.py names only entry points that exist:
+    every factory builds and runs once, small, on each lane."""
+    impl = fb if lane == "python" else request.getfixturevalue("compiled")
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert len(bench.BENCHES) == 4
+    for _, factory in bench.BENCHES:
+        run, ops = factory(impl, n=8)
+        run()
+        assert ops >= 8

@@ -85,6 +85,73 @@ class TestParseFormat:
             parse_bits("10a")
 
 
+def reference_parse_bits(text, width=None):
+    """The character loop parse_bits used before its C-level codec."""
+    s = text.strip()
+    if width is not None and len(s) != width:
+        raise ParseError(f"expected {width} bits, got {len(s)} in {text!r}")
+    value = 0
+    for j, ch in enumerate(s):
+        if ch == "1":
+            value |= 1 << j
+        elif ch != "0":
+            raise ParseError(f"invalid bit {ch!r} at position {j} in {text!r}")
+    return value
+
+
+def reference_format_bits(value, width):
+    return "".join("1" if (value >> j) & 1 else "0" for j in range(width))
+
+
+def _parse_outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return str(exc)
+
+
+# characters int(..., 2) would accept or that look like bits, and others
+BAD_BITS = ["2", "a", "b", "_", "+", "-", " ", "\t", "x", "\u0661", "\uff11", "é", "\x00"]
+
+
+class TestBitStrings:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_round_trip_up_to_width_24(self, data):
+        p = data.draw(st.integers(1, 24))
+        value = data.draw(st.integers(0, (1 << p) - 1))
+        text = format_bits(value, p)
+        assert text == reference_format_bits(value, p)
+        assert parse_bits(text, p) == value
+        assert parse_bits(f"  {text}\n") == value
+
+    @pytest.mark.parametrize("value", [-1, -6, 8, 13, 1 << 70, -(1 << 70)])
+    @pytest.mark.parametrize("width", [0, 1, 3, 24])
+    def test_format_keeps_the_low_bits(self, value, width):
+        assert format_bits(value, width) == reference_format_bits(value, width)
+
+    @pytest.mark.parametrize("bad", BAD_BITS)
+    def test_every_bad_position_names_the_first_bad_character(self, bad):
+        for p in (1, 2, 5, 12, 24):
+            for j in range(p):
+                for tail in ("0", "1", "z"):
+                    text = ("10" * p)[:j] + bad + (tail * p)[: p - j - 1]
+                    # a blank at either end is stripped, so not every text fails
+                    want = _parse_outcome(reference_parse_bits, text, len(text.strip()))
+                    assert _parse_outcome(parse_bits, text, len(text.strip())) == want
+                    assert _parse_outcome(parse_bits, text) == want
+
+    @pytest.mark.parametrize(
+        "text,width",
+        [("", None), ("", 0), ("  ", None), ("101", 4), ("101 ", 2), ("1 0", 3),
+         ("0b1", None), ("1_0", None), ("+1", None), ("-1", None)],
+    )
+    def test_edge_inputs_match_the_loop(self, text, width):
+        assert _parse_outcome(parse_bits, text, width) == _parse_outcome(
+            reference_parse_bits, text, width
+        )
+
+
 class TestMultiply:
     def test_xz_order_convention(self):
         x, z = parse_pauli("X"), parse_pauli("Z")

@@ -123,6 +123,13 @@ class TestSearch:
         assert not result.found
         assert "not a proof" in result.reason
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_negative_budget_refused(self, workers):
+        # it used to report candidates_tried=-5
+        errs = single_qubit_errors(5)
+        with pytest.raises(ValueError, match="budget must be at least 0, got -5"):
+            search_code(errs, 2, strategy="random", budget=-5, workers=workers)
+
     def test_deterministic_in_seed(self):
         errs = single_qubit_errors(5)
         a = search_code(errs, 2, strategy="random", budget=50_000, seed=3)

@@ -1,6 +1,7 @@
 """Group validation, closure, syndromes, cosets, and enumeration."""
 
 import itertools
+import pickle
 
 import pytest
 
@@ -92,6 +93,13 @@ class TestSyndrome:
     def test_ghz_group_example(self):
         g = group_of("XXX", "ZZI", "IZZ")
         assert format_label(g.syndrome(parse_pauli("ZII")), 3) == "100"
+
+    def test_group_with_a_built_map_pickles(self):
+        g = random_group(6, 2)
+        op = parse_pauli("XYZIZX")
+        label = g.syndrome(op)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.syndrome(op) == label
 
     def test_kernel_is_closure(self):
         g = group_of("XXX", "ZZI", "IZZ")

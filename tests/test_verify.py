@@ -291,6 +291,17 @@ class TestDiagnose:
         with pytest.raises(ValueError, match="another code or error set"):
             diagnose(rep3, x_flips(3), 0, table)
 
+    @pytest.mark.parametrize("observed", [8, 9, 1 << 70, -1, -8])
+    def test_label_outside_the_width_refused(self, rep3, observed):
+        # it used to name a truncated label ("000" for 8, "111" for -1)
+        short = ErrorSet((PauliOperator.identity(3), parse_pauli("XII")))
+        for errs in (x_flips(3), short):
+            with pytest.raises(ValueError) as info:
+                diagnose(rep3, errs, observed)
+            assert str(info.value) == f"label {observed} out of range for width 3"
+        with pytest.raises(UnknownSyndromeError, match="label 010 matches no"):
+            diagnose(rep3, short, 2)
+
     def test_requires_injective_table(self, cat3):
         with pytest.raises(ValueError, match="not injective"):
             diagnose(cat3, z_flips(3), 0)
