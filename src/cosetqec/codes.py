@@ -69,20 +69,6 @@ class SeedState:
         mask = (1 << self.width) - 1
         if not 0 <= self.base <= mask:
             raise ValueError(f"seed base {self.base:#x} exceeds width {self.width}")
-        units = [unit for unit, _ in self.terms]
-        strings = [string for _, string in self.terms]
-        try:
-            if (
-                0 <= min(units)
-                and max(units) <= 3
-                and 0 <= min(strings)
-                and max(strings) <= mask
-                and len(set(strings)) == len(strings)
-            ):
-                return
-        except TypeError:
-            pass
-        # some term fails: the per-term checks name the first, in term order
         seen = set()
         for unit, string in self.terms:
             if not 0 <= unit <= 3:
