@@ -4,7 +4,6 @@
  * touched.  tests/test_kernels.py compares the two lanes. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <stddef.h>
 
 typedef unsigned long long u64;
 
@@ -141,63 +140,46 @@ reference(const char *name, PyObject *const *args, size_t nargsf,
     return result;
 }
 
-/* A syndrome map: the generators as u64 masks, read once.  `gens` keeps
-   them as (gens_a, gens_b) for the pure map `pure`, which is built on the
-   first call whose arguments are not two ints in 0..2^64-1. */
-typedef struct {
-    PyObject_HEAD
-    vectorcallfunc vectorcall;
-    int n;
-    u64 xs[64], zs[64];
-    PyObject *gens, *pure;
-} SyndromeMap;
-
+/* The pure map of the n generators in `masks`: xs then zs. */
 static PyObject *
-map_call(PyObject *obj, PyObject *const *args, size_t nargsf, PyObject *kwnames)
+pure_map(const u64 *masks, int n)
 {
-    SyndromeMap *m = (SyndromeMap *)obj;
-    u64 a, b, bits = 0;
-    if (PyVectorcall_NARGS(nargsf) == 2 && kwnames == NULL
-        && read_u64(args[0], &a) && read_u64(args[1], &b)) {
-        for (int t = 0; t < m->n; t++)
-            bits |= (u64)anticommutes(a, b, m->xs[t], m->zs[t]) << t;
+    PyObject *lx = u64_list(masks, n), *lz = lx ? u64_list(masks + n, n) : NULL;
+    PyObject *pair[2] = {lx, lz};
+    PyObject *result = lz ? reference("syndrome_map", pair, 2, NULL) : NULL;
+    Py_XDECREF(lx);
+    Py_XDECREF(lz);
+    return result;
+}
+
+/* label(a, b), bound to `packed`, a bytes object of the generators' xs then
+   zs as u64 (its data follows a header of whole pointer-sized words, so it
+   is 8-byte aligned).  Every mask is below 2^64, so any two ints are read
+   exactly modulo 2^64; every other call goes to the pure map. */
+static PyObject *
+label(PyObject *packed, PyObject *const *args, Py_ssize_t nargs,
+      PyObject *kwnames)
+{
+    const u64 *masks = (const u64 *)PyBytes_AS_STRING(packed);
+    int n = (int)(PyBytes_GET_SIZE(packed) / (2 * sizeof(u64)));
+    if (nargs == 2 && kwnames == NULL && PyLong_Check(args[0])
+        && PyLong_Check(args[1])) {
+        u64 a = PyLong_AsUnsignedLongLongMask(args[0]);
+        u64 b = PyLong_AsUnsignedLongLongMask(args[1]), bits = 0;
+        for (int t = 0; t < n; t++)
+            bits |= (u64)anticommutes(a, b, masks[t], masks[n + t]) << t;
         return PyLong_FromUnsignedLongLong(bits);
     }
-    PyErr_Clear();
-    if (m->pure == NULL) {
-        PyObject *pair[2] = {PyTuple_GET_ITEM(m->gens, 0),
-                             PyTuple_GET_ITEM(m->gens, 1)};
-        PyObject *pure = reference("syndrome_map", pair, 2, NULL);
-        if (pure == NULL)
-            return NULL;
-        /* the build runs Python code, so another thread may have won */
-        if (m->pure == NULL)
-            m->pure = pure;
-        else
-            Py_DECREF(pure);
-    }
-    return PyObject_Vectorcall(m->pure, args, nargsf, kwnames);
+    PyObject *pure = pure_map(masks, n);
+    PyObject *result = pure ? PyObject_Vectorcall(pure, args, nargs, kwnames) : NULL;
+    Py_XDECREF(pure);
+    return result;
 }
 
-static void
-map_dealloc(PyObject *obj)
-{
-    SyndromeMap *m = (SyndromeMap *)obj;
-    Py_XDECREF(m->gens);
-    Py_XDECREF(m->pure);
-    Py_TYPE(obj)->tp_free(obj);
-}
-
-static PyTypeObject SyndromeMapType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "cosetqec._kernels._speedups.SyndromeMap",
-    .tp_basicsize = sizeof(SyndromeMap),
-    .tp_dealloc = map_dealloc,
-    .tp_vectorcall_offset = offsetof(SyndromeMap, vectorcall),
-    .tp_call = PyVectorcall_Call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_doc = "label(a, b): commutation pattern of (a, b) against the "
-              "generators, bit t = generator t.",
+static PyMethodDef label_def = {
+    "label", (PyCFunction)(void (*)(void))label, METH_FASTCALL | METH_KEYWORDS,
+    "label(a, b): commutation pattern of (a, b) against the generators, "
+    "bit t = generator t.",
 };
 
 static PyObject *
@@ -207,31 +189,27 @@ syndrome_map(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     PyObject *ga = nargs == 2 && kwnames == NULL ? PySequence_Tuple(args[0]) : NULL;
     PyObject *gb = ga ? PySequence_Tuple(args[1]) : NULL;
     Py_ssize_t n = gb ? PyTuple_GET_SIZE(ga) : -1;
-    SyndromeMap *m = NULL;
-    if (n >= 0 && n <= 64 && PyTuple_GET_SIZE(gb) == n
-        && (m = PyObject_New(SyndromeMap, &SyndromeMapType)) != NULL) {
-        m->vectorcall = map_call;
-        m->n = (int)n;
-        m->pure = NULL;
-        m->gens = PyTuple_Pack(2, ga, gb);
-    }
-    int ok = m != NULL && m->gens != NULL;
+    PyObject *packed = NULL;
+    if (n >= 0 && n <= 64 && PyTuple_GET_SIZE(gb) == n)
+        packed = PyBytes_FromStringAndSize(NULL, 2 * n * sizeof(u64));
+    u64 *masks = packed ? (u64 *)PyBytes_AS_STRING(packed) : NULL;
+    int ok = packed != NULL;
     for (Py_ssize_t t = 0; ok && t < n; t++)
-        ok = read_u64(PyTuple_GET_ITEM(ga, t), &m->xs[t])
-             && read_u64(PyTuple_GET_ITEM(gb, t), &m->zs[t]);
-    PyObject *result = (PyObject *)m;
+        ok = read_u64(PyTuple_GET_ITEM(ga, t), &masks[t])
+             && read_u64(PyTuple_GET_ITEM(gb, t), &masks[n + t]);
+    PyObject *result = ok ? PyCFunction_NewEx(&label_def, packed, NULL) : NULL;
     if (!ok) {
         /* More than 64 generators (no group has that many: widths stop at
            24), or generators that are not two equally long lists of ints
            in 0..2^64-1: the pure lane builds its map or refuses.  It gets
            the lists as read, in case an iterator was consumed. */
-        Py_CLEAR(result);
         PyErr_Clear();
         PyObject *pair[2] = {ga ? ga : args[0], gb ? gb : args[1]};
         result = nargs == 2 && kwnames == NULL
                      ? reference("syndrome_map", pair, 2, NULL)
                      : reference("syndrome_map", args, nargs, kwnames);
     }
+    Py_XDECREF(packed);
     Py_XDECREF(ga);
     Py_XDECREF(gb);
     return result;
@@ -395,5 +373,5 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__speedups(void)
 {
-    return PyType_Ready(&SyndromeMapType) < 0 ? NULL : PyModule_Create(&module);
+    return PyModule_Create(&module);
 }

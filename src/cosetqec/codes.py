@@ -23,7 +23,7 @@ ever built as operator objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .pauli import (
@@ -92,15 +92,22 @@ class SeedState:
 
     @classmethod
     def from_tokens(
-        cls, tokens: Iterable[Sequence[str]], width: int, origin: str = SEED_EXPLICIT
+        cls,
+        tokens: Iterable[Sequence[str]],
+        width: int,
+        base: str | None = None,
+        origin: str = SEED_EXPLICIT,
     ) -> "SeedState":
+        """Parse the JSON form: the term tokens, then ``base`` as a bit
+        string (None for the all-zero string)."""
         terms = []
         for sign, bits in tokens:
             unit = _TOKEN_TO_UNIT.get(sign)
             if unit is None:
                 raise ParseError(f"unknown seed coefficient {sign!r}")
             terms.append((unit, parse_bits(bits, width)))
-        return cls(tuple(terms), width, origin=origin)
+        parsed_base = 0 if base is None else parse_bits(base, width)
+        return cls(tuple(terms), width, parsed_base, origin)
 
 
 def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
@@ -272,9 +279,7 @@ class QuantumCode:
         width = int(data["width"])
         group = StabilizerGroup.from_dict(data["cartanion"])
         origin = data.get("seed_origin", SEED_EXPLICIT)
-        seed = SeedState.from_tokens(data["seed"], width, origin=origin)
-        if "seed_base" in data:
-            seed = replace(seed, base=parse_bits(data["seed_base"], width))
+        seed = SeedState.from_tokens(data["seed"], width, data.get("seed_base"), origin)
         ops = tuple(parse_pauli(s, width) for s in data["codeword_spinors"])
         labels = tuple(parse_bits(s, width) for s in data["labels"])
         return cls(group=group, seed=seed, codeword_ops=ops, labels=labels)

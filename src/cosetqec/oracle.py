@@ -49,7 +49,7 @@ from functools import cached_property, reduce
 from itertools import compress, repeat
 from operator import add, itemgetter, mul, or_, sub
 
-from .codes import QuantumCode, SeedState
+from .codes import QuantumCode, SeedState, seed_state
 from .pauli import ErrorSet, PauliOperator, WidthMismatchError, format_pauli
 from .stabilizer import StabilizerGroup, format_label
 
@@ -303,8 +303,6 @@ def check_overlap_dichotomy(group: StabilizerGroup) -> OracleReport:
     inside the closure or have a nonzero expectation are visited one by
     one, in ascending (x, z) order, so violations come out in sweep
     order; a PauliOperator is built only for a violation."""
-    from .codes import seed_state  # local import to keep module layering flat
-
     p = group.width
     _check_dense_width(p, DICHOTOMY_MAX_WIDTH)
     norm = group.normalized(0)
@@ -438,14 +436,14 @@ def check_knill_laflamme(code: QuantumCode, errors: ErrorSet) -> KLReport:
     so the constants compare as raw Gaussian integers; the first
     violating (a, b, i, j) is returned as the witness."""
     _check_dense_width(code.width, ORTHOGONALITY_MAX_WIDTH)
-    words = codeword_states(code)
-    norms = {w.norm2 for w in words}
-    if len(norms) != 1:
-        raise InternalOracleError("codeword norms diverged; Pauli action is broken")
     # <psi_i|Ea' Eb|psi_j> = <Ea psi_i | Eb psi_j>, the Gram entry of
     # syndrome states a*k+i and b*k+j
     gram = _gram([s for _, _, s in syndrome_states(code, errors)])
-    k = len(words)
+    k = code.dimension
+    # errors[0] is the identity, so the first k diagonal entries are the
+    # codeword norms
+    if len({gram[i][i] for i in range(k)}) != 1:
+        raise InternalOracleError("codeword norms diverged; Pauli action is broken")
     for a in range(len(errors)):
         for b in range(len(errors)):
             c_ab = gram[a * k][b * k]

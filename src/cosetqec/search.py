@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._kernels import greedy_label_scan, search_range
+# Both kernel lanes refuse larger error sets, with one message.
+from ._kernels._fallback import MAX_ERRORS as MAX_SEARCH_ERRORS
 from .codes import QuantumCode, build_code
 from .pauli import ErrorSet, PauliOperator
 from .stabilizer import StabilizerGroup, enumerate_groups
 
 DEFAULT_BUDGET = 100_000
-# Both kernel lanes refuse larger error sets, with one message.
-MAX_SEARCH_ERRORS = 1024
 _BLOCK = 2048
 
 
@@ -98,7 +98,7 @@ def _random_search(
     p = errors.width
     ea, eb = _packed_errors(errors)
     hit = None
-    if workers <= 1:
+    if workers == 1:
         hit = search_range(p, ea, eb, k_target, seed, 0, budget)
     else:
         blocks = [
@@ -176,12 +176,17 @@ def search_code(
     ``strategy`` is "exhaustive" (width <= 3 only) or "random".  Results
     are deterministic in (strategy, budget, seed); any returned code
     passes the distinct-label verdict by construction.  ``workers=None``
-    reads the worker count from ``COSETQEC_WORKERS`` (default 1).
+    reads the worker count from ``COSETQEC_WORKERS`` (default 1); a count
+    below 1 is refused.
     """
     if k_target < 1:
         raise ValueError("dimension target must be at least 1")
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
+    if workers is None:
+        workers = int(os.environ.get("COSETQEC_WORKERS", "1"))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     p = errors.width
     if len(errors) * k_target > (1 << p):
         return SearchResult(
@@ -195,7 +200,5 @@ def search_code(
     if strategy == "exhaustive":
         return _exhaustive_search(errors, k_target)
     if strategy == "random":
-        if workers is None:
-            workers = int(os.environ.get("COSETQEC_WORKERS", "1"))
         return _random_search(errors, k_target, budget, seed, workers)
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -28,7 +28,6 @@ from typing import Iterator, Sequence
 
 from ._kernels import random_group_packed, syndrome_map
 from .pauli import (
-    MAX_WIDTH,
     PauliOperator,
     WidthMismatchError,
     format_bits,
@@ -107,8 +106,8 @@ class StabilizerGroup:
         return syndrome_map([g.x for g in gens], [g.z for g in gens])
 
     def __getstate__(self) -> dict:
-        # the cached map is a closure or a C object, neither picklable;
-        # an unpickled group builds its own on first use
+        # the cached map is a closure or a builtin bound to packed masks,
+        # and neither unpickles; an unpickled group builds its own on first use
         state = dict(self.__dict__)
         state.pop("syndrome_map", None)
         return state
@@ -241,9 +240,7 @@ def random_group(p: int, seed: int) -> StabilizerGroup:
     """Deterministic greedy sampler: draw random operators, keep those
     that commute with everything kept and raise the mod-phase rank, until
     p generators are held.  Generators come out in canonical + form.
-    Widths above MAX_WIDTH are refused before the sampler starts."""
-    if not 1 <= p <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {p}")
+    Both kernel lanes refuse widths outside 1..24 before sampling."""
     xs, zs = random_group_packed(p, seed)
     gens = tuple(
         PauliOperator.from_symplectic(x, z, p) for x, z in zip(xs, zs)
@@ -273,30 +270,20 @@ def enumerate_groups(p: int) -> Iterator[StabilizerGroup]:
             f"the count at width {p} is impractical to stream exhaustively"
         )
     pmask = (1 << p) - 1
-    total = 1 << (2 * p)
-    seen: set[tuple[int, ...]] = set()
-    keys: list[tuple[int, ...]] = []
-
-    def commute(v: int, w: int) -> bool:
-        return (
-            symplectic_parity(v & pmask, v >> p, w & pmask, w >> p) == 0
-        )
-
-    def dfs(start: int, chosen: list[int], span: set[int]) -> None:
-        if len(chosen) == p:
-            key = tuple(sorted(span))
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-            return
-        for v in range(start, total):
-            if v in span:
-                continue
-            if all(commute(v, c) for c in chosen):
-                dfs(v + 1, chosen + [v], _span(chosen + [v]))
-
-    dfs(1, [], {0})
-    for key in sorted(keys):
+    # isotropic spans, grown one dimension at a time; a set drops repeats
+    spans = {frozenset({0})}
+    for _ in range(p):
+        spans = {
+            span | {s ^ v for s in span}
+            for span in spans
+            for v in range(1, 1 << (2 * p))
+            if v not in span
+            and not any(
+                symplectic_parity(v & pmask, v >> p, s & pmask, s >> p)
+                for s in span
+            )
+        }
+    for key in sorted(tuple(sorted(span)) for span in spans):
         gens: list[int] = []
         for v in key:
             if v and v not in _span(gens):

@@ -284,6 +284,16 @@ class TestSearch:
         assert rc == 2
         assert capsys.readouterr().err == "error: budget must be at least 0, got -5\n"
 
+    def test_zero_workers_exits_2(self, workdir, capsys):
+        rc = main([
+            "--workers", "0",
+            "search",
+            "--errors", str(workdir / "xflips.txt"),
+            "--k", "2",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: workers must be at least 1, got 0\n"
+
     def test_workers_default_comes_from_the_environment(
         self, workdir, capsys, monkeypatch
     ):

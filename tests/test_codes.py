@@ -199,6 +199,25 @@ class TestBuildCode:
         assert classify(again) == classify(code)
         assert classify(again).type_tag == "I"
 
+    def test_loading_validates_the_seed_once(self, monkeypatch):
+        g = group_of("XXX", "ZZI", "IZZ")
+        base = parse_bits("101")
+        data = build_code(g, [0], seed=seed_state(g.normalized(base), base)).to_dict()
+        runs = []
+        validate = SeedState.__post_init__
+        monkeypatch.setattr(
+            SeedState, "__post_init__", lambda seed: runs.append(validate(seed))
+        )
+        assert QuantumCode.from_dict(data).seed.base == base
+        assert len(runs) == 1
+
+    def test_seed_terms_are_parsed_before_the_base(self):
+        # a wrong top-level width is reported on the first seed term
+        data = build_code(group_of("XXX", "ZZI", "IZZ"), [0]).to_dict()
+        data.update(width=4, seed_base="1000")
+        with pytest.raises(ValueError, match="expected 4 bits, got 3 in '000'"):
+            QuantumCode.from_dict(data)
+
 
 class TestPuncture:
     def make_full_seed(self):

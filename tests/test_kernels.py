@@ -107,19 +107,35 @@ class TestMicroKernels:
             assert lane.syndrome_map(iter([1, 0]), iter([0, 2]))(3, 0) == 2
 
 
+def _map_equals_the_reference(lane, data):
+    p = data.draw(st.integers(1, 24), label="p")
+    masks = st.lists(st.integers(0, (1 << p) - 1), min_size=p, max_size=p)
+    ga, gb = data.draw(masks, label="gens_a"), data.draw(masks, label="gens_b")
+    label = lane.syndrome_map(ga, gb)
+    args = (
+        st.integers(0, (1 << p) - 1)
+        | st.integers(-(1 << 70), 1 << 70)
+        | st.integers(1 << 64, 1 << 70)
+    )
+    for _ in range(8):
+        a, b = data.draw(args, label="a"), data.draw(args, label="b")
+        assert label(a, b) == fb.syndrome_bits(a, b, ga, gb)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_map_equals_the_reference(data):
     """The pure map equals the per-generator loop for p = 1..24, at
-    arguments inside the width and beyond it, negative ones included."""
-    p = data.draw(st.integers(1, 24), label="p")
-    masks = st.lists(st.integers(0, (1 << p) - 1), min_size=p, max_size=p)
-    ga, gb = data.draw(masks, label="gens_a"), data.draw(masks, label="gens_b")
-    label = fb.syndrome_map(ga, gb)
-    args = st.integers(0, (1 << p) - 1) | st.integers(-(1 << 70), 1 << 70)
-    for _ in range(8):
-        a, b = data.draw(args, label="a"), data.draw(args, label="b")
-        assert label(a, b) == fb.syndrome_bits(a, b, ga, gb)
+    arguments inside the width and beyond it, negative ones and ones past
+    2^64 included."""
+    _map_equals_the_reference(fb, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_compiled_map_equals_the_reference(compiled, data):
+    """The same for the compiled map, which reads ints modulo 2^64."""
+    _map_equals_the_reference(compiled, data)
 
 
 class TestSamplers:

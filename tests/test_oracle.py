@@ -381,6 +381,21 @@ class TestKnillLaflamme:
         assert not report.passed
         assert report.witness == (0, 1, 1, 1)
 
+    def test_diverging_codeword_norm_is_an_internal_error(self, rep3, monkeypatch):
+        # the norms are read off the Gram, so doubling one codeword's
+        # amplitudes must still trip the structural check
+        def doubled(code):
+            words = codeword_states(code)
+            w = words[1]
+            words[1] = DenseState(
+                tuple(2 * v for v in w.re), tuple(2 * v for v in w.im), w.width
+            )
+            return words
+
+        monkeypatch.setattr(oracle, "codeword_states", doubled)
+        with pytest.raises(oracle.InternalOracleError, match="norms diverged"):
+            check_knill_laflamme(rep3, x_flips(3))
+
     def test_identity_only_passes(self, golden_suite):
         for name, code, errs in golden_suite:
             only_i = ErrorSet((PauliOperator.identity(code.width),))

@@ -130,6 +130,17 @@ class TestSearch:
         with pytest.raises(ValueError, match="budget must be at least 0, got -5"):
             search_code(errs, 2, strategy="random", budget=-5, workers=workers)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_refused(self, workers, monkeypatch):
+        # workers=-3 used to run one sequential scan and return a hit
+        errs = single_qubit_errors(5)
+        message = f"workers must be at least 1, got {workers}"
+        with pytest.raises(ValueError, match=message):
+            search_code(errs, 2, strategy="random", budget=200, workers=workers)
+        monkeypatch.setenv("COSETQEC_WORKERS", str(workers))
+        with pytest.raises(ValueError, match=message):
+            search_code(errs, 2, strategy="random", budget=200)
+
     def test_deterministic_in_seed(self):
         errs = single_qubit_errors(5)
         a = search_code(errs, 2, strategy="random", budget=50_000, seed=3)

@@ -17,11 +17,52 @@ from cosetqec import (
     random_group,
 )
 from cosetqec.golden import diagonal_group
+from cosetqec.pauli import symplectic_parity
 
 
 def group_of(*strings):
     width = len(strings[0])
     return StabilizerGroup(tuple(parse_pauli(s, width) for s in strings))
+
+
+def reference_enumerate_groups(p):
+    """The depth-first enumeration that ``enumerate_groups`` replaced: grow
+    commuting generator lists in ascending order, keep each new closure
+    once, then sort the closures and pick their generators the same way."""
+    pmask = (1 << p) - 1
+    seen, keys = set(), []
+
+    def span(vectors):
+        out = {0}
+        for v in vectors:
+            out |= {s ^ v for s in out}
+        return out
+
+    def commute(v, w):
+        return symplectic_parity(v & pmask, v >> p, w & pmask, w >> p) == 0
+
+    def dfs(start, chosen, closed):
+        if len(chosen) == p:
+            key = tuple(sorted(closed))
+            if key not in seen:
+                seen.add(key)
+                keys.append(key)
+            return
+        for v in range(start, 1 << (2 * p)):
+            if v not in closed and all(commute(v, c) for c in chosen):
+                dfs(v + 1, chosen + [v], span(chosen + [v]))
+
+    dfs(1, [], {0})
+    for key in sorted(keys):
+        gens = []
+        for v in key:
+            if v and v not in span(gens):
+                gens.append(v)
+                if len(gens) == p:
+                    break
+        yield StabilizerGroup(
+            tuple(PauliOperator.from_symplectic(v & pmask, v >> p, p) for v in gens)
+        )
 
 
 class TestValidation:
@@ -203,12 +244,19 @@ class TestRandomGroup:
 
     @pytest.mark.parametrize("p", [0, 25])
     def test_width_refused_before_sampling(self, p, monkeypatch):
+        # the kernel refuses the width; on the pure lane its sampling loop
+        # never starts (tests/test_kernels.py holds the compiled lane to
+        # the same refusal)
         import cosetqec.stabilizer as stabilizer
+        from cosetqec._kernels import _fallback
 
         def sampler(*args):
             raise AssertionError("the sampler must not start")
 
-        monkeypatch.setattr(stabilizer, "random_group_packed", sampler)
+        monkeypatch.setattr(
+            stabilizer, "random_group_packed", _fallback.random_group_packed
+        )
+        monkeypatch.setattr(_fallback, "_sample_group", sampler)
         with pytest.raises(ValueError, match="width must be in 1..24"):
             random_group(p, 1)
 
@@ -245,6 +293,12 @@ class TestEnumerate:
     def test_large_width_refused(self):
         with pytest.raises(ValueError, match="width <= 3"):
             next(enumerate_groups(4))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_the_depth_first_reference(self, p):
+        assert [g.generators for g in enumerate_groups(p)] == [
+            g.generators for g in reference_enumerate_groups(p)
+        ]
 
 
 class TestJson:
