@@ -3,7 +3,9 @@
 
 Times the kernels that have both lanes: the syndrome map, which is hot
 on decode (its build once per group, and its calls), and the two loops
-that dominate search: group sampling and the candidate scan.  Each
+that dominate search: group sampling and the candidate scan.  The last
+two rows time those loops at the shapes of perfbench's search workload:
+p=8 groups, and the p=6, K=3 scan over ``single_qubit_errors(6)``.  Each
 factory takes a lane module and a size ``n`` and returns the timed
 callable and the operations it performs.  Run from a checkout:
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import random
 import time
+from functools import partial
 
 from cosetqec._kernels import _fallback
 
@@ -65,27 +68,27 @@ def bench_map_calls(impl, n=200_000):
     return run, rounds * 1000
 
 
-def bench_sample_groups(impl, n=20_000):
+def bench_sample_groups(impl, n=20_000, p=5):
     sample = impl.random_group_packed
 
     def run():
         for seed in range(n):
-            sample(5, seed)
+            sample(p, seed)
 
     return run, n
 
 
-def bench_search(impl, n=50_000):
+def bench_search(impl, n=50_000, p=5):
     from cosetqec.golden import single_qubit_errors
 
-    errs = single_qubit_errors(5)
+    errs = single_qubit_errors(p)
     ea = [e.x for e in errs]
     eb = [e.z for e in errs]
     search = impl.search_range
 
     def run():
-        # impossible target: scans the whole range without early exit
-        search(5, ea, eb, 3, 12345, 0, n)
+        # no code meets the target: scans the whole range without early exit
+        search(p, ea, eb, 3, 12345, 0, n)
 
     return run, n
 
@@ -95,6 +98,9 @@ BENCHES = [
     ("syndrome_map calls p=12", bench_map_calls),
     ("random_group p=5", bench_sample_groups),
     ("search candidates p=5", bench_search),
+    # perfbench's search workload: its full-budget scan and its p=8 groups
+    ("random_group p=8", partial(bench_sample_groups, n=2_000, p=8)),
+    ("search candidates p=6", partial(bench_search, n=2_000, p=6)),
 ]
 
 

@@ -8,16 +8,45 @@ given seed; tests enforce this whenever a C compiler is available.
 Packing: a width-p Pauli is a pair of p-bit masks (x, z); a symplectic
 vector is the 2p-bit integer x | (z << p).  All widths are <= 24, so
 every packed value fits in 64 bits.
+
+The sampler and the search loop carry a search's work:
+
+- Draws come ``_BATCH`` at a time.  The batch's splitmix64 states sit in
+  the 128-bit lanes of one int, so the finalizer is a few whole-int
+  shifts, multiplies and ANDs with a repeated 64-bit lane mask (a lane's
+  product stays below 2^128 and never reaches the next lane), and
+  ``to_bytes`` unpacks the lanes.  Draws are consumed in stream order;
+  those left in a batch once the group is complete are never read.
+- A draw commutes with a kept pair (x, z) when it has even overlap with
+  the pair's swapped form z | x << p: one popcount per kept pair.
+- A label is the XOR of the check matrix's columns at the set bits of
+  the packed operator (column j is the label of 1 << j).
+  ``syndrome_map`` and ``search_range`` both build a group's columns
+  with ``_columns``: the map tabulates byte-wide XORs of them, and the
+  search loop XORs each error's few columns directly.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Sequence
 
 MASK64 = (1 << 64) - 1
 MAX_WIDTH = 24
 MAX_ERRORS = 1024
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# Draws per lane-parallel batch.  A width-p group takes about 2^p draws.
+# Timed at the search benchmark's widths, sizes 24 to 64 were equally
+# fast at p=6 and 48 was the fastest at p=8 (README "Performance").
+_BATCH = 48
+_LANES = sum(1 << 128 * i for i in range(_BATCH))  # a 1 in every lane
+_LANE_MASK = MASK64 * _LANES
+# lane i holds the (i+1)-th state after the one the batch starts from
+_OFFSETS = sum(((i + 1) * _GOLDEN & MASK64) << 128 * i for i in range(_BATCH))
+_ADVANCE = (_BATCH * _GOLDEN & MASK64) * _LANES
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _check_width(p: int) -> None:
@@ -33,21 +62,23 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def syndrome_bits(a: int, b: int, gens_a: Sequence[int], gens_b: Sequence[int]) -> int:
-    """Commutation pattern of (a, b) against each generator, bit t = generator t.
-
-    The per-generator reference: ``search_range`` uses it for groups it
-    meets once, and the tests compare both lanes' maps against it."""
-    bits = 0
-    for t in range(len(gens_a)):
-        if ((a & gens_b[t]).bit_count() + (b & gens_a[t]).bit_count()) & 1:
-            bits |= 1 << t
-    return bits
+def _columns(xs: Sequence[int], zs: Sequence[int], shift: int, size: int) -> list[int]:
+    """The first ``size`` columns of the check matrix of the pairs
+    (xs[t], zs[t]) for operators packed as v = a | b << shift: column j
+    is the label of v = 1 << j (a meets the z masks, b the x masks)."""
+    cols = [0] * size
+    for t, (x, z) in enumerate(zip(xs, zs)):
+        for mask, offset in ((z, 0), (x, shift)):
+            while mask:
+                j = mask.bit_length() - 1
+                cols[offset + j] |= 1 << t
+                mask ^= 1 << j
+    return cols
 
 
 def syndrome_map(gens_a: Sequence[int], gens_b: Sequence[int]):
-    """The callable ``label(a, b) == syndrome_bits(a, b, gens_a, gens_b)``
-    for any ints a, b.
+    """The callable ``label(a, b)``: bit t is set when (a, b) anticommutes
+    with (gens_a[t], gens_b[t]), for any ints a, b.
 
     The label is linear in v = (a & amask) | (b & bmask) << w, where the
     masks keep the bits a generator can meet, so it is the XOR of one
@@ -65,14 +96,7 @@ def syndrome_map(gens_a: Sequence[int], gens_b: Sequence[int]):
         amask |= z
         bmask |= x
     w = amask.bit_length()
-    # column j of the check matrix: the label of v = 1 << j
-    cols = [0] * (w + bmask.bit_length())
-    for t, (x, z) in enumerate(zip(ga, gb)):
-        for mask, shift in ((z, 0), (x, w)):
-            while mask:
-                j = mask.bit_length() - 1
-                cols[shift + j] |= 1 << t
-                mask ^= 1 << j
+    cols = _columns(ga, gb, w, w + bmask.bit_length())
     tables = []
     for i in range(0, len(cols), 8):
         table = [0]
@@ -112,36 +136,48 @@ def random_group_packed(p: int, seed: int):
     return _sample_group(p, seed)
 
 
+def _draws(lanes: int, vmask: int) -> array:
+    """splitmix64 outputs of the states in the 128-bit lanes of ``lanes``,
+    ANDed with the lane-repeated ``vmask``, as u64 values in lane order."""
+    z = lanes ^ lanes >> 30 & _LANE_MASK
+    z = z * 0xBF58476D1CE4E5B9 & _LANE_MASK
+    z ^= z >> 27 & _LANE_MASK
+    z = z * 0x94D049BB133111EB & _LANE_MASK
+    words = array("Q", ((z ^ z >> 31) & vmask).to_bytes(16 * _BATCH, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words[::2]  # each lane's high word is zero
+
+
 def _sample_group(p: int, seed: int):
-    state = seed & MASK64
-    vmask = (1 << (2 * p)) - 1
     pmask = (1 << p) - 1
+    vmask = ((1 << 2 * p) - 1) * _LANES
+    lanes = ((seed & MASK64) * _LANES + _OFFSETS) & _LANE_MASK
     xs: list[int] = []
     zs: list[int] = []
+    swapped: list[int] = []
     pivots: dict[int, int] = {}
-    while len(xs) < p:
-        state = (state + _GOLDEN) & MASK64
-        v = mix64(state) & vmask
-        a = v & pmask
-        b = v >> p
-        ok = True
-        for t in range(len(xs)):
-            if ((a & zs[t]).bit_count() + (b & xs[t]).bit_count()) & 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        w = v
-        while w:
-            hb = w.bit_length() - 1
-            if hb in pivots:
-                w ^= pivots[hb]
+    while True:
+        for v in _draws(lanes, vmask):
+            for s in swapped:
+                if (v & s).bit_count() & 1:
+                    break
             else:
-                pivots[hb] = w
-                xs.append(a)
-                zs.append(b)
-                break
-    return xs, zs
+                w = v
+                while w:
+                    hb = w.bit_length() - 1
+                    if hb in pivots:
+                        w ^= pivots[hb]
+                        continue
+                    pivots[hb] = w
+                    a, b = v & pmask, v >> p
+                    xs.append(a)
+                    zs.append(b)
+                    if len(xs) == p:
+                        return xs, zs
+                    swapped.append(b | a << p)
+                    break
+        lanes = (lanes + _ADVANCE) & _LANE_MASK
 
 
 def greedy_label_scan(p: int, err_labels: Sequence[int], k_target: int = -1):
@@ -190,7 +226,8 @@ def search_range(
     (seed, i), samples a group, and is accepted when all error labels are
     distinct and the greedy scan keeps k_target labels.  Returns
     (index, xs, zs, labels) for the first hit, or None.  Error sets over
-    MAX_ERRORS entries are refused.
+    MAX_ERRORS entries and error lists of unequal length are refused
+    before the scan.
     """
     _check_width(p)
     n = len(errs_a)
@@ -198,22 +235,29 @@ def search_range(
         raise ValueError(
             f"error set has {n} entries; search handles at most {MAX_ERRORS}"
         )
+    if len(errs_b) != n:
+        raise ValueError(f"errs_a has {n} masks, errs_b has {len(errs_b)}")
+    pmask = (1 << p) - 1
+    # an error's label is the XOR of the columns at its packed set bits
+    err_bits = []
+    for a, b in zip(errs_a, errs_b):
+        v = a & pmask | (b & pmask) << p
+        err_bits.append([j for j in range(2 * p) if v >> j & 1])
     for i in range(start, start + count):
-        st = mix64((seed + (i + 1) * _GOLDEN) & MASK64)
-        xs, zs = _sample_group(p, st)
+        xs, zs = _sample_group(p, mix64((seed + (i + 1) * _GOLDEN) & MASK64))
+        cols = _columns(xs, zs, p, 2 * p)
         seen = 0
         labels: list[int] = []
-        ok = True
-        for k in range(n):
-            lab = syndrome_bits(errs_a[k], errs_b[k], xs, zs)
-            if (seen >> lab) & 1:
-                ok = False
+        for bits in err_bits:
+            lab = 0
+            for j in bits:
+                lab ^= cols[j]
+            if seen >> lab & 1:
                 break
             seen |= 1 << lab
             labels.append(lab)
-        if not ok:
-            continue
-        kept = _greedy(p, labels, k_target)
-        if len(kept) >= k_target:
-            return i, xs, zs, kept
+        else:
+            kept = _greedy(p, labels, k_target)
+            if len(kept) >= k_target:
+                return i, xs, zs, kept
     return None

@@ -292,6 +292,10 @@ search_range(PyObject *self, PyObject *args, PyObject *kwargs)
         PyErr_Format(PyExc_ValueError,
                      "error set has %zd entries; search handles at most %d",
                      n, MAX_ERRORS);
+    Py_ssize_t m = PyErr_Occurred() ? 0 : PyObject_Length(eb_obj);
+    if (!PyErr_Occurred() && m != n)
+        PyErr_Format(PyExc_ValueError, "errs_a has %zd masks, errs_b has %zd",
+                     n, m);
     /* The stream depends on seed and index only mod 2^64, and error masks
        only meet generators below 2^p, so 64-bit wrapping loses nothing. */
     u64 seed = PyErr_Occurred() ? 0 : PyLong_AsUnsignedLongLongMask(seed_obj);

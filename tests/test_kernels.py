@@ -27,6 +27,63 @@ from cosetqec._kernels import _fallback as fb
 NAME = "cosetqec._kernels._speedups"
 
 
+# Scalar references: the per-generator label, the one-draw-at-a-time
+# sampler and the search loop built on them, as the pure lane ran them
+# before it batched its draws and labelled errors by column sums.
+
+
+def syndrome_bits(a, b, gens_a, gens_b):
+    """Commutation pattern of (a, b) against each generator, bit t =
+    generator t."""
+    bits = 0
+    for t in range(len(gens_a)):
+        if ((a & gens_b[t]).bit_count() + (b & gens_a[t]).bit_count()) & 1:
+            bits |= 1 << t
+    return bits
+
+
+def reference_sample_group(p, seed):
+    state = seed & fb.MASK64
+    vmask = (1 << (2 * p)) - 1
+    pmask = (1 << p) - 1
+    xs, zs = [], []
+    pivots = {}
+    while len(xs) < p:
+        state = (state + fb._GOLDEN) & fb.MASK64
+        v = fb.mix64(state) & vmask
+        a = v & pmask
+        b = v >> p
+        if any(
+            ((a & zs[t]).bit_count() + (b & xs[t]).bit_count()) & 1
+            for t in range(len(xs))
+        ):
+            continue
+        w = v
+        while w:
+            hb = w.bit_length() - 1
+            if hb in pivots:
+                w ^= pivots[hb]
+            else:
+                pivots[hb] = w
+                xs.append(a)
+                zs.append(b)
+                break
+    return xs, zs
+
+
+def reference_search_range(p, errs_a, errs_b, k_target, seed, start, count):
+    for i in range(start, start + count):
+        st_i = fb.mix64((seed + (i + 1) * fb._GOLDEN) & fb.MASK64)
+        xs, zs = reference_sample_group(p, st_i)
+        labels = [syndrome_bits(a, b, xs, zs) for a, b in zip(errs_a, errs_b)]
+        if len(set(labels)) < len(labels):
+            continue
+        kept = fb._greedy(p, labels, k_target)
+        if len(kept) >= k_target:
+            return i, xs, zs, kept
+    return None
+
+
 def _build(tmp_dir: Path):
     cc = shutil.which("gcc") or shutil.which("cc")
     include = sysconfig.get_paths()["include"]
@@ -82,7 +139,7 @@ class TestMicroKernels:
             p = rng.randrange(1, 25)
             ga, gb = _masks(rng, p, p), _masks(rng, p, p)
             a, b = rng.getrandbits(p), rng.getrandbits(p)
-            want = fb.syndrome_bits(a, b, ga, gb)
+            want = syndrome_bits(a, b, ga, gb)
             assert compiled.syndrome_map(ga, gb)(a, b) == want
             assert fb.syndrome_map(ga, gb)(a, b) == want
 
@@ -93,7 +150,7 @@ class TestMicroKernels:
         for n in (0, 25, 64, 65, 130):
             ga, gb = _masks(rng, n, 20), _masks(rng, n, 20)
             a, b = rng.getrandbits(20), rng.getrandbits(20)
-            want = fb.syndrome_bits(a, b, ga, gb)
+            want = syndrome_bits(a, b, ga, gb)
             assert compiled.syndrome_map(ga, gb)(a, b) == want
             assert fb.syndrome_map(ga, gb)(a, b) == want
 
@@ -119,7 +176,7 @@ def _map_equals_the_reference(lane, data):
     )
     for _ in range(8):
         a, b = data.draw(args, label="a"), data.draw(args, label="b")
-        assert label(a, b) == fb.syndrome_bits(a, b, ga, gb)
+        assert label(a, b) == syndrome_bits(a, b, ga, gb)
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,6 +193,67 @@ def test_map_equals_the_reference(data):
 def test_compiled_map_equals_the_reference(compiled, data):
     """The same for the compiled map, which reads ints modulo 2^64."""
     _map_equals_the_reference(compiled, data)
+
+
+SEEDS = st.integers(-(1 << 70), 1 << 70)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(1, 24), seed=SEEDS, batches=st.integers(1, 3))
+def test_draws_equal_the_scalar_stream(p, seed, batches):
+    """A few lane-parallel batches equal the scalar splitmix64 stream
+    masked to 2p bits, at every width: a whole group takes about 2^p
+    draws, too many to compare groups above width 16."""
+    vmask = (1 << 2 * p) - 1
+    lanes = ((seed & fb.MASK64) * fb._LANES + fb._OFFSETS) & fb._LANE_MASK
+    got = []
+    for _ in range(batches):
+        got += fb._draws(lanes, vmask * fb._LANES)
+        lanes = (lanes + fb._ADVANCE) & fb._LANE_MASK
+    state, want = seed & fb.MASK64, []
+    for _ in range(batches * fb._BATCH):
+        state = (state + fb._GOLDEN) & fb.MASK64
+        want.append(fb.mix64(state) & vmask)
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(1, 16), seed=SEEDS)
+def test_sampler_equals_the_reference(p, seed):
+    assert fb.random_group_packed(p, seed) == reference_sample_group(p, seed)
+
+
+def _search_equals_the_reference(lane, data):
+    p = data.draw(st.integers(1, 10), label="p")
+    n = data.draw(st.integers(0, 6), label="errors")
+    masks = st.lists(
+        st.integers(0, (1 << p) - 1)
+        | st.integers(-(1 << 70), -1)
+        | st.integers(1 << p, 1 << 70),
+        min_size=n,
+        max_size=n,
+    )
+    ea, eb = data.draw(masks, label="errs_a"), data.draw(masks, label="errs_b")
+    k_target = data.draw(st.integers(-1, 4), label="k_target")
+    seed, start = data.draw(SEEDS, label="seed"), data.draw(SEEDS, label="start")
+    count = data.draw(st.integers(0, 12), label="count")
+    args = (p, ea, eb, k_target, seed, start, count)
+    assert lane.search_range(*args) == reference_search_range(*args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_search_equals_the_reference(data):
+    """The pure search loop equals the scalar one for seeds and starts in
+    +-2^70 and error masks inside the width, negative, or wider."""
+    _search_equals_the_reference(fb, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_compiled_search_equals_the_reference(compiled, data):
+    """The same for the compiled loop, which reads ints modulo 2^64."""
+    _search_equals_the_reference(compiled, data)
 
 
 class TestSamplers:
@@ -261,6 +379,18 @@ class TestRefusals:
             fb.search_range(16, ea[:-1], eb[:-1], 1, 0, 0, 3)
         )
 
+    @pytest.mark.parametrize("ea, eb", [([0, 1, 2], [0]), ([0], [0, 1]), ([], [3])])
+    def test_unequal_error_lists_are_refused_the_same_on_both_lanes(
+        self, compiled, ea, eb
+    ):
+        # refused before the scan: an empty range does not hide it
+        want = _refusal(lambda: fb.search_range(5, ea, eb, 1, 1, 0, 0))
+        assert want == (
+            ValueError,
+            f"errs_a has {len(ea)} masks, errs_b has {len(eb)}",
+        )
+        assert _refusal(lambda: compiled.search_range(5, ea, eb, 1, 1, 0, 0)) == want
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -366,7 +496,7 @@ def test_bench_kernels_factories_run(request, lane):
     spec = importlib.util.spec_from_file_location("bench_kernels", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    assert len(bench.BENCHES) == 4
+    assert len(bench.BENCHES) == 6
     for _, factory in bench.BENCHES:
         run, ops = factory(impl, n=8)
         run()
