@@ -1,9 +1,13 @@
 """Kernel dispatch: compiled extension when available, pure Python otherwise.
 
 Only the four batch kernels that pay off end to end have a compiled lane
-(``_speedups.c``); ``_fallback`` is the pure lane and the reference.  Set
-``COSETQEC_PURE=1`` to force the pure-Python lane regardless of
-whether the extension was built.  ``BACKEND`` records the active lane.
+(``_speedups.c``); ``_fallback`` is the pure lane and the reference.  The
+compiled lane is a fast path: it runs a call in C only when the
+arguments are in its domain and hands every other call to the
+``_fallback`` function of the same name, so every refusal comes from
+``_fallback``.  Set ``COSETQEC_PURE=1`` to force the pure-Python lane
+regardless of whether the extension was built.  ``BACKEND`` records the
+active lane.
 """
 
 from __future__ import annotations

@@ -1,9 +1,13 @@
 """Pure-Python implementations of the bit-packed batch kernels.
 
-The compiled lane (``_speedups.c``) mirrors this module exactly: same RNG
-(splitmix64), same draw order, same tie-breaking, same refusals.  Both
-lanes must produce bit-identical groups, labels, and search results for a
-given seed; tests enforce this whenever a C compiler is available.
+This module is the reference and owns every refusal.  The compiled lane
+(``_speedups.c``) is a fast path: it runs a call in C only when its
+arguments are in C's domain, with the same RNG (splitmix64), draw order
+and tie-breaking, and hands every other call to the function of the
+same name here.  Each entry point reads its int arguments with
+``operator.index``, so a float or a string is refused with a TypeError.
+Both lanes must produce bit-identical groups, labels, and search results
+for a given seed; tests enforce this whenever a C compiler is available.
 
 Packing: a width-p Pauli is a pair of p-bit masks (x, z); a symplectic
 vector is the 2p-bit integer x | (z << p).  All widths are <= 24, so
@@ -30,10 +34,12 @@ from __future__ import annotations
 
 import sys
 from array import array
+from operator import index
 from typing import Sequence
 
+from ..pauli import _check_width
+
 MASK64 = (1 << 64) - 1
-MAX_WIDTH = 24
 MAX_ERRORS = 1024
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -47,11 +53,6 @@ _LANE_MASK = MASK64 * _LANES
 _OFFSETS = sum(((i + 1) * _GOLDEN & MASK64) << 128 * i for i in range(_BATCH))
 _ADVANCE = (_BATCH * _GOLDEN & MASK64) * _LANES
 _BIG_ENDIAN = sys.byteorder == "big"
-
-
-def _check_width(p: int) -> None:
-    if not 1 <= p <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {p}")
 
 
 def mix64(z: int) -> int:
@@ -132,8 +133,9 @@ def random_group_packed(p: int, seed: int):
     keeping each draw that commutes with everything kept so far and
     raises the GF(2) rank.  Returns (xs, zs) lists of length p.
     """
+    p = index(p)
     _check_width(p)
-    return _sample_group(p, seed)
+    return _sample_group(p, index(seed))
 
 
 def _draws(lanes: int, vmask: int) -> array:
@@ -188,11 +190,14 @@ def greedy_label_scan(p: int, err_labels: Sequence[int], k_target: int = -1):
     the full scan (maximum greedy dimension).  Labels outside 0..2^p-1
     are refused.
     """
+    p = index(p)
     _check_width(p)
-    for e in err_labels:
+    k_target = index(k_target)
+    labels = [index(e) for e in err_labels]
+    for e in labels:
         if not 0 <= e < 1 << p:
             raise ValueError(f"label {e} out of range for width {p}")
-    return _greedy(p, err_labels, k_target)
+    return _greedy(p, labels, k_target)
 
 
 def _greedy(p: int, err_labels: Sequence[int], k_target: int) -> list[int]:
@@ -229,7 +234,10 @@ def search_range(
     MAX_ERRORS entries and error lists of unequal length are refused
     before the scan.
     """
+    p = index(p)
     _check_width(p)
+    k_target, seed, start, count = map(index, (k_target, seed, start, count))
+    errs_a, errs_b = [index(a) for a in errs_a], [index(b) for b in errs_b]
     n = len(errs_a)
     if n > MAX_ERRORS:
         raise ValueError(

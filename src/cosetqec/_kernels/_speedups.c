@@ -1,7 +1,12 @@
-/* Compiled lane of the four batch kernels.  It must match _fallback.py
- * exactly: splitmix64 stream, draw order, tie-breaking, and refusals
- * (exception type and message), which come before any fixed-size buffer is
- * touched.  tests/test_kernels.py compares the two lanes. */
+/* Compiled fast path of the four batch kernels.  Each entry point runs in C
+ * when its arguments are in C's domain: positional only, a width that is an
+ * int in 1..24, masks and labels given as a list or tuple of ints (at most
+ * MAX_ERRORS of them for search_range), k_target and count in the long long
+ * range, and seeds and starts that are ints.  Every other call goes to the
+ * same function in _fallback.py, so every refusal comes from there; the
+ * domain check comes before any fixed-size buffer is touched.  Within its
+ * domain C matches _fallback bit for bit: splitmix64 stream, draw order and
+ * tie-breaking.  tests/test_kernels.py compares the two lanes. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
@@ -25,30 +30,39 @@ anticommutes(u64 a, u64 b, u64 x, u64 z)
     return __builtin_parityll((a & z) ^ (b & x));
 }
 
-/* The width p as an int, or -1 with ValueError when it is outside 1..24. */
+#define SEQ(obj) (PyList_Check(obj) || PyTuple_Check(obj))
+
+/* The width obj names when it is an int in 1..24, else 0. */
 static int
-width_arg(PyObject *obj)
+width_of(PyObject *obj)
 {
-    int overflow;
-    long p = PyLong_AsLongAndOverflow(obj, &overflow);
-    if (!PyErr_Occurred() && (overflow || p < 1 || p > MAX_WIDTH))
-        PyErr_Format(PyExc_ValueError, "width must be in 1..%d, got %S",
-                     MAX_WIDTH, obj);
-    return PyErr_Occurred() ? -1 : (int)p;
+    int overflow = 1;
+    long p = PyLong_Check(obj) ? PyLong_AsLongAndOverflow(obj, &overflow) : 0;
+    return !overflow && p >= 1 && p <= MAX_WIDTH ? (int)p : 0;
 }
 
-/* *out = obj clamped to the long long range; 0 with an exception set unless
-   obj is an int.  Every long long bound (k_target, count) means the same at
-   the clamp as beyond it: no scan keeps 2^63 labels or reaches candidate
-   2^63. */
+/* *out = obj; 0 unless obj is an int in the long long range. */
 static int
-read_clamped(PyObject *obj, long long *out)
+read_ll(PyObject *obj, long long *out)
 {
-    int overflow;
-    *out = PyLong_AsLongLongAndOverflow(obj, &overflow);
-    if (overflow)
-        *out = overflow > 0 ? LLONG_MAX : LLONG_MIN;
-    return !(*out == -1 && PyErr_Occurred());
+    int overflow = 1;
+    if (PyLong_Check(obj))
+        *out = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    return !overflow;
+}
+
+/* out[k] = seq[k] modulo 2^64 for the list or tuple seq; 0 unless every item
+   is an int. */
+static int
+read_masks(PyObject *seq, u64 *out)
+{
+    for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(seq); k++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, k);
+        if (!PyLong_Check(item))
+            return 0;
+        out[k] = PyLong_AsUnsignedLongLongMask(item);
+    }
+    return 1;
 }
 
 /* *out = obj; 0 with an exception set unless obj is an int in 0..2^64-1. */
@@ -216,18 +230,14 @@ syndrome_map(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
 }
 
 static PyObject *
-random_group_packed(PyObject *self, PyObject *args, PyObject *kwargs)
+random_group_packed(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+                    PyObject *kwnames)
 {
-    static char *kwlist[] = {"p", "seed", NULL};
-    PyObject *p_obj, *seed_obj;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO", kwlist, &p_obj, &seed_obj))
-        return NULL;
-    int p = width_arg(p_obj);
-    u64 seed = p < 0 ? 0 : PyLong_AsUnsignedLongLongMask(seed_obj);
-    if (PyErr_Occurred())
-        return NULL;
+    int p = nargs == 2 && kwnames == NULL ? width_of(args[0]) : 0;
+    if (!p || !PyLong_Check(args[1]))
+        return reference("random_group_packed", args, nargs, kwnames);
     u64 xs[MAX_WIDTH], zs[MAX_WIDTH];
-    sample_group(p, seed, xs, zs);
+    sample_group(p, PyLong_AsUnsignedLongLongMask(args[1]), xs, zs);
     PyObject *lx = u64_list(xs, p), *lz = lx ? u64_list(zs, p) : NULL;
     PyObject *result = lz ? PyTuple_Pack(2, lx, lz) : NULL;
     Py_XDECREF(lx);
@@ -236,84 +246,56 @@ random_group_packed(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 static PyObject *
-greedy_label_scan(PyObject *self, PyObject *args, PyObject *kwargs)
+greedy_label_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+                  PyObject *kwnames)
 {
-    static char *kwlist[] = {"p", "err_labels", "k_target", NULL};
-    PyObject *p_obj, *labels_obj, *k_obj = NULL, *out = NULL;
-    long long k_target = -1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|O", kwlist, &p_obj,
-                                     &labels_obj, &k_obj))
-        return NULL;
-    int p = width_arg(p_obj);
-    if (p < 0 || (k_obj != NULL && !read_clamped(k_obj, &k_target)))
-        return NULL;
-    PyObject *labels = PySequence_Fast(labels_obj, "err_labels");
-    if (labels == NULL)
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(labels);
-    u64 *errs = PyMem_Malloc((n ? n : 1) * sizeof(u64));
-    char *taken = PyMem_Calloc((size_t)1 << p, 1);
-    if (errs == NULL || taken == NULL)
-        PyErr_NoMemory();
-    for (Py_ssize_t k = 0; !PyErr_Occurred() && k < n; k++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(labels, k);
-        int overflow;
-        long long lab = PyLong_AsLongLongAndOverflow(item, &overflow);
-        if (!PyErr_Occurred() && (overflow || lab < 0 || lab >= 1LL << p))
-            PyErr_Format(PyExc_ValueError, "label %S out of range for width %d",
-                         item, p);
+    long long k_target = -1, lab = 0;
+    int p = (nargs == 2 || nargs == 3) && kwnames == NULL ? width_of(args[0]) : 0;
+    Py_ssize_t n = p && SEQ(args[1]) ? PySequence_Fast_GET_SIZE(args[1]) : -1;
+    u64 *errs = n < 0 || (nargs == 3 && !read_ll(args[2], &k_target))
+                    ? NULL : PyMem_New(u64, n + 1);
+    int ok = errs != NULL;
+    for (Py_ssize_t k = 0; ok && k < n; k++) {  /* labels in 0..2^p-1 */
+        ok = read_ll(PySequence_Fast_GET_ITEM(args[1], k), &lab) && lab >= 0
+             && lab >> p == 0;
         errs[k] = (u64)lab;
     }
-    if (!PyErr_Occurred() && (out = PyList_New(0)) != NULL
-        && greedy(p, errs, n, k_target, taken, out) < 0)
+    if (!ok) {
+        PyMem_Free(errs);
+        return reference("greedy_label_scan", args, nargs, kwnames);
+    }
+    char *taken = PyMem_Calloc((size_t)1 << p, 1);
+    PyObject *out = taken ? PyList_New(0) : PyErr_NoMemory();
+    if (out != NULL && greedy(p, errs, n, k_target, taken, out) < 0)
         Py_CLEAR(out);
     PyMem_Free(errs);
     PyMem_Free(taken);
-    Py_DECREF(labels);
     return out;
 }
 
 static PyObject *
-search_range(PyObject *self, PyObject *args, PyObject *kwargs)
+search_range(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+             PyObject *kwnames)
 {
-    static char *kwlist[] = {"p", "errs_a", "errs_b", "k_target", "seed",
-                             "start", "count", NULL};
-    PyObject *p_obj, *ea_obj, *eb_obj, *k_obj, *seed_obj, *start_obj, *count_obj;
     long long k_target, count;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOOO", kwlist, &p_obj,
-                                     &ea_obj, &eb_obj, &k_obj, &seed_obj,
-                                     &start_obj, &count_obj))
-        return NULL;
-    int p = width_arg(p_obj);
-    if (p < 0 || !read_clamped(k_obj, &k_target) || !read_clamped(count_obj, &count))
-        return NULL;
-    Py_ssize_t n = PyObject_Length(ea_obj);
-    if (n > MAX_ERRORS)
-        PyErr_Format(PyExc_ValueError,
-                     "error set has %zd entries; search handles at most %d",
-                     n, MAX_ERRORS);
-    Py_ssize_t m = PyErr_Occurred() ? 0 : PyObject_Length(eb_obj);
-    if (!PyErr_Occurred() && m != n)
-        PyErr_Format(PyExc_ValueError, "errs_a has %zd masks, errs_b has %zd",
-                     n, m);
+    u64 ea[MAX_ERRORS], eb[MAX_ERRORS], labels[MAX_ERRORS];
+    int p = nargs == 7 && kwnames == NULL ? width_of(args[0]) : 0;
+    Py_ssize_t n = p && SEQ(args[1]) && SEQ(args[2])
+                       ? PySequence_Fast_GET_SIZE(args[1]) : -1;
+    if (n < 0 || n > MAX_ERRORS || PySequence_Fast_GET_SIZE(args[2]) != n
+        || !read_ll(args[3], &k_target) || !PyLong_Check(args[4])
+        || !PyLong_Check(args[5]) || !read_ll(args[6], &count)
+        || !read_masks(args[1], ea) || !read_masks(args[2], eb))
+        return reference("search_range", args, nargs, kwnames);
     /* The stream depends on seed and index only mod 2^64, and error masks
        only meet generators below 2^p, so 64-bit wrapping loses nothing. */
-    u64 seed = PyErr_Occurred() ? 0 : PyLong_AsUnsignedLongLongMask(seed_obj);
-    u64 start = PyErr_Occurred() ? 0 : PyLong_AsUnsignedLongLongMask(start_obj);
-    u64 ea[MAX_ERRORS], eb[MAX_ERRORS], labels[MAX_ERRORS];
-    for (Py_ssize_t k = 0; !PyErr_Occurred() && k < n; k++) {
-        PyObject *a = PySequence_GetItem(ea_obj, k);
-        PyObject *b = a ? PySequence_GetItem(eb_obj, k) : NULL;
-        ea[k] = b ? PyLong_AsUnsignedLongLongMask(a) : 0;
-        eb[k] = b && !PyErr_Occurred() ? PyLong_AsUnsignedLongLongMask(b) : 0;
-        Py_XDECREF(a);
-        Py_XDECREF(b);
-    }
+    u64 seed = PyLong_AsUnsignedLongLongMask(args[4]);
+    u64 start = PyLong_AsUnsignedLongLongMask(args[5]);
     /* One table for the collision check and the greedy scan; both re-zero it. */
     size_t size = (size_t)1 << p;
-    char *seen = PyErr_Occurred() ? NULL : PyMem_Calloc(size, 1);
+    char *seen = PyMem_Calloc(size, 1);
     if (seen == NULL)
-        return PyErr_Occurred() ? NULL : PyErr_NoMemory();
+        return PyErr_NoMemory();
     u64 xs[MAX_WIDTH], zs[MAX_WIDTH];
     long long j;
     for (j = 0; j < count; j++) {
@@ -344,7 +326,7 @@ search_range(PyObject *self, PyObject *args, PyObject *kwargs)
     else if ((kept = PyList_New(0)) != NULL
              && greedy(p, labels, n, k_target, seen, kept) >= 0
              && (offset = PyLong_FromLongLong(j)) != NULL
-             && (index = PyNumber_Add(start_obj, offset)) != NULL
+             && (index = PyNumber_Add(args[5], offset)) != NULL
              && (lx = u64_list(xs, p)) != NULL && (lz = u64_list(zs, p)) != NULL)
         result = PyTuple_Pack(4, index, lx, lz, kept);
     Py_XDECREF(kept);
@@ -361,17 +343,17 @@ static PyMethodDef methods[] = {
      METH_FASTCALL | METH_KEYWORDS,
      "syndrome_map(gens_a, gens_b) -> label(a, b), the group's syndrome map."},
     {"random_group_packed", (PyCFunction)(void (*)(void))random_group_packed,
-     METH_VARARGS | METH_KEYWORDS, "Sample p independent commuting (x, z) pairs."},
+     METH_FASTCALL | METH_KEYWORDS, "Sample p independent commuting (x, z) pairs."},
     {"greedy_label_scan", (PyCFunction)(void (*)(void))greedy_label_scan,
-     METH_VARARGS | METH_KEYWORDS, "Greedy coset-label scan over 0..2^p-1."},
+     METH_FASTCALL | METH_KEYWORDS, "Greedy coset-label scan over 0..2^p-1."},
     {"search_range", (PyCFunction)(void (*)(void))search_range,
-     METH_VARARGS | METH_KEYWORDS, "Scan candidates [start, start+count)."},
+     METH_FASTCALL | METH_KEYWORDS, "Scan candidates [start, start+count)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_speedups",
-    "Compiled lane of the batch kernels; _fallback is the reference.", -1, methods,
+    "Compiled fast path of the batch kernels; _fallback is the reference.", -1, methods,
 };
 
 PyMODINIT_FUNC

@@ -1,7 +1,7 @@
 """Command-line frontend.
 
 Exit codes: 0 success/correctable, 1 verified-negative (collision,
-not-found, unknown syndrome), 2 usage or format error, 3 internal
+not-found, unknown syndrome), 2 usage, format or path error, 3 internal
 violation (a structural self-check failed, which should never happen).
 """
 
@@ -41,8 +41,6 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"{path}: file not found")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
@@ -55,11 +53,8 @@ def _load_code(path: str) -> QuantumCode:
 
 
 def _load_errors(path: str) -> ErrorSet:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise ParseError(f"{path}: file not found")
+    with open(path) as fh:
+        text = fh.read()
     try:
         return ErrorSet.from_text(text)
     except ValueError as exc:
@@ -299,6 +294,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OSError as exc:
+        if exc.filename is None:  # not a path: a broken pipe, say
+            raise
+        print(f"error: {exc}", file=sys.stderr)  # names the path
+        return EXIT_USAGE
     except ValueError as exc:  # parse, group, width and oracle-cap refusals too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -101,14 +101,16 @@ def _random_search(
     if workers == 1:
         hit = search_range(p, ea, eb, k_target, seed, 0, budget)
     else:
-        blocks = [
-            (p, ea, eb, k_target, seed, start, min(_BLOCK, budget - start))
-            for start in range(0, budget, _BLOCK)
-        ]
+        starts = range(0, budget, _BLOCK)
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for w in range(0, len(blocks), workers):
-                    wave = list(pool.map(_scan_block, blocks[w : w + workers]))
+                for w in range(0, len(starts), workers):
+                    # built per wave: all blocks at once grow with the budget
+                    blocks = [
+                        (p, ea, eb, k_target, seed, start, min(_BLOCK, budget - start))
+                        for start in starts[w : w + workers]
+                    ]
+                    wave = list(pool.map(_scan_block, blocks))
                     hits = [h for h in wave if h is not None]
                     if hits:
                         hit = min(hits, key=lambda h: h[0])

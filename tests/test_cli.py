@@ -413,3 +413,42 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "cosetqec" in proc.stdout
+
+
+class TestUnreadablePaths:
+    """A path that cannot be read or written is a usage error: exit 2 and
+    one error line naming it, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["verify", "--code", "{d}", "--errors", "{d}/xflips.txt"], "{d}"),
+            (["verify", "--code", "{d}/rep3.json", "--errors", "{d}"], "{d}"),
+            (["build", "--cartanion", "{d}", "--labels", "000,111"], "{d}"),
+            (
+                ["build", "--cartanion", "{d}/diag3.json", "--labels", "000,111",
+                 "-o", "{d}/missing/code.json"],
+                "{d}/missing/code.json",
+            ),
+        ],
+    )
+    def test_exits_2_naming_the_path(self, workdir, capsys, argv, bad):
+        rc = main([arg.format(d=workdir) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert bad.format(d=workdir) in err
+
+    def test_other_os_errors_are_not_path_errors(self, workdir, monkeypatch):
+        """An OSError that names no path (a closed pipe on stdout) is not
+        reported as a usage error."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        argv = ["verify", "--code", str(workdir / "rep3.json"),
+                "--errors", str(workdir / "xflips.txt")]
+        with pytest.raises(BrokenPipeError):
+            main(argv)

@@ -487,17 +487,92 @@ class TestRefusals:
         assert "at most 1024" in messages[0]
 
 
-@pytest.mark.parametrize("lane", ["python", "compiled"])
-def test_bench_kernels_factories_run(request, lane):
-    """benchmarks/bench_kernels.py names only entry points that exist:
-    every factory builds and runs once, small, on each lane."""
-    impl = fb if lane == "python" else request.getfixturevalue("compiled")
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
-    spec = importlib.util.spec_from_file_location("bench_kernels", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    assert len(bench.BENCHES) == 6
-    for _, factory in bench.BENCHES:
-        run, ops = factory(impl, n=8)
-        run()
-        assert ops >= 8
+NOT_AN_INT = (TypeError, "'float' object cannot be interpreted as an integer")
+
+
+class TestOneErrorPath:
+    """The compiled lane runs a call in C only inside its domain and hands
+    every other call to the pure lane, which owns every refusal."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda lane: lane.search_range(5, [0], [0], 1.5, 1, 0, 1),
+            lambda lane: lane.greedy_label_scan(3, [0, 1], 1.5),
+            lambda lane: lane.search_range(5, [1.0], [0], 1, 1, 0, 1),
+            lambda lane: lane.search_range(5, [0], [0], 1, 1.5, 0, 1),
+            lambda lane: lane.random_group_packed(3, 1.5),
+            lambda lane: lane.random_group_packed(2.0, 1),
+            lambda lane: lane.greedy_label_scan(3, [0, 1.0], 1),
+        ],
+    )
+    def test_a_float_is_refused_the_same_on_both_lanes(self, compiled, call):
+        assert _outcome(lambda: call(fb)) == NOT_AN_INT
+        assert _outcome(lambda: call(compiled)) == NOT_AN_INT
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda lane: lane.random_group_packed(p=4, seed=3),
+            lambda lane: lane.random_group_packed(4),
+            lambda lane: lane.random_group_packed(4, "3"),
+            lambda lane: lane.greedy_label_scan(4, (0, 3, 5)),
+            lambda lane: lane.greedy_label_scan(4, iter([0, 3, 5]), 2),
+            lambda lane: lane.greedy_label_scan(4, range(3), k_target=2),
+            lambda lane: lane.greedy_label_scan(4, [0, 3], None),
+            lambda lane: lane.search_range(4, (0, 1), (0, 0), 1, 9, 0, 40),
+            lambda lane: lane.search_range(4, range(2), [0, 0], 1, 9, 0, 40),
+            lambda lane: lane.search_range(4, [0, 1], [0, 0], 1, 9, 0, count=40),
+            lambda lane: lane.search_range(4, [0, 1], [0, 0], 1, 9, None, 40),
+            lambda lane: lane.search_range(4, [0, 1], [0, 0], 1, 9, 0),
+        ],
+    )
+    def test_other_calls_are_the_same_on_both_lanes(self, compiled, call):
+        # keywords, missing arguments, iterators and ranges, non-int scalars
+        assert _outcome(lambda: call(compiled)) == _outcome(lambda: call(fb))
+
+    IN_DOMAIN = [
+        ("syndrome_map", lambda lane: lane.syndrome_map([1, 2], [2, 0])(3, 1)),
+        ("random_group_packed", lambda lane: lane.random_group_packed(6, -7)),
+        ("greedy_label_scan", lambda lane: lane.greedy_label_scan(4, [0, 3], 9)),
+        ("greedy_label_scan", lambda lane: lane.greedy_label_scan(4, (0, 3))),
+        (
+            "search_range",
+            lambda lane: lane.search_range(4, [0, 1], (0, 0), 1, 1 << 70, -3, 40),
+        ),
+    ]
+
+    @pytest.mark.parametrize("name, call", IN_DOMAIN)
+    def test_an_in_domain_call_stays_in_c(self, compiled, monkeypatch, name, call):
+        want = call(fb)
+        monkeypatch.setattr(fb, name, _refuse)
+        assert call(compiled) == want
+
+    @pytest.mark.parametrize(
+        "name, args, kwargs",
+        [
+            ("syndrome_map", ([1],), {"gens_b": [2]}),
+            ("random_group_packed", (6, 1.0), {}),
+            ("greedy_label_scan", (4, [0, 3]), {"k_target": 9}),
+            ("search_range", (4, [0], [0], 1, 1, 0, 1 << 63), {}),
+        ],
+    )
+    def test_an_out_of_domain_call_goes_to_the_pure_lane(
+        self, compiled, monkeypatch, name, args, kwargs
+    ):
+        # to the function of the same name, with the arguments as passed
+        monkeypatch.setattr(fb, name, lambda *a, **kw: (name, a, kw))
+        assert getattr(compiled, name)(*args, **kwargs) == (name, args, kwargs)
+
+    def test_a_long_greedy_scan_stays_in_c(self, compiled, monkeypatch):
+        # no label cap: 1500 error labels stay on the heap buffer
+        labels = list(range(1500))
+        random.Random(8).shuffle(labels)
+        want = fb.greedy_label_scan(13, labels, -1)
+        assert len(want) >= 2
+        monkeypatch.setattr(fb, "greedy_label_scan", _refuse)
+        assert compiled.greedy_label_scan(13, labels, -1) == want
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an in-domain call reached the pure lane")

@@ -1,5 +1,7 @@
 """Sumset distinctness, greedy dimension, and the code search."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from cosetqec import (
     search_code,
     sumset_distinct,
 )
+import cosetqec.search as search
 from cosetqec.golden import (
     diagonal_group,
     single_qubit_errors,
@@ -162,3 +165,46 @@ class TestSearch:
         assert seq.hit_index == par.hit_index
         assert seq.code.group.generators == par.code.group.generators
         assert seq.code.labels == par.code.labels
+
+
+class _InlinePool:
+    """An in-process stand-in for ProcessPoolExecutor."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestParallelWaves:
+    @pytest.mark.parametrize("budget, seed", [(40, 3), (40, 11), (12, 3), (7, 0)])
+    def test_waves_match_sequential(self, monkeypatch, budget, seed):
+        # blocks of two candidates: hits land in later waves, in any slot
+        # of a wave, or not at all
+        monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(search, "_BLOCK", 2)
+        errs = single_qubit_errors(5)
+        seq = search_code(errs, 2, budget=budget, seed=seed, workers=1)
+        for workers in (2, 3):
+            par = search_code(errs, 2, budget=budget, seed=seed, workers=workers)
+            assert par == seq
+
+    def test_blocks_are_built_per_wave(self, monkeypatch):
+        # 48,829 blocks of 2048 candidates; the hit comes in the first wave
+        monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+        errs = single_qubit_errors(5)
+        tracemalloc.start()
+        try:
+            result = search_code(errs, 2, budget=100_000_000, seed=3, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.hit_index == 13
+        assert peak < 1_000_000
