@@ -2,24 +2,34 @@
 
 This is the independent referee for every orthogonality and eigenvector
 claim the algebraic modules make.  It deliberately avoids the packed
-kernels and the syndrome machinery: states are materialized as 2^p
-arbitrary-precision Gaussian-integer amplitudes, operators act by index
-permutation plus unit factors, and every comparison is an exact
-equality.  There are no tolerances anywhere because every amplitude in
-this framework is an integer times a fourth root of unity.
+kernels and the syndrome machinery: states hold all 2^p
+arbitrary-precision Gaussian-integer amplitudes, and every comparison
+is an exact equality.  There are no tolerances anywhere because every
+amplitude in this framework is an integer times a fourth root of unity.
 
 Normalization is never applied: a state is a (vector, norm2) pair, and
 normalized quantities are formed as exact ratios on demand.
 
-Inner products are bit-sliced.  Each state caches, for A = re || im and
-for B = im || -re, a sign mask of the negative lanes and the bit planes
-of the magnitudes, one lane per amplitude, as Python ints.  Then
+A state is held bit-sliced.  For A = re || im, one lane per amplitude,
+it keeps a sign mask of the negative lanes and the bit planes of the
+magnitudes, as Python ints of 2^(p+1) bits; lane q of either half holds
+basis index ~q.  Operators act on the slices without a per-amplitude
+loop, in the bit-packed style of the Aaronson-Gottesman tableau
+(quant-ph/0406196).  For i^d X^x Z^z: Z^z XORs the sign mask, on the
+nonzero lanes, with one cached lane mask per set bit of z; X^x sends
+lane q to lane q^x by one masked-shift butterfly per set bit of x; i^2
+negates the nonzero lanes; and i swaps the halves, as for B below.  An
+operator costs O(p) big-int operations per plane.  The eigencheck
+compares the image's planes and sign mask with the state's, and norm2
+is read from plane popcounts.
+
+Inner products are bit-sliced too.  With B = im || -re, also cached,
 <u|v> = A_u . A_v + i (A_u . B_v), and each dot product is
 sum_{j,l} 2^(j+l) * (popcount(X_j & Y_l) - 2 * popcount(X_j & Y_l & (s_u ^ s_v)))
 over the planes X_j of one side and Y_l of the other, with signs s.  The
 cost is the product of the two plane counts in big-int ANDs and popcounts
 of 2^(p+1) bits; the codeword and syndrome states have amplitudes in
-{0, +/-1, +/-i}, so one plane each.
+{0, +/-1, +/-i}, so one plane each and one term per part.
 
 The overlap-dichotomy sweep does not apply each of the 4^p operators in
 turn.  For a fixed X part x, the expectations <seed|X^x Z^z|seed> over
@@ -44,8 +54,8 @@ The report counts every (state, closure element) pair as a case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cache, cached_property, reduce
 from itertools import compress, repeat
 from operator import add, itemgetter, mul, or_, sub
 
@@ -67,6 +77,8 @@ class InternalOracleError(AssertionError):
 
 
 def _check_dense_width(width: int, cap: int = MAX_WIDTH) -> None:
+    if width < 0:
+        raise ValueError(f"width must be non-negative, got {width}")
     if width > cap:
         raise OracleLimitError(
             f"width {width} exceeds the dense-state cap of {cap}"
@@ -82,7 +94,7 @@ _MAGNITUDE = bytes(abs(v - 128) for v in range(256))
 _BIT = [bytes(b"01"[m >> b & 1] for m in range(256)) for b in range(8)]
 
 
-def _bit_slices(values: tuple[int, ...]) -> tuple[int, list[int]]:
+def _bit_slices(values: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """(sign mask, magnitude bit planes) of an integer sequence, one lane
     per value: lane t is bit len(values)-1-t of each mask, the sign mask
     marks the negative values and plane j holds bit j of every |value|.
@@ -99,20 +111,27 @@ def _bit_slices(values: tuple[int, ...]) -> tuple[int, list[int]]:
         negative = biased.translate(_NEGATIVE)
     # byte k of every magnitude is raw[k::size]
     depth = 8 * (size - 1) + max(raw[size - 1 :: size]).bit_length()
-    planes = [int(raw[j >> 3 :: size].translate(_BIT[j & 7]), 2) for j in range(depth)]
+    planes = tuple(
+        int(raw[j >> 3 :: size].translate(_BIT[j & 7]), 2) for j in range(depth)
+    )
     return int(negative, 2), planes
 
 
+def _plane_dot(both: int, neg: int) -> int:
+    """sum_t x[t] * y[t] for 0/1 planes with x & y = both, where neg marks
+    the lanes whose product is negative."""
+    return both.bit_count() - 2 * (both & neg).bit_count()
+
+
 def _sliced_dot(
-    sign_u: int, planes_u: list[int], sign_v: int, planes_v: list[int]
+    sign_u: int, planes_u: tuple[int, ...], sign_v: int, planes_v: tuple[int, ...]
 ) -> int:
     """sum_t u[t] * v[t] from bit slices of u and v over the same lanes."""
     neg = sign_u ^ sign_v
     total = 0
     for j, a in enumerate(planes_u):
         for l, b in enumerate(planes_v):
-            both = a & b
-            total += (both.bit_count() - 2 * (both & neg).bit_count()) << (j + l)
+            total += _plane_dot(a & b, neg) << (j + l)
     return total
 
 
@@ -128,40 +147,145 @@ def _unit_mul(re: int, im: int, k: int) -> tuple[int, int]:
     return im, -re
 
 
-@dataclass(frozen=True)
+@cache
+def _lane_masks(width: int) -> tuple[int, ...]:
+    """masks[k] marks the lanes of re || im whose basis index has bit k
+    set.  Lane q of either half holds index ~q (mod 2^width), so these
+    are the lanes with bit k of q clear: alternating runs of 2^k ones and
+    2^k zeros over all 2^(width+1) lanes, ones lowest."""
+    lanes = 2 << width
+    masks = []
+    for k in range(width):
+        mask, span = (1 << (1 << k)) - 1, 2 << k
+        while span < lanes:
+            mask |= mask << span
+            span <<= 1
+        masks.append(mask)
+    return tuple(masks)
+
+
+def _times_minus_i(
+    sign: int, planes: tuple[int, ...], nonzero: int, half: int
+) -> tuple[int, tuple[int, ...]]:
+    """Slices of -i * v = im || -re from those of v = re || im, with
+    half = 2^width lanes per part and nonzero the OR of the planes."""
+    low = (1 << half) - 1
+    # re fills the top half of the lanes and im the bottom, so swapping
+    # the halves of every plane lays the magnitudes out as im || re; and
+    # im || -re is negative where im is negative and where re is positive
+    return (
+        (sign & low) << half | (nonzero & ~sign) >> half,
+        tuple((a & low) << half | a >> half for a in planes),
+    )
+
+
 class DenseState:
-    """An unnormalized state: 2^width Gaussian-integer amplitudes."""
+    """An unnormalized state: 2^width Gaussian-integer amplitudes.
 
-    re: tuple[int, ...]
-    im: tuple[int, ...]
+    The state is held as the bit slices of re || im (see _bit_slices for
+    the lane layout): a sign mask and a tuple of magnitude planes, with no
+    plane at all for the zero state.  The slices of equal amplitudes are
+    equal, so equality and hashing compare them.  ``re`` and ``im`` are
+    read-only tuples decoded from the slices when first read.  A state is
+    immutable."""
+
     width: int
+    _sign: int
+    _planes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_dense_width(self.width)
-        if len(self.re) != (1 << self.width) or len(self.im) != (1 << self.width):
+    def __init__(self, re: tuple[int, ...], im: tuple[int, ...], width: int) -> None:
+        _check_dense_width(width)
+        re, im = tuple(re), tuple(im)
+        if len(re) != (1 << width) or len(im) != (1 << width):
             raise ValueError("amplitude arrays must have length 2^width")
         # one C-level pass per part: a sum of ints is an int, a float or
         # complex amplitude makes the sum a float or complex, and a str
         # makes sum raise TypeError itself
-        for part in (self.re, self.im):
+        for part in (re, im):
             kind = type(sum(part))
             if kind is not int:
                 raise TypeError(f"amplitudes must be int, got {kind.__name__}")
+        sign, planes = _bit_slices(re + im)
+        # the given amplitudes are the views the slices decode to
+        self.__dict__.update(
+            width=width, _sign=sign, _planes=planes, re=re, im=im
+        )
+
+    @classmethod
+    def _from_slices(
+        cls, sign: int, planes: tuple[int, ...], width: int
+    ) -> "DenseState":
+        state = object.__new__(cls)
+        state.__dict__.update(width=width, _sign=sign, _planes=planes)
+        return state
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.width, self._sign, self._planes) == (
+            other.width,
+            other._sign,
+            other._planes,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.width, self._sign, self._planes))
+
+    def __repr__(self) -> str:
+        return f"DenseState(re={self.re!r}, im={self.im!r}, width={self.width!r})"
+
+    @cached_property
+    def _amplitudes(self) -> tuple[int, ...]:
+        """re + im decoded from the slices, the inverse of _bit_slices."""
+        lanes = 2 << self.width
+        mags = [0] * lanes
+        for j, plane in enumerate(self._planes):
+            # the digits "0" and "1" are the bytes 48 and 49
+            digits = format(plane, f"0{lanes}b").encode()
+            mags = [m | (d & 1) << j for m, d in zip(mags, digits)]
+        signs = format(self._sign, f"0{lanes}b").encode()
+        return tuple(-m if d & 1 else m for m, d in zip(mags, signs))
+
+    @cached_property
+    def re(self) -> tuple[int, ...]:
+        return self._amplitudes[: 1 << self.width]
+
+    @cached_property
+    def im(self) -> tuple[int, ...]:
+        return self._amplitudes[1 << self.width :]
+
+    @cached_property
+    def _nonzero(self) -> int:
+        """The lanes of the nonzero amplitudes."""
+        return reduce(or_, self._planes, 0)
+
+    @cached_property
+    def _minus_i(self) -> tuple[int, tuple[int, ...]]:
+        """Slices of im || -re, the lanes of -i times the state."""
+        return _times_minus_i(self._sign, self._planes, self._nonzero, 1 << self.width)
 
     @cached_property
     def norm2(self) -> int:
-        return sum(r * r + i * i for r, i in zip(self.re, self.im))
+        # the sum of |v|^2 over the lanes of re || im
+        return _sliced_dot(0, self._planes, 0, self._planes)
 
     @property
     def is_zero(self) -> bool:
-        return self.norm2 == 0
+        return not self._planes
 
     @classmethod
     def from_basis(cls, string: int, width: int) -> "DenseState":
         _check_dense_width(width)
-        re = [0] * (1 << width)
-        re[string] = 1
-        return cls(tuple(re), (0,) * (1 << width), width)
+        if not 0 <= string < 1 << width:
+            raise ValueError(f"basis string {string} outside [0, 2^{width})")
+        # re[string] = 1 is lane 2^(width+1) - 1 - string
+        return cls._from_slices(0, (1 << ((2 << width) - 1 - string),), width)
 
     @classmethod
     def from_seed(cls, seed: SeedState) -> "DenseState":
@@ -173,37 +297,33 @@ class DenseState:
         return cls(tuple(re), tuple(im), seed.width)
 
     def apply(self, op: PauliOperator) -> "DenseState":
-        """Image under i^d X^x Z^z: |a> -> i^d (-1)^(z.a) |a^x>."""
+        """Image under i^d X^x Z^z: |a> -> i^d (-1)^(z.a) |a^x>.  It costs
+        O(width) big-int operations per plane over 2^(width+1) lanes."""
         if op.width != self.width:
             raise WidthMismatchError(
                 f"operator width {op.width} != state width {self.width}"
             )
-        # basis state b receives i^d (-1)^(z.a) c[a] from a = b^x
-        x, z = op.x, op.z
-        sources = [b ^ x for b in range(1 << self.width)]
-        take = itemgetter(*sources)
-        flip = -1 if op.phase & 2 else 1  # i^2 folded into the signs
-        signs = [-flip if (z & a).bit_count() & 1 else flip for a in sources]
-        re = tuple(map(mul, signs, take(self.re)))
-        im = tuple(map(mul, signs, take(self.im)))
-        if op.phase & 1:  # the remaining factor i: (re, im) -> (-im, re)
-            re, im = tuple(-v for v in im), re
-        return DenseState(re, im, self.width)
-
-    @cached_property
-    def _slices(self) -> tuple[int, list[int], int, list[int]]:
-        """Bit slices of re || im and of im || -re, as (sign mask,
-        magnitude planes) each; see _bit_slices for the lane layout."""
-        n = len(self.re)
-        sign, planes = _bit_slices(self.re + self.im)
-        # re fills the top n lanes and im the bottom n, so swapping the
-        # halves of every plane lays the magnitudes out as im || re
-        low = (1 << n) - 1
-        swapped = [(a & low) << n | a >> n for a in planes]
-        nonzero = reduce(or_, planes, 0)
-        # im || -re is negative where im is negative and where re is positive
-        flipped = (sign & low) << n | (nonzero & ~sign) >> n
-        return sign, planes, flipped, swapped
+        masks = _lane_masks(self.width)
+        nonzero = self._nonzero
+        # Z^z negates the lanes whose index a has z.a odd
+        flip = 0
+        for k, mask in enumerate(masks):
+            if op.z >> k & 1:
+                flip ^= mask
+        # i^d = (-1)^(d1 ^ d0) * (-i)^d0 for the bits d1 d0 of d
+        if (op.phase ^ op.phase >> 1) & 1:
+            flip = ~flip
+        sign, planes = self._sign ^ (flip & nonzero), self._planes
+        if op.phase & 1:
+            sign, planes = _times_minus_i(sign, planes, nonzero, 1 << self.width)
+        # X^x moves lane q, which holds index ~q, to lane q^x: one
+        # butterfly per set bit of x swaps the lanes that differ in it
+        for k, mask in enumerate(masks):
+            if op.x >> k & 1:
+                shift = 1 << k
+                sign = (sign & mask) << shift | sign >> shift & mask
+                planes = tuple((a & mask) << shift | a >> shift & mask for a in planes)
+        return DenseState._from_slices(sign, planes, self.width)
 
     def inner(self, other: "DenseState") -> tuple[int, int]:
         """<self|other> as an exact Gaussian integer (conjugate-linear in
@@ -216,11 +336,18 @@ class DenseState:
                               - 2 * popcount(X_j & Y_l & (s_u ^ s_v))),
         so it costs (planes of u) x (planes of v) big-int ANDs and
         popcounts over 2^(width+1) lanes.  The states the pipeline builds
-        have amplitudes in {0, +/-1, +/-i}: one plane each."""
+        have amplitudes in {0, +/-1, +/-i}: one plane each, one term."""
         if other.width != self.width:
             raise WidthMismatchError("inner product of mismatched widths")
-        sign_u, planes_u, _, _ = self._slices
-        sign_a, planes_a, sign_b, planes_b = other._slices
+        sign_u, planes_u = self._sign, self._planes
+        sign_a, planes_a = other._sign, other._planes
+        sign_b, planes_b = other._minus_i
+        if len(planes_u) == len(planes_a) == 1:
+            (u,), (a,), (b,) = planes_u, planes_a, planes_b
+            return (
+                _plane_dot(u & a, sign_u ^ sign_a),
+                _plane_dot(u & b, sign_u ^ sign_b),
+            )
         return (
             _sliced_dot(sign_u, planes_u, sign_a, planes_a),
             _sliced_dot(sign_u, planes_u, sign_b, planes_b),
@@ -235,11 +362,12 @@ class DenseState:
         if self.is_zero:
             raise ValueError("eigencheck on the zero vector")
         moved = self.apply(op)
-        if moved.re == self.re and moved.im == self.im:
+        if moved._planes != self._planes:
+            return None
+        flipped = moved._sign ^ self._sign
+        if not flipped:
             return 1
-        if all(m == -s for m, s in zip(moved.re, self.re)) and all(
-            m == -s for m, s in zip(moved.im, self.im)
-        ):
+        if flipped == self._nonzero:
             return -1
         return None
 

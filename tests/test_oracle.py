@@ -8,6 +8,7 @@ they do."""
 
 import ast
 import random
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -77,6 +78,27 @@ def reference_apply(state, op):
             r, i = -i, r
         re[a ^ op.x], im[a ^ op.x] = r, i
     return DenseState(tuple(re), tuple(im), state.width)
+
+
+def reference_eigencheck(state, op):
+    """+1 or -1 when op scales every amplitude by it, None otherwise."""
+    moved = reference_apply(state, op)
+    for value in (1, -1):
+        if moved.re == tuple(value * r for r in state.re) and moved.im == tuple(
+            value * i for i in state.im
+        ):
+            return value
+    return None
+
+
+def dense_states(p, low, high):
+    amps = st.lists(st.integers(low, high), min_size=1 << p, max_size=1 << p)
+    return st.builds(lambda re, im: DenseState(tuple(re), tuple(im), p), amps, amps)
+
+
+def paulis(p):
+    bits = st.integers(0, (1 << p) - 1)
+    return st.builds(PauliOperator, st.integers(0, 3), bits, bits, st.just(p))
 
 
 def reference_dichotomy(group):
@@ -270,6 +292,113 @@ class TestDenseState:
         with pytest.raises(OracleLimitError):
             DenseState.from_basis(0, 15)
 
+    @pytest.mark.parametrize(
+        "string, width, message",
+        [
+            (-1, 2, "basis string -1 outside"),
+            (4, 2, "basis string 4 outside"),
+            (0, -1, "got -1"),
+        ],
+    )
+    def test_from_basis_out_of_range_refused(self, string, width, message):
+        with pytest.raises(ValueError, match=message):
+            DenseState.from_basis(string, width)
+
+    def test_from_basis_edges(self):
+        assert DenseState.from_basis(3, 2).re == (0, 0, 0, 1)
+        assert DenseState.from_basis(0, 0) == DenseState((1,), (0,), 0)
+
+    def test_repr(self):
+        assert repr(DenseState.from_basis(1, 1)) == (
+            "DenseState(re=(0, 1), im=(0, 0), width=1)"
+        )
+
+
+class TestBitPlanes:
+    """The state is held as bit planes: every view of it, and every
+    operation on it, matches the amplitude-wise references.  Amplitudes
+    up to 300 need two bytes per magnitude in the slicing and up to nine
+    planes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_apply_round_trips_and_compares_by_amplitude(self, data):
+        p = data.draw(st.integers(1, 7), label="p")
+        state = data.draw(dense_states(p, -300, 300), label="state")
+        op = data.draw(paulis(p), label="op")
+        moved, expect = state.apply(op), reference_apply(state, op)
+        assert moved == expect and hash(moved) == hash(expect)
+        assert (moved.re, moved.im) == (expect.re, expect.im)
+        assert DenseState(moved.re, moved.im, p) == moved
+        assert moved.norm2 == state.norm2 == sum(
+            v * v for v in moved.re + moved.im
+        )
+        same = (moved.re, moved.im) == (state.re, state.im)
+        assert (moved == state) == same
+        assert (moved != state) == (not same)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_eigencheck_matches_reference(self, data):
+        p = data.draw(st.integers(1, 7), label="p")
+        state = data.draw(dense_states(p, -300, 300), label="state")
+        op = data.draw(paulis(p), label="op")
+        # s + op s and s - op s are eigenvectors of a Hermitian op
+        moved = reference_apply(state, op)
+        scale = data.draw(st.sampled_from([0, 1, -1]), label="scale")
+        state = DenseState(
+            tuple(map(lambda a, b: a + scale * b, state.re, moved.re)),
+            tuple(map(lambda a, b: a + scale * b, state.im, moved.im)),
+            p,
+        )
+        if state.is_zero:
+            with pytest.raises(ValueError, match="zero vector"):
+                state.eigencheck(op)
+        else:
+            assert state.eigencheck(op) == reference_eigencheck(state, op)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_state_is_immutable(self, data):
+        p = data.draw(st.integers(1, 7), label="p")
+        state = data.draw(dense_states(p, -300, 300), label="state")
+        state = state.apply(data.draw(paulis(p), label="op"))
+        before = (state.re, state.im, state.width, state.norm2, hash(state))
+        for name in ("re", "im", "width", "norm2", "_planes", "_sign", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(state, name, 0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(state, name)
+        assert (state.re, state.im, state.width, state.norm2, hash(state)) == before
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_inner_one_plane_states(self, data):
+        # amplitudes in {0, +/-1, +/-i, +/-1 +/- i} have one plane; the
+        # one-plane path must not fall back to the double loop
+        p = data.draw(st.integers(1, 7), label="p")
+        u = data.draw(dense_states(p, -1, 1).filter(lambda s: not s.is_zero), label="u")
+        v = data.draw(dense_states(p, -1, 1).filter(lambda s: not s.is_zero), label="v")
+        v = v.apply(data.draw(paulis(p), label="op"))
+        norm2 = u.norm2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_sliced_dot", None)
+            assert u.inner(v) == reference_inner(u, v)
+            assert v.inner(u) == reference_inner(v, u)
+            assert u.inner(u) == (norm2, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_inner_one_plane_against_multi_plane(self, data):
+        p = data.draw(st.integers(1, 7), label="p")
+        u = data.draw(dense_states(p, -1, 1), label="one plane or zero")
+        v = data.draw(dense_states(p, -300, 300), label="multi-plane")
+        v = v.apply(data.draw(paulis(p), label="op"))
+        zero = DenseState((0,) * (1 << p), (0,) * (1 << p), p)
+        assert u.inner(v) == reference_inner(u, v)
+        assert v.inner(u) == reference_inner(v, u)
+        assert u.inner(zero) == zero.inner(u) == zero.inner(v) == (0, 0)
+
 
 class TestOverlapDichotomy:
     """<seed|S|seed> = 0 exactly when S is outside the group."""
@@ -455,7 +584,7 @@ class TestCodewordStates:
 
 
 class TestAgainstReference:
-    """The transform, the Gram, the permuting apply and the generator-first
+    """The transform, the Gram, the bit-plane apply and the generator-first
     eigenvector check give the reports the per-operator sweeps give, field
     by field and violation by violation."""
 
