@@ -34,7 +34,7 @@ from .pauli import (
     parse_bits,
     parse_pauli,
 )
-from .stabilizer import GroupError, StabilizerGroup, format_label
+from .stabilizer import GroupError, StabilizerGroup, format_label, read_width
 
 SEED_STABILIZER = "stabilizer"
 SEED_PUNCTURED = "punctured"
@@ -152,7 +152,11 @@ def punctured_seed(seed: SeedState, removed: Iterable[int | str]) -> SeedState:
     must survive."""
     remove: set[int] = set()
     for item in removed:
-        remove.add(parse_bits(item, seed.width) if isinstance(item, str) else item)
+        if isinstance(item, str):
+            item = parse_bits(item, seed.width)
+        elif not 0 <= item < 1 << seed.width:
+            raise ValueError(f"basis string {item} outside [0, 2^{seed.width})")
+        remove.add(item)
     present = seed.strings
     missing = remove - present
     if missing:
@@ -276,7 +280,7 @@ class QuantumCode:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuantumCode":
-        width = int(data["width"])
+        width = read_width(data)
         group = StabilizerGroup.from_dict(data["cartanion"])
         origin = data.get("seed_origin", SEED_EXPLICIT)
         seed = SeedState.from_tokens(data["seed"], width, data.get("seed_base"), origin)

@@ -2,34 +2,35 @@
 
 This is the independent referee for every orthogonality and eigenvector
 claim the algebraic modules make.  It deliberately avoids the packed
-kernels and the syndrome machinery: states hold all 2^p
-arbitrary-precision Gaussian-integer amplitudes, and every comparison
-is an exact equality.  There are no tolerances anywhere because every
-amplitude in this framework is an integer times a fourth root of unity.
+kernels and the syndrome machinery: states hold all 2^p amplitudes
+as exact Gaussian integers, and every comparison is an exact equality.
+There are no tolerances anywhere because every amplitude in this
+framework is an integer times a fourth root of unity.
 
 Normalization is never applied: a state is a (vector, norm2) pair, and
 normalized quantities are formed as exact ratios on demand.
 
-A state is held bit-sliced.  For A = re || im, one lane per amplitude,
-it keeps a sign mask of the negative lanes and the bit planes of the
-magnitudes, as Python ints of 2^(p+1) bits; lane q of either half holds
-basis index ~q.  Operators act on the slices without a per-amplitude
-loop, in the bit-packed style of the Aaronson-Gottesman tableau
-(quant-ph/0406196).  For i^d X^x Z^z: Z^z XORs the sign mask, on the
-nonzero lanes, with one cached lane mask per set bit of z; X^x sends
-lane q to lane q^x by one masked-shift butterfly per set bit of x; i^2
-negates the nonzero lanes; and i swaps the halves, as for B below.  An
-operator costs O(p) big-int operations per plane.  The eigencheck
-compares the image's planes and sign mask with the state's, and norm2
-is read from plane popcounts.
+Every state the pipeline builds is a seed, whose amplitudes are units
+i^k, or a Pauli image of one, so each amplitude is re + i*im with re and
+im in {-1, 0, 1}.  That is the whole domain of a state here, and the
+constructor refuses anything outside it.  For A = re || im, one lane per
+amplitude part, a state keeps two Python ints of 2^(p+1) bits: the
+support, marking the nonzero lanes, and the sign mask, marking the
+negative ones; lane q of either half holds basis index ~q.  Operators
+act on the masks without a per-amplitude loop, in the bit-packed style
+of the Aaronson-Gottesman tableau (quant-ph/0406196).  For i^d X^x Z^z:
+Z^z XORs the sign mask, on the support, with one cached lane mask per
+set bit of z; X^x sends lane q to lane q^x by one masked-shift butterfly
+per set bit of x; i^2 negates the support; and i swaps the halves, as
+for B below.  An operator costs O(p) big-int operations.  The
+eigencheck compares the image's support and sign mask with the state's,
+and norm2 is the popcount of the support.
 
-Inner products are bit-sliced too.  With B = im || -re, also cached,
-<u|v> = A_u . A_v + i (A_u . B_v), and each dot product is
-sum_{j,l} 2^(j+l) * (popcount(X_j & Y_l) - 2 * popcount(X_j & Y_l & (s_u ^ s_v)))
-over the planes X_j of one side and Y_l of the other, with signs s.  The
-cost is the product of the two plane counts in big-int ANDs and popcounts
-of 2^(p+1) bits; the codeword and syndrome states have amplitudes in
-{0, +/-1, +/-i}, so one plane each and one term per part.
+Inner products come from the masks too.  With B = im || -re, also
+cached, <u|v> = A_u . A_v + i (A_u . B_v), and each dot product of
+vectors over {-1, 0, 1} with supports X, Y and sign masks s is
+popcount(X & Y) - 2 * popcount(X & Y & (s_u ^ s_v)): two big-int ANDs
+and popcounts of 2^(p+1) bits.
 
 The overlap-dichotomy sweep does not apply each of the 4^p operators in
 turn.  For a fixed X part x, the expectations <seed|X^x Z^z|seed> over
@@ -55,7 +56,7 @@ The report counts every (state, closure element) pair as a case.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import compress, repeat
 from operator import add, itemgetter, mul, or_, sub
 
@@ -85,54 +86,18 @@ def _check_dense_width(width: int, cap: int = MAX_WIDTH) -> None:
         )
 
 
-# bytes.translate tables for the bit slicing.  Amplitudes in [-128, 127]
-# are read as the bytes v + 128: _NEGATIVE turns such a byte into "1" when
-# v < 0 and _MAGNITUDE into |v|.  _BIT[b] turns a magnitude byte into bit b
-# of it, as "0" or "1", so that int(..., 2) packs one lane per bit.
-_NEGATIVE = bytes(b"01"[v < 128] for v in range(256))
-_MAGNITUDE = bytes(abs(v - 128) for v in range(256))
-_BIT = [bytes(b"01"[m >> b & 1] for m in range(256)) for b in range(8)]
-
-
-def _bit_slices(values: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(sign mask, magnitude bit planes) of an integer sequence, one lane
-    per value: lane t is bit len(values)-1-t of each mask, the sign mask
-    marks the negative values and plane j holds bit j of every |value|.
-    There are as many planes as the largest magnitude has bits."""
-    try:
-        biased = bytes(map(add, values, repeat(128)))
-    except ValueError:  # some value is outside [-128, 127]
-        mags = list(map(abs, values))
-        size = (max(mags).bit_length() + 7) // 8  # bytes per magnitude
-        raw = b"".join(map(int.to_bytes, mags, repeat(size), repeat("little")))
-        negative = bytes(map((0).__gt__, values)).translate(_BIT[0])
-    else:
-        size, raw = 1, biased.translate(_MAGNITUDE)
-        negative = biased.translate(_NEGATIVE)
-    # byte k of every magnitude is raw[k::size]
-    depth = 8 * (size - 1) + max(raw[size - 1 :: size]).bit_length()
-    planes = tuple(
-        int(raw[j >> 3 :: size].translate(_BIT[j & 7]), 2) for j in range(depth)
-    )
-    return int(negative, 2), planes
+# bytes.translate tables for the slicing.  An amplitude part v in
+# {-1, 0, 1} is read as the byte v + 1: _SUPPORT turns such a byte into
+# "1" when v != 0 and _NEGATIVE into "1" when v < 0, so that int(..., 2)
+# packs one lane per bit.
+_SUPPORT = bytes(b"01"[v != 1] for v in range(256))
+_NEGATIVE = bytes(b"01"[v == 0] for v in range(256))
 
 
 def _plane_dot(both: int, neg: int) -> int:
-    """sum_t x[t] * y[t] for 0/1 planes with x & y = both, where neg marks
-    the lanes whose product is negative."""
+    """sum_t x[t] * y[t] for vectors x, y over {-1, 0, 1} whose nonzero
+    lanes meet in both, where neg marks the lanes of opposite signs."""
     return both.bit_count() - 2 * (both & neg).bit_count()
-
-
-def _sliced_dot(
-    sign_u: int, planes_u: tuple[int, ...], sign_v: int, planes_v: tuple[int, ...]
-) -> int:
-    """sum_t u[t] * v[t] from bit slices of u and v over the same lanes."""
-    neg = sign_u ^ sign_v
-    total = 0
-    for j, a in enumerate(planes_u):
-        for l, b in enumerate(planes_v):
-            total += _plane_dot(a & b, neg) << (j + l)
-    return total
 
 
 # Multiplication of a Gaussian integer (re, im) by i^k.
@@ -164,34 +129,33 @@ def _lane_masks(width: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _times_minus_i(
-    sign: int, planes: tuple[int, ...], nonzero: int, half: int
-) -> tuple[int, tuple[int, ...]]:
-    """Slices of -i * v = im || -re from those of v = re || im, with
-    half = 2^width lanes per part and nonzero the OR of the planes."""
+def _times_minus_i(support: int, sign: int, half: int) -> tuple[int, int]:
+    """(support, sign) of -i * v = im || -re from those of v = re || im,
+    with half = 2^width lanes per part."""
     low = (1 << half) - 1
     # re fills the top half of the lanes and im the bottom, so swapping
-    # the halves of every plane lays the magnitudes out as im || re; and
-    # im || -re is negative where im is negative and where re is positive
+    # the halves of the support lays it out as im || re; and im || -re is
+    # negative where im is negative and where re is positive
     return (
-        (sign & low) << half | (nonzero & ~sign) >> half,
-        tuple((a & low) << half | a >> half for a in planes),
+        (support & low) << half | support >> half,
+        (sign & low) << half | (support & ~sign) >> half,
     )
 
 
 class DenseState:
-    """An unnormalized state: 2^width Gaussian-integer amplitudes.
+    """An unnormalized state: 2^width amplitudes re + i*im with re and
+    im in {-1, 0, 1}.
 
-    The state is held as the bit slices of re || im (see _bit_slices for
-    the lane layout): a sign mask and a tuple of magnitude planes, with no
-    plane at all for the zero state.  The slices of equal amplitudes are
-    equal, so equality and hashing compare them.  ``re`` and ``im`` are
-    read-only tuples decoded from the slices when first read.  A state is
-    immutable."""
+    The state is held as two masks over the lanes of re || im: the
+    support marks the nonzero lanes and the sign mask the negative ones,
+    lane t being bit 2^(width+1)-1-t of each.  The masks of equal
+    amplitudes are equal, so equality and hashing compare them.  ``re``
+    and ``im`` are read-only tuples decoded from the masks when first
+    read.  A state is immutable."""
 
     width: int
+    _support: int
     _sign: int
-    _planes: tuple[int, ...]
 
     def __init__(self, re: tuple[int, ...], im: tuple[int, ...], width: int) -> None:
         _check_dense_width(width)
@@ -205,18 +169,23 @@ class DenseState:
             kind = type(sum(part))
             if kind is not int:
                 raise TypeError(f"amplitudes must be int, got {kind.__name__}")
-        sign, planes = _bit_slices(re + im)
-        # the given amplitudes are the views the slices decode to
+        try:  # bytes refuses a value outside [0, 255]
+            biased = bytes(map(add, re + im, repeat(1)))
+            if max(biased) > 2:
+                raise ValueError
+        except ValueError:
+            raise ValueError("amplitude parts must be in {-1, 0, 1}") from None
+        support = int(biased.translate(_SUPPORT), 2)
+        sign = int(biased.translate(_NEGATIVE), 2)
+        # the given amplitudes are the views the masks decode to
         self.__dict__.update(
-            width=width, _sign=sign, _planes=planes, re=re, im=im
+            width=width, _support=support, _sign=sign, re=re, im=im
         )
 
     @classmethod
-    def _from_slices(
-        cls, sign: int, planes: tuple[int, ...], width: int
-    ) -> "DenseState":
+    def _from_masks(cls, support: int, sign: int, width: int) -> "DenseState":
         state = object.__new__(cls)
-        state.__dict__.update(width=width, _sign=sign, _planes=planes)
+        state.__dict__.update(width=width, _support=support, _sign=sign)
         return state
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -228,29 +197,25 @@ class DenseState:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.width, self._sign, self._planes) == (
+        return (self.width, self._support, self._sign) == (
             other.width,
+            other._support,
             other._sign,
-            other._planes,
         )
 
     def __hash__(self) -> int:
-        return hash((self.width, self._sign, self._planes))
+        return hash((self.width, self._support, self._sign))
 
     def __repr__(self) -> str:
         return f"DenseState(re={self.re!r}, im={self.im!r}, width={self.width!r})"
 
     @cached_property
     def _amplitudes(self) -> tuple[int, ...]:
-        """re + im decoded from the slices, the inverse of _bit_slices."""
+        """re + im decoded from the masks."""
         lanes = 2 << self.width
-        mags = [0] * lanes
-        for j, plane in enumerate(self._planes):
-            # the digits "0" and "1" are the bytes 48 and 49
-            digits = format(plane, f"0{lanes}b").encode()
-            mags = [m | (d & 1) << j for m, d in zip(mags, digits)]
-        signs = format(self._sign, f"0{lanes}b").encode()
-        return tuple(-m if d & 1 else m for m, d in zip(mags, signs))
+        support = format(self._support, f"0{lanes}b")
+        sign = format(self._sign, f"0{lanes}b")
+        return tuple(-1 if s == "1" else int(d) for d, s in zip(support, sign))
 
     @cached_property
     def re(self) -> tuple[int, ...]:
@@ -261,23 +226,18 @@ class DenseState:
         return self._amplitudes[1 << self.width :]
 
     @cached_property
-    def _nonzero(self) -> int:
-        """The lanes of the nonzero amplitudes."""
-        return reduce(or_, self._planes, 0)
-
-    @cached_property
-    def _minus_i(self) -> tuple[int, tuple[int, ...]]:
-        """Slices of im || -re, the lanes of -i times the state."""
-        return _times_minus_i(self._sign, self._planes, self._nonzero, 1 << self.width)
+    def _minus_i(self) -> tuple[int, int]:
+        """(support, sign) of im || -re, the lanes of -i times the state."""
+        return _times_minus_i(self._support, self._sign, 1 << self.width)
 
     @cached_property
     def norm2(self) -> int:
-        # the sum of |v|^2 over the lanes of re || im
-        return _sliced_dot(0, self._planes, 0, self._planes)
+        # every nonzero lane of re || im contributes 1
+        return self._support.bit_count()
 
     @property
     def is_zero(self) -> bool:
-        return not self._planes
+        return not self._support
 
     @classmethod
     def from_basis(cls, string: int, width: int) -> "DenseState":
@@ -285,7 +245,7 @@ class DenseState:
         if not 0 <= string < 1 << width:
             raise ValueError(f"basis string {string} outside [0, 2^{width})")
         # re[string] = 1 is lane 2^(width+1) - 1 - string
-        return cls._from_slices(0, (1 << ((2 << width) - 1 - string),), width)
+        return cls._from_masks(1 << ((2 << width) - 1 - string), 0, width)
 
     @classmethod
     def from_seed(cls, seed: SeedState) -> "DenseState":
@@ -298,13 +258,13 @@ class DenseState:
 
     def apply(self, op: PauliOperator) -> "DenseState":
         """Image under i^d X^x Z^z: |a> -> i^d (-1)^(z.a) |a^x>.  It costs
-        O(width) big-int operations per plane over 2^(width+1) lanes."""
+        O(width) big-int operations over 2^(width+1) lanes."""
         if op.width != self.width:
             raise WidthMismatchError(
                 f"operator width {op.width} != state width {self.width}"
             )
         masks = _lane_masks(self.width)
-        nonzero = self._nonzero
+        support = self._support
         # Z^z negates the lanes whose index a has z.a odd
         flip = 0
         for k, mask in enumerate(masks):
@@ -313,44 +273,33 @@ class DenseState:
         # i^d = (-1)^(d1 ^ d0) * (-i)^d0 for the bits d1 d0 of d
         if (op.phase ^ op.phase >> 1) & 1:
             flip = ~flip
-        sign, planes = self._sign ^ (flip & nonzero), self._planes
+        sign = self._sign ^ (flip & support)
         if op.phase & 1:
-            sign, planes = _times_minus_i(sign, planes, nonzero, 1 << self.width)
+            support, sign = _times_minus_i(support, sign, 1 << self.width)
         # X^x moves lane q, which holds index ~q, to lane q^x: one
         # butterfly per set bit of x swaps the lanes that differ in it
         for k, mask in enumerate(masks):
             if op.x >> k & 1:
                 shift = 1 << k
+                support = (support & mask) << shift | support >> shift & mask
                 sign = (sign & mask) << shift | sign >> shift & mask
-                planes = tuple((a & mask) << shift | a >> shift & mask for a in planes)
-        return DenseState._from_slices(sign, planes, self.width)
+        return DenseState._from_masks(support, sign, self.width)
 
     def inner(self, other: "DenseState") -> tuple[int, int]:
         """<self|other> as an exact Gaussian integer (conjugate-linear in
         self); divide by norms only if you must, as an exact ratio.
 
         With A = re || im and B = im || -re, the real part is A_u . A_v and
-        the imaginary part A_u . B_v.  Each dot product of bit-sliced
-        vectors, with sign masks s and magnitude planes X_j and Y_l, is
-        sum_{j,l} 2^(j+l) * (popcount(X_j & Y_l)
-                              - 2 * popcount(X_j & Y_l & (s_u ^ s_v))),
-        so it costs (planes of u) x (planes of v) big-int ANDs and
-        popcounts over 2^(width+1) lanes.  The states the pipeline builds
-        have amplitudes in {0, +/-1, +/-i}: one plane each, one term."""
+        the imaginary part A_u . B_v.  Each is a dot product of vectors
+        over {-1, 0, 1}: the lanes where both supports meet, less twice
+        those of them where the signs differ, so it costs two big-int ANDs
+        and popcounts over 2^(width+1) lanes."""
         if other.width != self.width:
             raise WidthMismatchError("inner product of mismatched widths")
-        sign_u, planes_u = self._sign, self._planes
-        sign_a, planes_a = other._sign, other._planes
-        sign_b, planes_b = other._minus_i
-        if len(planes_u) == len(planes_a) == 1:
-            (u,), (a,), (b,) = planes_u, planes_a, planes_b
-            return (
-                _plane_dot(u & a, sign_u ^ sign_a),
-                _plane_dot(u & b, sign_u ^ sign_b),
-            )
+        support_b, sign_b = other._minus_i
         return (
-            _sliced_dot(sign_u, planes_u, sign_a, planes_a),
-            _sliced_dot(sign_u, planes_u, sign_b, planes_b),
+            _plane_dot(self._support & other._support, self._sign ^ other._sign),
+            _plane_dot(self._support & support_b, self._sign ^ sign_b),
         )
 
     def is_orthogonal(self, other: "DenseState") -> bool:
@@ -362,12 +311,12 @@ class DenseState:
         if self.is_zero:
             raise ValueError("eigencheck on the zero vector")
         moved = self.apply(op)
-        if moved._planes != self._planes:
+        if moved._support != self._support:
             return None
         flipped = moved._sign ^ self._sign
         if not flipped:
             return 1
-        if flipped == self._nonzero:
+        if flipped == self._support:
             return -1
         return None
 

@@ -227,9 +227,18 @@ class StabilizerGroup:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StabilizerGroup":
-        width = int(data["width"])
+        width = read_width(data)
         gens = tuple(parse_pauli(s, width) for s in data["generators"])
         return cls(gens)
+
+
+def read_width(data: dict) -> int:
+    """The "width" of a group or code file, which must be a JSON integer:
+    a float, a string or a bool is refused, not rounded or converted."""
+    width = data["width"]
+    if type(width) is not int:
+        raise ValueError(f"width must be an integer, got {width!r}")
+    return width
 
 
 # A coset label as a bit string: character t is the bit for generator t.

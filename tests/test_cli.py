@@ -168,6 +168,19 @@ class TestVerify:
         ])
         assert rc == 2
 
+    def test_float_width_exit_two(self, workdir, capsys):
+        data = json.loads((workdir / "rep3.json").read_text())
+        data["width"] = 3.9
+        bad = workdir / "float_width.json"
+        bad.write_text(json.dumps(data))
+        rc = main([
+            "verify",
+            "--code", str(bad),
+            "--errors", str(workdir / "xflips.txt"),
+        ])
+        assert rc == 2
+        assert "width must be an integer, got 3.9" in capsys.readouterr().err
+
     def test_width_mismatch_exit_two(self, workdir, capsys):
         wide = workdir / "wide.txt"
         wide.write_text("IIII\nXIII\n")

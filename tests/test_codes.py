@@ -211,6 +211,18 @@ class TestBuildCode:
         assert QuantumCode.from_dict(data).seed.base == base
         assert len(runs) == 1
 
+    @pytest.mark.parametrize("width", [5.9, 5.0, "5", True, None])
+    def test_width_that_is_not_an_integer_refused(self, five2, width):
+        message = f"width must be an integer, got {width!r}"
+        data = five2.to_dict()
+        data["width"] = width
+        with pytest.raises(ValueError, match=message):
+            QuantumCode.from_dict(data)
+        data = five2.to_dict()
+        data["cartanion"]["width"] = width
+        with pytest.raises(ValueError, match=message):
+            QuantumCode.from_dict(data)
+
     def test_seed_terms_are_parsed_before_the_base(self):
         # a wrong top-level width is reported on the first seed term
         data = build_code(group_of("XXX", "ZZI", "IZZ"), [0]).to_dict()
@@ -244,6 +256,14 @@ class TestPuncture:
         seed = seed_state(group_of("XXX", "ZZI", "IZZ").normalized(0))
         with pytest.raises(ValueError, match="absent"):
             punctured_seed(seed, ["000", "010"])
+
+    @pytest.mark.parametrize("string", [41, 32, -1])
+    def test_string_outside_the_width_rejected(self, five2, string):
+        # 41 must not be read as its low five bits, string 9, which the
+        # seed holds
+        message = rf"basis string {string} outside \[0, 2\^5\)"
+        with pytest.raises(ValueError, match=message):
+            punctured_seed(five2.seed, [string, 0])
 
     def test_code_with_punctured_seed(self):
         g = group_of("XII", "IXI", "IIX")
