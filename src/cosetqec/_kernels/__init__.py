@@ -7,7 +7,9 @@ arguments are in its domain and hands every other call to the
 ``_fallback`` function of the same name, so every refusal comes from
 ``_fallback``.  Set ``COSETQEC_PURE=1`` to force the pure-Python lane
 regardless of whether the extension was built.  ``BACKEND`` records the
-active lane.
+active lane.  ``lane_ones``, ``pack_lanes`` and ``unpack_lanes``, which
+hold u64 values in the 64-bit lanes of one int, are pure helpers that
+both lanes share.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ else:
 
         BACKEND = "python"
 
+from ._fallback import lane_ones, pack_lanes, unpack_lanes
+
 syndrome_map = _impl.syndrome_map
 random_group_packed = _impl.random_group_packed
 greedy_label_scan = _impl.greedy_label_scan
@@ -39,4 +43,7 @@ __all__ = [
     "random_group_packed",
     "greedy_label_scan",
     "search_range",
+    "lane_ones",
+    "pack_lanes",
+    "unpack_lanes",
 ]

@@ -35,7 +35,7 @@ from __future__ import annotations
 import sys
 from array import array
 from operator import index
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..pauli import _check_width
 
@@ -138,6 +138,31 @@ def random_group_packed(p: int, seed: int):
     return _sample_group(p, index(seed))
 
 
+def lane_ones(n: int) -> int:
+    """The int with a 1 at the bottom of each of its n 64-bit lanes, so
+    that ``g * lane_ones(n)`` repeats a value g < 2^64 in every lane."""
+    return int.from_bytes(b"\x01\0\0\0\0\0\0\0" * n, "little")
+
+
+def unpack_lanes(v: int, n: int) -> array:
+    """The n 64-bit lanes of the non-negative int ``v`` (lane i is
+    ``v >> 64*i & MASK64``) as an ``array("Q")``, in lane order on hosts
+    of either byte order."""
+    words = array("Q", v.to_bytes(8 * n, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
+def pack_lanes(values: Iterable[int]) -> int:
+    """The inverse of :func:`unpack_lanes`: the int whose lane i holds
+    the i-th of the u64 ``values``."""
+    words = array("Q", values)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
 def _draws(lanes: int, vmask: int) -> array:
     """splitmix64 outputs of the states in the 128-bit lanes of ``lanes``,
     ANDed with the lane-repeated ``vmask``, as u64 values in lane order."""
@@ -145,10 +170,8 @@ def _draws(lanes: int, vmask: int) -> array:
     z = z * 0xBF58476D1CE4E5B9 & _LANE_MASK
     z ^= z >> 27 & _LANE_MASK
     z = z * 0x94D049BB133111EB & _LANE_MASK
-    words = array("Q", ((z ^ z >> 31) & vmask).to_bytes(16 * _BATCH, "little"))
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return words[::2]  # each lane's high word is zero
+    # each 128-bit lane is two words, and its high word is zero
+    return unpack_lanes((z ^ z >> 31) & vmask, 2 * _BATCH)[::2]
 
 
 def _sample_group(p: int, seed: int):

@@ -13,19 +13,31 @@ example the group generated by Y alone seeds |0> + i|1>), and that unit
 is a coset invariant of the diagonal subgroup, so no sign convention can
 remove it.
 
-Both the seed and the codeword operators come from the group's packed
-closure walk (see :mod:`cosetqec.stabilizer`).  A coset is one solved
-member XOR the closure classes, and its representative is the member of
-least weight, ties broken by the letter string; both are compared on one
-packed integer key per member, so only the chosen representatives are
-ever built as operator objects.
+Both the seed and the codeword operators are computed in the 64-bit
+lanes of one Python int, one lane per closure element, so neither walks
+the closure one element at a time:
+
+- The seed reads :attr:`StabilizerGroup.closure_lanes` (lane i is
+  ``x | z << p | phase << 2p``; see :mod:`cosetqec.stabilizer`).
+  Operations on the whole int give every element's unit and its key
+  ``(x ^ base) << 2 | unit``; the keys are unpacked once, deduplicated
+  and sorted, and the sorted keys give the terms.
+- A coset is one solved member XOR the closure classes, and its
+  representative is the member of least weight, ties broken by the
+  letter string.  Lane i holds the letter key of class i, a 2p-bit
+  integer whose order is the order of the letter strings; a SWAR sum
+  puts each member's weight above its key, and one ``min`` over the
+  unpacked lanes picks the winner, so only the chosen representatives
+  are ever built as operator objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
+from ._kernels import lane_ones, pack_lanes, unpack_lanes
 from .pauli import (
     PauliOperator,
     ParseError,
@@ -117,32 +129,53 @@ def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
     elements sharing an X part land on one string; after sign
     normalization they agree, every coefficient has magnitude equal to
     the diagonal subgroup size, and only the unit i^k is kept.  The terms
-    come from one pass over the packed closure walk
-    (:attr:`StabilizerGroup.closure_packed`); no operator objects are
-    built.  Refuses groups whose diagonal subgroup does not fix |base>
-    with +1, since the character sum then cancels every coefficient to
-    zero; that check runs over the whole walk before any coefficient is
-    formed.
+    come from whole-int operations on the closure's 64-bit lanes
+    (:attr:`StabilizerGroup.closure_lanes`); no Python loop runs per
+    closure element and no operator object is built.  Refuses a base
+    outside [0, 2^p), and groups whose diagonal subgroup does not fix
+    |base> with +1, since the character sum then cancels every
+    coefficient to zero; that check runs over the whole walk before any
+    coefficient is formed.
     """
     p = group.width
-    phases, xs, zs = group.closure_packed
-    for ph, x, z in zip(phases, xs, zs):
-        # diagonal Hermitian elements have an even phase exponent
-        if x == 0 and ((ph >> 1) + (z & base).bit_count()) & 1:
-            raise GroupError(
-                f"group is not sign-normalized for base "
-                f"{format_bits(base, p)}: element "
-                f"{format_pauli(PauliOperator(ph, x, z, p))} acts as -1 "
-                "(the seed would cancel to zero); call normalized() first"
-            )
-    coeffs: dict[int, int] = {}
-    for ph, x, z in zip(phases, xs, zs):
-        unit = (ph + 2 * ((z & base).bit_count() & 1)) & 3
-        if coeffs.setdefault(base ^ x, unit) != unit:
-            raise GroupError("inconsistent seed coefficients; group signs are broken")
-    terms = tuple(
-        (unit, string) for string, unit in sorted(coeffs.items())
-    )
+    base = index(base)
+    if not 0 <= base < 1 << p:
+        raise ValueError(f"seed base {base:#x} exceeds width {p}")
+    n, pmask = 1 << p, (1 << p) - 1
+    ones = lane_ones(n)
+    lanes = group.closure_lanes
+    xs = lanes & pmask * ones
+    # unit = phase + 2 parity(z & base), with the parity folded onto bit 0
+    t = lanes & (base << p) * ones
+    for shift in (32, 16, 8, 4, 2, 1):
+        t ^= t >> shift
+    units = ((lanes >> 2 * p) + ((t & ones) << 1)) & 3 * ones
+    # A diagonal element (x == 0: no carry out of x + 2^p - 1) is
+    # Hermitian, so its unit is +1 or -1, and bit 1 marks -1.
+    diagonal = ones ^ (xs + pmask * ones >> p & ones)
+    minus = diagonal & units >> 1
+    if minus:
+        # the lowest such lane is the first such element in walk order
+        lam = (minus & -minus).bit_length() // 64
+        v = lanes >> 64 * lam & (1 << 64) - 1
+        elem = PauliOperator(v >> 2 * p, v & pmask, v >> p & pmask, p)
+        raise GroupError(
+            f"group is not sign-normalized for base "
+            f"{format_bits(base, p)}: element "
+            f"{format_pauli(elem)} acts as -1 "
+            "(the seed would cancel to zero); call normalized() first"
+        )
+    # each distinct (string, unit) once, in string order
+    keys = sorted(set(unpack_lanes((xs ^ base * ones) << 2 | units, n)))
+    m, packed = len(keys), pack_lanes(keys)
+    key_ones = lane_ones(m)
+    strings = unpack_lanes(packed >> 2 & ((1 << 62) - 1) * key_ones, m).tolist()
+    if len(set(strings)) < m:
+        raise GroupError("inconsistent seed coefficients; group signs are broken")
+    term_units = unpack_lanes(packed & 3 * key_ones, m).tolist()
+    # a list first: tuple() of an iterator resizes as it grows, which
+    # took 2-3 times as long at 2^20 terms
+    terms = tuple([*zip(term_units, strings)])
     return SeedState(terms, p, base=base, origin=SEED_STABILIZER)
 
 
@@ -154,7 +187,7 @@ def punctured_seed(seed: SeedState, removed: Iterable[int | str]) -> SeedState:
     for item in removed:
         if isinstance(item, str):
             item = parse_bits(item, seed.width)
-        elif not 0 <= item < 1 << seed.width:
+        elif not 0 <= (item := index(item)) < 1 << seed.width:
             raise ValueError(f"basis string {item} outside [0, 2^{seed.width})")
         remove.add(item)
     present = seed.strings
@@ -191,32 +224,67 @@ def _from_letter_key(key: int, p: int) -> tuple[int, int]:
     return x, z
 
 
-def _class_keys(group: StabilizerGroup) -> list[int]:
-    """Letter keys of the closure classes, by the closure's doubling walk
-    (the key map is linear, so key(element i times generator t) is
-    key(element i) XOR key(generator t))."""
+def _class_keys(group: StabilizerGroup) -> tuple[int, int]:
+    """Letter keys of the closure classes in the 64-bit lanes of one int,
+    lane lam for element lam, and the int with a 1 in every lane.  They
+    come from the closure's doubling walk: the key map is linear, so
+    key(element i times generator t) is key(element i) XOR key(generator
+    t)."""
     p = group.width
-    keys = [0]
+    keys, ones, n = 0, 1, 1
     for g in group.generators:
-        kg = _letter_key(g.x, g.z, p)
-        keys += [k ^ kg for k in keys]
-    return keys
+        keys |= (keys ^ _letter_key(g.x, g.z, p) * ones) << 64 * n
+        ones |= ones << 64 * n
+        n *= 2
+    return keys, ones
 
 
-def _lightest(group: StabilizerGroup, keys: list[int], label: int) -> PauliOperator:
-    # The coset is one solved member XOR the closure classes.  Each
-    # member's weight counts its nonzero key pairs and sits above the
-    # key, so one integer minimum orders by (weight, letter string).
+def _weight_masks(p: int, ones: int) -> tuple[int, int, int, int]:
+    """The lane-repeated masks that :func:`_lane_weights` reads, for keys
+    of width p in the lanes that ``ones`` marks."""
+    return (
+        int("01" * p, 2) * ones,
+        0x3333333333333333 * ones,
+        0x0F0F0F0F0F0F0F0F * ones,
+        0xFF * ones,
+    )
+
+
+def _lane_weights(v: int, masks: tuple[int, int, int, int]) -> int:
+    """The weight of the letter key in each 64-bit lane of v, that is its
+    count of nonzero bit pairs, in the lane's low byte."""
+    # One bit per nonzero pair, summed into 4-bit, then 8-bit fields, then
+    # each lane's bytes into its low byte.  This is clean while 2p <= 48
+    # (p <= 24, the width cap): the keys fill at most 6 bytes of a lane,
+    # the right shifts bring a lane's neighbour only into bytes above its
+    # low one, which the last mask drops, no byte sum reaches 256 to
+    # carry into the next lane, and the weight (at most 24) fits in the
+    # byte and in the bits above the key.
+    pairs, m2, m4, low = masks
+    w = (v | v >> 1) & pairs
+    w = (w + (w >> 2)) & m2
+    w = (w + (w >> 4)) & m4
+    w += w >> 8
+    w += w >> 16
+    w += w >> 32
+    return w & low
+
+
+def _lightest(group: StabilizerGroup, labels: Sequence[int]) -> list[PauliOperator]:
+    # Each coset is one solved member XOR the closure classes.  Each
+    # member's weight sits above its key in the lane, so one integer
+    # minimum orders by (weight, letter string).
     p = group.width
-    rkey = _letter_key(*group._solve_member(label), p)
     shift = 2 * p
-    pairs = int("01" * p, 2)
-    best = min([
-        (((v := k ^ rkey) | v >> 1) & pairs).bit_count() << shift | v
-        for k in keys
-    ])
-    x, z = _from_letter_key(best & ((1 << shift) - 1), p)
-    return PauliOperator.from_symplectic(x, z, p)
+    keys, ones = _class_keys(group)
+    masks = _weight_masks(p, ones)
+    out = []
+    for label in labels:
+        v = keys ^ _letter_key(*group._solve_member(label), p) * ones
+        best = min(unpack_lanes(_lane_weights(v, masks) << shift | v, 1 << p))
+        x, z = _from_letter_key(best & ((1 << shift) - 1), p)
+        out.append(PauliOperator.from_symplectic(x, z, p))
+    return out
 
 
 def coset_representative(group: StabilizerGroup, label: int) -> PauliOperator:
@@ -224,7 +292,7 @@ def coset_representative(group: StabilizerGroup, label: int) -> PauliOperator:
     lexicographically smallest letter string (I<X<Y<Z, qubit 0 first);
     label 0 gives the identity.  Only the winner is built as an
     operator."""
-    return _lightest(group, _class_keys(group), label)
+    return _lightest(group, [label])[0]
 
 
 @dataclass(frozen=True)
@@ -318,6 +386,5 @@ def build_code(
         )
     if seed is None:
         seed = seed_state(group.normalized(0), 0)
-    keys = _class_keys(group)
-    ops = tuple(_lightest(group, keys, lab) for lab in labels)
+    ops = tuple(_lightest(group, labels))
     return QuantumCode(group=group, seed=seed, codeword_ops=ops, labels=tuple(labels))

@@ -10,13 +10,18 @@ phase: it indexes the partition of all 4^p Pauli classes into 2^p
 cosets, and that label map is the only representation of the partition
 this module ever stores.
 
-The closure itself is made by one walk over packed integers: three
-parallel lists of phases, X masks and Z masks, doubled once per
-generator, with the phase carried as in the Aaronson-Gottesman tableau
-(quant-ph/0406196).  Operator objects are built from it only on request
-(:meth:`StabilizerGroup.closure`, :meth:`StabilizerGroup.coset_members`);
-the seed, the coset representatives and the mod-phase class set read
-the packed lists directly.
+The closure itself is made by one doubling walk in the 64-bit lanes of
+one Python int (:attr:`StabilizerGroup.closure_lanes`): lane i holds
+element i as ``x | z << p | phase << 2p``, which needs 2p + 2 <= 50 bits
+at the width cap p = 24.  Each generator doubles the lanes with a few
+whole-int operations: a broadcast XOR of its (x, z), a shift-XOR fold
+for the parity of ``z & gx`` in every lane, and an add into the 2-bit
+phase field, so the phase is carried as in the Aaronson-Gottesman
+tableau (quant-ph/0406196) with no per-element Python loop.  The seed
+reads the lanes directly; :attr:`StabilizerGroup.closure_packed` is a
+view of them as three lists of phases, X masks and Z masks, and
+operator objects are built only on request
+(:meth:`StabilizerGroup.closure`, :meth:`StabilizerGroup.coset_members`).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from ._kernels import random_group_packed, syndrome_map
+from ._kernels import random_group_packed, syndrome_map, unpack_lanes
 from .pauli import (
     PauliOperator,
     WidthMismatchError,
@@ -122,27 +127,50 @@ class StabilizerGroup:
         return self.syndrome_map(op.x, op.z)
 
     @cached_property
-    def closure_packed(self) -> tuple[list[int], list[int], list[int]]:
-        """The closure as three parallel lists (phases, xs, zs): element
-        lam is ``i**phases[lam] * X^xs[lam] * Z^zs[lam]``, in the index
-        order of :meth:`closure`.  No operator objects are built; the
-        lists are cached, so callers must not modify them."""
+    def closure_lanes(self) -> int:
+        """The closure in the 64-bit lanes of one int: lane lam holds
+        element lam, ``i**phase * X^x * Z^z``, as ``x | z << p | phase <<
+        2p``, in the index order of :meth:`closure`."""
         # Doubling walk: element i + 2^t is element i times generator t,
         # for every i < 2^t.  By associativity this is the ordered product
         # of the generators selected by the bits of the index, i.e.
         # generator[low bit of lam] times element[lam ^ low bit].  The
         # phase is carried as in the Aaronson-Gottesman tableau: i^a X^x
         # Z^z times i^b X^x' Z^z' is i^(a+b) (-1)^(z.x') X^(x^x') Z^(z^z').
-        phases, xs, zs = [0], [0], [0]
+        p = self.width
+        field = (1 << 2 * p + 2) - 1
+        lanes, ones, n = 0, 1, 1
         for g in self.generators:
-            gp, gx, gz = g.phase, g.x, g.z
-            phases += [
-                (ph + gp + 2 * ((z & gx).bit_count() & 1)) & 3
-                for ph, z in zip(phases, zs)
-            ]
-            xs += [x ^ gx for x in xs]
-            zs += [z ^ gz for z in zs]
-        return phases, xs, zs
+            # parity of z & gx per lane: the fold leaves it in bit 0, and
+            # no bit of a higher lane reaches bit 0 of a lower one
+            t = lanes & (g.x << p) * ones
+            for shift in (32, 16, 8, 4, 2, 1):
+                t ^= t >> shift
+            # the phase sum carries past the 2-bit field but not out of
+            # the lane, and the mask drops the carry
+            new = (lanes ^ (g.x | g.z << p) * ones) + (
+                (g.phase * ones + ((t & ones) << 1)) << 2 * p
+            )
+            lanes |= (new & field * ones) << 64 * n
+            ones |= ones << 64 * n
+            n *= 2
+        return lanes
+
+    @cached_property
+    def closure_packed(self) -> tuple[list[int], list[int], list[int]]:
+        """The closure as three parallel lists (phases, xs, zs): element
+        lam is ``i**phases[lam] * X^xs[lam] * Z^zs[lam]``, in the index
+        order of :meth:`closure`.  A view of :attr:`closure_lanes`; no
+        operator objects are built.  The lists are cached, so callers
+        must not modify them."""
+        p = self.width
+        pmask = (1 << p) - 1
+        lanes = unpack_lanes(self.closure_lanes, 1 << p)
+        return (
+            [v >> 2 * p for v in lanes],
+            [v & pmask for v in lanes],
+            [v >> p & pmask for v in lanes],
+        )
 
     @cached_property
     def _closure(self) -> tuple[PauliOperator, ...]:

@@ -5,6 +5,7 @@ import pytest
 
 from cosetqec import (
     GroupError,
+    ParseError,
     QuantumCode,
     SeedState,
     StabilizerGroup,
@@ -104,6 +105,19 @@ class TestSeedState:
     def test_base_outside_the_width_refused(self, base):
         with pytest.raises(ValueError, match="seed base"):
             SeedState(((0, 0),), 3, base=base)
+
+    @pytest.mark.parametrize("base", [-1, 1 << 5, 1 << 70])
+    def test_seed_state_refuses_a_base_outside_the_width(self, base):
+        # refused before the walk, with the message SeedState gives
+        g = random_group(5, 1)
+        with pytest.raises(ValueError) as info:
+            seed_state(g, base)
+        assert str(info.value) == f"seed base {base:#x} exceeds width 5"
+        assert not isinstance(info.value, GroupError)
+
+    def test_seed_state_refuses_a_non_int_base(self):
+        with pytest.raises(TypeError):
+            seed_state(random_group(3, 1), 1.0)
 
     @pytest.mark.parametrize(
         "terms,error,message",
@@ -264,6 +278,14 @@ class TestPuncture:
         message = rf"basis string {string} outside \[0, 2\^5\)"
         with pytest.raises(ValueError, match=message):
             punctured_seed(five2.seed, [string, 0])
+
+    @pytest.mark.parametrize("item", [9.0, "9", None])
+    def test_non_int_item_rejected(self, five2, item):
+        # 9.0 must not be read as the string 9, which the seed holds; a
+        # str is a bit string, and "9" is not one
+        error = ParseError if isinstance(item, str) else TypeError
+        with pytest.raises(error):
+            punctured_seed(five2.seed, [item, 0])
 
     def test_code_with_punctured_seed(self):
         g = group_of("XII", "IXI", "IIX")

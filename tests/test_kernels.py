@@ -218,6 +218,18 @@ def test_draws_equal_the_scalar_stream(p, seed, batches):
 
 
 @settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_lane_helpers_match_shifts_and_masks(data, n):
+    words = data.draw(st.lists(st.integers(0, fb.MASK64), min_size=n, max_size=n))
+    v = sum(w << 64 * i for i, w in enumerate(words))
+    assert fb.unpack_lanes(v, n).tolist() == [
+        (v >> 64 * i) & fb.MASK64 for i in range(n)
+    ]
+    assert fb.pack_lanes(fb.unpack_lanes(v, n)) == v
+    assert fb.unpack_lanes(fb.lane_ones(n), n).tolist() == [1] * n
+
+
+@settings(max_examples=100, deadline=None)
 @given(p=st.integers(1, 16), seed=SEEDS)
 def test_sampler_equals_the_reference(p, seed):
     assert fb.random_group_packed(p, seed) == reference_sample_group(p, seed)

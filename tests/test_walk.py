@@ -1,6 +1,8 @@
 """The packed closure walk and what is derived from it: closure order and
 phases, seed terms, coset representatives, the rank-based subgroup
-predicates, and the code JSON of the golden constructions."""
+predicates, and the code JSON of the golden constructions.  The lane
+walk, seed and coset minima are checked against the one-int-per-element
+versions they replaced, kept here as references."""
 
 import json
 from pathlib import Path
@@ -14,10 +16,19 @@ from cosetqec import (
     PauliOperator,
     StabilizerGroup,
     coset_representative,
+    format_bits,
+    format_pauli,
     is_closed_mod_phase,
     is_xor_subgroup,
     random_group,
     seed_state,
+)
+from cosetqec._kernels import lane_ones, pack_lanes, unpack_lanes
+from cosetqec.codes import (
+    _from_letter_key,
+    _lane_weights,
+    _letter_key,
+    _weight_masks,
 )
 from cosetqec.golden import golden_codes
 
@@ -42,6 +53,72 @@ def recursive_closure(group):
         lo = lam & -lam
         elems.append(group.generators[lo.bit_length() - 1] * elems[lam ^ lo])
     return tuple(elems)
+
+
+# References: the closure walk, the seed and the coset minimum as they
+# ran one Python int per closure element, before they moved to the 64-bit
+# lanes of one int.
+
+
+def reference_closure_packed(group):
+    """Three parallel lists (phases, xs, zs), doubled once per generator."""
+    phases, xs, zs = [0], [0], [0]
+    for g in group.generators:
+        gp, gx, gz = g.phase, g.x, g.z
+        phases += [
+            (ph + gp + 2 * ((z & gx).bit_count() & 1)) & 3
+            for ph, z in zip(phases, zs)
+        ]
+        xs += [x ^ gx for x in xs]
+        zs += [z ^ gz for z in zs]
+    return phases, xs, zs
+
+
+def reference_seed_state(group, base=0):
+    """The seed terms from one element at a time of ``closure_packed``,
+    with the refusals and messages of the package's ``seed_state``."""
+    p = group.width
+    phases, xs, zs = group.closure_packed
+    for ph, x, z in zip(phases, xs, zs):
+        # diagonal Hermitian elements have an even phase exponent
+        if x == 0 and ((ph >> 1) + (z & base).bit_count()) & 1:
+            raise GroupError(
+                f"group is not sign-normalized for base "
+                f"{format_bits(base, p)}: element "
+                f"{format_pauli(PauliOperator(ph, x, z, p))} acts as -1 "
+                "(the seed would cancel to zero); call normalized() first"
+            )
+    coeffs = {}
+    for ph, x, z in zip(phases, xs, zs):
+        unit = (ph + 2 * ((z & base).bit_count() & 1)) & 3
+        if coeffs.setdefault(base ^ x, unit) != unit:
+            raise GroupError("inconsistent seed coefficients; group signs are broken")
+    return tuple((unit, string) for string, unit in sorted(coeffs.items()))
+
+
+def reference_representative(group, label):
+    """The least (weight, letter key) over a list of the coset's keys."""
+    p = group.width
+    keys = [0]
+    for g in group.generators:
+        kg = _letter_key(g.x, g.z, p)
+        keys += [k ^ kg for k in keys]
+    rkey = _letter_key(*group._solve_member(label), p)
+    pairs = int("01" * p, 2)
+    best = min([
+        (((v := k ^ rkey) | v >> 1) & pairs).bit_count() << 2 * p | v
+        for k in keys
+    ])
+    x, z = _from_letter_key(best & ((1 << 2 * p) - 1), p)
+    return PauliOperator.from_symplectic(x, z, p)
+
+
+def outcome(call, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def pairwise_xor_subgroup(values):
@@ -92,6 +169,90 @@ class TestWalk:
         )
         with pytest.raises(GroupError, match="element -ZI acts as -1"):
             seed_state(g, 0)
+
+
+class TestLanes:
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_lanes_match_the_list_walk(self, p):
+        for seed in range(3):
+            for twist in (False, True):
+                g = signed_group(p, seed, twist)
+                want = reference_closure_packed(g)
+                assert g.closure_packed == want
+                assert unpack_lanes(g.closure_lanes, 1 << p).tolist() == [
+                    x | z << p | ph << 2 * p for ph, x, z in zip(*want)
+                ]
+
+    def test_lanes_and_seed_past_width_16(self):
+        # z & gx reaches bit 2p - 1 >= 32 here, so the parity fold needs
+        # its 32-bit step
+        p = 17
+        g = signed_group(p, 5, True)
+        assert g.closure_packed == reference_closure_packed(g)
+        base = (1 << p) - 1 - 6
+        norm = g.normalized(base)
+        assert seed_state(norm, base).terms == reference_seed_state(norm, base)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_seed_matches_the_reference(self, data):
+        # a group normalized for the base gives terms; a signed group, or
+        # one normalized for another base, mostly gives the diagonal-sign
+        # refusal, which must name the same element
+        p = data.draw(st.integers(1, 10))
+        g = signed_group(p, data.draw(st.integers(0, 10_000)), data.draw(st.booleans()))
+        base = data.draw(st.integers(0, (1 << p) - 1))
+        frame = data.draw(st.sampled_from(["none", "base", "other"]))
+        if frame == "base":
+            g = g.normalized(base)
+        elif frame == "other":
+            g = g.normalized(data.draw(st.integers(0, (1 << p) - 1)))
+        got = outcome(lambda: seed_state(g, base).terms)
+        assert got == outcome(reference_seed_state, g, base)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_broken_signs_refused_as_the_reference(self, seed):
+        # flip the sign of one non-diagonal element of the walk; where
+        # another element shares its X part, the coefficients disagree
+        p = 6
+        g = random_group(p, seed).normalized(0)
+        lanes = g.closure_lanes
+        xs = [v & (1 << p) - 1 for v in unpack_lanes(lanes, 1 << p)]
+        lam = next(i for i, x in enumerate(xs) if x)
+        broken = StabilizerGroup(g.generators)
+        broken.__dict__["closure_lanes"] = lanes ^ 2 << 2 * p << 64 * lam
+        got = outcome(lambda: seed_state(broken, 0).terms)
+        assert got == outcome(reference_seed_state, broken, 0)
+        if xs.count(xs[lam]) > 1:
+            assert got == (
+                GroupError,
+                "inconsistent seed coefficients; group signs are broken",
+            )
+
+    @pytest.mark.parametrize("p", range(6, 13))
+    def test_representatives_match_the_list_minimum(self, p):
+        for seed in range(2):
+            g = signed_group(p, seed, bool(seed))
+            for label in range(0, 1 << p, (1 << p) // 5 + 1):
+                assert coset_representative(g, label) == reference_representative(
+                    g, label
+                )
+
+    def test_weights_at_the_widest_keys(self):
+        # p = 24 fills 48 bits of each lane; all-ones keys sit beside
+        # each other and beside lanes that are empty or sparse
+        p = 24
+        full = (1 << 2 * p) - 1
+        words = [full, full, 0, full, 0x5555_5555_5555 & full,
+                 0xAAAA_AAAA_AAAA & full, 1 << 2 * p - 1, 0x123456789ABC, full]
+        ones = lane_ones(len(words))
+        weights = unpack_lanes(
+            _lane_weights(pack_lanes(words), _weight_masks(p, ones)),
+            len(words),
+        ).tolist()
+        pairs = int("01" * p, 2)
+        assert weights == [((k | k >> 1) & pairs).bit_count() for k in words]
+        assert weights[0] == p
 
 
 class TestRepresentative:
