@@ -46,9 +46,11 @@ entry is its conjugate.
 The eigenvector check makes one pass over the states and applies only
 the p generators to each.  The generators are Hermitian and pairwise
 commuting and every closure element is their product, so a state that is
-a +/-1 eigenvector of each generator is one of all 2^p elements.  Only a
-state that fails a generator is swept against all 2^p elements, so that
-its violations name elements in closure order; a failing state therefore
+a +/-1 eigenvector of each generator is one of all 2^p elements.  The
+verdict therefore comes from the p generators applied densely.  Only a
+state that fails a generator is swept against all 2^p elements of
+:meth:`StabilizerGroup.closure`, and that sweep only names the failing
+elements, in closure order, for the report; a failing state therefore
 still costs the full 2^p sweep, and a passing one costs p applications.
 The report counts every (state, closure element) pair as a case.
 """
@@ -422,13 +424,15 @@ def check_eigenvectors(
     """Every basis codeword (and, with an error set, every syndrome state)
     must be an exact +/-1 eigenvector of every closure element.
 
-    Each state is checked against the p generators.  The generators are
-    Hermitian and pairwise commuting, and each closure element is their
-    ordered product, so a +/-1 eigenvector of every generator is one of
-    every element and needs no more work.  Only a state that fails a
-    generator is swept against all 2^p elements, so its violations are
-    reported per element in closure order.  ``cases`` counts the (state,
-    closure element) pairs covered, states * 2^p."""
+    Each state is checked against the p generators, applied densely, and
+    that alone decides the verdict.  The generators are Hermitian and
+    pairwise commuting, and each closure element is their ordered
+    product, so a +/-1 eigenvector of every generator is one of every
+    element and needs no more work.  Only a state that fails a generator
+    is swept against all 2^p elements; the sweep is a diagnostic that
+    names the failing elements in closure order for the report.
+    ``cases`` counts the (state, closure element) pairs covered,
+    states * 2^p."""
     _check_dense_width(code.width, ORTHOGONALITY_MAX_WIDTH)
     states: list[tuple[str, DenseState]] = [
         (f"codeword {j}", s) for j, s in enumerate(codeword_states(code))
@@ -440,13 +444,15 @@ def check_eigenvectors(
         ]
     group = code.group
     violations = []
+    elems = ()  # the closure, built at the first failing state
     for name, state in states:
         # products of commuting Hermitian operators keep +/-1 eigenvectors
         if all(state.eigencheck(g) is not None for g in group.generators):
             continue
+        elems = elems or group.closure()
         violations += (
             f"{name} is not an eigenvector of {format_pauli(elem)}"
-            for elem in group.closure()
+            for elem in elems
             if state.eigencheck(elem) is None
         )
     return OracleReport("eigenvectors", len(states) << code.width, tuple(violations))

@@ -20,8 +20,7 @@ phase field, so the phase is carried as in the Aaronson-Gottesman
 tableau (quant-ph/0406196) with no per-element Python loop.  The seed
 reads the lanes directly; :attr:`StabilizerGroup.closure_packed` is a
 view of them as three lists of phases, X masks and Z masks, and
-operator objects are built only on request
-(:meth:`StabilizerGroup.closure`, :meth:`StabilizerGroup.coset_members`).
+operator objects are built only on request (:meth:`StabilizerGroup.closure`).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from ._kernels import random_group_packed, syndrome_map, unpack_lanes
 from .pauli import (
@@ -38,6 +37,7 @@ from .pauli import (
     format_bits,
     format_pauli,
     parse_pauli,
+    rank_f2,
     symplectic_parity,
 )
 
@@ -172,17 +172,14 @@ class StabilizerGroup:
             [v >> p & pmask for v in lanes],
         )
 
-    @cached_property
-    def _closure(self) -> tuple[PauliOperator, ...]:
+    def closure(self) -> tuple[PauliOperator, ...]:
+        """All 2^p elements; index lam is the ordered product of the
+        generators selected by the bits of lam (ascending index).  Built
+        from :attr:`closure_packed` on each call, not cached."""
         p = self.width
         return tuple(
             PauliOperator(ph, x, z, p) for ph, x, z in zip(*self.closure_packed)
         )
-
-    def closure(self) -> tuple[PauliOperator, ...]:
-        """All 2^p elements; index lam is the ordered product of the
-        generators selected by the bits of lam (ascending index)."""
-        return self._closure
 
     @cached_property
     def closure_classes(self) -> frozenset[tuple[int, int]]:
@@ -207,18 +204,6 @@ class StabilizerGroup:
         x, z = v & ((1 << p) - 1), v >> p
         assert self.syndrome_map(x, z) == label
         return x, z
-
-    def coset_members(self, label: int) -> tuple[PauliOperator, ...]:
-        """The 2^p mod-phase classes with the given syndrome, as canonical
-        Hermitian representatives in closure index order; label 0 gives
-        the closure itself."""
-        p = self.width
-        rx, rz = self._solve_member(label)
-        _, xs, zs = self.closure_packed
-        return tuple(
-            PauliOperator.from_symplectic(rx ^ x, rz ^ z, p)
-            for x, z in zip(xs, zs)
-        )
 
     def normalized(self, base: int = 0) -> "StabilizerGroup":
         """Re-choose generators so the diagonal subgroup (elements with no
@@ -285,13 +270,6 @@ def random_group(p: int, seed: int) -> StabilizerGroup:
     return StabilizerGroup(gens)
 
 
-def _span(vectors: Sequence[int]) -> set[int]:
-    out = {0}
-    for v in vectors:
-        out |= {s ^ v for s in out}
-    return out
-
-
 def enumerate_groups(p: int) -> Iterator[StabilizerGroup]:
     """Every maximal abelian subgroup exactly once (up to closure mod
     phase), in lexicographic order of the sorted packed closure.
@@ -323,7 +301,7 @@ def enumerate_groups(p: int) -> Iterator[StabilizerGroup]:
     for key in sorted(tuple(sorted(span)) for span in spans):
         gens: list[int] = []
         for v in key:
-            if v and v not in _span(gens):
+            if rank_f2([*gens, v]) > len(gens):
                 gens.append(v)
                 if len(gens) == p:
                     break

@@ -1,11 +1,14 @@
 """Syndrome tables, the algebraic correctability check, and diagnosis.
 
 Correctability of an error set against a code is decided purely on
-coset labels: the code corrects the set exactly when the N*K labels of
-all error x codeword products are distinct.  This runs at widths the
-dense-state engine cannot reach; for seeds that are not full group
-closures the verdict is flagged as algebraic-only so callers know to
-ask the dense engine for confirmation.
+coset labels: the code corrects the set when the N*K labels of all
+error x codeword products are distinct.  That condition is sufficient,
+not necessary.  Under a degenerate error set, where two errors share a
+label, the check refuses codes that the dense Knill-Laflamme check
+passes (ROADMAP item 5 records 16 such codes at p=9).  The check runs
+at widths the dense-state engine cannot reach; for seeds that are not
+full group closures the verdict is flagged as algebraic-only so callers
+know to ask the dense engine for confirmation.
 
 A syndrome table decides distinctness in one cached row-major pass over
 its entries: the pass stops at the first repeated label, which is the

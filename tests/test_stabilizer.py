@@ -175,28 +175,6 @@ class TestSyndrome:
             assert g.syndrome(s1 * s2) == g.syndrome(s1) ^ g.syndrome(s2)
 
 
-class TestCosets:
-    def test_members_of_diagonal_p2(self):
-        g = diagonal_group(2)
-        members = g.coset_members(parse_bits("10"))
-        assert {m.body() for m in members} == {"XI", "YI", "XZ", "YZ"}
-        assert all(m.x == 0b01 for m in members)
-
-    def test_label_zero_gives_closure(self):
-        g = group_of("XX", "ZZ")
-        assert {m.body() for m in g.coset_members(0)} == {"II", "XX", "ZZ", "YY"}
-
-    def test_single_qubit_z_group(self):
-        members = group_of("Z").coset_members(1)
-        assert {m.body() for m in members} == {"X", "Y"}
-
-    def test_every_member_has_the_label(self):
-        g = random_group(4, seed=3)
-        for label in (0, 1, 7, 13):
-            for m in g.coset_members(label):
-                assert g.syndrome(m) == label
-
-
 class TestNormalize:
     def test_flips_negative_diagonal(self):
         g = StabilizerGroup(
