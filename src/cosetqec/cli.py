@@ -45,11 +45,13 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
-def _load_code(path: str) -> QuantumCode:
+def _load(path: str, kind: type, name: str):
+    """A group or code file read by ``kind.from_dict``; any refusal of
+    its content names the path."""
     try:
-        return QuantumCode.from_dict(_load_json(path))
+        return kind.from_dict(_load_json(path))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad code file: {exc}")
+        raise ParseError(f"{path}: bad {name} file: {exc}")
 
 
 def _load_errors(path: str) -> ErrorSet:
@@ -70,7 +72,7 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _cmd_build(args) -> int:
-    group = StabilizerGroup.from_dict(_load_json(args.cartanion))
+    group = _load(args.cartanion, StabilizerGroup, "group")
     labels = [parse_bits(tok, group.width) for tok in args.labels.split(",")]
     seed = None
     if args.puncture:
@@ -82,7 +84,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    code = _load_code(args.code)
+    code = _load(args.code, QuantumCode, "code")
     errors = _load_errors(args.errors)
     table = None if pigeonhole(code, errors) else build_table(code, errors)
     verdict = check_correctable(code, errors, table)
@@ -153,7 +155,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    code = _load_code(args.code)
+    code = _load(args.code, QuantumCode, "code")
     cls = classify(code)
     flag = {True: "g.", False: "n.g."}
     print(f"type: {cls.type_tag}")
@@ -190,7 +192,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    code = _load_code(args.code)
+    code = _load(args.code, QuantumCode, "code")
     errors = _load_errors(args.errors)
     observed = parse_bits(args.observed, code.width)
     table = None if pigeonhole(code, errors) else build_table(code, errors)

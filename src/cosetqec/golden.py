@@ -63,10 +63,6 @@ def golden_codes() -> dict[str, QuantumCode]:
     }
 
 
-def identity_only(p: int) -> ErrorSet:
-    return ErrorSet((PauliOperator.identity(p),))
-
-
 def x_flips(p: int) -> ErrorSet:
     ops = [PauliOperator.identity(p)]
     ops += [PauliOperator(0, 1 << j, 0, p) for j in range(p)]

@@ -57,7 +57,7 @@ The report counts every (state, closure element) pair as a case.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress, repeat
 from operator import add, itemgetter, mul, or_, sub
@@ -144,6 +144,7 @@ def _times_minus_i(support: int, sign: int, half: int) -> tuple[int, int]:
     )
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class DenseState:
     """An unnormalized state: 2^width amplitudes re + i*im with re and
     im in {-1, 0, 1}.
@@ -151,9 +152,10 @@ class DenseState:
     The state is held as two masks over the lanes of re || im: the
     support marks the nonzero lanes and the sign mask the negative ones,
     lane t being bit 2^(width+1)-1-t of each.  The masks of equal
-    amplitudes are equal, so equality and hashing compare them.  ``re``
-    and ``im`` are read-only tuples decoded from the masks when first
-    read.  A state is immutable."""
+    amplitudes are equal, so equality and hashing compare the fields.
+    ``re`` and ``im`` are read-only tuples decoded from the masks when
+    first read.  A state is immutable.  The constructor validates
+    amplitudes from outside; the package builds its states from masks."""
 
     width: int
     _support: int
@@ -189,24 +191,6 @@ class DenseState:
         state = object.__new__(cls)
         state.__dict__.update(width=width, _support=support, _sign=sign)
         return state
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.width, self._support, self._sign) == (
-            other.width,
-            other._support,
-            other._sign,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.width, self._support, self._sign))
 
     def __repr__(self) -> str:
         return f"DenseState(re={self.re!r}, im={self.im!r}, width={self.width!r})"
@@ -251,12 +235,20 @@ class DenseState:
 
     @classmethod
     def from_seed(cls, seed: SeedState) -> "DenseState":
-        _check_dense_width(seed.width)
-        re = [0] * (1 << seed.width)
-        im = [0] * (1 << seed.width)
+        """The masks written term by term, as little-endian bytes: i^k is
+        +/-1 in re for even k and in im for odd k, negative for k >= 2."""
+        width = seed.width
+        _check_dense_width(width)
+        top = (2 << width) - 1
+        support, sign = bytearray(top // 8 + 1), bytearray(top // 8 + 1)
         for unit, string in seed.terms:
-            re[string], im[string] = _unit_mul(1, 0, unit)
-        return cls(tuple(re), tuple(im), seed.width)
+            bit = top - ((unit & 1) << width | string)
+            support[bit >> 3] |= 1 << (bit & 7)
+            if unit & 2:
+                sign[bit >> 3] |= 1 << (bit & 7)
+        return cls._from_masks(
+            int.from_bytes(support, "little"), int.from_bytes(sign, "little"), width
+        )
 
     def apply(self, op: PauliOperator) -> "DenseState":
         """Image under i^d X^x Z^z: |a> -> i^d (-1)^(z.a) |a^x>.  It costs
@@ -385,23 +377,22 @@ def check_overlap_dichotomy(group: StabilizerGroup) -> OracleReport:
     p = group.width
     _check_dense_width(p, DICHOTOMY_MAX_WIDTH)
     norm = group.normalized(0)
-    seed = DenseState.from_seed(seed_state(norm, 0))
-    n2 = seed.norm2
+    terms = seed_state(norm, 0).terms
+    n2 = len(terms)  # each term is a unit on its own string
     size = 1 << p
+    re, im = [0] * size, [0] * size
+    for unit, string in terms:
+        re[string], im[string] = _unit_mul(1, 0, unit)
     inside: dict[int, set[int]] = {}
     for x, z in norm.closure_classes:
         inside.setdefault(x, set()).add(z)
     violations = []
     for x in range(size):
         shifted = itemgetter(*[a ^ x for a in range(size)])
-        ur, ui = shifted(seed.re), shifted(seed.im)
+        ur, ui = shifted(re), shifted(im)
         # conj(u) * v with u = c[a^x], v = c[a]
-        fr = _walsh_hadamard(
-            list(map(add, map(mul, ur, seed.re), map(mul, ui, seed.im)))
-        )
-        fi = _walsh_hadamard(
-            list(map(sub, map(mul, ur, seed.im), map(mul, ui, seed.re)))
-        )
+        fr = _walsh_hadamard(list(map(add, map(mul, ur, re), map(mul, ui, im))))
+        fi = _walsh_hadamard(list(map(sub, map(mul, ur, im), map(mul, ui, re))))
         members = inside.get(x, set())
         # fr[z] | fi[z] is 0 exactly when both are
         nonzero = compress(range(size), map(or_, fr, fi))

@@ -120,7 +120,10 @@ def parse_pauli(text: str, width: int | None = None) -> PauliOperator:
     j sets both masks there and adds one to the phase exponent, so any
     unprefixed string parses to a Hermitian operator.
     """
-    s = text.strip()
+    try:
+        s = text.strip()
+    except AttributeError:
+        raise ParseError(f"expected a Pauli string, got {text!r}") from None
     prefix = ""
     for cand in ("-i", "+i", "i", "-", "+"):
         if s.startswith(cand):
@@ -193,7 +196,10 @@ def rank_mod_phase(ops: Sequence[PauliOperator]) -> int:
 
 def parse_bits(text: str, width: int | None = None) -> int:
     """Parse a bit string; character j is bit j of the result."""
-    s = text.strip()
+    try:
+        s = text.strip()
+    except AttributeError:
+        raise ParseError(f"expected a bit string, got {text!r}") from None
     if width is not None and len(s) != width:
         raise ParseError(f"expected {width} bits, got {len(s)} in {text!r}")
     if s.strip("01"):  # some character is not a bit; name the first one

@@ -98,7 +98,10 @@ def _random_search(
     p = errors.width
     ea, eb = _packed_errors(errors)
     hit = None
-    if workers == 1:
+    # a fork pool starts all its workers at once, so ask for no more than
+    # there are blocks to scan
+    workers = min(workers, -(-budget // _BLOCK))
+    if workers <= 1:
         hit = search_range(p, ea, eb, k_target, seed, 0, budget)
     else:
         starts = range(0, budget, _BLOCK)

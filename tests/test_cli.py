@@ -428,6 +428,66 @@ class TestEntryPoint:
         assert "cosetqec" in proc.stdout
 
 
+def _set_seed_term(data):
+    data["seed"][0] = ["+", 5]
+
+
+def _set_label(data):
+    data["labels"][1] = 7
+
+
+def _set_spinor(data):
+    data["codeword_spinors"][1] = None
+
+
+def _set_generator(data):
+    data["cartanion"]["generators"][0] = 3
+
+
+def _set_seed_base(data):
+    data["seed_base"] = 1
+
+
+class TestMalformedFiles:
+    """A group or code file whose content has the wrong JSON type is a
+    format error: exit 2 and one error line naming the file, not a
+    traceback."""
+
+    def _assert_format_error(self, capsys, rc, path):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"width": 1, "generators": [5]},
+            {"width": 3},
+            {"width": 3, "generators": 7},
+            [{"width": 3, "generators": ["ZII", "IZI", "IIZ"]}],
+        ],
+        ids=["int-generator", "no-generators", "int-generators", "top-level-list"],
+    )
+    def test_build_group_file(self, tmp_path, capsys, content):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(content))
+        rc = main(["build", "--cartanion", str(path), "--labels", "000,111"])
+        self._assert_format_error(capsys, rc, path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [_set_seed_term, _set_label, _set_spinor, _set_generator, _set_seed_base],
+    )
+    def test_verify_code_file(self, workdir, capsys, edit):
+        data = json.loads((workdir / "rep3.json").read_text())
+        edit(data)
+        path = workdir / "bad-code.json"
+        path.write_text(json.dumps(data))
+        rc = main(["verify", "--code", str(path), "--errors", str(workdir / "xflips.txt")])
+        self._assert_format_error(capsys, rc, path)
+
+
 class TestUnreadablePaths:
     """A path that cannot be read or written is a usage error: exit 2 and
     one error line naming it, not a traceback."""

@@ -8,7 +8,7 @@ they do."""
 
 import ast
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -78,6 +78,53 @@ def reference_apply(state, op):
             r, i = -i, r
         re[a ^ op.x], im[a ^ op.x] = r, i
     return DenseState(tuple(re), tuple(im), state.width)
+
+
+def reference_from_seed(seed):
+    """The seed's amplitudes laid out term by term, through the
+    validating constructor."""
+    re = [0] * (1 << seed.width)
+    im = [0] * (1 << seed.width)
+    for unit, string in seed.terms:
+        r, i = 1, 0
+        for _ in range(unit):  # times i, unit times
+            r, i = -i, r
+        re[string], im[string] = r, i
+    return DenseState(tuple(re), tuple(im), seed.width)
+
+
+@st.composite
+def seeds(draw, p):
+    """A stabilizer seed on a random base, a punctured one, or (from
+    width 2) an explicit seed that uses all four units."""
+    kinds = ["stabilizer", "punctured", "explicit"][: 3 if p > 1 else 2]
+    kind = draw(st.sampled_from(kinds), label="kind")
+    if kind == "explicit":
+        strings = draw(
+            st.lists(
+                st.integers(0, (1 << p) - 1), min_size=4, max_size=1 << p, unique=True
+            ),
+            label="strings",
+        )
+        units = [0, 1, 2, 3]
+        units += draw(
+            st.lists(st.integers(0, 3), min_size=len(strings) - 4,
+                     max_size=len(strings) - 4),
+            label="units",
+        )
+        return SeedState(tuple(zip(units, strings)), p, origin="explicit")
+    group = random_group(p, seed=draw(st.integers(0, 10**6), label="group"))
+    base = draw(st.integers(0, (1 << p) - 1), label="base")
+    seed = seed_state(group.normalized(base), base)
+    if kind == "punctured" and len(seed.terms) > 2:
+        strings = sorted(seed.strings)
+        removed = draw(
+            st.lists(st.sampled_from(strings), min_size=2,
+                     max_size=len(strings) - 1, unique=True),
+            label="removed",
+        )
+        seed = punctured_seed(seed, removed)
+    return seed
 
 
 def reference_eigencheck(state, op):
@@ -349,6 +396,24 @@ class TestBitPlanes:
             st.one_of(st.sampled_from(group.closure()), paulis(p)), label="op"
         )
         assert state.eigencheck(op) == reference_eigencheck(state, op)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_from_seed_matches_the_amplitude_layout(self, data):
+        p = data.draw(st.integers(1, 7), label="p")
+        seed = data.draw(seeds(p), label="seed")
+        state, expect = DenseState.from_seed(seed), reference_from_seed(seed)
+        assert state == expect and hash(state) == hash(expect)
+        assert (state.re, state.im) == (expect.re, expect.im)
+        assert state.norm2 == len(seed.terms)
+
+    def test_from_seed_width_zero(self):
+        seed = SeedState(((3, 0),), 0, origin="explicit")
+        assert DenseState.from_seed(seed) == DenseState((0,), (-1,), 0)
+
+    def test_is_a_frozen_dataclass_of_the_masks(self):
+        assert [f.name for f in fields(DenseState)] == ["width", "_support", "_sign"]
+        assert DenseState.__dataclass_params__.frozen
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())

@@ -84,6 +84,14 @@ class TestParseFormat:
         with pytest.raises(ParseError):
             parse_bits("10a")
 
+    @pytest.mark.parametrize("parse", [parse_bits, parse_pauli])
+    @pytest.mark.parametrize("bad", [5, None, 1.0, ["0"], {"x": 1}])
+    def test_non_string_refused(self, parse, bad):
+        with pytest.raises(ParseError, match=r"expected a (bit|Pauli) string, got"):
+            parse(bad)
+        with pytest.raises(ParseError, match=r"expected a (bit|Pauli) string, got"):
+            parse(bad, 3)
+
 
 def reference_parse_bits(text, width=None):
     """The character loop parse_bits used before its C-level codec."""

@@ -196,6 +196,26 @@ class TestParallelWaves:
             par = search_code(errs, 2, budget=budget, seed=seed, workers=workers)
             assert par == seq
 
+    @pytest.mark.parametrize(
+        "budget, workers, pool_size",
+        [(0, 64, None), (10, 64, None), (2048, 64, None), (2049, 64, 2),
+         (5000, 64, 3), (5000, 2, 2)],
+    )
+    def test_pool_is_sized_by_the_blocks(self, monkeypatch, budget, workers, pool_size):
+        # a budget of at most one block scans in-process
+        sizes = []
+
+        class SizedPool(_InlinePool):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", SizedPool)
+        errs = single_qubit_errors(5)
+        got = search_code(errs, 2, budget=budget, seed=5, workers=workers)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert got == search_code(errs, 2, budget=budget, seed=5, workers=1)
+
     def test_blocks_are_built_per_wave(self, monkeypatch):
         # 48,829 blocks of 2048 candidates; the hit comes in the first wave
         monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
