@@ -37,19 +37,16 @@ EXIT_INTERNAL = 3
 _ENTRY_KEYS = ("error_index", "codeword_index", "error", "codeword", "label")
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-
-
 def _load(path: str, kind: type, name: str):
     """A group or code file read by ``kind.from_dict``; any refusal of
-    its content names the path."""
+    its content names the path once, a JSON syntax error with its line
+    and column."""
     try:
-        return kind.from_dict(_load_json(path))
+        with open(path) as fh:
+            return kind.from_dict(json.load(fh))
+    except json.JSONDecodeError as exc:
+        where = f"{path}:{exc.lineno}:{exc.colno}"
+        raise ParseError(f"{where}: bad {name} file: {exc.msg}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad {name} file: {exc}")
 

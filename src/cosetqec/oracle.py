@@ -7,8 +7,8 @@ as exact Gaussian integers, and every comparison is an exact equality.
 There are no tolerances anywhere because every amplitude in this
 framework is an integer times a fourth root of unity.
 
-Normalization is never applied: a state is a (vector, norm2) pair, and
-normalized quantities are formed as exact ratios on demand.
+Normalization is never applied: normalized quantities are formed as
+exact ratios on demand.
 
 Every state the pipeline builds is a seed, whose amplitudes are units
 i^k, or a Pauli image of one, so each amplitude is re + i*im with re and
@@ -33,12 +33,15 @@ popcount(X & Y) - 2 * popcount(X & Y & (s_u ^ s_v)): two big-int ANDs
 and popcounts of 2^(p+1) bits.
 
 The overlap-dichotomy sweep does not apply each of the 4^p operators in
-turn.  For a fixed X part x, the expectations <seed|X^x Z^z|seed> over
-all z are the Walsh-Hadamard transform of the integer sequence
-conj(c[a^x]) * c[a] over the seed amplitudes c, which is the
-quadratic-form structure of stabilizer states (Dehaene & De Moor,
-quant-ph/0304125).  One butterfly pass per qubit gives all 2^p values for
-that x, so the sweep costs 4^p * p integer operations instead of 8^p.
+turn.  For a fixed X part x it moves the seed once, to X^x|seed>; Z^z
+then only negates the lanes whose basis index a has z.a odd.  The 2^p
+flip masks, one per z, are built once from the lane masks by doubling
+(256 KB at p=10), so each <seed|Z^z X^x|seed> is the two popcount dot
+products of the inner product, with the sign masks XORed by the flip
+mask of z.  The sweep makes 2^p operator applications and at most 4^p
+such pairs of dot products: an X part whose image misses the seed's
+support has only zero expectations and needs none.
+
 The Knill-Laflamme check reads a Hermitian Gram matrix of the syndrome
 states: each unordered pair's inner product is taken once and the mirror
 entry is its conjugate.
@@ -60,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress, repeat
-from operator import add, itemgetter, mul, or_, sub
+from operator import add
 
 from .codes import QuantumCode, SeedState, seed_state
 from .pauli import ErrorSet, PauliOperator, WidthMismatchError, format_pauli
@@ -346,58 +349,54 @@ def syndrome_states(
     return out
 
 
-def _walsh_hadamard(values: list[int]) -> list[int]:
-    """F(z) = sum_a (-1)^(a.z) values[a], exactly, for len(values) = 2^p.
-
-    Each pass butterflies the lowest index bit and rotates it to the top
-    (the constant-geometry form), so after p passes every bit has been
-    transformed once and the output is in natural order."""
-    n = len(values)
-    for _ in range(n.bit_length() - 1):
-        evens, odds = values[0::2], values[1::2]
-        values = list(map(add, evens, odds))
-        values += map(sub, evens, odds)
-    return values
-
-
 def check_overlap_dichotomy(group: StabilizerGroup) -> OracleReport:
     """Sweep all 4^p mod-phase operators against the group's seed: the
     expectation <seed|S|seed> must vanish exactly when S is outside the
     closure, and be exactly +/-norm2 when inside.
 
-    For each X part x the products f_x(a) = conj(c[a^x]) * c[a] of the
-    seed amplitudes c go through one integer Walsh-Hadamard transform F_x,
-    and <seed|X^x Z^z|seed> for the Hermitian representative
-    i^popcount(x&z) X^x Z^z is i^popcount(x&z) * F_x(z).  That gives all
-    4^p expectations in 4^p * p integer operations, against 8^p for
-    applying each operator to the seed.  Only the operators that are
-    inside the closure or have a nonzero expectation are visited one by
-    one, in ascending (x, z) order, so violations come out in sweep
-    order; a PauliOperator is built only for a violation."""
+    For each X part x the seed is moved once, and each z takes the two
+    dot products of :meth:`DenseState.inner` with the sign masks XORed by
+    the flip mask of z, giving <seed|Z^z X^x|seed>.  The Hermitian
+    representative i^d X^x Z^z, d = popcount(x&z), is i^-d Z^z X^x.
+    Operators are visited in ascending (x, z) order, and only those
+    inside the closure or with a nonzero expectation are judged, so
+    violations come out in sweep order; a PauliOperator is built only
+    for a violation."""
     p = group.width
     _check_dense_width(p, DICHOTOMY_MAX_WIDTH)
     norm = group.normalized(0)
-    terms = seed_state(norm, 0).terms
-    n2 = len(terms)  # each term is a unit on its own string
+    seed = DenseState.from_seed(seed_state(norm, 0))
+    n2 = seed.norm2
     size = 1 << p
-    re, im = [0] * size, [0] * size
-    for unit, string in terms:
-        re[string], im[string] = _unit_mul(1, 0, unit)
+    # flips[z] marks the lanes whose index a has z.a odd, built by doubling
+    flips = [0]
+    for mask in _lane_masks(p):
+        flips += [flip ^ mask for flip in flips]
     inside: dict[int, set[int]] = {}
     for x, z in norm.closure_classes:
         inside.setdefault(x, set()).add(z)
     violations = []
     for x in range(size):
-        shifted = itemgetter(*[a ^ x for a in range(size)])
-        ur, ui = shifted(re), shifted(im)
-        # conj(u) * v with u = c[a^x], v = c[a]
-        fr = _walsh_hadamard(list(map(add, map(mul, ur, re), map(mul, ui, im))))
-        fi = _walsh_hadamard(list(map(sub, map(mul, ur, im), map(mul, ui, re))))
+        moved = seed.apply(PauliOperator(0, x, 0, p))
+        support_b, sign_b = moved._minus_i
+        both, both_b = seed._support & moved._support, seed._support & support_b
         members = inside.get(x, set())
-        # fr[z] | fi[z] is 0 exactly when both are
-        nonzero = compress(range(size), map(or_, fr, fi))
-        for z in sorted(members.union(nonzero)):
-            val = _unit_mul(fr[z], fi[z], (x & z).bit_count())
+        if both | both_b:
+            neg, neg_b = seed._sign ^ moved._sign, seed._sign ^ sign_b
+            # _plane_dot of each plane, inlined: this is the hot loop
+            count, count_b = both.bit_count(), both_b.bit_count()
+            values = [
+                (
+                    count - 2 * (both & (neg ^ flip)).bit_count(),
+                    count_b - 2 * (both_b & (neg_b ^ flip)).bit_count(),
+                )
+                for flip in flips
+            ]
+            visit = sorted(members.union(compress(range(size), map(any, values))))
+        else:  # the moved seed misses the seed: every expectation is 0
+            values, visit = [(0, 0)] * size, sorted(members)
+        for z in visit:
+            val = _unit_mul(*values[z], -(x & z).bit_count())
             if z in members:
                 if val in ((n2, 0), (-n2, 0)):
                     continue

@@ -120,9 +120,9 @@ def parse_pauli(text: str, width: int | None = None) -> PauliOperator:
     j sets both masks there and adds one to the phase exponent, so any
     unprefixed string parses to a Hermitian operator.
     """
-    try:
-        s = text.strip()
-    except AttributeError:
+    try:  # str.strip refuses every non-str, bytes included
+        s = str.strip(text)
+    except TypeError:
         raise ParseError(f"expected a Pauli string, got {text!r}") from None
     prefix = ""
     for cand in ("-i", "+i", "i", "-", "+"):
@@ -196,9 +196,9 @@ def rank_mod_phase(ops: Sequence[PauliOperator]) -> int:
 
 def parse_bits(text: str, width: int | None = None) -> int:
     """Parse a bit string; character j is bit j of the result."""
-    try:
-        s = text.strip()
-    except AttributeError:
+    try:  # str.strip refuses every non-str, bytes included
+        s = str.strip(text)
+    except TypeError:
         raise ParseError(f"expected a bit string, got {text!r}") from None
     if width is not None and len(s) != width:
         raise ParseError(f"expected {width} bits, got {len(s)} in {text!r}")

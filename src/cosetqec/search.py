@@ -182,14 +182,20 @@ def search_code(
     are deterministic in (strategy, budget, seed); any returned code
     passes the distinct-label verdict by construction.  ``workers=None``
     reads the worker count from ``COSETQEC_WORKERS`` (default 1); a count
-    below 1 is refused.
+    below 1, or a variable that is not an integer, is refused.
     """
     if k_target < 1:
         raise ValueError("dimension target must be at least 1")
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
     if workers is None:
-        workers = int(os.environ.get("COSETQEC_WORKERS", "1"))
+        raw = os.environ.get("COSETQEC_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"COSETQEC_WORKERS must be an integer, got {raw!r}"
+            ) from None
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     p = errors.width

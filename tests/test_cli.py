@@ -448,16 +448,26 @@ def _set_seed_base(data):
     data["seed_base"] = 1
 
 
-class TestMalformedFiles:
-    """A group or code file whose content has the wrong JSON type is a
-    format error: exit 2 and one error line naming the file, not a
-    traceback."""
+NOT_JSON = "{not json"
 
-    def _assert_format_error(self, capsys, rc, path):
+
+def _not_json(data):
+    return NOT_JSON
+
+
+class TestMalformedFiles:
+    """A group or code file that is not JSON, or whose content has the
+    wrong JSON type, is a format error: exit 2 and one error line naming
+    the file once, not a traceback; a syntax error keeps its line and
+    column."""
+
+    def _assert_format_error(self, capsys, rc, path, text):
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(path) in err
+        assert err.count(str(path)) == 1
+        if text == NOT_JSON:
+            assert f"error: {path}:1:2: bad " in err
 
     @pytest.mark.parametrize(
         "content",
@@ -466,26 +476,34 @@ class TestMalformedFiles:
             {"width": 3},
             {"width": 3, "generators": 7},
             [{"width": 3, "generators": ["ZII", "IZI", "IIZ"]}],
+            NOT_JSON,
         ],
-        ids=["int-generator", "no-generators", "int-generators", "top-level-list"],
+        ids=[
+            "int-generator", "no-generators", "int-generators", "top-level-list",
+            "not-json",
+        ],
     )
     def test_build_group_file(self, tmp_path, capsys, content):
         path = tmp_path / "group.json"
-        path.write_text(json.dumps(content))
+        text = content if content == NOT_JSON else json.dumps(content)
+        path.write_text(text)
         rc = main(["build", "--cartanion", str(path), "--labels", "000,111"])
-        self._assert_format_error(capsys, rc, path)
+        self._assert_format_error(capsys, rc, path, text)
 
     @pytest.mark.parametrize(
         "edit",
-        [_set_seed_term, _set_label, _set_spinor, _set_generator, _set_seed_base],
+        [
+            _set_seed_term, _set_label, _set_spinor, _set_generator, _set_seed_base,
+            _not_json,
+        ],
     )
     def test_verify_code_file(self, workdir, capsys, edit):
         data = json.loads((workdir / "rep3.json").read_text())
-        edit(data)
+        text = edit(data) or json.dumps(data)  # the edits return None
         path = workdir / "bad-code.json"
-        path.write_text(json.dumps(data))
+        path.write_text(text)
         rc = main(["verify", "--code", str(path), "--errors", str(workdir / "xflips.txt")])
-        self._assert_format_error(capsys, rc, path)
+        self._assert_format_error(capsys, rc, path, text)
 
 
 class TestUnreadablePaths:

@@ -1,7 +1,7 @@
 """Dense-state engine: exact arithmetic and the structural sweeps.
 
-The per-operator sweeps the oracle used before the Walsh-Hadamard
-transform, the Hermitian Gram and the generator-first eigenvector check,
+The per-operator sweeps the oracle used before the flip-mask dichotomy
+sweep, the Hermitian Gram and the generator-first eigenvector check,
 and the per-amplitude inner product it used before bit slicing, are kept
 here as slow references, and the oracle must return the same reports as
 they do."""
@@ -627,9 +627,9 @@ class TestCodewordStates:
 
 
 class TestAgainstReference:
-    """The transform, the Gram, the bit-plane apply and the generator-first
-    eigenvector check give the reports the per-operator sweeps give, field
-    by field and violation by violation."""
+    """The flip-mask sweep, the Gram, the bit-plane apply and the
+    generator-first eigenvector check give the reports the per-operator
+    sweeps give, field by field and violation by violation."""
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_apply_matches_reference(self, p):
@@ -651,9 +651,21 @@ class TestAgainstReference:
             g = random_group(p, seed=53 * p + k)
             assert check_overlap_dichotomy(g) == reference_dichotomy(g)
 
-    @pytest.mark.parametrize("strings", [("Y",), ("XX", "ZZ"), ("YY", "XX")])
+    @pytest.mark.parametrize(
+        "strings",
+        [
+            ("Y",),
+            ("XX", "ZZ"),
+            ("YY", "XX"),
+            ("-Z",),
+            ("-XX", "-ZZ"),
+            ("-YY", "XX"),
+            ("XZZXI", "-IXZZX", "XIXZZ", "-ZXIXZ", "-ZZZZZ"),
+        ],
+    )
     def test_dichotomy_y_and_bell(self, strings):
-        g = group_of(*strings)
+        # parse_pauli takes each width from the body, not the sign prefix
+        g = StabilizerGroup(tuple(map(parse_pauli, strings)))
         assert check_overlap_dichotomy(g) == reference_dichotomy(g)
 
     @pytest.mark.parametrize(

@@ -85,7 +85,9 @@ class TestParseFormat:
             parse_bits("10a")
 
     @pytest.mark.parametrize("parse", [parse_bits, parse_pauli])
-    @pytest.mark.parametrize("bad", [5, None, 1.0, ["0"], {"x": 1}])
+    @pytest.mark.parametrize(
+        "bad", [5, None, 1.0, ["0"], {"x": 1}, b"01", bytearray(b"01")]
+    )
     def test_non_string_refused(self, parse, bad):
         with pytest.raises(ParseError, match=r"expected a (bit|Pauli) string, got"):
             parse(bad)

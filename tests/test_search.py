@@ -1,5 +1,6 @@
 """Sumset distinctness, greedy dimension, and the code search."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -11,12 +12,14 @@ from cosetqec import (
     PauliOperator,
     check_correctable,
     check_syndrome_orthogonality,
+    format_pauli,
     max_dimension,
     parse_pauli,
     search_code,
     sumset_distinct,
 )
 import cosetqec.search as search
+from cosetqec.cli import main
 from cosetqec.golden import (
     diagonal_group,
     single_qubit_errors,
@@ -143,6 +146,22 @@ class TestSearch:
         monkeypatch.setenv("COSETQEC_WORKERS", str(workers))
         with pytest.raises(ValueError, match=message):
             search_code(errs, 2, strategy="random", budget=200)
+
+    @pytest.mark.parametrize("raw", ["abc", "", "1.5"])
+    def test_worker_variable_not_an_integer_refused(
+        self, raw, monkeypatch, capsys, tmp_path
+    ):
+        # it used to surface int()'s "invalid literal for int() with base 10"
+        errs = single_qubit_errors(5)
+        monkeypatch.setenv("COSETQEC_WORKERS", raw)
+        message = f"COSETQEC_WORKERS must be an integer, got {raw!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            search_code(errs, 2, strategy="random", budget=200)
+        path = tmp_path / "errors.txt"
+        path.write_text("".join(f"{format_pauli(e)}\n" for e in errs))
+        rc = main(["search", "--errors", str(path), "--k", "2", "--budget", "200"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_deterministic_in_seed(self):
         errs = single_qubit_errors(5)

@@ -66,6 +66,10 @@ class TestOracleCaps:
         with pytest.raises(OracleLimitError):
             check_overlap_dichotomy(random_group(11, seed=1))
 
+    def test_dichotomy_at_the_cap(self):
+        report = check_overlap_dichotomy(random_group(10, seed=1))
+        assert report.ok and report.cases == 4**10
+
     def test_orthogonality_width_cap(self):
         code = build_code(diagonal_group(13), [0, 1])
         errs = ErrorSet((PauliOperator.identity(13),))
