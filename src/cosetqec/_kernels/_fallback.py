@@ -144,11 +144,13 @@ def lane_ones(n: int) -> int:
     return int.from_bytes(b"\x01\0\0\0\0\0\0\0" * n, "little")
 
 
-def unpack_lanes(v: int, n: int) -> array:
-    """The n 64-bit lanes of the non-negative int ``v`` (lane i is
-    ``v >> 64*i & MASK64``) as an ``array("Q")``, in lane order on hosts
-    of either byte order."""
-    words = array("Q", v.to_bytes(8 * n, "little"))
+def unpack_lanes(v: int, n: int, typecode: str = "Q") -> array:
+    """The n lanes of the non-negative int ``v`` as an ``array(typecode)``,
+    in lane order on hosts of either byte order.  A lane is one item
+    wide: 64 bits for the default "Q", so lane i is ``v >> 64*i &
+    MASK64``."""
+    words = array(typecode)
+    words.frombytes(v.to_bytes(words.itemsize * n, "little"))
     if _BIG_ENDIAN:
         words.byteswap()
     return words

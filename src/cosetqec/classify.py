@@ -17,17 +17,29 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .codes import QuantumCode
-from .pauli import PauliOperator, rank_f2
+from .pauli import PauliOperator
 
 
 def is_xor_subgroup(strings: Iterable[int]) -> bool:
     """True iff the set contains zero and is closed under XOR.
 
-    A set spans a subgroup of 2^rank elements, so it is that subgroup
-    exactly when it has that many elements: O(S.p) instead of checking
-    all S^2 pairs.  The empty set has rank 0 and fails."""
+    The span of the set is grown by doubling, one coset per member it
+    does not yet hold, and the set is that subgroup exactly when the
+    span never outgrows it: O(S) set work instead of checking all S^2
+    pairs.  A size that is not a power of two, or a missing zero, is
+    refused before any doubling; the empty set fails."""
     values = set(strings)
-    return len(values) == 1 << rank_f2(values)
+    n = len(values)
+    if n & (n - 1) or 0 not in values:
+        return False
+    span = {0}
+    for v in values:
+        if v not in span:
+            span |= {s ^ v for s in span}
+            if len(span) > n:
+                return False
+    # every member is in the span, which is no larger than the set
+    return True
 
 
 def is_closed_mod_phase(ops: Sequence[PauliOperator]) -> bool:

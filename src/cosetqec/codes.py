@@ -29,16 +29,24 @@ the closure one element at a time:
   puts each member's weight above its key, and one ``min`` over the
   unpacked lanes picks the winner, so only the chosen representatives
   are ever built as operator objects.
+
+A saved seed is read back as whole lists, not term by term: a chunk of
+bit strings is checked on its joined text and parsed by one
+``int(..., 2)`` into fixed-width lanes, and a seed's terms are proved
+valid by one pass when their strings ascend, as every derived or saved
+seed's do.  Only input that fails those checks takes the per-term path,
+which names the first bad term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from operator import index, lt
 from typing import Iterable, Sequence
 
 from ._kernels import lane_ones, pack_lanes, unpack_lanes
 from .pauli import (
+    MAX_WIDTH,
     PauliOperator,
     ParseError,
     format_bits,
@@ -54,6 +62,8 @@ SEED_EXPLICIT = "explicit"
 
 _UNIT_TO_TOKEN = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _TOKEN_TO_UNIT = {"+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
+# tokens per whole-list parse, so that its texts stay small at any seed size
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,8 @@ class SeedState:
         mask = (1 << self.width) - 1
         if not 0 <= self.base <= mask:
             raise ValueError(f"seed base {self.base:#x} exceeds width {self.width}")
+        if self._valid_in_order(mask):
+            return
         seen = set()
         for unit, string in self.terms:
             if not 0 <= unit <= 3:
@@ -91,14 +103,33 @@ class SeedState:
                 raise ValueError(f"duplicate basis string {format_bits(string, self.width)}")
             seen.add(string)
 
+    def _valid_in_order(self, mask: int) -> bool:
+        """One pass over the whole list that proves the terms valid when
+        they are pairs with units in 0..3 and strictly ascending strings
+        in [0, mask], as every derived or saved seed is; False sends the
+        terms to the loop that names the first bad one."""
+        try:  # both passes unpack each term as the loop does
+            strings = [string for _, string in self.terms]
+            return (
+                dict(self.terms).keys() <= {0, 1, 2, 3}
+                and 0 <= strings[0]
+                and strings[-1] <= mask
+                and all(map(lt, strings, strings[1:]))
+            )
+        except (TypeError, ValueError):
+            return False
+
     @property
     def strings(self) -> frozenset[int]:
         return frozenset(s for _, s in self.terms)
 
     def term_tokens(self) -> list[list[str]]:
         """JSON form: [[sign, bitstring], ...] with sign in + - +i -i."""
+        # format_bits inline: a sentinel bit above the top one keeps the
+        # leading zeros, and the strings are in range already
+        top = 1 << self.width
         return [
-            [_UNIT_TO_TOKEN[unit], format_bits(string, self.width)]
+            [_UNIT_TO_TOKEN[unit], format(string | top, "b")[:0:-1]]
             for unit, string in self.terms
         ]
 
@@ -111,15 +142,55 @@ class SeedState:
         origin: str = SEED_EXPLICIT,
     ) -> "SeedState":
         """Parse the JSON form: the term tokens, then ``base`` as a bit
-        string (None for the all-zero string)."""
-        terms = []
-        for sign, bits in tokens:
-            unit = _TOKEN_TO_UNIT.get(sign)
-            if unit is None:
-                raise ParseError(f"unknown seed coefficient {sign!r}")
-            terms.append((unit, parse_bits(bits, width)))
+        string (None for the all-zero string).  Well-formed tokens are
+        parsed as whole lists; any others go through :func:`parse_bits`
+        one by one, which names the first bad token."""
+        if not isinstance(tokens, (list, tuple)):
+            tokens = list(tokens)
+        terms = _parse_terms(tokens, width)
+        if terms is None:
+            terms = []
+            for sign, bits in tokens:
+                unit = _TOKEN_TO_UNIT.get(sign)
+                if unit is None:
+                    raise ParseError(f"unknown seed coefficient {sign!r}")
+                terms.append((unit, parse_bits(bits, width)))
         parsed_base = 0 if base is None else parse_bits(base, width)
         return cls(tuple(terms), width, parsed_base, origin)
+
+
+def _parse_terms(tokens: Sequence, width: int) -> list[tuple[int, int]] | None:
+    """The terms of (sign, bit string) tokens, parsed _CHUNK at a time,
+    or None when a check fails and the per-term parse must run.
+
+    A chunk's strings must be exactly ``width`` bits each, checked on
+    their joined text: ``int`` would also read whitespace, underscores,
+    a sign and a "0b" prefix.  Joined with zeros between them up to a
+    lane of 16 or 32 bits, the reversed text is one ``int(..., 2)`` that
+    holds string i in lane i."""
+    if type(width) is not int or not 1 <= width <= MAX_WIDTH:
+        return None
+    lane, typecode = (16, "H") if width <= 16 else (32, "I")
+    pad = "0" * (lane - width)
+    terms: list[tuple[int, int]] = []
+    for lo in range(0, len(tokens), _CHUNK):
+        # raises for a token that is no pair, an unhashable sign, and a
+        # string that is no str or holds a lone surrogate
+        try:
+            signs, strings = zip(*tokens[lo : lo + _CHUNK], strict=True)
+            units = list(map(_TOKEN_TO_UNIT.get, signs))
+            text = "".join(strings).encode()
+        except (TypeError, ValueError):
+            return None
+        if (
+            None in units
+            or set(map(len, strings)) != {width}
+            or text.translate(None, b"01")
+        ):
+            return None
+        values = int(pad.join(strings)[::-1], 2)
+        terms += zip(units, unpack_lanes(values, len(strings), typecode))
+    return terms
 
 
 def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:

@@ -15,12 +15,18 @@ its entries: the pass stops at the first repeated label, which is the
 verdict's collision, or runs to the end and leaves the label ->
 (error, codeword) inverse that diagnosis reads.  The verdict and the
 diagnosis of one table share that pass.
+
+Diagnosis is one dict lookup per query.  A table passed with the code
+and error set it was built from is recognised by identity, so only a
+table paired with other (possibly equal) objects is compared, and a
+miss raises an error that formats its message only when shown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 
 from .codes import QuantumCode, SEED_STABILIZER
 from .pauli import ErrorSet, PauliOperator, WidthMismatchError
@@ -28,7 +34,15 @@ from .stabilizer import format_label
 
 
 class UnknownSyndromeError(LookupError):
-    """Observed label absent from the table: an uncorrectable event."""
+    """Observed label absent from the table: an uncorrectable event.
+
+    Raised as ``UnknownSyndromeError(label, width)``, which become its
+    ``args``; the message is formatted only when the error is shown, so
+    a caller that catches a miss pays for none."""
+
+    def __str__(self) -> str:
+        label, width = self.args
+        return f"label {format_label(label, width)} matches no error/codeword product"
 
 
 class InternalCheckError(AssertionError):
@@ -172,9 +186,14 @@ def diagnose(
     error operator is the correction to apply (self-inverse up to sign).
     Requires a correctable pairing; raises UnknownSyndromeError when the
     label is not in the table.  A prebuilt ``table`` must belong to the
-    same code and errors.  A label outside 0..2^p-1 is refused with
-    ValueError."""
-    inverse = _table_for(code, errors, table).inverse
+    same code and errors; it is checked by identity first, so a caller
+    that passes the objects it built the table from pays for no
+    comparison.  ``observed`` must be an integer (``operator.index``),
+    and one outside 0..2^p-1 is refused with ValueError."""
+    observed = index(observed)
+    if table is None or table.code is not code or table.errors is not errors:
+        table = _table_for(code, errors, table)
+    inverse = table._scan[1]
     if inverse is None:
         raise ValueError("syndrome table is not injective; code does not correct this set")
     hit = inverse.get(observed)
@@ -183,8 +202,6 @@ def diagnose(
         # every table label is in range, so only a miss needs the check
         if not 0 <= observed < 1 << p:
             raise ValueError(f"label {observed} out of range for width {p}")
-        raise UnknownSyndromeError(
-            f"label {format_label(observed, p)} matches no error/codeword product"
-        )
+        raise UnknownSyndromeError(observed, p)
     i, j = hit
-    return Diagnosis(error_index=i, codeword_index=j, correction=errors[i])
+    return Diagnosis(i, j, errors[i])

@@ -1,7 +1,11 @@
 """Seed states, coset representatives, code assembly, and puncturing."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetqec import (
     GroupError,
@@ -12,6 +16,7 @@ from cosetqec import (
     build_code,
     classify,
     coset_representative,
+    format_bits,
     format_pauli,
     parse_bits,
     parse_pauli,
@@ -19,7 +24,7 @@ from cosetqec import (
     random_group,
     seed_state,
 )
-from cosetqec.codes import SEED_PUNCTURED, SEED_STABILIZER
+from cosetqec.codes import SEED_EXPLICIT, SEED_PUNCTURED, SEED_STABILIZER
 from cosetqec.golden import diagonal_group
 
 from conftest import pauli_matrix
@@ -132,12 +137,146 @@ class TestSeedState:
             (((0, 9), (0, 1), (0, 1)), ValueError, "basis string 0x9 exceeds width 3"),
             (((0, 0), (0, "1")), TypeError,
              "'<=' not supported between instances of 'int' and 'str'"),
+            (((0, 0), ([1], 1)), TypeError,
+             "'<=' not supported between instances of 'int' and 'list'"),
+            (((0, 0, 1),), ValueError, "too many values to unpack (expected 2)"),
+            (((0, 0), (0,)), ValueError, "not enough values to unpack (expected 2, got 1)"),
+            (((0, 0), 5), TypeError, "cannot unpack non-iterable int object"),
         ],
     )
     def test_bad_terms_name_the_first_failing_term(self, terms, error, message):
         with pytest.raises(error) as info:
             SeedState(terms, 3)
         assert str(info.value) == message
+
+
+def reference_from_tokens(tokens, width, base=None, origin=SEED_EXPLICIT):
+    """The per-term parse from_tokens ran before its whole-list codec."""
+    units = {"+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
+    terms = []
+    for sign, bits in tokens:
+        unit = units.get(sign)
+        if unit is None:
+            raise ParseError(f"unknown seed coefficient {sign!r}")
+        terms.append((unit, parse_bits(bits, width)))
+    parsed_base = 0 if base is None else parse_bits(base, width)
+    return SeedState(tuple(terms), width, parsed_base, origin)
+
+
+def _seed_outcome(parse, *args):
+    """The seed, or the type and message of what the parse raised."""
+    try:
+        return parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _malformed(bits, width):
+    """Tokens that the whole-list parse must hand to the per-term one;
+    some of them (the padded strings) parse there."""
+    other = "1" if bits[0] == "0" else "0"
+    return [
+        ["+", f" {bits}"],
+        ["-", f"{bits}\n"],
+        ["+", f"\t{bits} "],
+        ["+", bits[:-1]],
+        ["+", bits + "0"],
+        ["+", bits[:-1] + "_"],
+        ["+", "0_1" + "0" * (width - 3)],
+        ["+", "+01" + "0" * (width - 3)],
+        ["+", "0b1" + "0" * (width - 3)],
+        ["+", bits[:-1] + "2"],
+        ["+", bits[:-1] + "\u0661"],
+        ["+", bits[:-1] + "\ud800"],
+        ["+", bits.encode()],
+        ["+", bytearray(bits.encode())],
+        ["+", int(bits, 2)],
+        ["+", None],
+        ["+", [bits]],
+        ["*", bits],
+        ["", bits],
+        ["+-", bits],
+        [None, bits],
+        [["+"], bits],
+        ["+", bits, other],
+        ["+"],
+        "+" + bits,
+        7,
+        ("-i", bits),
+    ]
+
+
+class TestSeedCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_whole_list_parse_matches_the_per_term_parse(self, data):
+        width = data.draw(st.integers(1, 24), label="width")
+        strings = data.draw(
+            st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=40, unique=True)
+        )
+        if data.draw(st.booleans()):
+            strings.sort()
+        signs = data.draw(
+            st.lists(st.sampled_from(["+", "-", "+i", "-i", "i"]),
+                     min_size=len(strings), max_size=len(strings))
+        )
+        tokens = [[sign, format_bits(s, width)] for sign, s in zip(signs, strings)]
+        if data.draw(st.booleans()):  # a repeated string
+            tokens.append(["+", tokens[0][1]])
+        if data.draw(st.booleans()):  # one malformed token, anywhere
+            at = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[at] = data.draw(st.sampled_from(_malformed(tokens[at][1], width)))
+        base = data.draw(st.sampled_from([None, "1" * width, "2" * width, " " + "0" * width]))
+        got = _seed_outcome(SeedState.from_tokens, tokens, width, base)
+        assert got == _seed_outcome(reference_from_tokens, tokens, width, base)
+        assert _seed_outcome(SeedState.from_tokens, iter(tokens), width, base) == got
+        if isinstance(got, SeedState):
+            assert got.term_tokens() == [
+                [{0: "+", 1: "+i", 2: "-", 3: "-i"}[u], format_bits(s, width)]
+                for u, s in got.terms
+            ]
+            assert SeedState.from_tokens(got.term_tokens(), width, base) == got
+
+    @pytest.mark.parametrize("which", range(len(_malformed("01", 2))))
+    def test_each_malformed_token_matches_the_per_term_parse(self, which):
+        for width in (1, 3, 12, 24):
+            for at in (0, 1):
+                tokens = [["+", "0" * width], ["-", "1" * width]]
+                tokens[at] = _malformed(tokens[at][1], width)[which]
+                assert _seed_outcome(SeedState.from_tokens, tokens, width) == _seed_outcome(
+                    reference_from_tokens, tokens, width
+                )
+
+    @pytest.mark.parametrize("width", [0, 25, 30, 3.0, True, "3"])
+    def test_widths_outside_the_codec_match_the_per_term_parse(self, width):
+        n = width if type(width) is int else 3
+        tokens = [["+", "0" * n], ["-", "1" * n]]
+        assert _seed_outcome(SeedState.from_tokens, tokens, width) == _seed_outcome(
+            reference_from_tokens, tokens, width
+        )
+
+    @pytest.mark.parametrize("width", [13, 16, 17, 24])
+    def test_many_chunks(self, width):
+        # more terms than one chunk parses, a bad token last of all
+        rng = random.Random(width)
+        count = min(1 << width, 9000)
+        strings = rng.sample(range(1 << width), count)
+        tokens = [[rng.choice("+-"), format_bits(s, width)] for s in strings]
+        seed = SeedState.from_tokens(tokens, width)
+        assert seed == reference_from_tokens(tokens, width)
+        sign, bits = tokens[-1]
+        tokens[-1] = [sign, bits + " "]
+        assert SeedState.from_tokens(tokens, width) == seed
+        tokens[-1] = [sign, "_" + bits[1:]]
+        assert _seed_outcome(SeedState.from_tokens, tokens, width) == _seed_outcome(
+            reference_from_tokens, tokens, width
+        )
+
+    def test_terms_in_any_order_are_accepted(self):
+        # only ascending strings pass the whole-list check; the term loop
+        # takes the rest
+        seed = SeedState(((2, 0b11), (0, 0b00), (1, 0b10)), 2)
+        assert seed.term_tokens() == [["-", "11"], ["+", "00"], ["+i", "01"]]
 
 
 class TestCosetRepresentative:

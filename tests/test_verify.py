@@ -1,5 +1,6 @@
 """Syndrome tables, correctability verdicts, and diagnosis."""
 
+import pickle
 from dataclasses import fields
 
 import pytest
@@ -13,6 +14,7 @@ from cosetqec import (
     KLReport,
     MaxDimension,
     PauliOperator,
+    QuantumCode,
     SearchResult,
     UnknownSyndromeError,
     Verdict,
@@ -301,6 +303,40 @@ class TestDiagnose:
             assert str(info.value) == f"label {observed} out of range for width 3"
         with pytest.raises(UnknownSyndromeError, match="label 010 matches no"):
             diagnose(rep3, short, 2)
+
+    def test_equal_but_distinct_table_accepted(self, rep3):
+        table = build_table(rep3, x_flips(3))
+        code = QuantumCode.from_dict(rep3.to_dict())
+        assert code is not rep3 and code == rep3
+        d = diagnose(code, x_flips(3), parse_bits("110"), table)
+        assert (d.error_index, d.codeword_index) == (3, 1)
+
+    def test_table_of_another_code_refused(self, rep3):
+        other = build_code(diagonal_group(3), [0, parse_bits("011")])
+        table = build_table(other, x_flips(3))
+        with pytest.raises(ValueError, match="another code or error set"):
+            diagnose(rep3, x_flips(3), 0, table)
+
+    @pytest.mark.parametrize("observed", [2.0, 2.5])
+    def test_label_that_is_not_an_integer_refused(self, rep3, observed):
+        # 2.0 used to diagnose label 2, and 2.5 to fail inside the formatter
+        errs = x_flips(3)
+        table = build_table(rep3, errs)
+        for tab in (None, table):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                diagnose(rep3, errs, observed, tab)
+
+    def test_unknown_syndrome_error_keeps_its_message_and_pickles(self, rep3):
+        short = ErrorSet((PauliOperator.identity(3), parse_pauli("XII")))
+        with pytest.raises(UnknownSyndromeError) as info:
+            diagnose(rep3, short, 2)
+        exc = info.value
+        assert str(exc) == "label 010 matches no error/codeword product"
+        assert exc.args == (2, 3)
+        assert repr(exc) == "UnknownSyndromeError(2, 3)"
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is UnknownSyndromeError
+        assert copy.args == exc.args and str(copy) == str(exc)
 
     def test_requires_injective_table(self, cat3):
         with pytest.raises(ValueError, match="not injective"):
