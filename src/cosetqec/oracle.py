@@ -22,7 +22,8 @@ of the Aaronson-Gottesman tableau (quant-ph/0406196).  For i^d X^x Z^z:
 Z^z XORs the sign mask, on the support, with one cached lane mask per
 set bit of z; X^x sends lane q to lane q^x by one masked-shift butterfly
 per set bit of x; i^2 negates the support; and i swaps the halves, as
-for B below.  An operator costs O(p) big-int operations.  The
+for B below.  Only the set bits of x and z are visited, each peeled off
+as the lowest, so an operator costs O(weight) big-int operations.  The
 eigencheck compares the image's support and sign mask with the state's,
 and norm2 is the popcount of the support.
 
@@ -33,18 +34,27 @@ popcount(X & Y) - 2 * popcount(X & Y & (s_u ^ s_v)): two big-int ANDs
 and popcounts of 2^(p+1) bits.
 
 The overlap-dichotomy sweep does not apply each of the 4^p operators in
-turn.  For a fixed X part x it moves the seed once, to X^x|seed>; Z^z
+turn.  For a fixed X part x it reads the seed moved to X^x|seed>; Z^z
 then only negates the lanes whose basis index a has z.a odd.  The 2^p
-flip masks, one per z, are built once from the lane masks by doubling
-(256 KB at p=10), so each <seed|Z^z X^x|seed> is the two popcount dot
-products of the inner product, with the sign masks XORed by the flip
-mask of z.  The sweep makes 2^p operator applications and at most 4^p
-such pairs of dot products: an X part whose image misses the seed's
-support has only zero expectations and needs none.
+flip masks, one per z, and the 2^p moved seeds, one per x, are built
+once from the lane masks by doubling: entry x + 2^k is entry x with
+lane mask k XORed in, or with butterfly k applied, so each costs one
+operation (the flips take 256 KB at p=10, the moves twice that).  Each
+<seed|Z^z X^x|seed> is then the two popcount dot products of the inner
+product, with the sign masks XORed by the flip mask of z.  The sweep
+makes at most 4^p such pairs of dot products: an X part whose image
+misses the seed's support has only zero expectations and needs none.
 
-The Knill-Laflamme check reads a Hermitian Gram matrix of the syndrome
-states: each unordered pair's inner product is taken once and the mirror
-entry is its conjugate.
+The pair checks read a Gram matrix of the syndrome states.  Its upper
+triangle is one comprehension per row over masks read into lists once,
+with the two dot products of the inner product inlined, so a pair costs
+two ANDs and two popcounts per part, and a part whose supports do not
+meet costs no popcount.  Syndrome orthogonality reads that triangle
+alone: a pair is orthogonal when its entry is (0, 0), and only pairs
+whose orthogonality disagrees with their labels are visited in Python.
+The Knill-Laflamme check takes the full Hermitian matrix, whose lower
+triangle is the conjugate mirror, and compares the rows of each error
+whole with the rows the conditions want.
 
 The eigenvector check makes one pass over the states and applies only
 the p generators to each.  The generators are Hermitian and pairwise
@@ -63,7 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress, repeat
-from operator import add
+from operator import add, eq, ne
 
 from .codes import QuantumCode, SeedState, seed_state
 from .pauli import ErrorSet, PauliOperator, WidthMismatchError, format_pauli
@@ -262,11 +272,13 @@ class DenseState:
             )
         masks = _lane_masks(self.width)
         support = self._support
-        # Z^z negates the lanes whose index a has z.a odd
-        flip = 0
-        for k, mask in enumerate(masks):
-            if op.z >> k & 1:
-                flip ^= mask
+        # Z^z negates the lanes whose index a has z.a odd: one lane mask
+        # per set bit of z, found by peeling off the lowest
+        flip, z = 0, op.z
+        while z:
+            low = z & -z
+            flip ^= masks[low.bit_length() - 1]
+            z ^= low
         # i^d = (-1)^(d1 ^ d0) * (-i)^d0 for the bits d1 d0 of d
         if (op.phase ^ op.phase >> 1) & 1:
             flip = ~flip
@@ -274,12 +286,15 @@ class DenseState:
         if op.phase & 1:
             support, sign = _times_minus_i(support, sign, 1 << self.width)
         # X^x moves lane q, which holds index ~q, to lane q^x: one
-        # butterfly per set bit of x swaps the lanes that differ in it
-        for k, mask in enumerate(masks):
-            if op.x >> k & 1:
-                shift = 1 << k
-                support = (support & mask) << shift | support >> shift & mask
-                sign = (sign & mask) << shift | sign >> shift & mask
+        # butterfly per set bit of x swaps the lanes that differ in it,
+        # and the set bit itself is the shift
+        x = op.x
+        while x:
+            shift = x & -x
+            mask = masks[shift.bit_length() - 1]
+            support = (support & mask) << shift | support >> shift & mask
+            sign = (sign & mask) << shift | sign >> shift & mask
+            x ^= shift
         return DenseState._from_masks(support, sign, self.width)
 
     def inner(self, other: "DenseState") -> tuple[int, int]:
@@ -354,9 +369,10 @@ def check_overlap_dichotomy(group: StabilizerGroup) -> OracleReport:
     expectation <seed|S|seed> must vanish exactly when S is outside the
     closure, and be exactly +/-norm2 when inside.
 
-    For each X part x the seed is moved once, and each z takes the two
-    dot products of :meth:`DenseState.inner` with the sign masks XORed by
-    the flip mask of z, giving <seed|Z^z X^x|seed>.  The Hermitian
+    The seed's image under each X^x is built by doubling, one butterfly
+    per x, and each z takes the two dot products of
+    :meth:`DenseState.inner` with the sign masks XORed by the flip mask
+    of z, giving <seed|Z^z X^x|seed>.  The Hermitian
     representative i^d X^x Z^z, d = popcount(x&z), is i^-d Z^z X^x.
     Operators are visited in ascending (x, z) order, and only those
     inside the closure or with a nonzero expectation are judged, so
@@ -368,21 +384,31 @@ def check_overlap_dichotomy(group: StabilizerGroup) -> OracleReport:
     seed = DenseState.from_seed(seed_state(norm, 0))
     n2 = seed.norm2
     size = 1 << p
-    # flips[z] marks the lanes whose index a has z.a odd, built by doubling
+    # flips[z] marks the lanes whose index a has z.a odd, and moves[x]
+    # holds the masks of X^x|seed>; both are built by doubling, one XOR
+    # or one butterfly per entry
     flips = [0]
-    for mask in _lane_masks(p):
+    moves = [(seed._support, seed._sign)]
+    for k, mask in enumerate(_lane_masks(p)):
+        shift = 1 << k
         flips += [flip ^ mask for flip in flips]
+        moves += [
+            (
+                (support & mask) << shift | support >> shift & mask,
+                (sign & mask) << shift | sign >> shift & mask,
+            )
+            for support, sign in moves
+        ]
     inside: dict[int, set[int]] = {}
     for x, z in norm.closure_classes:
         inside.setdefault(x, set()).add(z)
     violations = []
-    for x in range(size):
-        moved = seed.apply(PauliOperator(0, x, 0, p))
-        support_b, sign_b = moved._minus_i
-        both, both_b = seed._support & moved._support, seed._support & support_b
+    for x, (support, sign) in enumerate(moves):
+        support_b, sign_b = _times_minus_i(support, sign, size)
+        both, both_b = seed._support & support, seed._support & support_b
         members = inside.get(x, set())
         if both | both_b:
-            neg, neg_b = seed._sign ^ moved._sign, seed._sign ^ sign_b
+            neg, neg_b = seed._sign ^ sign, seed._sign ^ sign_b
             # _plane_dot of each plane, inlined: this is the hot loop
             count, count_b = both.bit_count(), both_b.bit_count()
             values = [
@@ -448,6 +474,40 @@ def check_eigenvectors(
     return OracleReport("eigenvectors", len(states) << code.width, tuple(violations))
 
 
+def _upper_gram(states: list[DenseState]) -> list[list[tuple[int, int]]]:
+    """upper[u][v - u] = <states[u]|states[v]> for v >= u, with the two
+    dot products of :meth:`DenseState.inner` inlined over masks read
+    into lists once; a part whose supports do not meet is 0 without
+    popcounts."""
+    supports = [s._support for s in states]
+    signs = [s._sign for s in states]
+    turned = [s._minus_i for s in states]
+    return [
+        [
+            (
+                (both := support & other)
+                and both.bit_count() - 2 * (both & (sign ^ other_sign)).bit_count(),
+                (both_b := support & support_b)
+                and both_b.bit_count() - 2 * (both_b & (sign ^ sign_b)).bit_count(),
+            )
+            for other, other_sign, (support_b, sign_b) in zip(
+                supports[u:], signs[u:], turned[u:]
+            )
+        ]
+        for u, (support, sign) in enumerate(zip(supports, signs))
+    ]
+
+
+def _gram(states: list[DenseState]) -> list[list[tuple[int, int]]]:
+    """gram[u][v] = <states[u]|states[v]>.  The matrix is Hermitian, so
+    each unordered pair is computed once, by :func:`_upper_gram`, and
+    the lower triangle is its conjugate mirror."""
+    gram: list[list[tuple[int, int]]] = []
+    for u, row in enumerate(_upper_gram(states)):
+        gram.append([(re, -im) for re, im in (gram[v][u] for v in range(u))] + row)
+    return gram
+
+
 def check_syndrome_orthogonality(
     code: QuantumCode, errors: ErrorSet
 ) -> OracleReport:
@@ -461,24 +521,24 @@ def check_syndrome_orthogonality(
     group = code.group
     states = syndrome_states(code, errors)
     err_labels = [group.syndrome(e) for e in errors]
-    labeled = [
-        (i, j, err_labels[i] ^ code.labels[j], s) for i, j, s in states
-    ]
+    labels = [err_labels[i] ^ code.labels[j] for i, j, _ in states]
+    upper = _upper_gram([s for _, _, s in states])
+    n = len(states)
     violations = []
-    cases = 0
-    for a in range(len(labeled)):
-        i1, j1, l1, s1 = labeled[a]
-        for b in range(a + 1, len(labeled)):
-            i2, j2, l2, s2 = labeled[b]
-            cases += 1
-            ortho = s1.is_orthogonal(s2)
-            if ortho != (l1 != l2):
-                violations.append(
-                    f"states ({i1},{j1}) and ({i2},{j2}): orthogonal={ortho} "
-                    f"but labels {format_label(l1, code.width)} vs "
-                    f"{format_label(l2, code.width)}"
-                )
-    return OracleReport("syndrome-orthogonality", cases, tuple(violations))
+    for a, (i1, j1, _) in enumerate(states):
+        l1 = labels[a]
+        orthogonal = map(eq, upper[a][1:], repeat((0, 0)))
+        distinct = map(ne, labels[a + 1 :], repeat(l1))
+        # only the pairs where orthogonality and distinct labels disagree
+        for b in compress(range(a + 1, n), map(ne, orthogonal, distinct)):
+            i2, j2, _ = states[b]
+            violations.append(
+                f"states ({i1},{j1}) and ({i2},{j2}): "
+                f"orthogonal={upper[a][b - a] == (0, 0)} "
+                f"but labels {format_label(l1, code.width)} vs "
+                f"{format_label(labels[b], code.width)}"
+            )
+    return OracleReport("syndrome-orthogonality", n * (n - 1) // 2, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -490,17 +550,6 @@ class KLReport:
     @property
     def passed(self) -> bool:
         return self.witness is None
-
-
-def _gram(states: list[DenseState]) -> list[list[tuple[int, int]]]:
-    """gram[u][v] = <states[u]|states[v]>.  The matrix is Hermitian, so
-    each unordered pair is computed once and mirrored by conjugation."""
-    gram: list[list[tuple[int, int]]] = []
-    for u, left in enumerate(states):
-        row = [(re, -im) for re, im in (gram[v][u] for v in range(u))]
-        row += (left.inner(right) for right in states[u:])
-        gram.append(row)
-    return gram
 
 
 def check_knill_laflamme(code: QuantumCode, errors: ErrorSet) -> KLReport:
@@ -517,14 +566,24 @@ def check_knill_laflamme(code: QuantumCode, errors: ErrorSet) -> KLReport:
     # codeword norms
     if len({gram[i][i] for i in range(k)}) != 1:
         raise InternalOracleError("codeword norms diverged; Pauli action is broken")
+    # row i of block (a, b) must hold c_ab = gram[a*k][b*k] at column i
+    # and zero elsewhere, so the k rows of error a are compared whole
+    # with those wanted, and only a mismatch is searched for the first
+    # (b, i, j) in witness order
+    size = len(gram)
     for a in range(len(errors)):
-        for b in range(len(errors)):
-            c_ab = gram[a * k][b * k]
-            for i in range(k):
-                row = gram[a * k + i]
-                for j in range(k):
-                    want = c_ab if i == j else (0, 0)
-                    if row[b * k + j] != want:
-                        return KLReport(witness=(a, b, i, j))
+        got = gram[a * k : a * k + k]
+        c_a = got[0][::k]
+        want = [[(0, 0)] * size for _ in range(k)]
+        for i, row in enumerate(want):
+            row[i::k] = c_a
+        if got != want:
+            b, i, j = min(
+                (col // k, i, col % k)
+                for i in range(k)
+                for col in range(size)
+                if got[i][col] != want[i][col]
+            )
+            return KLReport(witness=(a, b, i, j))
     return KLReport()
 

@@ -33,7 +33,10 @@ class CheckResult:
 
 
 def run_selftest(max_width: int = 4, seed: int = 1):
-    """Run the suite and return a list of CheckResult, deterministically."""
+    """Run the suite and return a list of CheckResult, deterministically.
+    A ``max_width`` below 1 is refused with ValueError."""
+    if max_width < 1:
+        raise ValueError(f"max width must be at least 1, got {max_width}")
     results: list[CheckResult] = []
 
     for p in range(2, min(max_width, 4) + 1):

@@ -175,6 +175,20 @@ class Diagnosis:
     codeword_index: int
     correction: PauliOperator
 
+    @classmethod
+    def _make(
+        cls, error_index: int, codeword_index: int, correction: PauliOperator
+    ) -> "Diagnosis":
+        """The fields written straight into the instance dict, skipping the
+        frozen ``__init__``'s ``object.__setattr__`` per field."""
+        diagnosis = object.__new__(cls)
+        diagnosis.__dict__.update(
+            error_index=error_index,
+            codeword_index=codeword_index,
+            correction=correction,
+        )
+        return diagnosis
+
 
 def diagnose(
     code: QuantumCode,
@@ -204,4 +218,4 @@ def diagnose(
             raise ValueError(f"label {observed} out of range for width {p}")
         raise UnknownSyndromeError(observed, p)
     i, j = hit
-    return Diagnosis(i, j, errors[i])
+    return Diagnosis._make(i, j, errors[i])

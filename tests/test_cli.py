@@ -416,6 +416,15 @@ class TestSelftest:
         assert lines[0].startswith("1..")
         assert all(l.startswith("ok") for l in lines[1:])
 
+    @pytest.mark.parametrize("width", ["0", "-3"])
+    def test_max_width_below_one_refused(self, width, capsys):
+        # both used to run a reduced suite and exit 0
+        rc = main(["selftest", "--max-width", width])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: max width must be at least 1, got {width}\n"
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

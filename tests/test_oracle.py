@@ -45,7 +45,7 @@ from cosetqec.golden import (
 from cosetqec.oracle import KLReport, OracleReport
 from cosetqec.pauli import format_pauli
 from cosetqec.selftest import run_selftest
-from cosetqec.stabilizer import StabilizerGroup
+from cosetqec.stabilizer import StabilizerGroup, format_label
 
 from conftest import pauli_matrix, state_vector
 
@@ -214,6 +214,49 @@ def reference_knill_laflamme(code, errors):
                     if val != want:
                         return KLReport(witness=(a, b, i, j))
     return KLReport()
+
+
+def reference_orthogonality(code, errors):
+    """Every syndrome-state pair through reference_inner, row-major."""
+    words = [
+        reference_apply(DenseState.from_seed(code.seed), op)
+        for op in code.codeword_ops
+    ]
+    labeled = [
+        (i, j, code.group.syndrome(e) ^ code.labels[j], reference_apply(w, e))
+        for i, e in enumerate(errors)
+        for j, w in enumerate(words)
+    ]
+    violations = []
+    cases = 0
+    for a, (i1, j1, l1, s1) in enumerate(labeled):
+        for i2, j2, l2, s2 in labeled[a + 1 :]:
+            cases += 1
+            ortho = reference_inner(s1, s2) == (0, 0)
+            if ortho != (l1 != l2):
+                violations.append(
+                    f"states ({i1},{j1}) and ({i2},{j2}): orthogonal={ortho} "
+                    f"but labels {format_label(l1, code.width)} vs "
+                    f"{format_label(l2, code.width)}"
+                )
+    return OracleReport("syndrome-orthogonality", cases, tuple(violations))
+
+
+def one_plane_states(p):
+    """States whose amplitudes are each 0 or a unit i^k, as every seed
+    and Pauli image is: odd units and partial supports included."""
+    amps = st.lists(
+        st.sampled_from([None, 0, 1, 2, 3]), min_size=1 << p, max_size=1 << p
+    )
+
+    def state(units):
+        parts = [(0, 0) if k is None else ((1, 0), (0, 1), (-1, 0), (0, -1))[k]
+                 for k in units]
+        return DenseState(
+            tuple(r for r, _ in parts), tuple(i for _, i in parts), p
+        )
+
+    return st.builds(state, amps)
 
 
 class TestDenseState:
@@ -853,11 +896,23 @@ class TestAgainstReference:
             check_knill_laflamme(code, errs),
         )
 
+    @staticmethod
+    def reference_pair_reports(code, errs):
+        # run with DenseState.inner patched to reference_inner, so the
+        # reference KL takes every inner product one amplitude at a time
+        return (
+            reference_orthogonality(code, errs),
+            reference_knill_laflamme(code, errs),
+        )
+
     def test_pair_checks_golden_with_reference_inner(self, golden_suite, monkeypatch):
         fast = [self.pair_reports(code, errs) for _, code, errs in golden_suite]
         results = run_selftest(max_width=5, seed=3)
         monkeypatch.setattr(DenseState, "inner", reference_inner)
         assert fast == [self.pair_reports(code, errs) for _, code, errs in golden_suite]
+        assert fast == [
+            self.reference_pair_reports(code, errs) for _, code, errs in golden_suite
+        ]
         assert results == run_selftest(max_width=5, seed=3)
 
     @pytest.mark.parametrize(
@@ -881,6 +936,7 @@ class TestAgainstReference:
         assert not fast[0].ok  # the biconditional fails on these cuts
         monkeypatch.setattr(DenseState, "inner", reference_inner)
         assert fast == self.pair_reports(code, errs)
+        assert fast == self.reference_pair_reports(code, errs)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -919,6 +975,18 @@ class TestAgainstReference:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(DenseState, "inner", reference_inner)
             assert fast == self.pair_reports(code, errs)
+            assert fast == self.reference_pair_reports(code, errs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_gram_matches_reference_inner(self, data):
+        p = data.draw(st.integers(0, 6), label="p")
+        states = data.draw(st.lists(one_plane_states(p), max_size=6), label="states")
+        want = [[reference_inner(u, v) for v in states] for u in states]
+        assert oracle._gram(states) == want
+        assert oracle._upper_gram(states) == [
+            row[u:] for u, row in enumerate(want)
+        ]
 
     def test_eigenvectors_and_orthogonality_golden(self, golden_suite, monkeypatch):
         # both sweeps act through apply: swapping in the reference apply
@@ -932,6 +1000,19 @@ class TestAgainstReference:
         fast = reports()
         monkeypatch.setattr(DenseState, "apply", reference_apply)
         assert fast == reports()
+
+
+class TestSelftest:
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_max_width_below_one_refused(self, width):
+        with pytest.raises(ValueError) as info:
+            run_selftest(max_width=width)
+        assert str(info.value) == f"max width must be at least 1, got {width}"
+
+    def test_max_width_one_runs_the_width_three_checks(self):
+        results = run_selftest(max_width=1)
+        assert results and all(r.ok for r in results)
+        assert not [r for r in results if r.name.startswith("overlap-dichotomy")]
 
 
 class TestIndependence:

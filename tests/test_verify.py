@@ -1,7 +1,7 @@
 """Syndrome tables, correctability verdicts, and diagnosis."""
 
 import pickle
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import cosetqec.verify as verify
 from cosetqec import (
     CodeClass,
+    Diagnosis,
     ErrorSet,
     KLReport,
     MaxDimension,
@@ -341,3 +342,27 @@ class TestDiagnose:
     def test_requires_injective_table(self, cat3):
         with pytest.raises(ValueError, match="not injective"):
             diagnose(cat3, z_flips(3), 0)
+
+    def test_diagnosis_matches_one_built_by_init(self, five2):
+        # diagnose builds its result without the dataclass __init__
+        errs = single_qubit_errors(5)
+        table = build_table(five2, errs)
+        for i, j, lab in table.iter_entries():
+            d = diagnose(five2, errs, lab, table)
+            built = Diagnosis(i, j, errs[i])
+            assert type(d) is Diagnosis
+            assert d == built and built == d
+            assert hash(d) == hash(built)
+            assert repr(d) == repr(built)
+            assert vars(d) == vars(built)
+        assert d != Diagnosis(i, j + 1, errs[i])
+        assert len({d, built, Diagnosis(i, j + 1, errs[i])}) == 2
+
+    def test_diagnosis_is_frozen(self, rep3):
+        d = diagnose(rep3, x_flips(3), parse_bits("010"))
+        for name in ("error_index", "codeword_index", "correction", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(d, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            del d.error_index
+        assert (d.error_index, d.codeword_index) == (2, 0)
