@@ -1,7 +1,9 @@
 """Kernel dispatch: compiled extension when available, pure Python otherwise.
 
-Only the four batch kernels that pay off end to end have a compiled lane
-(``_speedups.c``); ``_fallback`` is the pure lane and the reference.  The
+Only four batch kernels have a compiled lane (``_speedups.c``): the
+syndrome map and the search loop pay off end to end, and the sampler and
+the label scan only through the Python API at large p (README,
+"Performance").  ``_fallback`` is the pure lane and the reference.  The
 compiled lane is a fast path: it runs a call in C only when the
 arguments are in its domain and hands every other call to the
 ``_fallback`` function of the same name, so every refusal comes from

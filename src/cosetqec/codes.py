@@ -33,9 +33,11 @@ the closure one element at a time:
 A saved seed is read back as whole lists, not term by term: a chunk of
 bit strings is checked on its joined text and parsed by one
 ``int(..., 2)`` into fixed-width lanes, and a seed's terms are proved
-valid by one pass when their strings ascend, as every derived or saved
-seed's do.  Only input that fails those checks takes the per-term path,
-which names the first bad term.
+valid by one pass when their strings ascend, as every saved seed's do.
+Only input that fails those checks takes the per-term path, which names
+the first bad term.  The seeds that :func:`seed_state` and
+:func:`punctured_seed` build are valid by construction and skip the
+check.
 """
 
 from __future__ import annotations
@@ -118,6 +120,18 @@ class SeedState:
             )
         except (TypeError, ValueError):
             return False
+
+    @classmethod
+    def _make(
+        cls, terms: tuple[tuple[int, int], ...], width: int, base: int, origin: str
+    ) -> "SeedState":
+        """A seed whose fields the caller has proven valid, written
+        straight into the instance dict without ``__post_init__``'s
+        checks: :func:`seed_state` and :func:`punctured_seed` build only
+        such seeds."""
+        seed = object.__new__(cls)
+        seed.__dict__.update(terms=terms, width=width, base=base, origin=origin)
+        return seed
 
     @property
     def strings(self) -> frozenset[int]:
@@ -247,7 +261,9 @@ def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
     # a list first: tuple() of an iterator resizes as it grows, which
     # took 2-3 times as long at 2^20 terms
     terms = tuple([*zip(term_units, strings)])
-    return SeedState(terms, p, base=base, origin=SEED_STABILIZER)
+    # units in 0..3 and distinct strings in ascending key order, and a
+    # base in range: already a valid seed
+    return SeedState._make(terms, p, base, SEED_STABILIZER)
 
 
 def punctured_seed(seed: SeedState, removed: Iterable[int | str]) -> SeedState:
@@ -271,7 +287,8 @@ def punctured_seed(seed: SeedState, removed: Iterable[int | str]) -> SeedState:
     kept = tuple(t for t in seed.terms if t[1] not in remove)
     if not kept:
         raise ValueError("puncturing removed every term")
-    return SeedState(kept, seed.width, base=seed.base, origin=SEED_PUNCTURED)
+    # a nonempty subsequence of a valid seed's terms, still in order
+    return SeedState._make(kept, seed.width, seed.base, SEED_PUNCTURED)
 
 
 def _letter_key(x: int, z: int, p: int) -> int:

@@ -45,16 +45,17 @@ product, with the sign masks XORed by the flip mask of z.  The sweep
 makes at most 4^p such pairs of dot products: an X part whose image
 misses the seed's support has only zero expectations and needs none.
 
-The pair checks read a Gram matrix of the syndrome states.  Its upper
-triangle is one comprehension per row over masks read into lists once,
-with the two dot products of the inner product inlined, so a pair costs
-two ANDs and two popcounts per part, and a part whose supports do not
-meet costs no popcount.  Syndrome orthogonality reads that triangle
-alone: a pair is orthogonal when its entry is (0, 0), and only pairs
-whose orthogonality disagrees with their labels are visited in Python.
-The Knill-Laflamme check takes the full Hermitian matrix, whose lower
-triangle is the conjugate mirror, and compares the rows of each error
-whole with the rows the conditions want.
+The pair checks read only the upper triangle of the syndrome states'
+Gram matrix.  The matrix is Hermitian, so the lower triangle is the
+conjugate mirror and holds no condition, and no witness, that the upper
+one lacks.  Each row of the triangle is one comprehension over masks
+read into lists once, with the two dot products of the inner product
+inlined, so a pair costs two ANDs and two popcounts per part, and a part
+whose supports do not meet costs no popcount.  Syndrome orthogonality
+calls a pair orthogonal when its entry is (0, 0), and only pairs whose
+orthogonality disagrees with their labels are visited in Python.  The
+Knill-Laflamme check compares the k rows of each error whole with one
+row that the conditions want.
 
 The eigenvector check makes one pass over the states and applies only
 the p generators to each.  The generators are Hermitian and pairwise
@@ -498,16 +499,6 @@ def _upper_gram(states: list[DenseState]) -> list[list[tuple[int, int]]]:
     ]
 
 
-def _gram(states: list[DenseState]) -> list[list[tuple[int, int]]]:
-    """gram[u][v] = <states[u]|states[v]>.  The matrix is Hermitian, so
-    each unordered pair is computed once, by :func:`_upper_gram`, and
-    the lower triangle is its conjugate mirror."""
-    gram: list[list[tuple[int, int]]] = []
-    for u, row in enumerate(_upper_gram(states)):
-        gram.append([(re, -im) for re, im in (gram[v][u] for v in range(u))] + row)
-    return gram
-
-
 def check_syndrome_orthogonality(
     code: QuantumCode, errors: ErrorSet
 ) -> OracleReport:
@@ -556,34 +547,35 @@ def check_knill_laflamme(code: QuantumCode, errors: ErrorSet) -> KLReport:
     """Verify the standard correctability conditions over the dense
     codeword basis.  All codewords share the seed's norm (Pauli images),
     so the constants compare as raw Gaussian integers; the first
-    violating (a, b, i, j) is returned as the witness."""
+    violating (a, b, i, j) is returned as the witness.
+
+    Only the upper triangle of the Gram matrix is read.  The matrix is
+    Hermitian and c_ba = conj(c_ab), so a violation at (a, b, i, j) with
+    b < a is one at (b, a, j, i), met first, and one at (a, a, i, j)
+    with j < i is one at (a, a, j, i), the smaller witness."""
     _check_dense_width(code.width, ORTHOGONALITY_MAX_WIDTH)
     # <psi_i|Ea' Eb|psi_j> = <Ea psi_i | Eb psi_j>, the Gram entry of
     # syndrome states a*k+i and b*k+j
-    gram = _gram([s for _, _, s in syndrome_states(code, errors)])
+    upper = _upper_gram([s for _, _, s in syndrome_states(code, errors)])
     k = code.dimension
     # errors[0] is the identity, so the first k diagonal entries are the
     # codeword norms
-    if len({gram[i][i] for i in range(k)}) != 1:
+    if len({upper[i][0] for i in range(k)}) != 1:
         raise InternalOracleError("codeword norms diverged; Pauli action is broken")
-    # row i of block (a, b) must hold c_ab = gram[a*k][b*k] at column i
-    # and zero elsewhere, so the k rows of error a are compared whole
-    # with those wanted, and only a mismatch is searched for the first
-    # (b, i, j) in witness order
-    size = len(gram)
+    # from its diagonal on, row a*k+i must hold c_ab = upper[a*k][(b-a)*k]
+    # at every k-th entry and zero elsewhere, the same for every i, so the
+    # k rows of error a are compared with one wanted row, and only a
+    # mismatch is searched for the first (b, i, j) in witness order
     for a in range(len(errors)):
-        got = gram[a * k : a * k + k]
-        c_a = got[0][::k]
-        want = [[(0, 0)] * size for _ in range(k)]
-        for i, row in enumerate(want):
-            row[i::k] = c_a
-        if got != want:
+        rows = upper[a * k : a * k + k]
+        want = [(0, 0)] * len(rows[0])
+        want[::k] = rows[0][::k]
+        if any(row != want[: len(row)] for row in rows):
             b, i, j = min(
-                (col // k, i, col % k)
-                for i in range(k)
-                for col in range(size)
-                if got[i][col] != want[i][col]
+                (a + (i + c) // k, i, (i + c) % k)
+                for i, row in enumerate(rows)
+                for c, (got, wanted) in enumerate(zip(row, want))
+                if got != wanted
             )
             return KLReport(witness=(a, b, i, j))
     return KLReport()
-

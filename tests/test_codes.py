@@ -106,6 +106,28 @@ class TestSeedState:
         assert seed.term_tokens() == [["+", "10"]]
         assert seed.base == base
 
+    def test_derived_seeds_skip_a_check_they_would_pass(self, monkeypatch):
+        # seed_state and punctured_seed build their seeds without
+        # __post_init__, and rebuilt through it each is the same seed
+        def refuse(seed):
+            raise AssertionError("a derived seed was validated again")
+
+        derived = []
+        with monkeypatch.context() as mp:
+            mp.setattr(SeedState, "__post_init__", refuse)
+            for s in range(12):
+                p = 1 + s % 6
+                base = random.Random(s).randrange(1 << p)
+                seed = seed_state(random_group(p, seed=s).normalized(base), base)
+                derived.append(seed)
+                if len(seed.terms) > 2:
+                    derived.append(punctured_seed(seed, sorted(seed.strings)[1:3]))
+        assert {seed.origin for seed in derived} == {SEED_STABILIZER, SEED_PUNCTURED}
+        for seed in derived:
+            again = SeedState(seed.terms, seed.width, seed.base, seed.origin)
+            assert again == seed
+            assert hash(again) == hash(seed)
+
     @pytest.mark.parametrize("base", [-1, 8])
     def test_base_outside_the_width_refused(self, base):
         with pytest.raises(ValueError, match="seed base"):

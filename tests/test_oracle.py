@@ -9,6 +9,7 @@ they do."""
 import ast
 import random
 from dataclasses import FrozenInstanceError, fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -196,24 +197,33 @@ def reference_eigenvectors(code, errors=None):
     return OracleReport("eigenvectors", cases, tuple(violations))
 
 
+def full_matrix_witness(gram, n, k):
+    """The Knill-Laflamme rule over the whole Gram matrix of n errors on
+    k codewords: the codeword norms must agree, and the first (a, b, i, j)
+    in witness order whose entry is not c_ab = gram[a*k][b*k] when i == j,
+    or (0, 0) when not, is the witness."""
+    if len({gram[i][i] for i in range(k)}) != 1:
+        raise oracle.InternalOracleError("codeword norms diverged")
+    for a in range(n):
+        for b in range(n):
+            for i in range(k):
+                for j in range(k):
+                    want = gram[a * k][b * k] if i == j else (0, 0)
+                    if gram[a * k + i][b * k + j] != want:
+                        return a, b, i, j
+    return None
+
+
 def reference_knill_laflamme(code, errors):
-    """Every (a, b, i, j) inner product computed afresh, in witness order."""
+    """Every inner product of syndrome states computed afresh, in both
+    orders, and judged by :func:`full_matrix_witness`."""
     words = [
         reference_apply(DenseState.from_seed(code.seed), op)
         for op in code.codeword_ops
     ]
-    moved = [[reference_apply(w, e) for w in words] for e in errors]
-    k = len(words)
-    for a in range(len(errors)):
-        for b in range(len(errors)):
-            c_ab = moved[a][0].inner(moved[b][0])
-            for i in range(k):
-                for j in range(k):
-                    val = moved[a][i].inner(moved[b][j])
-                    want = c_ab if i == j else (0, 0)
-                    if val != want:
-                        return KLReport(witness=(a, b, i, j))
-    return KLReport()
+    states = [reference_apply(w, e) for e in errors for w in words]
+    gram = [[u.inner(v) for v in states] for u in states]
+    return KLReport(witness=full_matrix_witness(gram, len(errors), len(words)))
 
 
 def reference_orthogonality(code, errors):
@@ -242,21 +252,23 @@ def reference_orthogonality(code, errors):
     return OracleReport("syndrome-orthogonality", cases, tuple(violations))
 
 
-def one_plane_states(p):
-    """States whose amplitudes are each 0 or a unit i^k, as every seed
-    and Pauli image is: odd units and partial supports included."""
-    amps = st.lists(
+def unit_state(units, p):
+    """The state whose amplitude a is i^units[a], or 0 where it is None."""
+    parts = [(0, 0) if k is None else ((1, 0), (0, 1), (-1, 0), (0, -1))[k]
+             for k in units]
+    return DenseState(tuple(r for r, _ in parts), tuple(i for _, i in parts), p)
+
+
+def unit_lists(p):
+    return st.lists(
         st.sampled_from([None, 0, 1, 2, 3]), min_size=1 << p, max_size=1 << p
     )
 
-    def state(units):
-        parts = [(0, 0) if k is None else ((1, 0), (0, 1), (-1, 0), (0, -1))[k]
-                 for k in units]
-        return DenseState(
-            tuple(r for r, _ in parts), tuple(i for _, i in parts), p
-        )
 
-    return st.builds(state, amps)
+def one_plane_states(p):
+    """States whose amplitudes are each 0 or a unit i^k, as every seed
+    and Pauli image is: odd units and partial supports included."""
+    return unit_lists(p).map(lambda units: unit_state(units, p))
 
 
 class TestDenseState:
@@ -983,10 +995,72 @@ class TestAgainstReference:
         p = data.draw(st.integers(0, 6), label="p")
         states = data.draw(st.lists(one_plane_states(p), max_size=6), label="states")
         want = [[reference_inner(u, v) for v in states] for u in states]
-        assert oracle._gram(states) == want
         assert oracle._upper_gram(states) == [
             row[u:] for u, row in enumerate(want)
         ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_kl_upper_triangle_matches_full_matrix_on_any_states(self, data):
+        # the mirror argument needs only a Hermitian Gram, so any states
+        # stand in for the syndrome states of n errors on k codewords
+        p = data.draw(st.integers(1, 5), label="p")
+        k = data.draw(st.integers(1, min(4, 1 << p)), label="k")
+        n = data.draw(st.integers(1, 4), label="n")
+        rows = data.draw(
+            st.lists(unit_lists(p), min_size=n * k, max_size=n * k), label="amplitudes"
+        )
+        if data.draw(st.booleans(), label="clean states"):
+            # state j of block b reads i^(u_j + c_b) at s_j and 0 at the
+            # other s_i, with c_0 = 0.  Block 0, and each later state not
+            # drawn as free, is 0 everywhere else, so it meets the
+            # conditions against every state, with c_ab = i^(c_b - c_a)
+            # (0 when either is None).  A witness then lies among the free
+            # states, in any row of a later block, where entries left of
+            # the diagonal need not vanish.
+            strings = data.draw(
+                st.lists(
+                    st.integers(0, (1 << p) - 1), min_size=k, max_size=k, unique=True
+                ),
+                label="strings",
+            )
+            units = data.draw(
+                st.lists(st.integers(0, 3), min_size=k, max_size=k), label="units"
+            )
+            phases = [0] + data.draw(
+                st.lists(
+                    st.sampled_from([None, 0, 1, 2, 3]), min_size=n - 1, max_size=n - 1
+                ),
+                label="phases",
+            )
+            free = [False] * k + data.draw(
+                st.lists(st.booleans(), min_size=n * k - k, max_size=n * k - k),
+                label="free",
+            )
+            for u, row in enumerate(rows):
+                if not free[u]:
+                    row[:] = [None] * (1 << p)
+                for s in strings:
+                    row[s] = None
+                b, j = divmod(u, k)
+                if phases[b] is not None:
+                    row[strings[j]] = (units[j] + phases[b]) % 4
+        states = [unit_state(row, p) for row in rows]
+        gram = [[reference_inner(u, v) for v in states] for u in states]
+        try:
+            want = full_matrix_witness(gram, n, k)
+        except oracle.InternalOracleError:
+            want = "norms diverged"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                oracle, "syndrome_states", lambda *_: [(0, 0, s) for s in states]
+            )
+            code = SimpleNamespace(width=p, dimension=k)
+            try:
+                got = check_knill_laflamme(code, [None] * n).witness
+            except oracle.InternalOracleError:
+                got = "norms diverged"
+        assert got == want
 
     def test_eigenvectors_and_orthogonality_golden(self, golden_suite, monkeypatch):
         # both sweeps act through apply: swapping in the reference apply
