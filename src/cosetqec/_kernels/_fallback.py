@@ -28,6 +28,12 @@ The sampler and the search loop carry a search's work:
   ``syndrome_map`` and ``search_range`` both build a group's columns
   with ``_columns``: the map tabulates byte-wide XORs of them, and the
   search loop XORs each error's few columns directly.
+- The search loop abandons a candidate once its error labels must
+  collide.  Two errors share a label exactly when their product lies in
+  the candidate's span, so the sampler, given the set of pairwise error
+  products, stops drawing as soon as the span of the pairs kept so far
+  meets it (see ``search_range``).  At p=6 with single-qubit errors a
+  candidate then reads about 37 draws on average instead of about 75.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from array import array
 from operator import index
 from typing import Iterable, Sequence
 
-from ..pauli import _check_width
+from ..pauli import MAX_WIDTH, _check_width
 
 MASK64 = (1 << 64) - 1
 MAX_ERRORS = 1024
@@ -52,6 +58,8 @@ _LANE_MASK = MASK64 * _LANES
 # lane i holds the (i+1)-th state after the one the batch starts from
 _OFFSETS = sum(((i + 1) * _GOLDEN & MASK64) << 128 * i for i in range(_BATCH))
 _ADVANCE = (_BATCH * _GOLDEN & MASK64) * _LANES
+# a draw keeps 2p bits: the lane-repeated masks, one per width
+_VMASKS = [((1 << 2 * p) - 1) * _LANES for p in range(MAX_WIDTH + 1)]
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -176,14 +184,21 @@ def _draws(lanes: int, vmask: int) -> array:
     return unpack_lanes((z ^ z >> 31) & vmask, 2 * _BATCH)[::2]
 
 
-def _sample_group(p: int, seed: int):
+def _sample_group(p: int, seed: int, collide=None):
+    """The group ``random_group_packed`` samples, or None once the span
+    of the pairs kept so far meets the set ``collide`` of packed vectors
+    (0 is in every span).  The span is built only when ``collide`` is
+    given, and only up to the first p-1 pairs."""
+    if collide is not None and 0 in collide:
+        return None
     pmask = (1 << p) - 1
-    vmask = ((1 << 2 * p) - 1) * _LANES
+    vmask = _VMASKS[p]
     lanes = ((seed & MASK64) * _LANES + _OFFSETS) & _LANE_MASK
     xs: list[int] = []
     zs: list[int] = []
     swapped: list[int] = []
     pivots: dict[int, int] = {}
+    span = [0]
     while True:
         for v in _draws(lanes, vmask):
             for s in swapped:
@@ -202,6 +217,11 @@ def _sample_group(p: int, seed: int):
                     zs.append(b)
                     if len(xs) == p:
                         return xs, zs
+                    if collide is not None:
+                        half = [u ^ v for u in span]
+                        if not collide.isdisjoint(half):
+                            return None
+                        span += half
                     swapped.append(b | a << p)
                     break
         lanes = (lanes + _ADVANCE) & _LANE_MASK
@@ -211,9 +231,9 @@ def greedy_label_scan(p: int, err_labels: Sequence[int], k_target: int = -1):
     """Greedy coset-label selection: scan labels 0..2^p-1 ascending, keep a
     label when every XOR with the error labels is still unused.
 
-    ``k_target >= 0`` stops as soon as that many labels are kept; -1 runs
-    the full scan (maximum greedy dimension).  Labels outside 0..2^p-1
-    are refused.
+    ``k_target >= 1`` stops as soon as that many labels are kept; any
+    ``k_target < 1``, 0 and the default -1 included, runs the full scan
+    (maximum greedy dimension).  Labels outside 0..2^p-1 are refused.
     """
     p = index(p)
     _check_width(p)
@@ -258,6 +278,19 @@ def search_range(
     (index, xs, zs, labels) for the first hit, or None.  Error sets over
     MAX_ERRORS entries and error lists of unequal length are refused
     before the scan.
+
+    A candidate is abandoned as soon as a label collision is certain,
+    which leaves every result unchanged.  Its p independent commuting
+    pairs on p qubits span a Lagrangian S, which is its own symplectic
+    complement, so errors e and f share a label iff e ^ f commutes with
+    every pair, that is iff e ^ f is in S.  The span of the pairs kept
+    so far lies in S, so once it holds a pairwise product the labels
+    collide whatever the stream draws next; and no candidate's stream
+    depends on another's.  The last pair is still judged by the label
+    loop.  Building the span costs up to 2^(p-1) XORs and lookups, so
+    the sampler gets the products only when they number at least half
+    of 2^p; with fewer, a collision is rare and the check costs more
+    than it saves.
     """
     p = index(p)
     _check_width(p)
@@ -271,13 +304,20 @@ def search_range(
     if len(errs_b) != n:
         raise ValueError(f"errs_a has {n} masks, errs_b has {len(errs_b)}")
     pmask = (1 << p) - 1
+    packed = [a & pmask | (b & pmask) << p for a, b in zip(errs_a, errs_b)]
     # an error's label is the XOR of the columns at its packed set bits
-    err_bits = []
-    for a, b in zip(errs_a, errs_b):
-        v = a & pmask | (b & pmask) << p
-        err_bits.append([j for j in range(2 * p) if v >> j & 1])
+    err_bits = [[j for j in range(2 * p) if v >> j & 1] for v in packed]
+    # the pairwise products, when they fill at least half of 2^p
+    collide = None
+    if n * (n - 1) >= 1 << p:
+        collide = {u ^ v for i, u in enumerate(packed) for v in packed[:i]}
+        if 2 * len(collide) < 1 << p:
+            collide = None
     for i in range(start, start + count):
-        xs, zs = _sample_group(p, mix64((seed + (i + 1) * _GOLDEN) & MASK64))
+        group = _sample_group(p, mix64((seed + (i + 1) * _GOLDEN) & MASK64), collide)
+        if group is None:
+            continue
+        xs, zs = group
         cols = _columns(xs, zs, p, 2 * p)
         seen = 0
         labels: list[int] = []

@@ -8,6 +8,7 @@ plain checkout; with neither, they are skipped."""
 
 import importlib
 import importlib.util
+import json
 import os
 import random
 import shutil
@@ -23,8 +24,10 @@ from hypothesis import strategies as st
 import cosetqec.search as search
 from cosetqec import ErrorSet, PauliOperator
 from cosetqec._kernels import _fallback as fb
+from cosetqec.golden import single_qubit_errors
 
 NAME = "cosetqec._kernels._speedups"
+GOLDEN_SEARCH = Path(__file__).parent / "data" / "golden_search.json"
 
 
 # Scalar references: the per-generator label, the one-draw-at-a-time
@@ -235,9 +238,10 @@ def test_sampler_equals_the_reference(p, seed):
     assert fb.random_group_packed(p, seed) == reference_sample_group(p, seed)
 
 
-def _search_equals_the_reference(lane, data):
-    p = data.draw(st.integers(1, 10), label="p")
-    n = data.draw(st.integers(0, 6), label="errors")
+def _error_masks(data, p):
+    """Two lists of up to 3p+1 error masks: inside the width, negative,
+    or wider, duplicates included."""
+    n = data.draw(st.integers(0, 3 * p + 1), label="errors")
     masks = st.lists(
         st.integers(0, (1 << p) - 1)
         | st.integers(-(1 << 70), -1)
@@ -245,7 +249,35 @@ def _search_equals_the_reference(lane, data):
         min_size=n,
         max_size=n,
     )
-    ea, eb = data.draw(masks, label="errs_a"), data.draw(masks, label="errs_b")
+    return data.draw(masks, label="errs_a"), data.draw(masks, label="errs_b")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.integers(1, 8), seed=SEEDS)
+def test_sampler_stops_exactly_when_a_product_enters_the_span(data, p, seed):
+    """Given the pairwise products of the packed errors, the sampler
+    returns None exactly when one of them lies in the span of the first
+    p-1 pairs of the reference group, and the reference group otherwise."""
+    ea, eb = _error_masks(data, p)
+    pmask = (1 << p) - 1
+    packed = [a & pmask | (b & pmask) << p for a, b in zip(ea, eb)]
+    collide = {u ^ v for i, u in enumerate(packed) for v in packed[:i]}
+    xs, zs = reference_sample_group(p, seed)
+    gens = [x | z << p for x, z in zip(xs[:-1], zs[:-1])]
+    span = set()
+    for subset in range(1 << len(gens)):
+        v = 0
+        for t, g in enumerate(gens):
+            if subset >> t & 1:
+                v ^= g
+        span.add(v)
+    got = fb._sample_group(p, seed, collide)
+    assert got == (None if collide & span else (xs, zs))
+
+
+def _search_equals_the_reference(lane, data):
+    p = data.draw(st.integers(1, 10), label="p")
+    ea, eb = _error_masks(data, p)
     k_target = data.draw(st.integers(-1, 4), label="k_target")
     seed, start = data.draw(SEEDS, label="seed"), data.draw(SEEDS, label="start")
     count = data.draw(st.integers(0, 12), label="count")
@@ -268,6 +300,54 @@ def test_compiled_search_equals_the_reference(compiled, data):
     _search_equals_the_reference(compiled, data)
 
 
+def _golden_record(lane, monkeypatch, p, k, seed, budget):
+    """One seeded search for the single-qubit errors of width p, through
+    ``search_code`` and through the lane's ``search_range``."""
+    errs = single_qubit_errors(p)
+    ea, eb = [e.x for e in errs], [e.z for e in errs]
+    hit = lane.search_range(p, ea, eb, k, seed, 0, budget)
+    monkeypatch.setattr(search, "search_range", lane.search_range)
+    result = search.search_code(errs, k, budget=budget, seed=seed, workers=1)
+    return {
+        "p": p,
+        "k": k,
+        "seed": seed,
+        "budget": budget,
+        "hit_index": result.hit_index,
+        "candidates_tried": result.candidates_tried,
+        "xs": None if hit is None else list(hit[1]),
+        "zs": None if hit is None else list(hit[2]),
+        "labels": None if hit is None else list(hit[3]),
+        "code": None if result.code is None else result.code.to_dict(),
+    }
+
+
+def _golden_search(lane, monkeypatch):
+    """Seeded search results are pinned across commits, not only across
+    lanes: ``tests/data/golden_search.json`` was written with
+    ``_golden_record`` on the pure lane at commit fed56ca, before the
+    search loop learned to abandon candidates whose labels must collide.
+    Its cases cover widths 5-9, three seeds, and targets that hit and
+    targets that exhaust a small budget."""
+    want = json.loads(GOLDEN_SEARCH.read_text())
+    got = [
+        _golden_record(lane, monkeypatch, c["p"], c["k"], c["seed"], c["budget"])
+        for c in want
+    ]
+    assert got == want
+    assert {c["p"] for c in want} == {5, 6, 7, 8, 9}
+    assert any(c["code"] is None for c in want)
+    assert any(c["code"] is not None for c in want)
+
+
+def test_seeded_search_matches_the_golden_file(monkeypatch):
+    _golden_search(fb, monkeypatch)
+
+
+def test_compiled_seeded_search_matches_the_golden_file(compiled, monkeypatch):
+    _golden_search(compiled, monkeypatch)
+
+
 class TestSamplers:
     def test_random_group_streams_identical(self, compiled):
         for p in (1, 2, 3, 5, 8):
@@ -287,9 +367,14 @@ class TestSamplers:
                     compiled.greedy_label_scan(p, labels, k_target)
                 )
 
-    def test_search_streams_identical(self, compiled):
-        from cosetqec.golden import single_qubit_errors
+    def test_greedy_scan_below_one_runs_the_full_scan(self, compiled):
+        # 0 and every negative target keep every label the scan can
+        for lane in (fb, compiled):
+            for k_target in (0, -1, -5):
+                assert list(lane.greedy_label_scan(3, [0, 1], k_target)) == [0, 2, 4, 6]
+            assert list(lane.greedy_label_scan(3, [0, 1], 2)) == [0, 2]
 
+    def test_search_streams_identical(self, compiled):
         errs = single_qubit_errors(5)
         ea = [e.x for e in errs]
         eb = [e.z for e in errs]
@@ -305,8 +390,6 @@ class TestSamplers:
 
     def test_search_edge_arguments_identical(self, compiled):
         # negative or 64-bit-wrapping seeds and starts, empty ranges
-        from cosetqec.golden import single_qubit_errors
-
         errs = single_qubit_errors(5)
         ea = [e.x for e in errs]
         eb = [e.z for e in errs]
@@ -325,8 +408,6 @@ class TestSamplers:
 
     def test_search_blocks_compose(self, compiled):
         # scanning [0, 200) equals scanning [0, 100) then [100, 200)
-        from cosetqec.golden import single_qubit_errors
-
         errs = single_qubit_errors(5)
         ea = [e.x for e in errs]
         eb = [e.z for e in errs]
