@@ -290,7 +290,9 @@ def search_range(
     loop.  Building the span costs up to 2^(p-1) XORs and lookups, so
     the sampler gets the products only when they number at least half
     of 2^p; with fewer, a collision is rare and the check costs more
-    than it saves.
+    than it saves.  The products are built at the first candidate whose
+    labels collide, so a call whose candidates hit before that builds
+    none.
     """
     p = index(p)
     _check_width(p)
@@ -307,12 +309,8 @@ def search_range(
     packed = [a & pmask | (b & pmask) << p for a, b in zip(errs_a, errs_b)]
     # an error's label is the XOR of the columns at its packed set bits
     err_bits = [[j for j in range(2 * p) if v >> j & 1] for v in packed]
-    # the pairwise products, when they fill at least half of 2^p
     collide = None
-    if n * (n - 1) >= 1 << p:
-        collide = {u ^ v for i, u in enumerate(packed) for v in packed[:i]}
-        if 2 * len(collide) < 1 << p:
-            collide = None
+    pending = n * (n - 1) >= 1 << p  # the products might fill half of 2^p
     for i in range(start, start + count):
         group = _sample_group(p, mix64((seed + (i + 1) * _GOLDEN) & MASK64), collide)
         if group is None:
@@ -333,4 +331,10 @@ def search_range(
             kept = _greedy(p, labels, k_target)
             if len(kept) >= k_target:
                 return i, xs, zs, kept
+            continue
+        if pending:  # the first label collision
+            pending = False
+            products = {u ^ v for k, u in enumerate(packed) for v in packed[:k]}
+            if 2 * len(products) >= 1 << p:
+                collide = products
     return None

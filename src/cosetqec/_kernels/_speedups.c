@@ -1,9 +1,11 @@
-/* Compiled fast path of the four batch kernels.  Each entry point runs in C
- * when its arguments are in C's domain: positional only, a width that is an
- * int in 1..24, masks and labels given as a list or tuple of ints (at most
- * MAX_ERRORS of them for search_range), k_target and count in the long long
- * range, and seeds and starts that are ints.  Every other call goes to the
- * same function in _fallback.py, so every refusal comes from there; the
+/* Compiled fast path of the two batch kernels that pay off end to end: the
+ * syndrome map and the search loop (README, "Performance").  Each entry point
+ * runs in C when its arguments are in C's domain: positional only; for
+ * syndrome_map, two equally long iterables of ints in 0..2^64-1; for
+ * search_range, a width that is an int in 1..24, error masks given as two
+ * lists or tuples of at most MAX_ERRORS ints, k_target and count in the long
+ * long range, and a seed and start that are ints.  Every other call goes to
+ * the same function in _fallback.py, so every refusal comes from there; the
  * domain check comes before any fixed-size buffer is touched.  Within its
  * domain C matches _fallback bit for bit: splitmix64 stream, draw order and
  * tie-breaking.  tests/test_kernels.py compares the two lanes. */
@@ -230,50 +232,6 @@ syndrome_map(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
 }
 
 static PyObject *
-random_group_packed(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
-                    PyObject *kwnames)
-{
-    int p = nargs == 2 && kwnames == NULL ? width_of(args[0]) : 0;
-    if (!p || !PyLong_Check(args[1]))
-        return reference("random_group_packed", args, nargs, kwnames);
-    u64 xs[MAX_WIDTH], zs[MAX_WIDTH];
-    sample_group(p, PyLong_AsUnsignedLongLongMask(args[1]), xs, zs);
-    PyObject *lx = u64_list(xs, p), *lz = lx ? u64_list(zs, p) : NULL;
-    PyObject *result = lz ? PyTuple_Pack(2, lx, lz) : NULL;
-    Py_XDECREF(lx);
-    Py_XDECREF(lz);
-    return result;
-}
-
-static PyObject *
-greedy_label_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
-                  PyObject *kwnames)
-{
-    long long k_target = -1, lab = 0;
-    int p = (nargs == 2 || nargs == 3) && kwnames == NULL ? width_of(args[0]) : 0;
-    Py_ssize_t n = p && SEQ(args[1]) ? PySequence_Fast_GET_SIZE(args[1]) : -1;
-    u64 *errs = n < 0 || (nargs == 3 && !read_ll(args[2], &k_target))
-                    ? NULL : PyMem_New(u64, n + 1);
-    int ok = errs != NULL;
-    for (Py_ssize_t k = 0; ok && k < n; k++) {  /* labels in 0..2^p-1 */
-        ok = read_ll(PySequence_Fast_GET_ITEM(args[1], k), &lab) && lab >= 0
-             && lab >> p == 0;
-        errs[k] = (u64)lab;
-    }
-    if (!ok) {
-        PyMem_Free(errs);
-        return reference("greedy_label_scan", args, nargs, kwnames);
-    }
-    char *taken = PyMem_Calloc((size_t)1 << p, 1);
-    PyObject *out = taken ? PyList_New(0) : PyErr_NoMemory();
-    if (out != NULL && greedy(p, errs, n, k_target, taken, out) < 0)
-        Py_CLEAR(out);
-    PyMem_Free(errs);
-    PyMem_Free(taken);
-    return out;
-}
-
-static PyObject *
 search_range(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
              PyObject *kwnames)
 {
@@ -342,10 +300,6 @@ static PyMethodDef methods[] = {
     {"syndrome_map", (PyCFunction)(void (*)(void))syndrome_map,
      METH_FASTCALL | METH_KEYWORDS,
      "syndrome_map(gens_a, gens_b) -> label(a, b), the group's syndrome map."},
-    {"random_group_packed", (PyCFunction)(void (*)(void))random_group_packed,
-     METH_FASTCALL | METH_KEYWORDS, "Sample p independent commuting (x, z) pairs."},
-    {"greedy_label_scan", (PyCFunction)(void (*)(void))greedy_label_scan,
-     METH_FASTCALL | METH_KEYWORDS, "Greedy coset-label scan over 0..2^p-1."},
     {"search_range", (PyCFunction)(void (*)(void))search_range,
      METH_FASTCALL | METH_KEYWORDS, "Scan candidates [start, start+count)."},
     {NULL, NULL, 0, NULL},

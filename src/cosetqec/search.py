@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 from ._kernels import greedy_label_scan, search_range
@@ -182,12 +183,10 @@ def search_code(
     are deterministic in (strategy, budget, seed); any returned code
     passes the distinct-label verdict by construction.  ``workers=None``
     reads the worker count from ``COSETQEC_WORKERS`` (default 1); a count
-    below 1, or a variable that is not an integer, is refused.
+    below 1, or a variable that is not an integer, is refused.  The
+    count arguments are read with ``operator.index``, so a float is
+    refused with a TypeError before any work.
     """
-    if k_target < 1:
-        raise ValueError("dimension target must be at least 1")
-    if budget < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
     if workers is None:
         raw = os.environ.get("COSETQEC_WORKERS", "1")
         try:
@@ -196,8 +195,15 @@ def search_code(
             raise ValueError(
                 f"COSETQEC_WORKERS must be an integer, got {raw!r}"
             ) from None
+    k_target, budget, seed, workers = map(index, (k_target, budget, seed, workers))
+    if k_target < 1:
+        raise ValueError("dimension target must be at least 1")
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if strategy not in ("exhaustive", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     p = errors.width
     if len(errors) * k_target > (1 << p):
         return SearchResult(
@@ -210,6 +216,4 @@ def search_code(
         )
     if strategy == "exhaustive":
         return _exhaustive_search(errors, k_target)
-    if strategy == "random":
-        return _random_search(errors, k_target, budget, seed, workers)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _random_search(errors, k_target, budget, seed, workers)

@@ -262,7 +262,8 @@ def random_group(p: int, seed: int) -> StabilizerGroup:
     """Deterministic greedy sampler: draw random operators, keep those
     that commute with everything kept and raise the mod-phase rank, until
     p generators are held.  Generators come out in canonical + form.
-    Both kernel lanes refuse widths outside 1..24 before sampling."""
+    The sampler is pure Python on both kernel lanes and refuses widths
+    outside 1..24 before sampling."""
     xs, zs = random_group_packed(p, seed)
     gens = tuple(
         PauliOperator.from_symplectic(x, z, p) for x, z in zip(xs, zs)

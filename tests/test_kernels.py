@@ -120,6 +120,27 @@ def compiled(tmp_path_factory):
     del sys.modules[NAME]
 
 
+# Prints the active lane and whether the sampler and the greedy scan are
+# the pure lane's; given a path, first loads the compiled extension there.
+BINDINGS = """
+import sys
+if len(sys.argv) > 1:
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "cosetqec._kernels._speedups", sys.argv[1]
+    )
+    sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+import cosetqec._kernels as kernels
+from cosetqec._kernels import _fallback as fb
+print(
+    kernels.BACKEND,
+    kernels.random_group_packed is fb.random_group_packed,
+    kernels.greedy_label_scan is fb.greedy_label_scan,
+)
+"""
+
+
 def test_pure_env_var_selects_fallback():
     proc = subprocess.run(
         [sys.executable, "-c", "import cosetqec; print(cosetqec.BACKEND)"],
@@ -275,6 +296,27 @@ def test_sampler_stops_exactly_when_a_product_enters_the_span(data, p, seed):
     assert got == (None if collide & span else (xs, zs))
 
 
+@pytest.mark.parametrize("seed, hit_index", [(7, 0), (0, 8)])
+def test_search_builds_the_products_at_the_first_collision(
+    monkeypatch, seed, hit_index
+):
+    # the sampler gets no product set until a candidate's labels collide;
+    # a call whose first candidate hits builds none
+    errs = single_qubit_errors(5)
+    ea, eb = [e.x for e in errs], [e.z for e in errs]
+    packed = [a | b << 5 for a, b in zip(ea, eb)]
+    products = {u ^ v for i, u in enumerate(packed) for v in packed[:i]}
+    sample, given = fb._sample_group, []
+
+    def spy(p, seed, collide=None):
+        given.append(collide)
+        return sample(p, seed, collide)
+
+    monkeypatch.setattr(fb, "_sample_group", spy)
+    assert fb.search_range(5, ea, eb, 1, seed, 0, 100)[0] == hit_index
+    assert given == [None] + [products] * hit_index
+
+
 def _search_equals_the_reference(lane, data):
     p = data.draw(st.integers(1, 10), label="p")
     ea, eb = _error_masks(data, p)
@@ -349,30 +391,60 @@ def test_compiled_seeded_search_matches_the_golden_file(compiled, monkeypatch):
 
 
 class TestSamplers:
+    """The compiled search loop keeps its own sampler and greedy scan; the
+    package binds ``random_group_packed`` and ``greedy_label_scan`` to the
+    pure lane, so the compiled copies are held to them through
+    ``search_range``."""
+
     def test_random_group_streams_identical(self, compiled):
-        for p in (1, 2, 3, 5, 8):
-            for seed in range(20):
-                assert fb.random_group_packed(p, seed) == compiled.random_group_packed(
-                    p, seed
-                )
+        # the identity error always hits, so candidate `start` is returned
+        # with the group its stream samples
+        for p in range(1, 17):
+            for seed, start in [(0, 0), (7, 5), (-(1 << 70), (1 << 64) - 1)]:
+                state = fb.mix64((seed + (start + 1) * fb._GOLDEN) & fb.MASK64)
+                xs, zs = fb.random_group_packed(p, state)
+                hit = compiled.search_range(p, [0], [0], 1, seed, start, 1)
+                assert hit == (start, xs, zs, [0])
 
     def test_greedy_scan_identical(self, compiled):
+        # k_target=-1: the first candidate with distinct labels keeps the
+        # full greedy scan of its labels
         rng = random.Random(5)
-        for _ in range(100):
-            p = rng.randrange(2, 7)
-            n = rng.randrange(1, min(6, 1 << p))
-            labels = rng.sample(range(1 << p), n)
-            for k_target in (-1, 1, 2):
-                assert fb.greedy_label_scan(p, labels, k_target) == list(
-                    compiled.greedy_label_scan(p, labels, k_target)
-                )
+        hits = 0
+        for p in range(1, 13):
+            for seed in range(3):
+                n = rng.randrange(1, min(1 << p, 2 * p) + 1)
+                packed = rng.sample(range(1 << 2 * p), n)
+                ea = [v & (1 << p) - 1 for v in packed]
+                eb = [v >> p for v in packed]
+                hit = compiled.search_range(p, ea, eb, -1, seed, 0, 64)
+                assert hit == fb.search_range(p, ea, eb, -1, seed, 0, 64)
+                if hit is None:
+                    continue
+                hits += 1
+                _, xs, zs, kept = hit
+                labels = [syndrome_bits(a, b, xs, zs) for a, b in zip(ea, eb)]
+                assert kept == fb.greedy_label_scan(p, labels, -1)
+        assert hits >= 30
 
-    def test_greedy_scan_below_one_runs_the_full_scan(self, compiled):
+    def test_greedy_scan_below_one_runs_the_full_scan(self):
         # 0 and every negative target keep every label the scan can
-        for lane in (fb, compiled):
-            for k_target in (0, -1, -5):
-                assert list(lane.greedy_label_scan(3, [0, 1], k_target)) == [0, 2, 4, 6]
-            assert list(lane.greedy_label_scan(3, [0, 1], 2)) == [0, 2]
+        for k_target in (0, -1, -5):
+            assert fb.greedy_label_scan(3, [0, 1], k_target) == [0, 2, 4, 6]
+        assert fb.greedy_label_scan(3, [0, 1], 2) == [0, 2]
+
+    def test_sampler_and_scan_are_pure_on_both_lanes(self, compiled):
+        for env, argv in [({"COSETQEC_PURE": "1"}, []), ({}, [compiled.__file__])]:
+            proc = subprocess.run(
+                [sys.executable, "-c", BINDINGS, *argv],
+                env={**{k: v for k, v in os.environ.items() if k != "COSETQEC_PURE"},
+                     **env},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            backend = "compiled" if argv else "python"
+            assert proc.stdout.split() == [backend, "True", "True"]
 
     def test_search_streams_identical(self, compiled):
         errs = single_qubit_errors(5)
@@ -439,24 +511,26 @@ def _outcome(call):
 class TestRefusals:
     @pytest.mark.parametrize("p", [0, -1, 25, 64, 1 << 70])
     def test_width_is_refused_the_same_on_both_lanes(self, compiled, p):
-        calls = [
-            lambda lane: lane.random_group_packed(p, 1),
-            lambda lane: lane.greedy_label_scan(p, [0], 1),
-            lambda lane: lane.search_range(p, [0], [0], 1, 1, 0, 1),
-        ]
-        for call in calls:
-            want = _refusal(lambda: call(fb))
-            assert want == (ValueError, f"width must be in 1..24, got {p}")
-            assert _refusal(lambda: call(compiled)) == want
+        want = _refusal(lambda: fb.search_range(p, [0], [0], 1, 1, 0, 1))
+        assert want == (ValueError, f"width must be in 1..24, got {p}")
+        assert _refusal(lambda: compiled.search_range(p, [0], [0], 1, 1, 0, 1)) == want
 
     @pytest.mark.parametrize("label", [8, 9, 255, -1, 1 << 70])
-    def test_out_of_range_label_is_refused_the_same_on_both_lanes(
-        self, compiled, label
-    ):
-        labels = [0, 1, label]
-        want = _refusal(lambda: fb.greedy_label_scan(3, labels, -1))
-        assert want == (ValueError, f"label {label} out of range for width 3")
-        assert _refusal(lambda: compiled.greedy_label_scan(3, labels, -1)) == want
+    def test_out_of_range_label_is_refused(self, label):
+        want = (ValueError, f"label {label} out of range for width 3")
+        assert _refusal(lambda: fb.greedy_label_scan(3, [0, 1, label], -1)) == want
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fb.greedy_label_scan(3, [0, 1], 1.5),
+            lambda: fb.random_group_packed(3, 1.5),
+            lambda: fb.random_group_packed(2.0, 1),
+            lambda: fb.greedy_label_scan(3, [0, 1.0], 1),
+        ],
+    )
+    def test_a_float_is_refused_by_the_sampler_and_scan(self, call):
+        assert _outcome(call) == NOT_AN_INT
 
     def test_search_error_cap_is_the_same_on_both_lanes(self, compiled):
         ea = list(range(fb.MAX_ERRORS + 1))
@@ -546,8 +620,6 @@ class TestRefusals:
 
     @pytest.mark.parametrize("k_target", [1 << 63, -(1 << 70)])
     def test_huge_k_target_is_the_same_on_both_lanes(self, compiled, k_target):
-        want = fb.greedy_label_scan(4, [0, 3, 5], k_target)
-        assert want == compiled.greedy_label_scan(4, [0, 3, 5], k_target)
         ea, eb = [0, 1, 0], [0, 0, 1]  # I, X and Z on qubit 0
         want = fb.search_range(4, ea, eb, k_target, 9, 0, 40)
         assert want == compiled.search_range(4, ea, eb, k_target, 9, 0, 40)
@@ -591,12 +663,8 @@ class TestOneErrorPath:
         "call",
         [
             lambda lane: lane.search_range(5, [0], [0], 1.5, 1, 0, 1),
-            lambda lane: lane.greedy_label_scan(3, [0, 1], 1.5),
             lambda lane: lane.search_range(5, [1.0], [0], 1, 1, 0, 1),
             lambda lane: lane.search_range(5, [0], [0], 1, 1.5, 0, 1),
-            lambda lane: lane.random_group_packed(3, 1.5),
-            lambda lane: lane.random_group_packed(2.0, 1),
-            lambda lane: lane.greedy_label_scan(3, [0, 1.0], 1),
         ],
     )
     def test_a_float_is_refused_the_same_on_both_lanes(self, compiled, call):
@@ -606,13 +674,6 @@ class TestOneErrorPath:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda lane: lane.random_group_packed(p=4, seed=3),
-            lambda lane: lane.random_group_packed(4),
-            lambda lane: lane.random_group_packed(4, "3"),
-            lambda lane: lane.greedy_label_scan(4, (0, 3, 5)),
-            lambda lane: lane.greedy_label_scan(4, iter([0, 3, 5]), 2),
-            lambda lane: lane.greedy_label_scan(4, range(3), k_target=2),
-            lambda lane: lane.greedy_label_scan(4, [0, 3], None),
             lambda lane: lane.search_range(4, (0, 1), (0, 0), 1, 9, 0, 40),
             lambda lane: lane.search_range(4, range(2), [0, 0], 1, 9, 0, 40),
             lambda lane: lane.search_range(4, [0, 1], [0, 0], 1, 9, 0, count=40),
@@ -626,9 +687,6 @@ class TestOneErrorPath:
 
     IN_DOMAIN = [
         ("syndrome_map", lambda lane: lane.syndrome_map([1, 2], [2, 0])(3, 1)),
-        ("random_group_packed", lambda lane: lane.random_group_packed(6, -7)),
-        ("greedy_label_scan", lambda lane: lane.greedy_label_scan(4, [0, 3], 9)),
-        ("greedy_label_scan", lambda lane: lane.greedy_label_scan(4, (0, 3))),
         (
             "search_range",
             lambda lane: lane.search_range(4, [0, 1], (0, 0), 1, 1 << 70, -3, 40),
@@ -645,8 +703,6 @@ class TestOneErrorPath:
         "name, args, kwargs",
         [
             ("syndrome_map", ([1],), {"gens_b": [2]}),
-            ("random_group_packed", (6, 1.0), {}),
-            ("greedy_label_scan", (4, [0, 3]), {"k_target": 9}),
             ("search_range", (4, [0], [0], 1, 1, 0, 1 << 63), {}),
         ],
     )
@@ -656,15 +712,6 @@ class TestOneErrorPath:
         # to the function of the same name, with the arguments as passed
         monkeypatch.setattr(fb, name, lambda *a, **kw: (name, a, kw))
         assert getattr(compiled, name)(*args, **kwargs) == (name, args, kwargs)
-
-    def test_a_long_greedy_scan_stays_in_c(self, compiled, monkeypatch):
-        # no label cap: 1500 error labels stay on the heap buffer
-        labels = list(range(1500))
-        random.Random(8).shuffle(labels)
-        want = fb.greedy_label_scan(13, labels, -1)
-        assert len(want) >= 2
-        monkeypatch.setattr(fb, "greedy_label_scan", _refuse)
-        assert compiled.greedy_label_scan(13, labels, -1) == want
 
 
 def _refuse(*args, **kwargs):

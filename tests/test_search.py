@@ -185,6 +185,29 @@ class TestSearch:
         assert seq.code.group.generators == par.code.group.generators
         assert seq.code.labels == par.code.labels
 
+    def test_float_target_refused_before_the_counting_bound(self):
+        # it used to report "16 errors x 2.5 codewords" as impossible
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            search_code(single_qubit_errors(5), 2.5)
+
+    def test_float_target_refused_before_exhaustive_search(self):
+        # it used to fail inside a slice of the kept labels
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            search_code(x_flips(3), 2.0, strategy="exhaustive")
+
+    def test_float_worker_count_refused_before_the_pool(self, monkeypatch):
+        # it used to start a pool of 1.5 workers and fail in it
+        pools = []
+        monkeypatch.setattr(search, "ProcessPoolExecutor", pools.append)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            search_code(single_qubit_errors(5), 2, budget=5000, workers=1.5)
+        assert pools == []
+
+    def test_unknown_strategy_refused_before_the_counting_bound(self):
+        # it used to report the pigeonhole bound for K=100
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            search_code(single_qubit_errors(5), 100, strategy="bogus")
+
 
 class _InlinePool:
     """An in-process stand-in for ProcessPoolExecutor."""

@@ -222,18 +222,13 @@ class TestRandomGroup:
 
     @pytest.mark.parametrize("p", [0, 25])
     def test_width_refused_before_sampling(self, p, monkeypatch):
-        # the kernel refuses the width; on the pure lane its sampling loop
-        # never starts (tests/test_kernels.py holds the compiled lane to
-        # the same refusal)
-        import cosetqec.stabilizer as stabilizer
+        # the kernel, the pure lane's on both lanes, refuses the width
+        # before its sampling loop starts
         from cosetqec._kernels import _fallback
 
         def sampler(*args):
             raise AssertionError("the sampler must not start")
 
-        monkeypatch.setattr(
-            stabilizer, "random_group_packed", _fallback.random_group_packed
-        )
         monkeypatch.setattr(_fallback, "_sample_group", sampler)
         with pytest.raises(ValueError, match="width must be in 1..24"):
             random_group(p, 1)
