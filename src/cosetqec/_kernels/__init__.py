@@ -2,17 +2,17 @@
 
 Only the two batch kernels that pay off end to end have a compiled lane
 (``_speedups.c``): the syndrome map and the search loop (README,
-"Performance").  The group sampler and the greedy label scan are bound
-to ``_fallback`` on both lanes; the compiled search loop keeps its own
-copy of each, which the tests hold to the pure stream.  ``_fallback`` is
-the pure lane and the reference.  The compiled lane is a fast path: it
-runs a call in C only when the arguments are in its domain and hands
-every other call to the ``_fallback`` function of the same name, so
-every refusal comes from ``_fallback``.  Set ``COSETQEC_PURE=1`` to
-force the pure-Python lane regardless of whether the extension was
-built.  ``BACKEND`` records the active lane.  ``lane_ones``,
-``pack_lanes`` and ``unpack_lanes``, which hold u64 values in the 64-bit
-lanes of one int, are pure helpers that both lanes share.
+"Performance").  ``random_group`` and ``max_dimension`` call the pure
+sampler and greedy scan of ``_fallback`` on both lanes; the compiled
+search loop keeps its own copy of each, held to them by the tests.
+``_fallback`` is the pure lane and the reference.  The compiled lane is
+a fast path: it runs a call in C only when the arguments are in its
+domain and hands every other call to the ``_fallback`` function of the
+same name, so every refusal comes from ``_fallback``.  Set
+``COSETQEC_PURE=1`` to force the pure-Python lane regardless of whether
+the extension was built.  ``BACKEND`` records the active lane.
+``lane_ones``, ``pack_lanes`` and ``unpack_lanes``, which hold u64
+values in the 64-bit lanes of one int, are pure helpers of both lanes.
 """
 
 from __future__ import annotations
@@ -33,13 +33,7 @@ else:
 
         BACKEND = "python"
 
-from ._fallback import (
-    greedy_label_scan,
-    lane_ones,
-    pack_lanes,
-    random_group_packed,
-    unpack_lanes,
-)
+from ._fallback import lane_ones, pack_lanes, unpack_lanes
 
 syndrome_map = _impl.syndrome_map
 search_range = _impl.search_range
@@ -47,8 +41,6 @@ search_range = _impl.search_range
 __all__ = [
     "BACKEND",
     "syndrome_map",
-    "random_group_packed",
-    "greedy_label_scan",
     "search_range",
     "lane_ones",
     "pack_lanes",

@@ -1,13 +1,14 @@
 """Pure-Python implementations of the bit-packed batch kernels.
 
-This module is the reference and owns every refusal.  The compiled lane
-(``_speedups.c``) is a fast path: it runs a call in C only when its
-arguments are in C's domain, with the same RNG (splitmix64), draw order
-and tie-breaking, and hands every other call to the function of the
-same name here.  Each entry point reads its int arguments with
+This module is the reference and owns every kernel refusal.  The
+compiled lane (``_speedups.c``) is a fast path: it runs a call in C only
+when its arguments are in C's domain, with the same RNG (splitmix64),
+draw order and tie-breaking, and hands every other call to the function
+of the same name here.  ``search_range`` reads its int arguments with
 ``operator.index``, so a float or a string is refused with a TypeError.
-Both lanes must produce bit-identical groups, labels, and search results
-for a given seed; tests enforce this whenever a C compiler is available.
+The sampler ``sample_group`` and the scan ``greedy`` trust their callers.
+Both lanes must produce bit-identical labels and search results for a
+given seed; tests enforce this whenever a C compiler is available.
 
 Packing: a width-p Pauli is a pair of p-bit masks (x, z); a symplectic
 vector is the 2p-bit integer x | (z << p).  All widths are <= 24, so
@@ -134,18 +135,6 @@ def syndrome_map(gens_a: Sequence[int], gens_b: Sequence[int]):
     return label
 
 
-def random_group_packed(p: int, seed: int):
-    """Greedily sample p independent pairwise-commuting (x, z) pairs.
-
-    Draws uniform 2p-bit candidates from splitmix64 seeded at ``seed``,
-    keeping each draw that commutes with everything kept so far and
-    raises the GF(2) rank.  Returns (xs, zs) lists of length p.
-    """
-    p = index(p)
-    _check_width(p)
-    return _sample_group(p, index(seed))
-
-
 def lane_ones(n: int) -> int:
     """The int with a 1 at the bottom of each of its n 64-bit lanes, so
     that ``g * lane_ones(n)`` repeats a value g < 2^64 in every lane."""
@@ -184,11 +173,13 @@ def _draws(lanes: int, vmask: int) -> array:
     return unpack_lanes((z ^ z >> 31) & vmask, 2 * _BATCH)[::2]
 
 
-def _sample_group(p: int, seed: int, collide=None):
-    """The group ``random_group_packed`` samples, or None once the span
-    of the pairs kept so far meets the set ``collide`` of packed vectors
-    (0 is in every span).  The span is built only when ``collide`` is
-    given, and only up to the first p-1 pairs."""
+def sample_group(p: int, seed: int, collide=None):
+    """Greedily sample p independent pairwise-commuting (x, z) pairs from
+    the splitmix64 stream seeded at ``seed``: keep each draw that commutes
+    with everything kept and raises the GF(2) rank.  Returns (xs, zs), or
+    None once the span of the pairs kept so far meets the set ``collide``
+    of packed vectors (0 is in every span).  The span is built only when
+    ``collide`` is given, and only up to the first p-1 pairs."""
     if collide is not None and 0 in collide:
         return None
     pmask = (1 << p) - 1
@@ -227,25 +218,11 @@ def _sample_group(p: int, seed: int, collide=None):
         lanes = (lanes + _ADVANCE) & _LANE_MASK
 
 
-def greedy_label_scan(p: int, err_labels: Sequence[int], k_target: int = -1):
+def greedy(p: int, err_labels: Sequence[int], k_target: int) -> list[int]:
     """Greedy coset-label selection: scan labels 0..2^p-1 ascending, keep a
-    label when every XOR with the error labels is still unused.
-
-    ``k_target >= 1`` stops as soon as that many labels are kept; any
-    ``k_target < 1``, 0 and the default -1 included, runs the full scan
-    (maximum greedy dimension).  Labels outside 0..2^p-1 are refused.
-    """
-    p = index(p)
-    _check_width(p)
-    k_target = index(k_target)
-    labels = [index(e) for e in err_labels]
-    for e in labels:
-        if not 0 <= e < 1 << p:
-            raise ValueError(f"label {e} out of range for width {p}")
-    return _greedy(p, labels, k_target)
-
-
-def _greedy(p: int, err_labels: Sequence[int], k_target: int) -> list[int]:
+    label when every XOR with the error labels ``err_labels``, ints in
+    0..2^p-1, is still unused.  ``k_target >= 1`` stops as soon as that
+    many labels are kept; any ``k_target < 1`` runs the full scan."""
     used = bytearray(1 << p)
     kept: list[int] = []
     for lam in range(1 << p):
@@ -312,7 +289,7 @@ def search_range(
     collide = None
     pending = n * (n - 1) >= 1 << p  # the products might fill half of 2^p
     for i in range(start, start + count):
-        group = _sample_group(p, mix64((seed + (i + 1) * _GOLDEN) & MASK64), collide)
+        group = sample_group(p, mix64((seed + (i + 1) * _GOLDEN) & MASK64), collide)
         if group is None:
             continue
         xs, zs = group
@@ -328,7 +305,7 @@ def search_range(
             seen |= 1 << lab
             labels.append(lab)
         else:
-            kept = _greedy(p, labels, k_target)
+            kept = greedy(p, labels, k_target)
             if len(kept) >= k_target:
                 return i, xs, zs, kept
             continue

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from operator import index
 from typing import Sequence
 
-from ._kernels import greedy_label_scan, search_range
+from ._kernels import search_range
 # Both kernel lanes refuse larger error sets, with one message.
-from ._kernels._fallback import MAX_ERRORS as MAX_SEARCH_ERRORS
+from ._kernels._fallback import MAX_ERRORS as MAX_SEARCH_ERRORS, greedy
 from .codes import QuantumCode, build_code
 from .pauli import ErrorSet, PauliOperator
 from .stabilizer import StabilizerGroup, enumerate_groups
@@ -66,9 +66,9 @@ def max_dimension(group: StabilizerGroup, errors: ErrorSet) -> MaxDimension:
         if lab in seen and degenerate is None:
             degenerate = (seen[lab], i)
         seen.setdefault(lab, i)
-    distinct = sorted(seen)
-    kept = greedy_label_scan(p, distinct, -1)
-    assert len(kept) * len(distinct) <= (1 << p)
+    # syndromes of width-p operators: in range by construction
+    kept = greedy(p, sorted(seen), -1)
+    assert len(kept) * len(seen) <= (1 << p)
     return MaxDimension(labels=tuple(kept), degenerate_pair=degenerate)
 
 

@@ -28,12 +28,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterator
 
-from ._kernels import random_group_packed, syndrome_map, unpack_lanes
+from ._kernels import syndrome_map, unpack_lanes
+from ._kernels._fallback import sample_group
 from .pauli import (
     PauliOperator,
     WidthMismatchError,
+    _check_width,
     format_bits,
     format_pauli,
     parse_pauli,
@@ -262,9 +265,11 @@ def random_group(p: int, seed: int) -> StabilizerGroup:
     """Deterministic greedy sampler: draw random operators, keep those
     that commute with everything kept and raise the mod-phase rank, until
     p generators are held.  Generators come out in canonical + form.
-    The sampler is pure Python on both kernel lanes and refuses widths
-    outside 1..24 before sampling."""
-    xs, zs = random_group_packed(p, seed)
+    The sampler is pure Python on both kernel lanes.  Refuses a non-int
+    ``p`` or ``seed`` and widths outside 1..24 before sampling."""
+    p = index(p)
+    _check_width(p)
+    xs, zs = sample_group(p, index(seed))
     gens = tuple(
         PauliOperator.from_symplectic(x, z, p) for x, z in zip(xs, zs)
     )

@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+import cosetqec.stabilizer as stabilizer
 from cosetqec import (
     GroupError,
     PauliOperator,
@@ -222,16 +223,21 @@ class TestRandomGroup:
 
     @pytest.mark.parametrize("p", [0, 25])
     def test_width_refused_before_sampling(self, p, monkeypatch):
-        # the kernel, the pure lane's on both lanes, refuses the width
-        # before its sampling loop starts
-        from cosetqec._kernels import _fallback
-
-        def sampler(*args):
-            raise AssertionError("the sampler must not start")
-
-        monkeypatch.setattr(_fallback, "_sample_group", sampler)
+        # random_group refuses the width before the sampler core starts
+        monkeypatch.setattr(stabilizer, "sample_group", _no_sampling)
         with pytest.raises(ValueError, match="width must be in 1..24"):
             random_group(p, 1)
+
+    @pytest.mark.parametrize("p, seed", [(3, 1.5), (2.0, 1)], ids=["seed", "width"])
+    def test_a_float_is_refused_before_sampling(self, p, seed, monkeypatch):
+        monkeypatch.setattr(stabilizer, "sample_group", _no_sampling)
+        with pytest.raises(TypeError) as info:
+            random_group(p, seed)
+        assert str(info.value) == "'float' object cannot be interpreted as an integer"
+
+
+def _no_sampling(*args):
+    raise AssertionError("the sampler must not start")
 
 
 class TestEnumerate:
