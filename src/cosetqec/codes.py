@@ -42,8 +42,9 @@ check.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import index, lt
+from operator import index, itemgetter, lt
 from typing import Iterable, Sequence
 
 from ._kernels import lane_ones, pack_lanes, unpack_lanes
@@ -55,6 +56,7 @@ from .pauli import (
     format_pauli,
     parse_bits,
     parse_pauli,
+    rank_f2,
 )
 from .stabilizer import GroupError, StabilizerGroup, format_label, read_width
 
@@ -72,26 +74,29 @@ _CHUNK = 4096
 class SeedState:
     """A sparse signed superposition of basis strings.
 
-    ``terms`` holds (unit, string) pairs where the coefficient of the
-    basis string is i**unit; strings are distinct and at least one term
-    is present.  ``base`` is the basis string the closure was applied to,
-    a width-bit string like the terms.  ``origin`` records how the seed
-    was made: derived from a group closure, punctured from such a seed,
-    or supplied explicitly.
+    ``terms`` holds (unit, string) pairs of ints where the coefficient of
+    the basis string is i**unit; strings are distinct and at least one
+    term is present.  ``width`` is in 0..24.  ``base`` is the basis string
+    the closure was applied to, a width-bit string like the terms.
+    ``origin`` records how the seed was made: derived from a group
+    closure, punctured from such a seed, or supplied explicitly (the
+    default).
     """
 
     terms: tuple[tuple[int, int], ...]
     width: int
     base: int = 0
-    origin: str = SEED_STABILIZER
+    origin: str = SEED_EXPLICIT
 
     def __post_init__(self) -> None:
         if not self.terms:
             raise ValueError("seed state has no terms")
         if self.origin not in (SEED_STABILIZER, SEED_PUNCTURED, SEED_EXPLICIT):
             raise ValueError(f"unknown seed origin {self.origin!r}")
+        if not 0 <= index(self.width) <= MAX_WIDTH:
+            raise ValueError(f"seed width must be in 0..{MAX_WIDTH}, got {self.width}")
         mask = (1 << self.width) - 1
-        if not 0 <= self.base <= mask:
+        if not 0 <= index(self.base) <= mask:
             raise ValueError(f"seed base {self.base:#x} exceeds width {self.width}")
         if self._valid_in_order(mask):
             return
@@ -101,19 +106,24 @@ class SeedState:
                 raise ValueError(f"coefficient exponent {unit} out of range")
             if not 0 <= string <= mask:
                 raise ValueError(f"basis string {string:#x} exceeds width {self.width}")
+            try:
+                index(unit), index(string)
+            except TypeError:
+                raise TypeError(f"seed term {(unit, string)!r} is not two ints") from None
             if string in seen:
                 raise ValueError(f"duplicate basis string {format_bits(string, self.width)}")
             seen.add(string)
 
     def _valid_in_order(self, mask: int) -> bool:
         """One pass over the whole list that proves the terms valid when
-        they are pairs with units in 0..3 and strictly ascending strings
-        in [0, mask], as every derived or saved seed is; False sends the
-        terms to the loop that names the first bad one."""
-        try:  # both passes unpack each term as the loop does
-            strings = [string for _, string in self.terms]
+        they are pairs of ints with units in 0..3 and strictly ascending
+        strings in [0, mask], as every derived or saved seed is; False
+        sends the terms to the loop that names the first bad one."""
+        try:  # bytes() and an int sum refuse a float or a str, with no loop
+            units, strings = zip(*self.terms, strict=True)
             return (
-                dict(self.terms).keys() <= {0, 1, 2, 3}
+                not bytes(units).translate(None, b"\0\1\2\3")
+                and type(sum(strings)) is int
                 and 0 <= strings[0]
                 and strings[-1] <= mask
                 and all(map(lt, strings, strings[1:]))
@@ -397,6 +407,8 @@ class QuantumCode:
         p = self.group.width
         if self.seed.width != p:
             raise ValueError("seed width does not match the group")
+        if self.seed.origin == SEED_STABILIZER:
+            self._check_closure_seed()
         k = len(self.codeword_ops)
         if k != len(self.labels):
             raise ValueError("codeword/label count mismatch")
@@ -412,6 +424,25 @@ class QuantumCode:
                     f"operator {format_pauli(op)} is not in coset "
                     f"{format_label(lab, p)}"
                 )
+
+    def _check_closure_seed(self) -> None:
+        """Refuse a ``stabilizer`` seed that fails one of two invariants
+        of its group's closure seed: 2^rank(X parts) terms, and unit + at
+        the base string.  O(p^2) plus a bisect of the ascending terms; a
+        seed that passes may still hold other wrong terms or units."""
+        seed, p = self.seed, self.group.width
+        n = 1 << rank_f2(g.x for g in self.group.generators)
+        if len(seed.terms) != n:
+            raise ValueError(
+                f"stabilizer seed: {len(seed.terms)} terms, but the "
+                f"closure seed of its group has {n}"
+            )
+        i = bisect_left(seed.terms, seed.base, key=itemgetter(1))
+        if i == n or seed.terms[i] != (0, seed.base):
+            raise ValueError(
+                "stabilizer seed has no + term at its base "
+                f"{format_bits(seed.base, p)}, or its terms do not ascend"
+            )
 
     @property
     def width(self) -> int:

@@ -15,6 +15,7 @@ Hermitian.  The string form carries an optional prefix from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 MAX_WIDTH = 24
@@ -48,11 +49,17 @@ class PauliOperator:
     width: int
 
     def __post_init__(self) -> None:
-        _check_width(self.width)
-        mask = (1 << self.width) - 1
-        if not 0 <= self.x <= mask or not 0 <= self.z <= mask:
+        # operator.index refuses a float or a str; the fields keep its ints
+        width, x, z = index(self.width), index(self.x), index(self.z)
+        _check_width(width)
+        mask = (1 << width) - 1
+        if not 0 <= x <= mask or not 0 <= z <= mask:
             raise ValueError("x/z masks exceed the operator width")
-        object.__setattr__(self, "phase", self.phase % 4)
+        set_field = object.__setattr__
+        set_field(self, "phase", index(self.phase) % 4)
+        set_field(self, "x", x)
+        set_field(self, "z", z)
+        set_field(self, "width", width)
 
     @classmethod
     def identity(cls, width: int) -> "PauliOperator":

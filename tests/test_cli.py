@@ -181,6 +181,34 @@ class TestVerify:
         assert rc == 2
         assert "width must be an integer, got 3.9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("five2", {"seed": [["+", "00000"]]},
+             "stabilizer seed: 1 terms, but the closure seed of its group has 16"),
+            ("rep3", {"seed_base": "111"},
+             "stabilizer seed has no + term at its base 111, or its terms do not ascend"),
+        ],
+        ids=["cut-seed", "edited-base"],
+    )
+    def test_seed_that_cannot_be_the_closure_seed_exit_two(
+        self, tmp_path, capsys, name, edit, message
+    ):
+        # still marked stabilizer, the edited seed is refused; marked
+        # explicit, it loads and gets the algebraic-only verdict
+        code = golden_codes()[name]
+        errors = tmp_path / "errors.txt"
+        errors.write_text("".join(format_pauli(e) + "\n" for e in golden_error_sets()[name]))
+        path = tmp_path / "edited.json"
+        argv = ["verify", "--code", str(path), "--errors", str(errors)]
+        data = {**code.to_dict(), **edit}
+        path.write_text(json.dumps(data))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: bad code file: {message}\n"
+        path.write_text(json.dumps({**data, "seed_origin": "explicit"}))
+        assert main(argv) in (0, 1)
+        assert "error" not in capsys.readouterr().err
+
     def test_width_mismatch_exit_two(self, workdir, capsys):
         wide = workdir / "wide.txt"
         wide.write_text("IIII\nXIII\n")

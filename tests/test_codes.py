@@ -147,6 +147,26 @@ class TestSeedState:
             seed_state(random_group(3, 1), 1.0)
 
     @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((((0, 0),), 2, 1.0), TypeError,
+             "'float' object cannot be interpreted as an integer"),
+            ((((0, 0),), 30), ValueError, "seed width must be in 0..24, got 30"),
+            ((((0, 0),), -1), ValueError, "seed width must be in 0..24, got -1"),
+            ((((0, 0),), 2.0), TypeError,
+             "'float' object cannot be interpreted as an integer"),
+        ],
+        ids=["float-base", "width-30", "width-minus-1", "float-width"],
+    )
+    def test_non_int_base_and_bad_widths_are_refused(self, args, error, message):
+        with pytest.raises(error) as info:
+            SeedState(*args)
+        assert str(info.value) == message
+
+    def test_origin_defaults_to_explicit(self):
+        assert SeedState(((0, 0),), 2).origin == SEED_EXPLICIT
+
+    @pytest.mark.parametrize(
         "terms,error,message",
         [
             (((0, 0), (0, 0)), ValueError, "duplicate basis string 000"),
@@ -164,6 +184,11 @@ class TestSeedState:
             (((0, 0, 1),), ValueError, "too many values to unpack (expected 2)"),
             (((0, 0), (0,)), ValueError, "not enough values to unpack (expected 2, got 1)"),
             (((0, 0), 5), TypeError, "cannot unpack non-iterable int object"),
+            # floats pass the range checks; a float unit equal to an
+            # earlier int one included
+            (((2.5, 0),), TypeError, "seed term (2.5, 0) is not two ints"),
+            (((0, 0.5),), TypeError, "seed term (0, 0.5) is not two ints"),
+            (((2, 0), (2.0, 1)), TypeError, "seed term (2.0, 1) is not two ints"),
         ],
     )
     def test_bad_terms_name_the_first_failing_term(self, terms, error, message):
@@ -397,6 +422,30 @@ class TestBuildCode:
         data["cartanion"]["width"] = width
         with pytest.raises(ValueError, match=message):
             QuantumCode.from_dict(data)
+
+    def test_a_seed_that_cannot_be_the_closure_seed_is_refused(self):
+        # every derived seed passes; with a term cut or the base term's
+        # unit turned, a stabilizer seed is refused and an explicit one
+        # still loads
+        rng = random.Random(3)
+        for p in range(1, 13):
+            for s in range(4):
+                g = random_group(p, seed=s)
+                base = 0 if s % 2 else rng.randrange(1 << p)
+                seed = seed_state(g.normalized(base), base)
+                build_code(g, [0], seed=seed)
+                terms, n = seed.terms, len(seed.terms)
+                i = [string for _, string in terms].index(base)
+                turned = (*terms[:i], (2, base), *terms[i + 1 :])
+                edits = [(turned, rf"no \+ term at its base {format_bits(base, p)},")]
+                if n > 1:
+                    edits.append(
+                        (terms[1:], f"{n - 1} terms, but the closure seed of its group has {n}$")
+                    )
+                for bad, message in edits:
+                    with pytest.raises(ValueError, match=message):
+                        build_code(g, [0], seed=SeedState(bad, p, base, SEED_STABILIZER))
+                    build_code(g, [0], seed=SeedState(bad, p, base))
 
     def test_seed_terms_are_parsed_before_the_base(self):
         # a wrong top-level width is reported on the first seed term

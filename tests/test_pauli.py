@@ -248,6 +248,25 @@ class TestStructure:
             if op.is_hermitian:
                 assert sq.phase == 0
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((0, 1.0, 0, 1), "'float' object cannot be interpreted as an integer"),
+            ((1.5, 0, 0, 1), "'float' object cannot be interpreted as an integer"),
+            ((0, 0, 1, "1"), "'str' object cannot be interpreted as an integer"),
+        ],
+        ids=["float-x", "float-phase", "str-width"],
+    )
+    def test_a_non_int_field_is_refused(self, fields, message):
+        with pytest.raises(TypeError) as info:
+            PauliOperator(*fields)
+        assert str(info.value) == message
+
+    def test_fields_are_stored_as_ints(self):
+        op = PauliOperator(True, True, 0, True)
+        assert [type(v) for v in (op.phase, op.x, op.z, op.width)] == [int] * 4
+        assert op == PauliOperator(1, 1, 0, 1)
+
     def test_rank_examples(self):
         assert rank_mod_phase([parse_pauli(s) for s in ("ZII", "IZI", "IIZ")]) == 3
         # third row is the product of the first two
