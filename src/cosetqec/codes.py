@@ -13,22 +13,25 @@ example the group generated by Y alone seeds |0> + i|1>), and that unit
 is a coset invariant of the diagonal subgroup, so no sign convention can
 remove it.
 
-Both the seed and the codeword operators are computed in the 64-bit
-lanes of one Python int, one lane per closure element, so neither walks
-the closure one element at a time:
+Neither the seed nor the codeword operators walk the closure one
+element at a time:
 
-- The seed reads :attr:`StabilizerGroup.closure_lanes` (lane i is
+- The seed reads :attr:`StabilizerGroup.closure_lanes`, the 64-bit
+  lanes of one Python int, one lane per closure element (lane i is
   ``x | z << p | phase << 2p``; see :mod:`cosetqec.stabilizer`).
   Operations on the whole int give every element's unit and its key
   ``(x ^ base) << 2 | unit``; the keys are unpacked once, deduplicated
   and sorted, and the sorted keys give the terms.
 - A coset is one solved member XOR the closure classes, and its
   representative is the member of least weight, ties broken by the
-  letter string.  Lane i holds the letter key of class i, a 2p-bit
-  integer whose order is the order of the letter strings; a SWAR sum
-  puts each member's weight above its key, and one ``min`` over the
-  unpacked lanes picks the winner, so only the chosen representatives
-  are ever built as operator objects.
+  letter string.  The classes are held as 2p bit-planes of 2^p bits,
+  one x-plane and one z-plane per qubit, with bit i for class i; a
+  coset's planes are these, complemented where the solved member has a
+  bit.  A bit-sliced counter of at most 5 planes sums the p occupancy
+  planes (x | z) into every member's weight at once, and a candidate
+  set is cut down to the least weight, then by the z- and x ^ z-planes
+  qubit by qubit, until one member is left.  Each label costs O(p) whole
+  plane operations, and only the winner is built as an operator object.
 
 A saved seed is read back as whole lists, not term by term: a chunk of
 bit strings is checked on its joined text and parsed by one
@@ -43,6 +46,7 @@ check.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from operator import index, itemgetter, lt
 from typing import Iterable, Sequence
@@ -301,87 +305,64 @@ def punctured_seed(seed: SeedState, removed: Iterable[int | str]) -> SeedState:
     return SeedState._make(kept, seed.width, seed.base, SEED_PUNCTURED)
 
 
-def _letter_key(x: int, z: int, p: int) -> int:
-    # Packs (x, z) so that integer order is the order of the letter
-    # string: qubit j fills bits 2(p-1-j)+1 (z_j) and 2(p-1-j) (x_j ^ z_j),
-    # which codes I, X, Y, Z as 0, 1, 2, 3 with qubit 0 most significant.
-    # The map is linear over GF(2).
-    key = 0
-    for j in range(p):
-        key = (key << 2) | ((z >> j) & 1) << 1 | ((x ^ z) >> j) & 1
-    return key
-
-
-def _from_letter_key(key: int, p: int) -> tuple[int, int]:
-    x = z = 0
-    for j in range(p):
-        pair = key >> (2 * (p - 1 - j))
-        zj = (pair >> 1) & 1
-        x |= ((pair ^ zj) & 1) << j
-        z |= zj << j
-    return x, z
-
-
-def _class_keys(group: StabilizerGroup) -> tuple[int, int]:
-    """Letter keys of the closure classes in the 64-bit lanes of one int,
-    lane lam for element lam, and the int with a 1 in every lane.  They
-    come from the closure's doubling walk: the key map is linear, so
-    key(element i times generator t) is key(element i) XOR key(generator
-    t)."""
+def _planes(group: StabilizerGroup) -> tuple[list[int], list[int], int]:
+    """The closure classes as bit-planes of 2^p bits: bit i of ``xs[j]``
+    (``zs[j]``) is the x (z) bit of qubit j in class i, the XOR of the
+    generators selected by the bits of i; and the int with all 2^p bits
+    set.  Each generator doubles every plane by one shift-XOR, as in the
+    closure's doubling walk."""
     p = group.width
-    keys, ones, n = 0, 1, 1
+    xs, zs, n = [0] * p, [0] * p, 1
     for g in group.generators:
-        keys |= (keys ^ _letter_key(g.x, g.z, p) * ones) << 64 * n
-        ones |= ones << 64 * n
+        fill = ((1 << n) - 1) << n
+        for j in range(p):
+            x, z = xs[j], zs[j]
+            xs[j] = x | x << n ^ (fill if g.x >> j & 1 else 0)
+            zs[j] = z | z << n ^ (fill if g.z >> j & 1 else 0)
         n *= 2
-    return keys, ones
-
-
-def _weight_masks(p: int, ones: int) -> tuple[int, int, int, int]:
-    """The lane-repeated masks that :func:`_lane_weights` reads, for keys
-    of width p in the lanes that ``ones`` marks."""
-    return (
-        int("01" * p, 2) * ones,
-        0x3333333333333333 * ones,
-        0x0F0F0F0F0F0F0F0F * ones,
-        0xFF * ones,
-    )
-
-
-def _lane_weights(v: int, masks: tuple[int, int, int, int]) -> int:
-    """The weight of the letter key in each 64-bit lane of v, that is its
-    count of nonzero bit pairs, in the lane's low byte."""
-    # One bit per nonzero pair, summed into 4-bit, then 8-bit fields, then
-    # each lane's bytes into its low byte.  This is clean while 2p <= 48
-    # (p <= 24, the width cap): the keys fill at most 6 bytes of a lane,
-    # the right shifts bring a lane's neighbour only into bytes above its
-    # low one, which the last mask drops, no byte sum reaches 256 to
-    # carry into the next lane, and the weight (at most 24) fits in the
-    # byte and in the bits above the key.
-    pairs, m2, m4, low = masks
-    w = (v | v >> 1) & pairs
-    w = (w + (w >> 2)) & m2
-    w = (w + (w >> 4)) & m4
-    w += w >> 8
-    w += w >> 16
-    w += w >> 32
-    return w & low
+    return xs, zs, (1 << n) - 1
 
 
 def _lightest(group: StabilizerGroup, labels: Sequence[int]) -> list[PauliOperator]:
-    # Each coset is one solved member XOR the closure classes.  Each
-    # member's weight sits above its key in the lane, so one integer
-    # minimum orders by (weight, letter string).
+    # Bit i of a coset's planes, and of the candidate set, stands for
+    # member i: the solved member XOR closure class i.
     p = group.width
-    shift = 2 * p
-    keys, ones = _class_keys(group)
-    masks = _weight_masks(p, ones)
+    xs, zs, full = _planes(group)
     out = []
     for label in labels:
-        v = keys ^ _letter_key(*group._solve_member(label), p) * ones
-        best = min(unpack_lanes(_lane_weights(v, masks) << shift | v, 1 << p))
-        x, z = _from_letter_key(best & ((1 << shift) - 1), p)
-        out.append(PauliOperator.from_symplectic(x, z, p))
+        mx, mz = group._solve_member(label)
+        # each member's weight, bit-sliced: count[k] holds bit k of it
+        count: list[int] = []
+        for j in range(p):
+            x = xs[j] ^ full if mx >> j & 1 else xs[j]
+            z = zs[j] ^ full if mz >> j & 1 else zs[j]
+            carry = x | z
+            for k, c in enumerate(count):
+                count[k], carry = c ^ carry, c & carry
+                if not carry:
+                    break
+            else:
+                count.append(carry)
+        # the least weight, read from the top bit down
+        cand = full
+        for c in reversed(count):
+            if t := cand & ~c:
+                cand = t
+        # ties: the least letter string, qubit 0 first; I, X, Y, Z have
+        # z bit 0, 0, 1, 1 and x ^ z bit 0, 1, 0, 1
+        my = mx ^ mz
+        for j in range(p):
+            if not cand & cand - 1:
+                break
+            for plane, flip in ((zs[j], mz), (xs[j] ^ zs[j], my)):
+                if t := cand & plane if flip >> j & 1 else cand & ~plane:
+                    cand = t
+        i = cand.bit_length() - 1
+        for t, g in enumerate(group.generators):
+            if i >> t & 1:
+                mx ^= g.x
+                mz ^= g.z
+        out.append(PauliOperator.from_symplectic(mx, mz, p))
     return out
 
 
@@ -390,7 +371,7 @@ def coset_representative(group: StabilizerGroup, label: int) -> PauliOperator:
     lexicographically smallest letter string (I<X<Y<Z, qubit 0 first);
     label 0 gives the identity.  Only the winner is built as an
     operator."""
-    return _lightest(group, [label])[0]
+    return _lightest(group, [index(label)])[0]
 
 
 @dataclass(frozen=True)
@@ -488,18 +469,21 @@ def build_code(
     keep their meaning; sign normalization happens only on the internal
     copy that derives the seed state, which is a frame-independent
     object, and whose closure is walked once for the seed terms.  The
-    letter keys of the closure classes are computed once; each requested
+    bit-planes of the closure classes are built once; each requested
     coset is one solved member XOR those classes, and its min-weight/lex
-    representative is picked on the packed keys, so only the K winners
-    become operator objects.  An explicit ``seed`` (e.g. punctured)
-    replaces the derived one.
+    representative is picked on the planes, so only the K winners become
+    operator objects.  An explicit ``seed`` (e.g. punctured) replaces the
+    derived one.  Labels are read as ints (``operator.index``); the first
+    label that occurs twice is refused.
     """
+    labels = [*map(index, labels)]
     if not labels:
         raise ValueError("no coset labels given")
     if labels[0] != 0:
         raise ValueError("labels[0] must be the zero coset")
-    if len(set(labels)) != len(labels):
-        dup = [l for l in labels if labels.count(l) > 1][0]
+    counts = Counter(labels)
+    if len(counts) != len(labels):
+        dup = next(l for l in labels if counts[l] > 1)
         raise ValueError(
             f"duplicate coset label {format_label(dup, group.width)}"
         )

@@ -347,6 +347,16 @@ class TestCosetRepresentative:
         assert format_pauli(rep) == "IIXYX"
         assert rep.weight == 3
 
+    @pytest.mark.parametrize("label", [1.0, "1", None])
+    def test_non_int_label_refused(self, label):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            coset_representative(diagonal_group(3), label)
+
+    def test_bool_label_read_as_int(self):
+        assert coset_representative(diagonal_group(3), True) == (
+            coset_representative(diagonal_group(3), 1)
+        )
+
 
 class TestBuildCode:
     def test_repetition(self):
@@ -365,6 +375,22 @@ class TestBuildCode:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             build_code(diagonal_group(3), [0, 7, 7])
+
+    def test_duplicate_message_names_the_first_label_that_repeats(self):
+        # 2 repeats first, but 1 comes first in list order
+        with pytest.raises(ValueError) as info:
+            build_code(diagonal_group(3), [0, 1, 2, 2, 1])
+        assert str(info.value) == "duplicate coset label 100"
+
+    def test_float_label_refused(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build_code(diagonal_group(3), [0, 1.0])
+
+    def test_labels_stored_as_ints(self):
+        code = build_code(diagonal_group(3), [False, True])
+        assert code.labels == (0, 1)
+        assert [type(lab) for lab in code.labels] == [int, int]
+        assert code.to_dict()["labels"] == ["000", "100"]
 
     def test_first_label_must_be_zero(self):
         with pytest.raises(ValueError, match="zero coset"):

@@ -9,6 +9,7 @@ they do."""
 import ast
 import random
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -1095,7 +1096,7 @@ class TestIndependence:
     NON_INTEGER = ("math", "cmath", "fractions", "decimal", "numpy")
 
     def tree(self):
-        return ast.parse(open(oracle.__file__, encoding="utf-8").read())
+        return ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
 
     def imported_modules(self):
         for node in ast.walk(self.tree()):

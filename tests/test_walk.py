@@ -2,7 +2,8 @@
 phases, seed terms, coset representatives, the rank-based subgroup
 predicates, and the code JSON of the golden constructions.  The lane
 walk, seed and coset minima are checked against the one-int-per-element
-versions they replaced, kept here as references."""
+versions they replaced, kept here as references with their own copy of
+the letter-key packing."""
 
 import json
 from pathlib import Path
@@ -23,14 +24,8 @@ from cosetqec import (
     random_group,
     seed_state,
 )
-from cosetqec._kernels import lane_ones, pack_lanes, unpack_lanes
-from cosetqec.codes import (
-    _from_letter_key,
-    _lane_weights,
-    _letter_key,
-    _weight_masks,
-)
-from cosetqec.golden import golden_codes
+from cosetqec._kernels import unpack_lanes
+from cosetqec.golden import diagonal_group, golden_codes
 
 FIXTURE = Path(__file__).parent / "data" / "golden_codes.json"
 
@@ -96,20 +91,41 @@ def reference_seed_state(group, base=0):
     return tuple((unit, string) for string, unit in sorted(coeffs.items()))
 
 
+def letter_key(x, z, p):
+    """(x, z) packed so that integer order is the order of the letter
+    string: qubit j fills bits 2(p-1-j)+1 (z_j) and 2(p-1-j) (x_j ^ z_j),
+    which codes I, X, Y, Z as 0, 1, 2, 3 with qubit 0 most significant.
+    The map is linear over GF(2)."""
+    key = 0
+    for j in range(p):
+        key = (key << 2) | ((z >> j) & 1) << 1 | ((x ^ z) >> j) & 1
+    return key
+
+
+def from_letter_key(key, p):
+    x = z = 0
+    for j in range(p):
+        pair = key >> (2 * (p - 1 - j))
+        zj = (pair >> 1) & 1
+        x |= ((pair ^ zj) & 1) << j
+        z |= zj << j
+    return x, z
+
+
 def reference_representative(group, label):
     """The least (weight, letter key) over a list of the coset's keys."""
     p = group.width
     keys = [0]
     for g in group.generators:
-        kg = _letter_key(g.x, g.z, p)
+        kg = letter_key(g.x, g.z, p)
         keys += [k ^ kg for k in keys]
-    rkey = _letter_key(*group._solve_member(label), p)
+    rkey = letter_key(*group._solve_member(label), p)
     pairs = int("01" * p, 2)
     best = min([
         (((v := k ^ rkey) | v >> 1) & pairs).bit_count() << 2 * p | v
         for k in keys
     ])
-    x, z = _from_letter_key(best & ((1 << 2 * p) - 1), p)
+    x, z = from_letter_key(best & ((1 << 2 * p) - 1), p)
     return PauliOperator.from_symplectic(x, z, p)
 
 
@@ -238,21 +254,14 @@ class TestLanes:
                     g, label
                 )
 
-    def test_weights_at_the_widest_keys(self):
-        # p = 24 fills 48 bits of each lane; all-ones keys sit beside
-        # each other and beside lanes that are empty or sparse
-        p = 24
-        full = (1 << 2 * p) - 1
-        words = [full, full, 0, full, 0x5555_5555_5555 & full,
-                 0xAAAA_AAAA_AAAA & full, 1 << 2 * p - 1, 0x123456789ABC, full]
-        ones = lane_ones(len(words))
-        weights = unpack_lanes(
-            _lane_weights(pack_lanes(words), _weight_masks(p, ones)),
-            len(words),
-        ).tolist()
-        pairs = int("01" * p, 2)
-        assert weights == [((k | k >> 1) & pairs).bit_count() for k in words]
-        assert weights[0] == p
+    @pytest.mark.parametrize("p", range(6, 10))
+    def test_every_label_matches_the_list_minimum(self, p):
+        groups = [diagonal_group(p), signed_group(p, p, False), signed_group(p, p, True)]
+        for g in groups:
+            for label in range(1 << p):
+                assert coset_representative(g, label) == reference_representative(
+                    g, label
+                )
 
 
 class TestRepresentative:

@@ -13,7 +13,9 @@ from cosetqec import (
     check_correctable,
     check_overlap_dichotomy,
     check_syndrome_orthogonality,
+    coset_representative,
     diagnose,
+    format_pauli,
     random_group,
     seed_state,
 )
@@ -45,6 +47,13 @@ class TestWideAlgebra:
     def test_width_20_diagonal_seed_is_single_term(self):
         seed = seed_state(diagonal_group(20).normalized(0))
         assert seed.term_tokens() == [["+", "0" * 20]]
+
+    def test_width_24_representatives_of_the_diagonal_group(self):
+        # every member of the all-ones coset weighs 24, so the weight
+        # counter's top plane and all 48 tie-break planes are read
+        g = diagonal_group(24)
+        assert format_pauli(coset_representative(g, (1 << 24) - 1)) == "X" * 24
+        assert format_pauli(coset_representative(g, 1 << 23)) == "I" * 23 + "X"
 
     def test_width_25_refused(self):
         with pytest.raises(ValueError, match="width"):
