@@ -358,10 +358,11 @@ def _lightest(group: StabilizerGroup, labels: Sequence[int]) -> list[PauliOperat
                 if t := cand & plane if flip >> j & 1 else cand & ~plane:
                     cand = t
         i = cand.bit_length() - 1
-        for t, g in enumerate(group.generators):
-            if i >> t & 1:
+        for g in group.generators:
+            if i & 1:
                 mx ^= g.x
                 mz ^= g.z
+            i >>= 1
         out.append(PauliOperator.from_symplectic(mx, mz, p))
     return out
 
