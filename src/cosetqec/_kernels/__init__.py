@@ -12,7 +12,9 @@ same name, so every refusal comes from ``_fallback``.  Set
 ``COSETQEC_PURE=1`` to force the pure-Python lane regardless of whether
 the extension was built.  ``BACKEND`` records the active lane.
 ``lane_ones``, ``pack_lanes`` and ``unpack_lanes``, which hold u64
-values in the 64-bit lanes of one int, are pure helpers of both lanes.
+values in the 64-bit lanes of one int, are pure helpers of both lanes,
+used by the seed and the saved-seed parser in :mod:`cosetqec.codes` and
+by the pure sampler.
 """
 
 from __future__ import annotations

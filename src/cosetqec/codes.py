@@ -16,12 +16,12 @@ remove it.
 Neither the seed nor the codeword operators walk the closure one
 element at a time:
 
-- The seed reads :attr:`StabilizerGroup.closure_lanes`, the 64-bit
-  lanes of one Python int, one lane per closure element (lane i is
-  ``x | z << p | phase << 2p``; see :mod:`cosetqec.stabilizer`).
-  Operations on the whole int give every element's unit and its key
-  ``(x ^ base) << 2 | unit``; the keys are unpacked once, deduplicated
-  and sorted, and the sorted keys give the terms.
+- The seed reads the closure in the 64-bit lanes of one Python int
+  (:func:`_lanes`), one lane per element, which each generator doubles
+  by a few whole-int operations.  Operations on the whole int give
+  every element's unit and its key ``(x ^ base) << 2 | unit``; the keys
+  are unpacked once, deduplicated and sorted, and the sorted keys give
+  the terms.
 - A coset is one solved member XOR the closure classes, and its
   representative is the member of least weight, ties broken by the
   letter string.  The classes are held as 2p bit-planes of 2^p bits,
@@ -221,6 +221,34 @@ def _parse_terms(tokens: Sequence, width: int) -> list[tuple[int, int]] | None:
     return terms
 
 
+def _lanes(group: StabilizerGroup) -> int:
+    """The closure in the 64-bit lanes of one int, in the order of
+    :meth:`StabilizerGroup.closure`: lane lam holds element lam,
+    ``i**phase * X^x * Z^z``, as ``x | z << p | phase << 2p``, at most 50
+    bits at p = 24.  Generator t doubles the lanes, lane i + 2^t being
+    lane i times it, with the phase rule of the Aaronson-Gottesman
+    tableau: i^a X^x Z^z times i^b X^x' Z^z' is i^(a+b) (-1)^(z.x')
+    X^(x^x') Z^(z^z')."""
+    p = group.width
+    field = (1 << 2 * p + 2) - 1
+    lanes, ones, n = 0, 1, 1
+    for g in group.generators:
+        # parity of z & gx per lane: the fold leaves it in bit 0, and
+        # no bit of a higher lane reaches bit 0 of a lower one
+        t = lanes & (g.x << p) * ones
+        for shift in (32, 16, 8, 4, 2, 1):
+            t ^= t >> shift
+        # the phase sum carries past the 2-bit field but not out of
+        # the lane, and the mask drops the carry
+        new = (lanes ^ (g.x | g.z << p) * ones) + (
+            (g.phase * ones + ((t & ones) << 1)) << 2 * p
+        )
+        lanes |= (new & field * ones) << 64 * n
+        ones |= ones << 64 * n
+        n *= 2
+    return lanes
+
+
 def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
     """Sum the group closure applied to |base>, symbolically.
 
@@ -229,8 +257,8 @@ def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
     normalization they agree, every coefficient has magnitude equal to
     the diagonal subgroup size, and only the unit i^k is kept.  The terms
     come from whole-int operations on the closure's 64-bit lanes
-    (:attr:`StabilizerGroup.closure_lanes`); no Python loop runs per
-    closure element and no operator object is built.  Refuses a base
+    (:func:`_lanes`); no Python loop runs per closure element and no
+    operator object is built.  Refuses a base
     outside [0, 2^p), and groups whose diagonal subgroup does not fix
     |base> with +1, since the character sum then cancels every
     coefficient to zero; that check runs over the whole walk before any
@@ -242,7 +270,7 @@ def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
         raise ValueError(f"seed base {base:#x} exceeds width {p}")
     n, pmask = 1 << p, (1 << p) - 1
     ones = lane_ones(n)
-    lanes = group.closure_lanes
+    lanes = _lanes(group)
     xs = lanes & pmask * ones
     # unit = phase + 2 parity(z & base), with the parity folded onto bit 0
     t = lanes & (base << p) * ones

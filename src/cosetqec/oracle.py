@@ -33,17 +33,20 @@ vectors over {-1, 0, 1} with supports X, Y and sign masks s is
 popcount(X & Y) - 2 * popcount(X & Y & (s_u ^ s_v)): two big-int ANDs
 and popcounts of 2^(p+1) bits.
 
-The overlap-dichotomy sweep does not apply each of the 4^p operators in
-turn.  For a fixed X part x it reads the seed moved to X^x|seed>; Z^z
-then only negates the lanes whose basis index a has z.a odd.  The 2^p
-flip masks, one per z, and the 2^p moved seeds, one per x, are built
-once from the lane masks by doubling: entry x + 2^k is entry x with
-lane mask k XORed in, or with butterfly k applied, so each costs one
-operation (the flips take 256 KB at p=10, the moves twice that).  Each
-<seed|Z^z X^x|seed> is then the two popcount dot products of the inner
-product, with the sign masks XORed by the flip mask of z.  The sweep
-makes at most 4^p such pairs of dot products: an X part whose image
-misses the seed's support has only zero expectations and needs none.
+The overlap-dichotomy sweep sums its own seed densely over the closure
+that :meth:`StabilizerGroup.closure` walks by Pauli products, and shares
+no seed builder with the code it referees.  It does not apply each of
+the 4^p operators in turn.  For a fixed X part x it reads the seed moved
+to X^x|seed>; Z^z then only negates the lanes whose basis index a has
+z.a odd.  The 2^p flip masks, one per z, and the 2^p moved seeds, one
+per x, are built once from the lane masks by doubling: entry x + 2^k is
+entry x with lane mask k XORed in, or with butterfly k applied, so each
+costs one operation (the flips take 256 KB at p=10, the moves twice
+that).  Each <seed|Z^z X^x|seed> is then the two popcount dot products
+of the inner product, with the sign masks XORed by the flip mask of z.
+The sweep makes at most 4^p such pairs of dot products: an X part whose
+image misses the seed's support has only zero expectations and needs
+none.
 
 The pair checks read only the upper triangle of the syndrome states'
 Gram matrix.  The matrix is Hermitian, so the lower triangle is the
@@ -76,7 +79,7 @@ from functools import cache, cached_property
 from itertools import compress, repeat
 from operator import add, eq, ne
 
-from .codes import QuantumCode, SeedState, seed_state
+from .codes import QuantumCode, SeedState
 from .pauli import ErrorSet, PauliOperator, WidthMismatchError, format_pauli
 from .stabilizer import StabilizerGroup, format_label
 
@@ -365,11 +368,32 @@ def syndrome_states(
     return out
 
 
+def _closure_seed(norm: StabilizerGroup) -> tuple[DenseState, dict[int, set[int]]]:
+    """The seed of a sign-normalized group, summed densely over its
+    :meth:`StabilizerGroup.closure` applied to |0>, and the closure
+    classes as a map from X part to Z parts.  Element i^d X^x Z^z adds
+    i^d to string x, and each string gets the diagonal subgroup's size
+    times one unit, since that subgroup fixes |0> with +1."""
+    p = norm.width
+    re, im = [0] * (1 << p), [0] * (1 << p)
+    inside: dict[int, set[int]] = {}
+    for e in norm.closure():
+        inside.setdefault(e.x, set()).add(e.z)
+        unit_re, unit_im = _unit_mul(1, 0, e.phase)
+        re[e.x] += unit_re
+        im[e.x] += unit_im
+    size = len(inside[0])
+    seed = DenseState(tuple(v // size for v in re), tuple(v // size for v in im), p)
+    return seed, inside
+
+
 def check_overlap_dichotomy(group: StabilizerGroup) -> OracleReport:
     """Sweep all 4^p mod-phase operators against the group's seed: the
     expectation <seed|S|seed> must vanish exactly when S is outside the
     closure, and be exactly +/-norm2 when inside.
 
+    The seed and the closure classes come from :func:`_closure_seed`,
+    not from the seed builder of :mod:`cosetqec.codes`.
     The seed's image under each X^x is built by doubling, one butterfly
     per x, and each z takes the two dot products of
     :meth:`DenseState.inner` with the sign masks XORed by the flip mask
@@ -381,8 +405,7 @@ def check_overlap_dichotomy(group: StabilizerGroup) -> OracleReport:
     for a violation."""
     p = group.width
     _check_dense_width(p, DICHOTOMY_MAX_WIDTH)
-    norm = group.normalized(0)
-    seed = DenseState.from_seed(seed_state(norm, 0))
+    seed, inside = _closure_seed(group.normalized(0))
     n2 = seed.norm2
     size = 1 << p
     # flips[z] marks the lanes whose index a has z.a odd, and moves[x]
@@ -400,9 +423,6 @@ def check_overlap_dichotomy(group: StabilizerGroup) -> OracleReport:
             )
             for support, sign in moves
         ]
-    inside: dict[int, set[int]] = {}
-    for x, z in norm.closure_classes:
-        inside.setdefault(x, set()).add(z)
     violations = []
     for x, (support, sign) in enumerate(moves):
         support_b, sign_b = _times_minus_i(support, sign, size)

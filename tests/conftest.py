@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cosetqec import DenseState, PauliOperator
+from cosetqec import DenseState, PauliOperator, StabilizerGroup, random_group
 from cosetqec.golden import (
     bell_code,
     cat_code,
@@ -43,6 +43,20 @@ def pauli_matrix(op: PauliOperator) -> np.ndarray:
             factor = factor @ _M["Z"]
         m = np.kron(m, factor)
     return (1j ** op.phase) * m
+
+
+def closure_classes(group: StabilizerGroup) -> frozenset[tuple[int, int]]:
+    """The closure mod phase, as the set of its (x, z) pairs."""
+    return frozenset((e.x, e.z) for e in group.closure())
+
+
+def signed_group(p: int, seed: int, twist: bool) -> StabilizerGroup:
+    """random_group with generator 0 replaced by its product with
+    generator 1 when ``twist`` is set, which gives non-canonical phases."""
+    gens = list(random_group(p, seed).generators)
+    if twist and p > 1:
+        gens[0] = gens[0] * gens[1]
+    return StabilizerGroup(tuple(gens))
 
 
 def state_vector(state: DenseState) -> np.ndarray:

@@ -49,7 +49,7 @@ from cosetqec.pauli import format_pauli
 from cosetqec.selftest import run_selftest
 from cosetqec.stabilizer import StabilizerGroup, format_label
 
-from conftest import pauli_matrix, state_vector
+from conftest import closure_classes, pauli_matrix, signed_group, state_vector
 
 
 def group_of(*strings):
@@ -152,14 +152,16 @@ def paulis(p):
     return st.builds(PauliOperator, st.integers(0, 3), bits, bits, st.just(p))
 
 
-def reference_dichotomy(group):
+def reference_dichotomy(group, members=None):
     """Apply each of the 4^p Hermitian representatives to the seed and
-    take the inner product: 8^p operations."""
+    take the inner product: 8^p operations.  ``members`` replaces the
+    closure classes as the set of operators judged inside."""
     p = group.width
     norm = group.normalized(0)
     seed = DenseState.from_seed(seed_state(norm, 0))
     n2 = seed.norm2
-    members = norm.closure_classes
+    if members is None:
+        members = closure_classes(norm)
     violations = []
     cases = 0
     for x in range(1 << p):
@@ -733,17 +735,25 @@ class TestAgainstReference:
         def y_count(xz):
             return (xz[0] & xz[1]).bit_count(), xz
 
-        classes = group.normalized(0).closure_classes
+        classes = closure_classes(group.normalized(0))
         size = 1 << group.width
         outside = {(x, z) for x in range(size) for z in range(size)} - classes
         dropped, extra = max(classes, key=y_count), max(outside, key=y_count)
-        monkeypatch.setattr(
-            StabilizerGroup,
-            "closure_classes",
-            property(lambda self: (classes - {dropped}) | {extra}),
-        )
+        members = (classes - {dropped}) | {extra}
+        # the seed comes from the same walk as the membership, so only the
+        # membership is patched
+        closure_seed = oracle._closure_seed
+
+        def patched(norm):
+            seed, _ = closure_seed(norm)
+            inside = {}
+            for x, z in members:
+                inside.setdefault(x, set()).add(z)
+            return seed, inside
+
+        monkeypatch.setattr(oracle, "_closure_seed", patched)
         report = check_overlap_dichotomy(group)
-        assert report == reference_dichotomy(group)
+        assert report == reference_dichotomy(group, members)
         assert len(report.violations) == 2
         assert any(": outside but" in v for v in report.violations)
         assert any(": inside but expectation (0, 0)" in v for v in report.violations)
@@ -1094,6 +1104,9 @@ class TestIndependence:
     FORBIDDEN = ("cosetqec._kernels", "cosetqec.verify")
     # the engine promises exact integer arithmetic only
     NON_INTEGER = ("math", "cmath", "fractions", "decimal", "numpy")
+    CLOSURE_VIEWS = (
+        "closure_lanes", "closure_packed", "closure_classes", "_lanes", "_planes",
+    )
 
     def tree(self):
         return ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
@@ -1115,6 +1128,40 @@ class TestIndependence:
         for name in seen:
             for banned in self.FORBIDDEN:
                 assert name != banned and not name.startswith(banned + "."), name
+
+    def referenced_names(self):
+        """Every attribute and bare name the module reads, and every
+        module and name it imports."""
+        names = set(self.imported_modules())
+        for node in ast.walk(self.tree()):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        return names
+
+    def test_oracle_imports_no_seed_builder(self):
+        seen = list(self.imported_modules())
+        assert "cosetqec.codes.SeedState" in seen  # names are seen too
+        assert "cosetqec.codes.seed_state" not in seen
+        assert "seed_state" not in self.referenced_names()
+
+    def test_oracle_reads_no_closure_view(self):
+        # the oracle walks closure() itself, and shares neither the lanes
+        # of the seed nor the bit-planes of the coset minima
+        names = self.referenced_names()
+        assert "closure" in names  # the scan does see attributes
+        for banned in self.CLOSURE_VIEWS:
+            assert banned not in names
+            assert not [n for n in names if n.endswith("." + banned)]
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_dichotomy_seed_matches_the_package_seed(self, p):
+        for seed in range(3):
+            for twist in (False, True):
+                norm = signed_group(p, seed, twist).normalized(0)
+                dense, _ = oracle._closure_seed(norm)
+                assert dense == DenseState.from_seed(seed_state(norm, 0))
 
     def test_oracle_imports_no_non_integer_arithmetic(self):
         for name in self.imported_modules():

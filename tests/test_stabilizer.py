@@ -20,6 +20,8 @@ from cosetqec import (
 from cosetqec.golden import diagonal_group
 from cosetqec.pauli import symplectic_parity
 
+from conftest import closure_classes
+
 
 def group_of(*strings):
     width = len(strings[0])
@@ -162,7 +164,7 @@ class TestSyndrome:
                 if lab == 0:
                     kernel.add((x, z))
         assert counts == [1 << p] * (1 << p)
-        assert kernel == g.closure_classes
+        assert kernel == closure_classes(g)
         import random as _r
 
         rng = _r.Random(seed)
@@ -200,12 +202,30 @@ class TestNormalize:
         norm = g.normalized(0)
         diag = [x for x in norm.generators if x.x == 0]
         assert [format_pauli(d) for d in diag] == ["ZZ"]
-        assert norm.closure_classes == g.closure_classes
+        assert closure_classes(norm) == closure_classes(g)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_preserves_closure_mod_phase(self, seed):
         g = random_group(4, seed=seed)
-        assert g.normalized(0).closure_classes == g.closure_classes
+        assert closure_classes(g.normalized(0)) == closure_classes(g)
+
+    @pytest.mark.parametrize("base", [8, 9, -1])
+    def test_base_outside_the_width_is_refused(self, base):
+        # unchecked, 9 would act as 1 and -1 as the all-ones string
+        with pytest.raises(ValueError) as info:
+            diagonal_group(3).normalized(base)
+        assert str(info.value) == f"seed base {base:#x} exceeds width 3"
+
+    @pytest.mark.parametrize("group", [diagonal_group(4), random_group(4, 1)])
+    def test_a_float_base_is_refused(self, group):
+        # refused whether or not the group has a diagonal generator
+        with pytest.raises(TypeError) as info:
+            group.normalized(1.5)
+        assert str(info.value) == "'float' object cannot be interpreted as an integer"
+
+    def test_a_bool_base_reads_as_an_int(self):
+        g = diagonal_group(3)
+        assert g.normalized(True) == g.normalized(1)
 
 
 class TestRandomGroup:
@@ -261,7 +281,7 @@ class TestEnumerate:
     def test_no_duplicate_closures(self):
         seen = set()
         for g in enumerate_groups(2):
-            key = g.closure_classes
+            key = closure_classes(g)
             assert key not in seen
             seen.add(key)
 

@@ -24,21 +24,15 @@ from cosetqec import (
     random_group,
     seed_state,
 )
-from cosetqec._kernels import unpack_lanes
+from cosetqec import codes
+from cosetqec._kernels import pack_lanes, unpack_lanes
 from cosetqec.golden import diagonal_group, golden_codes
+
+from conftest import signed_group
 
 FIXTURE = Path(__file__).parent / "data" / "golden_codes.json"
 
 _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
-def signed_group(p, seed, twist):
-    """random_group with generator 0 replaced by its product with
-    generator 1 when ``twist`` is set, which gives non-canonical phases."""
-    gens = list(random_group(p, seed).generators)
-    if twist and p > 1:
-        gens[0] = gens[0] * gens[1]
-    return StabilizerGroup(tuple(gens))
 
 
 def recursive_closure(group):
@@ -69,11 +63,17 @@ def reference_closure_packed(group):
     return phases, xs, zs
 
 
-def reference_seed_state(group, base=0):
-    """The seed terms from one element at a time of ``closure_packed``,
-    with the refusals and messages of the package's ``seed_state``."""
+def lane_values(packed, p):
+    """The lanes of ``codes._lanes`` for packed lists (phases, xs, zs)."""
+    return [x | z << p | ph << 2 * p for ph, x, z in zip(*packed)]
+
+
+def reference_seed_state(group, base=0, packed=None):
+    """The seed terms from one element at a time of the packed closure
+    (by default :func:`reference_closure_packed`), with the refusals and
+    messages of the package's ``seed_state``."""
     p = group.width
-    phases, xs, zs = group.closure_packed
+    phases, xs, zs = packed or reference_closure_packed(group)
     for ph, x, z in zip(phases, xs, zs):
         # diagonal Hermitian elements have an even phase exponent
         if x == 0 and ((ph >> 1) + (z & base).bit_count()) & 1:
@@ -150,13 +150,12 @@ class TestWalk:
                 g = signed_group(p, seed, twist)
                 assert g.closure() == recursive_closure(g)
 
-    def test_packed_lists_match_closure(self):
-        g = signed_group(5, 3, True)
-        phases, xs, zs = g.closure_packed
-        assert [(e.phase, e.x, e.z) for e in g.closure()] == list(
-            zip(phases, xs, zs)
-        )
-        assert g.closure_classes == frozenset(zip(xs, zs))
+    def test_lanes_match_closure(self):
+        p = 5
+        g = signed_group(p, 3, True)
+        assert unpack_lanes(codes._lanes(g), 1 << p).tolist() == [
+            e.x | e.z << p | e.phase << 2 * p for e in g.closure()
+        ]
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_seed_terms_are_sum_of_walked_closure(self, p):
@@ -194,17 +193,19 @@ class TestLanes:
             for twist in (False, True):
                 g = signed_group(p, seed, twist)
                 want = reference_closure_packed(g)
-                assert g.closure_packed == want
-                assert unpack_lanes(g.closure_lanes, 1 << p).tolist() == [
-                    x | z << p | ph << 2 * p for ph, x, z in zip(*want)
-                ]
+                assert [(e.phase, e.x, e.z) for e in g.closure()] == list(zip(*want))
+                assert unpack_lanes(codes._lanes(g), 1 << p).tolist() == lane_values(
+                    want, p
+                )
 
     def test_lanes_and_seed_past_width_16(self):
         # z & gx reaches bit 2p - 1 >= 32 here, so the parity fold needs
         # its 32-bit step
         p = 17
         g = signed_group(p, 5, True)
-        assert g.closure_packed == reference_closure_packed(g)
+        assert unpack_lanes(codes._lanes(g), 1 << p).tolist() == lane_values(
+            reference_closure_packed(g), p
+        )
         base = (1 << p) - 1 - 6
         norm = g.normalized(base)
         assert seed_state(norm, base).terms == reference_seed_state(norm, base)
@@ -227,18 +228,18 @@ class TestLanes:
         assert got == outcome(reference_seed_state, g, base)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_broken_signs_refused_as_the_reference(self, seed):
+    def test_broken_signs_refused_as_the_reference(self, seed, monkeypatch):
         # flip the sign of one non-diagonal element of the walk; where
         # another element shares its X part, the coefficients disagree
         p = 6
         g = random_group(p, seed).normalized(0)
-        lanes = g.closure_lanes
-        xs = [v & (1 << p) - 1 for v in unpack_lanes(lanes, 1 << p)]
+        phases, xs, zs = reference_closure_packed(g)
         lam = next(i for i, x in enumerate(xs) if x)
-        broken = StabilizerGroup(g.generators)
-        broken.__dict__["closure_lanes"] = lanes ^ 2 << 2 * p << 64 * lam
-        got = outcome(lambda: seed_state(broken, 0).terms)
-        assert got == outcome(reference_seed_state, broken, 0)
+        phases[lam] ^= 2
+        lanes = pack_lanes(lane_values((phases, xs, zs), p))
+        monkeypatch.setattr(codes, "_lanes", lambda group: lanes)
+        got = outcome(lambda: seed_state(g, 0).terms)
+        assert got == outcome(reference_seed_state, g, 0, (phases, xs, zs))
         if xs.count(xs[lam]) > 1:
             assert got == (
                 GroupError,
