@@ -11,10 +11,9 @@ domain and hands every other call to the ``_fallback`` function of the
 same name, so every refusal comes from ``_fallback``.  Set
 ``COSETQEC_PURE=1`` to force the pure-Python lane regardless of whether
 the extension was built.  ``BACKEND`` records the active lane.
-``lane_ones``, ``pack_lanes`` and ``unpack_lanes``, which hold u64
-values in the 64-bit lanes of one int, are pure helpers of both lanes,
-used by the seed and the saved-seed parser in :mod:`cosetqec.codes` and
-by the pure sampler.
+``unpack_lanes``, which reads the fixed-width lanes of one int into an
+array, is a pure helper of both lanes, used by the seed and the
+saved-seed parser in :mod:`cosetqec.codes` and by the pure sampler.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ else:
 
         BACKEND = "python"
 
-from ._fallback import lane_ones, pack_lanes, unpack_lanes
+from ._fallback import unpack_lanes
 
 syndrome_map = _impl.syndrome_map
 search_range = _impl.search_range
@@ -44,7 +43,5 @@ __all__ = [
     "BACKEND",
     "syndrome_map",
     "search_range",
-    "lane_ones",
-    "pack_lanes",
     "unpack_lanes",
 ]

@@ -42,7 +42,7 @@ from __future__ import annotations
 import sys
 from array import array
 from operator import index
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..pauli import MAX_WIDTH, _check_width
 
@@ -135,12 +135,6 @@ def syndrome_map(gens_a: Sequence[int], gens_b: Sequence[int]):
     return label
 
 
-def lane_ones(n: int) -> int:
-    """The int with a 1 at the bottom of each of its n 64-bit lanes, so
-    that ``g * lane_ones(n)`` repeats a value g < 2^64 in every lane."""
-    return int.from_bytes(b"\x01\0\0\0\0\0\0\0" * n, "little")
-
-
 def unpack_lanes(v: int, n: int, typecode: str = "Q") -> array:
     """The n lanes of the non-negative int ``v`` as an ``array(typecode)``,
     in lane order on hosts of either byte order.  A lane is one item
@@ -151,15 +145,6 @@ def unpack_lanes(v: int, n: int, typecode: str = "Q") -> array:
     if _BIG_ENDIAN:
         words.byteswap()
     return words
-
-
-def pack_lanes(values: Iterable[int]) -> int:
-    """The inverse of :func:`unpack_lanes`: the int whose lane i holds
-    the i-th of the u64 ``values``."""
-    words = array("Q", values)
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return int.from_bytes(words, "little")
 
 
 def _draws(lanes: int, vmask: int) -> array:

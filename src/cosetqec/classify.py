@@ -7,6 +7,11 @@ operators are only chosen representatives of their cosets and the class
 should not depend on that choice; the strict mod-phase closure of the
 chosen operators is also computed and reported for transparency.
 
+Predicate (b) is read without a check for a ``stabilizer`` seed: its
+strings are the base XOR a span by construction, and loading a code
+file checks such a seed in full against its group.  Any other seed's
+strings, shifted by its base, are checked with :func:`is_xor_subgroup`.
+
 Type I is the additive (stabilizer) case: both predicates hold.  Type II
 drops (a), type III drops (b), type IV drops both.
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .codes import QuantumCode
+from .codes import SEED_STABILIZER, QuantumCode
 from .pauli import PauliOperator
 
 
@@ -76,8 +81,11 @@ class CodeClass:
 
 
 def classify(code: QuantumCode) -> CodeClass:
+    # a stabilizer seed's strings are base ^ a span by construction
+    seed = code.seed
     return CodeClass(
         bcw_is_group=is_xor_subgroup(code.labels),
-        csb_is_group=is_xor_subgroup(s ^ code.seed.base for s in code.seed.strings),
+        csb_is_group=seed.origin == SEED_STABILIZER
+        or is_xor_subgroup(s ^ seed.base for s in seed.strings),
         bcw_is_group_strict=is_closed_mod_phase(code.codeword_ops),
     )

@@ -16,12 +16,15 @@ remove it.
 Neither the seed nor the codeword operators walk the closure one
 element at a time:
 
-- The seed reads the closure in the 64-bit lanes of one Python int
-  (:func:`_lanes`), one lane per element, which each generator doubles
-  by a few whole-int operations.  Operations on the whole int give
-  every element's unit and its key ``(x ^ base) << 2 | unit``; the keys
-  are unpacked once, deduplicated and sorted, and the sorted keys give
-  the terms.
+- The seed comes from the group's reduced echelon rows
+  (:func:`_seed_form`), the quadratic form of Dehaene and De Moor
+  (quant-ph/0304125) with the product rule of Aaronson and Gottesman
+  (quant-ph/0406196).  Its 2^r strings are base XOR the span of the r
+  non-diagonal rows' X parts, and with each row's pivot bit in that row
+  only, doubling once per row in ascending pivot order lists them in
+  ascending order.  Each doubling also adds the row's phase and a cross
+  term, an XOR of index-bit planes, to the units, held as two 2^r-bit
+  planes.  No sort runs and no Python loop runs per term.
 - A coset is one solved member XOR the closure classes, and its
   representative is the member of least weight, ties broken by the
   letter string.  The classes are held as 2p bit-planes of 2^p bits,
@@ -33,25 +36,34 @@ element at a time:
   qubit by qubit, until one member is left.  Each label costs O(p) whole
   plane operations, and only the winner is built as an operator object.
 
-A saved seed is read back as whole lists, not term by term: a chunk of
-bit strings is checked on its joined text and parsed by one
-``int(..., 2)`` into fixed-width lanes, and a seed's terms are proved
-valid by one pass when their strings ascend, as every saved seed's do.
-Only input that fails those checks takes the per-term path, which names
-the first bad term.  The seeds that :func:`seed_state` and
+A saved seed is read back as whole lists, not term by term.  A
+``stabilizer`` seed is checked in full against the closure seed of its
+group, derived again from the form: its strings joined by commas must
+be the derived text and its signs the derived units, and the derived
+terms are kept.  Any other seed, and a stabilizer seed that is not
+spelled exactly so, is parsed: a chunk of bit strings is checked on its
+joined text and parsed by one ``int(..., 2)`` into fixed-width lanes,
+and a seed's terms are proved valid by one pass when their strings
+ascend, as every saved seed's do.  Only input that fails those checks
+takes the per-term path, which names the first bad term; a parsed
+stabilizer seed that differs from the derived one is refused at its
+first differing term.  The seeds that :func:`seed_state` and
 :func:`punctured_seed` build are valid by construction and skip the
-check.
+check.  The JSON form is written as whole lists too: the strings are
+packed into lanes and formatted as one text.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from operator import index, itemgetter, lt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from ._kernels import lane_ones, pack_lanes, unpack_lanes
+from ._kernels import unpack_lanes
 from .pauli import (
     MAX_WIDTH,
     PauliOperator,
@@ -62,16 +74,24 @@ from .pauli import (
     parse_pauli,
     rank_f2,
 )
-from .stabilizer import GroupError, StabilizerGroup, format_label, read_width
+from .stabilizer import (
+    GroupError,
+    StabilizerGroup,
+    format_label,
+    read_list,
+    read_width,
+)
 
 SEED_STABILIZER = "stabilizer"
 SEED_PUNCTURED = "punctured"
 SEED_EXPLICIT = "explicit"
 
-_UNIT_TO_TOKEN = {0: "+", 1: "+i", 2: "-", 3: "-i"}
+_UNIT_TOKENS = ("+", "+i", "-", "-i")
 _TOKEN_TO_UNIT = {"+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
 # tokens per whole-list parse, so that its texts stay small at any seed size
 _CHUNK = 4096
+# the bytes "0"/"1" of a low unit plane plus twice those of a high one
+_SUM_TO_UNIT = bytes.maketrans(bytes(range(0x90, 0x94)), bytes(range(4)))
 
 
 @dataclass(frozen=True)
@@ -152,13 +172,21 @@ class SeedState:
         return frozenset(s for _, s in self.terms)
 
     def term_tokens(self) -> list[list[str]]:
-        """JSON form: [[sign, bitstring], ...] with sign in + - +i -i."""
-        # format_bits inline: a sentinel bit above the top one keeps the
-        # leading zeros, and the strings are in range already
-        top = 1 << self.width
+        """JSON form: [[sign, bitstring], ...] with sign in + - +i -i.
+        The strings are packed into lanes and formatted as one text, which
+        is cut into the tokens' bit strings."""
+        units, strings = zip(*self.terms)
+        p, n = self.width, len(strings)
+        lane, typecode = _lanes_of(p)
+        words = array(typecode, strings)
+        if sys.byteorder == "big":
+            words.byteswap()
+        # bit j of lane i is character i * lane + j; a sentinel bit above
+        # the top lane keeps the leading zeros
+        text = format(int.from_bytes(words, "little") | 1 << lane * n, "b")[:0:-1]
         return [
-            [_UNIT_TO_TOKEN[unit], format(string | top, "b")[:0:-1]]
-            for unit, string in self.terms
+            [_UNIT_TOKENS[unit], text[at : at + p]]
+            for unit, at in zip(units, range(0, lane * n, lane))
         ]
 
     @classmethod
@@ -198,7 +226,7 @@ def _parse_terms(tokens: Sequence, width: int) -> list[tuple[int, int]] | None:
     holds string i in lane i."""
     if type(width) is not int or not 1 <= width <= MAX_WIDTH:
         return None
-    lane, typecode = (16, "H") if width <= 16 else (32, "I")
+    lane, typecode = _lanes_of(width)
     pad = "0" * (lane - width)
     terms: list[tuple[int, int]] = []
     for lo in range(0, len(tokens), _CHUNK):
@@ -221,32 +249,172 @@ def _parse_terms(tokens: Sequence, width: int) -> list[tuple[int, int]] | None:
     return terms
 
 
-def _lanes(group: StabilizerGroup) -> int:
-    """The closure in the 64-bit lanes of one int, in the order of
-    :meth:`StabilizerGroup.closure`: lane lam holds element lam,
-    ``i**phase * X^x * Z^z``, as ``x | z << p | phase << 2p``, at most 50
-    bits at p = 24.  Generator t doubles the lanes, lane i + 2^t being
-    lane i times it, with the phase rule of the Aaronson-Gottesman
-    tableau: i^a X^x Z^z times i^b X^x' Z^z' is i^(a+b) (-1)^(z.x')
-    X^(x^x') Z^(z^z')."""
+def _lanes_of(width: int) -> tuple[int, str]:
+    """The lane (16 or 32 bits) and ``array`` typecode that hold one
+    width-bit string."""
+    return (16, "H") if width <= 16 else (32, "I")
+
+
+def _spread(plane: int, n: int) -> int:
+    """The int whose byte i is the character "0" or "1" of bit i of the
+    n-bit ``plane``, with a "1" above them at byte n."""
+    return int.from_bytes(format(plane | 1 << n, "b").encode(), "big")
+
+
+def _acts_as_minus(phase: int, z: int, base: int) -> int:
+    """1 when the diagonal operator i^phase Z^z acts as -1 on |base>."""
+    return (phase >> 1 ^ (z & base).bit_count()) & 1
+
+
+class _Form(NamedTuple):
+    """A closure seed from :func:`_seed_form`: term k has unit
+    ``units[k]`` and string ``low`` XOR the ``xs`` at the bits of k, and
+    the strings ascend with k."""
+
+    units: bytes
+    low: int
+    xs: list[int]
+
+
+def _seed_form(group: StabilizerGroup, base: int, normalize: bool) -> _Form:
+    """The closure seed of ``group`` at ``base``, its terms ascending by
+    string.  With ``normalize`` the seed is that of
+    ``group.normalized(base)``, without building that group.
+
+    The generators are eliminated to rows i^a X^x Z^z with distinct
+    leading bits of x, keeping each product's true phase.  The diagonal
+    rows must act as +1 on |base>; only when one does not is the closure
+    walked, to name the first element that acts as -1.  The r
+    non-diagonal rows, reduced so that each pivot bit lies in its own row
+    only, give the strings low ^ x_k in ascending order of k, where x_k
+    is the XOR of the rows at the bits of k and low is base with its
+    pivot bits cleared.  The element e_k, the product of those rows,
+    sends |low> to i^u(k) |low ^ x_k>, and each row doubles u by the
+    product rule: u(k + 2^j) = u(k) + a_j + 2 (z_j . low) + 2 (z_k . x_j),
+    whose last term is an XOR of index-bit planes.  The units are held as
+    two 2^r-bit planes, and all are shifted so that the term at ``base``
+    has unit 0, as the walked sum gives it.
+    """
     p = group.width
-    field = (1 << 2 * p + 2) - 1
-    lanes, ones, n = 0, 1, 1
+    # leading-bit elimination on the X parts, as normalized() runs it
+    rows: list[tuple[int, int, int]] = []
+    pivots: dict[int, int] = {}
     for g in group.generators:
-        # parity of z & gx per lane: the fold leaves it in bit 0, and
-        # no bit of a higher lane reaches bit 0 of a lower one
-        t = lanes & (g.x << p) * ones
-        for shift in (32, 16, 8, 4, 2, 1):
-            t ^= t >> shift
-        # the phase sum carries past the 2-bit field but not out of
-        # the lane, and the mask drops the carry
-        new = (lanes ^ (g.x | g.z << p) * ones) + (
-            (g.phase * ones + ((t & ones) << 1)) << 2 * p
+        a, x, z = g.phase, g.x, g.z
+        while x:
+            hb = x.bit_length() - 1
+            if hb not in pivots:
+                pivots[hb] = len(rows)
+                break
+            b, rx, rz = rows[pivots[hb]]
+            a, x, z = (a + b + 2 * (rz & x).bit_count()) & 3, x ^ rx, z ^ rz
+        rows.append((a, x, z))
+    if normalize:  # the generators of normalized(base)
+        rows = [
+            ((x & z).bit_count() & 3 if x else 2 * ((z & base).bit_count() & 1), x, z)
+            for _, x, z in rows
+        ]
+    if any(_acts_as_minus(a, z, base) for a, x, z in rows if not x):
+        elem = next(
+            e for e in group.closure() if not e.x and _acts_as_minus(e.phase, e.z, base)
         )
-        lanes |= (new & field * ones) << 64 * n
-        ones |= ones << 64 * n
+        raise GroupError(
+            f"group is not sign-normalized for base "
+            f"{format_bits(base, p)}: element "
+            f"{format_pauli(elem)} acts as -1 "
+            "(the seed would cancel to zero); call normalized() first"
+        )
+    # reduced echelon: each pivot bit in its own row only
+    echelon = sorted((row for row in rows if row[1]), key=itemgetter(1))
+    for j, (a, x, z) in enumerate(echelon):
+        top = 1 << x.bit_length() - 1
+        for k in range(j + 1, len(echelon)):
+            b, kx, kz = echelon[k]
+            if kx & top:
+                echelon[k] = ((b + a + 2 * (kz & x).bit_count()) & 3, kx ^ x, kz ^ z)
+    # low = base ^ x_c0; e_c0 sends |low> to i^u |base>, so units shift by -u
+    low, phase, zc = base, 0, 0
+    for a, x, z in echelon:
+        if low >> x.bit_length() - 1 & 1:
+            low ^= x
+            phase += a + 2 * (zc & x).bit_count()
+            zc ^= z
+    shift = -(phase + 2 * (zc & low).bit_count()) & 3
+    lo, hi, n = shift & 1, shift >> 1, 1
+    index: list[int] = []  # index[l]: bit l of k, over k < n
+    for j, (a, x, z) in enumerate(echelon):
+        full = (1 << n) - 1
+        c = a + 2 * (z & low).bit_count()
+        cross = 0
+        for l, (_, _, lz) in enumerate(echelon[:j]):
+            if (lz & x).bit_count() & 1:
+                cross ^= index[l]
+        # add c + 2 cross: the low plane's carry goes to the high plane
+        hi |= (hi ^ cross ^ (lo if c & 1 else 0) ^ (full if c & 2 else 0)) << n
+        lo |= (lo ^ full if c & 1 else lo) << n
+        index = [v | v << n for v in index] + [full << n]
         n *= 2
-    return lanes
+    # "0"/"1" bytes summed as lo + 2 hi are 0x90 + unit; the top byte is a sentinel
+    units = (_spread(lo, n) + 2 * _spread(hi, n)).to_bytes(n + 1, "little")
+    return _Form(units[:n].translate(_SUM_TO_UNIT), low, [x for _, x, _ in echelon])
+
+
+def _double(value: int, xs: Sequence[int], lane: int) -> int:
+    """``value`` in lane 0 of an int of ``lane``-bit lanes, doubled once
+    per x: lane k + 2^j is lane k XOR x_j, for every k < 2^j."""
+    ones, span = 1, lane
+    for x in xs:
+        value |= (value ^ x * ones) << span
+        ones |= ones << span
+        span *= 2
+    return value
+
+
+def _terms(form: _Form, width: int) -> tuple[tuple[int, int], ...]:
+    """The (unit, string) pairs of a form's terms, the strings doubled in
+    16- or 32-bit lanes."""
+    lane, typecode = _lanes_of(width)
+    lanes = _double(form.low, form.xs, lane)
+    strings = unpack_lanes(lanes, len(form.units), typecode).tolist()
+    # a list first: tuple() of an iterator resizes as it grows
+    return tuple([*zip(form.units, strings)])
+
+
+def _text(form: _Form, width: int) -> str:
+    """The bit strings of a form's terms as one text, each followed by a
+    comma: doubled as characters, one byte lane of width + 1 per term,
+    where XOR with a 1 byte turns "0" into "1" and back."""
+    def chars(s: int) -> int:
+        return int.from_bytes(format_bits(s, width).encode(), "little")
+
+    digits = int.from_bytes(b"\1" * width, "little")
+    lanes = _double(
+        chars(form.low) | ord(",") << 8 * width,
+        [chars(x) & digits for x in form.xs],
+        8 * (width + 1),
+    )
+    return lanes.to_bytes(len(form.units) * (width + 1), "little").decode()
+
+
+def _closure_seed(group: StabilizerGroup, base: int, normalize: bool) -> SeedState:
+    terms = _terms(_seed_form(group, base, normalize), group.width)
+    return SeedState._make(terms, group.width, base, SEED_STABILIZER)
+
+
+def _spelled(tokens: Sequence, width: int, form: _Form) -> bool:
+    """True when the (sign, bit string) tokens spell a form's terms
+    exactly, checked as whole lists: the strings joined by commas must be
+    :func:`_text`, and the signs' units must be the form's.  Any token
+    that is no such pair gives False."""
+    try:
+        signs, strings = zip(*tokens, strict=True)
+        return (
+            len(strings) == len(form.units)
+            and ",".join(strings) + "," == _text(form, width)
+            and bytes(map(_TOKEN_TO_UNIT.get, signs)) == form.units
+        )
+    except (TypeError, ValueError):
+        return False
 
 
 def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
@@ -256,56 +424,18 @@ def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
     elements sharing an X part land on one string; after sign
     normalization they agree, every coefficient has magnitude equal to
     the diagonal subgroup size, and only the unit i^k is kept.  The terms
-    come from whole-int operations on the closure's 64-bit lanes
-    (:func:`_lanes`); no Python loop runs per closure element and no
-    operator object is built.  Refuses a base
-    outside [0, 2^p), and groups whose diagonal subgroup does not fix
-    |base> with +1, since the character sum then cancels every
-    coefficient to zero; that check runs over the whole walk before any
-    coefficient is formed.
+    come from the group's reduced echelon rows (:func:`_seed_form`): no
+    Python loop runs per term and no operator object is built.  Refuses
+    a base outside [0, 2^p), and groups whose diagonal subgroup does not
+    fix |base> with +1, since the character sum then cancels every
+    coefficient to zero; the refusal names the first closure element, in
+    the order of :meth:`StabilizerGroup.closure`, that acts as -1.
     """
     p = group.width
     base = index(base)
     if not 0 <= base < 1 << p:
         raise ValueError(f"seed base {base:#x} exceeds width {p}")
-    n, pmask = 1 << p, (1 << p) - 1
-    ones = lane_ones(n)
-    lanes = _lanes(group)
-    xs = lanes & pmask * ones
-    # unit = phase + 2 parity(z & base), with the parity folded onto bit 0
-    t = lanes & (base << p) * ones
-    for shift in (32, 16, 8, 4, 2, 1):
-        t ^= t >> shift
-    units = ((lanes >> 2 * p) + ((t & ones) << 1)) & 3 * ones
-    # A diagonal element (x == 0: no carry out of x + 2^p - 1) is
-    # Hermitian, so its unit is +1 or -1, and bit 1 marks -1.
-    diagonal = ones ^ (xs + pmask * ones >> p & ones)
-    minus = diagonal & units >> 1
-    if minus:
-        # the lowest such lane is the first such element in walk order
-        lam = (minus & -minus).bit_length() // 64
-        v = lanes >> 64 * lam & (1 << 64) - 1
-        elem = PauliOperator(v >> 2 * p, v & pmask, v >> p & pmask, p)
-        raise GroupError(
-            f"group is not sign-normalized for base "
-            f"{format_bits(base, p)}: element "
-            f"{format_pauli(elem)} acts as -1 "
-            "(the seed would cancel to zero); call normalized() first"
-        )
-    # each distinct (string, unit) once, in string order
-    keys = sorted(set(unpack_lanes((xs ^ base * ones) << 2 | units, n)))
-    m, packed = len(keys), pack_lanes(keys)
-    key_ones = lane_ones(m)
-    strings = unpack_lanes(packed >> 2 & ((1 << 62) - 1) * key_ones, m).tolist()
-    if len(set(strings)) < m:
-        raise GroupError("inconsistent seed coefficients; group signs are broken")
-    term_units = unpack_lanes(packed & 3 * key_ones, m).tolist()
-    # a list first: tuple() of an iterator resizes as it grows, which
-    # took 2-3 times as long at 2^20 terms
-    terms = tuple([*zip(term_units, strings)])
-    # units in 0..3 and distinct strings in ascending key order, and a
-    # base in range: already a valid seed
-    return SeedState._make(terms, p, base, SEED_STABILIZER)
+    return _closure_seed(group, base, normalize=False)
 
 
 def punctured_seed(seed: SeedState, removed: Iterable[int | str]) -> SeedState:
@@ -477,13 +607,60 @@ class QuantumCode:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuantumCode":
+        """A code from its JSON form.  A ``stabilizer`` seed is checked in
+        full against the closure seed of its group, derived from the
+        group's echelon rows (:func:`_seed_form`) for the file's base.
+        Tokens that spell the derived seed exactly are not parsed, and the
+        derived terms are kept.  Other tokens, and any file whose width is
+        not its group's, take the parse of :meth:`SeedState.from_tokens`
+        and the checks of the code's construction; a ``stabilizer`` seed
+        that passes those is refused at its first term that differs from
+        the derived one."""
         width = read_width(data)
         group = StabilizerGroup.from_dict(data["cartanion"])
         origin = data.get("seed_origin", SEED_EXPLICIT)
-        seed = SeedState.from_tokens(data["seed"], width, data.get("seed_base"), origin)
-        ops = tuple(parse_pauli(s, width) for s in data["codeword_spinors"])
-        labels = tuple(parse_bits(s, width) for s in data["labels"])
-        return cls(group=group, seed=seed, codeword_ops=ops, labels=labels)
+        tokens = read_list(data, "seed")
+        base_text = data.get("seed_base")
+        seed = derived = None
+        if origin == SEED_STABILIZER and width == group.width:
+            try:
+                base = 0 if base_text is None else parse_bits(base_text, width)
+            except ParseError:
+                pass  # the parse below names the bad base, after the terms
+            else:
+                form = _seed_form(group, base, normalize=True)
+                derived = _terms(form, width)
+                if _spelled(tokens, width, form):
+                    seed = SeedState._make(derived, width, base, origin)
+        if seed is None:
+            seed = SeedState.from_tokens(tokens, width, base_text, origin)
+        ops = tuple(parse_pauli(s, width) for s in read_list(data, "codeword_spinors"))
+        labels = tuple(parse_bits(s, width) for s in read_list(data, "labels"))
+        code = cls(group=group, seed=seed, codeword_ops=ops, labels=labels)
+        if derived is not None and seed.terms != derived:
+            _refuse_first_difference(seed, derived)
+        return code
+
+
+def _refuse_first_difference(seed: SeedState, derived: Sequence[tuple[int, int]]) -> None:
+    """Name the first term of a ``stabilizer`` seed that differs from the
+    closure seed ``derived`` of its group, which has as many terms."""
+    p = seed.width
+    i, (unit, string), (want_unit, want_string) = next(
+        (i, term, want)
+        for i, (term, want) in enumerate(zip(seed.terms, derived))
+        if term != want
+    )
+    if string == want_string:
+        term = f"term {i} ({format_bits(string, p)}):"
+        seen, want = _UNIT_TOKENS[unit], _UNIT_TOKENS[want_unit]
+    else:
+        term = f"term {i} is"
+        seen, want = format_bits(string, p), format_bits(want_string, p)
+    raise ValueError(
+        f"stabilizer seed {term} {seen} in the file, {want} in the closure "
+        "seed of its group"
+    )
 
 
 def build_code(
@@ -495,9 +672,9 @@ def build_code(
     must be zero).
 
     The stored group keeps the caller's generators, so the given labels
-    keep their meaning; sign normalization happens only on the internal
-    copy that derives the seed state, which is a frame-independent
-    object, and whose closure is walked once for the seed terms.  The
+    keep their meaning; the seed is that of ``group.normalized(0)``,
+    derived once from the echelon form, which signs the rows as
+    normalization would without building the normalized group.  The
     bit-planes of the closure classes are built once; each requested
     coset is one solved member XOR those classes, and its min-weight/lex
     representative is picked on the planes, so only the K winners become
@@ -517,6 +694,6 @@ def build_code(
             f"duplicate coset label {format_label(dup, group.width)}"
         )
     if seed is None:
-        seed = seed_state(group.normalized(0), 0)
+        seed = _closure_seed(group, 0, normalize=True)
     ops = tuple(_lightest(group, labels))
     return QuantumCode(group=group, seed=seed, codeword_ops=ops, labels=tuple(labels))

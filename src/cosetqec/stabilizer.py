@@ -190,7 +190,7 @@ class StabilizerGroup:
     @classmethod
     def from_dict(cls, data: dict) -> "StabilizerGroup":
         width = read_width(data)
-        gens = tuple(parse_pauli(s, width) for s in data["generators"])
+        gens = tuple(parse_pauli(s, width) for s in read_list(data, "generators"))
         return cls(gens)
 
 
@@ -201,6 +201,16 @@ def read_width(data: dict) -> int:
     if type(width) is not int:
         raise ValueError(f"width must be an integer, got {width!r}")
     return width
+
+
+def read_list(data: dict, key: str) -> list | tuple:
+    """The list at ``data[key]`` of a group or code file.  Anything else
+    is refused naming the key: a string would otherwise be read as a list
+    of its characters."""
+    value = data[key]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {type(value).__name__}")
+    return value
 
 
 # A coset label as a bit string: character t is the bit for generator t.

@@ -1,6 +1,12 @@
 """Four-type classification and the two subgroup predicates."""
 
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cosetqec import (
+    QuantumCode,
     build_code,
     classify,
     is_closed_mod_phase,
@@ -105,6 +111,28 @@ class TestClassify:
                 g = random_group(p, seed=10 * seed + p).normalized(0)
                 code = build_code(g, [0])
                 assert classify(code).csb_is_group
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_seed_predicate_matches_the_strings(self, data):
+        # a stabilizer seed is read as a coset of a subgroup without its
+        # strings being checked; built or reloaded, the reading must be
+        # what the check gives, and so must a punctured seed's
+        p = data.draw(st.integers(1, 10))
+        g = random_group(p, data.draw(st.integers(0, 10_000)))
+        base = data.draw(st.integers(0, (1 << p) - 1))
+        seed = seed_state(g.normalized(base), base)
+        if len(seed.terms) > 2 and data.draw(st.booleans()):
+            strings = sorted(seed.strings)
+            cut = data.draw(
+                st.sets(st.sampled_from(strings), min_size=2, max_size=len(strings) - 1)
+            )
+            seed = punctured_seed(seed, cut)
+        built = build_code(g, [0], seed=seed)
+        loaded = QuantumCode.from_dict(json.loads(json.dumps(built.to_dict())))
+        for code in (built, loaded):
+            want = is_xor_subgroup(s ^ code.seed.base for s in code.seed.strings)
+            assert classify(code).csb_is_group == want
 
     def test_label_flavor_is_representative_independent(self, rep3):
         """Multiplying a codeword operator by a group element changes the

@@ -66,6 +66,15 @@ def golden_cli_runs(tmp_path):
     return out
 
 
+def _five2_seed_with(i, token):
+    """The seed tokens of the five-qubit golden code with term i replaced;
+    term 5 is ["+", "01010"]."""
+    seed = golden_codes()["five2"].to_dict()["seed"]
+    assert seed[5] == ["+", "01010"]
+    seed[i] = token
+    return seed
+
+
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "diag3.json").write_text(json.dumps(REP3_GROUP))
@@ -188,8 +197,14 @@ class TestVerify:
              "stabilizer seed: 1 terms, but the closure seed of its group has 16"),
             ("rep3", {"seed_base": "111"},
              "stabilizer seed has no + term at its base 111, or its terms do not ascend"),
+            ("five2", {"seed": _five2_seed_with(5, ["-", "01010"])},
+             "stabilizer seed term 5 (01010): - in the file, + in the closure seed "
+             "of its group"),
+            ("five2", {"seed": _five2_seed_with(5, ["+", "01011"])},
+             "stabilizer seed term 5 is 01011 in the file, 01010 in the closure seed "
+             "of its group"),
         ],
-        ids=["cut-seed", "edited-base"],
+        ids=["cut-seed", "edited-base", "flipped-unit", "changed-string"],
     )
     def test_seed_that_cannot_be_the_closure_seed_exit_two(
         self, tmp_path, capsys, name, edit, message
@@ -208,6 +223,30 @@ class TestVerify:
         path.write_text(json.dumps({**data, "seed_origin": "explicit"}))
         assert main(argv) in (0, 1)
         assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["generators", "seed", "codeword_spinors", "labels"])
+    def test_a_string_in_place_of_a_list_exits_two(self, workdir, capsys, field):
+        code = json.loads((workdir / "rep3.json").read_text())
+        if field == "generators":
+            code["cartanion"]["generators"] = "ZII"
+        else:
+            code[field] = "III"
+        path = workdir / "string-field.json"
+        path.write_text(json.dumps(code))
+        rc = main(["verify", "--code", str(path), "--errors", str(workdir / "xflips.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad code file: {field} must be a list, got str\n"
+        )
+
+    def test_a_string_of_generators_exits_two(self, workdir, capsys):
+        # it used to load as the group generated by Z
+        path = workdir / "string-group.json"
+        path.write_text(json.dumps({"width": 1, "generators": "Z"}))
+        assert main(["build", "--cartanion", str(path), "--labels", "0"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad group file: generators must be a list, got str\n"
+        )
 
     def test_width_mismatch_exit_two(self, workdir, capsys):
         wide = workdir / "wide.txt"

@@ -1,5 +1,6 @@
 """Seed states, coset representatives, code assembly, and puncturing."""
 
+import json
 import random
 
 import numpy as np
@@ -27,7 +28,7 @@ from cosetqec import (
 from cosetqec.codes import SEED_EXPLICIT, SEED_PUNCTURED, SEED_STABILIZER
 from cosetqec.golden import diagonal_group
 
-from conftest import pauli_matrix
+from conftest import pauli_matrix, signed_group
 
 
 def group_of(*strings):
@@ -426,6 +427,9 @@ class TestBuildCode:
         assert classify(again).type_tag == "I"
 
     def test_loading_validates_the_seed_once(self, monkeypatch):
+        # a parsed seed is validated once; a stabilizer seed whose tokens
+        # spell its group's derived closure seed keeps the derived terms,
+        # valid by construction, and is not validated again
         g = group_of("XXX", "ZZI", "IZZ")
         base = parse_bits("101")
         data = build_code(g, [0], seed=seed_state(g.normalized(base), base)).to_dict()
@@ -434,8 +438,10 @@ class TestBuildCode:
         monkeypatch.setattr(
             SeedState, "__post_init__", lambda seed: runs.append(validate(seed))
         )
-        assert QuantumCode.from_dict(data).seed.base == base
-        assert len(runs) == 1
+        for origin, validations in ((SEED_STABILIZER, 0), (SEED_EXPLICIT, 1)):
+            runs.clear()
+            assert QuantumCode.from_dict({**data, "seed_origin": origin}).seed.base == base
+            assert len(runs) == validations
 
     @pytest.mark.parametrize("width", [5.9, 5.0, "5", True, None])
     def test_width_that_is_not_an_integer_refused(self, five2, width):
@@ -473,12 +479,65 @@ class TestBuildCode:
                         build_code(g, [0], seed=SeedState(bad, p, base, SEED_STABILIZER))
                     build_code(g, [0], seed=SeedState(bad, p, base))
 
+    @pytest.mark.parametrize(
+        "field, text",
+        [("seed", "abc"), ("codeword_spinors", "IIIII"), ("labels", "00000")],
+    )
+    def test_a_string_in_place_of_a_list_is_refused(self, five2, field, text):
+        # "IIIII" used to be read as five one-letter spinors, and "abc"
+        # as a seed of three one-character tokens
+        data = {**five2.to_dict(), field: text}
+        with pytest.raises(ValueError) as info:
+            QuantumCode.from_dict(data)
+        assert str(info.value) == f"{field} must be a list, got str"
+
     def test_seed_terms_are_parsed_before_the_base(self):
         # a wrong top-level width is reported on the first seed term
         data = build_code(group_of("XXX", "ZZI", "IZZ"), [0]).to_dict()
         data.update(width=4, seed_base="1000")
         with pytest.raises(ValueError, match="expected 4 bits, got 3 in '000'"):
             QuantumCode.from_dict(data)
+
+
+class TestSavedStabilizerSeed:
+    """A ``stabilizer`` seed is checked in full on load, against the
+    closure seed derived from its group."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_single_term_edit_is_refused(self, data):
+        p = data.draw(st.integers(1, 10), label="p")
+        g = signed_group(p, data.draw(st.integers(0, 10_000)), data.draw(st.booleans()))
+        base = data.draw(st.integers(0, (1 << p) - 1), label="base")
+        labels = data.draw(st.sets(st.integers(1, (1 << p) - 1), max_size=3))
+        code = build_code(g, [0, *sorted(labels)], seed=seed_state(g.normalized(base), base))
+        text = json.dumps(code.to_dict(), indent=2)
+        again = QuantumCode.from_dict(json.loads(text))
+        assert again == code
+        assert json.dumps(again.to_dict(), indent=2) == text
+        seed = code.to_dict()["seed"]
+        i = data.draw(st.integers(0, len(seed) - 1), label="term")
+        sign, bits = seed[i]
+        if data.draw(st.booleans(), label="flip the unit"):
+            other = data.draw(st.sampled_from([t for t in ("+", "+i", "-", "-i") if t != sign]))
+            edit = [other, bits]
+        else:
+            j = data.draw(st.integers(0, p - 1), label="bit")
+            edit = [sign, bits[:j] + "10"[int(bits[j])] + bits[j + 1 :]]
+        edited = json.loads(text)
+        edited["seed"][i] = edit
+        with pytest.raises(ValueError) as info:
+            QuantumCode.from_dict(edited)
+        if edit[1] == bits and parse_bits(bits) != base:
+            # a flipped unit off the base keeps the terms ascending
+            assert str(info.value) == (
+                f"stabilizer seed term {i} ({bits}): {edit[0]} in the file, "
+                f"{sign} in the closure seed of its group"
+            )
+        # marked explicit, the edited seed loads as written
+        edited["seed_origin"] = SEED_EXPLICIT
+        if edit[1] == bits or edit[1] not in {t[1] for t in seed}:
+            QuantumCode.from_dict(edited)
 
 
 class TestPuncture:

@@ -228,8 +228,11 @@ def test_lane_helpers_match_shifts_and_masks(data, n):
     assert fb.unpack_lanes(v, n).tolist() == [
         (v >> 64 * i) & fb.MASK64 for i in range(n)
     ]
-    assert fb.pack_lanes(fb.unpack_lanes(v, n)) == v
-    assert fb.unpack_lanes(fb.lane_ones(n), n).tolist() == [1] * n
+    # the 16- and 32-bit lanes of the seed strings
+    for typecode, bits in (("H", 16), ("I", 32)):
+        small = [w & (1 << bits) - 1 for w in words]
+        packed = sum(w << bits * i for i, w in enumerate(small))
+        assert fb.unpack_lanes(packed, n, typecode).tolist() == small
 
 
 @settings(max_examples=100, deadline=None)

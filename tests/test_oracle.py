@@ -1106,6 +1106,7 @@ class TestIndependence:
     NON_INTEGER = ("math", "cmath", "fractions", "decimal", "numpy")
     CLOSURE_VIEWS = (
         "closure_lanes", "closure_packed", "closure_classes", "_lanes", "_planes",
+        "_seed_form",
     )
 
     def tree(self):
@@ -1147,8 +1148,8 @@ class TestIndependence:
         assert "seed_state" not in self.referenced_names()
 
     def test_oracle_reads_no_closure_view(self):
-        # the oracle walks closure() itself, and shares neither the lanes
-        # of the seed nor the bit-planes of the coset minima
+        # the oracle walks closure() itself, and shares neither the
+        # echelon form of the seed nor the bit-planes of the coset minima
         names = self.referenced_names()
         assert "closure" in names  # the scan does see attributes
         for banned in self.CLOSURE_VIEWS:

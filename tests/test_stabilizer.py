@@ -305,3 +305,13 @@ class TestJson:
         g = group_of("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ", "ZZZZZ")
         again = StabilizerGroup.from_dict(g.to_dict())
         assert again.generators == g.generators
+
+    @pytest.mark.parametrize("generators", ["Z", "ZZ", 7, None, {"Z": 1}])
+    def test_generators_that_are_no_list_are_refused(self, generators):
+        # a string used to be read as a list of one-letter generators,
+        # so {"width": 1, "generators": "Z"} loaded as a valid group
+        with pytest.raises(ValueError) as info:
+            StabilizerGroup.from_dict({"width": len("Z"), "generators": generators})
+        assert str(info.value) == (
+            f"generators must be a list, got {type(generators).__name__}"
+        )

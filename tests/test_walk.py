@@ -1,9 +1,9 @@
-"""The packed closure walk and what is derived from it: closure order and
+"""The closure walk and what is derived from it: closure order and
 phases, seed terms, coset representatives, the rank-based subgroup
-predicates, and the code JSON of the golden constructions.  The lane
-walk, seed and coset minima are checked against the one-int-per-element
-versions they replaced, kept here as references with their own copy of
-the letter-key packing."""
+predicates, and the code JSON of the golden constructions.  The seed's
+echelon form and the coset minima are checked against the
+one-int-per-element versions they replaced, kept here as references
+with their own copy of the letter-key packing."""
 
 import json
 from pathlib import Path
@@ -25,7 +25,6 @@ from cosetqec import (
     seed_state,
 )
 from cosetqec import codes
-from cosetqec._kernels import pack_lanes, unpack_lanes
 from cosetqec.golden import diagonal_group, golden_codes
 
 from conftest import signed_group
@@ -45,8 +44,8 @@ def recursive_closure(group):
 
 
 # References: the closure walk, the seed and the coset minimum as they
-# ran one Python int per closure element, before they moved to the 64-bit
-# lanes of one int.
+# ran one Python int per closure element, before they moved to bit-planes
+# and the seed to its echelon form.
 
 
 def reference_closure_packed(group):
@@ -63,17 +62,12 @@ def reference_closure_packed(group):
     return phases, xs, zs
 
 
-def lane_values(packed, p):
-    """The lanes of ``codes._lanes`` for packed lists (phases, xs, zs)."""
-    return [x | z << p | ph << 2 * p for ph, x, z in zip(*packed)]
-
-
-def reference_seed_state(group, base=0, packed=None):
+def reference_seed_state(group, base=0):
     """The seed terms from one element at a time of the packed closure
-    (by default :func:`reference_closure_packed`), with the refusals and
-    messages of the package's ``seed_state``."""
+    :func:`reference_closure_packed`, with the refusals and messages of
+    the package's ``seed_state``."""
     p = group.width
-    phases, xs, zs = packed or reference_closure_packed(group)
+    phases, xs, zs = reference_closure_packed(group)
     for ph, x, z in zip(phases, xs, zs):
         # diagonal Hermitian elements have an even phase exponent
         if x == 0 and ((ph >> 1) + (z & base).bit_count()) & 1:
@@ -150,13 +144,6 @@ class TestWalk:
                 g = signed_group(p, seed, twist)
                 assert g.closure() == recursive_closure(g)
 
-    def test_lanes_match_closure(self):
-        p = 5
-        g = signed_group(p, 3, True)
-        assert unpack_lanes(codes._lanes(g), 1 << p).tolist() == [
-            e.x | e.z << p | e.phase << 2 * p for e in g.closure()
-        ]
-
     @pytest.mark.parametrize("p", range(1, 9))
     def test_seed_terms_are_sum_of_walked_closure(self, p):
         for seed in range(4):
@@ -189,26 +176,37 @@ class TestWalk:
 class TestLanes:
     @pytest.mark.parametrize("p", range(1, 11))
     def test_lanes_match_the_list_walk(self, p):
+        # the closure walk, and the seed form's units and doubled string
+        # lanes and text, against the list walk
         for seed in range(3):
             for twist in (False, True):
                 g = signed_group(p, seed, twist)
                 want = reference_closure_packed(g)
                 assert [(e.phase, e.x, e.z) for e in g.closure()] == list(zip(*want))
-                assert unpack_lanes(codes._lanes(g), 1 << p).tolist() == lane_values(
-                    want, p
+                base = (7 * seed + 3) % (1 << p)
+                norm = g.normalized(base)
+                terms = reference_seed_state(norm, base)
+                form = codes._seed_form(norm, base, normalize=False)
+                assert [*form.units] == [unit for unit, _ in terms]
+                lanes = codes._double(form.low, form.xs, 16)
+                assert [lanes >> 16 * k & 0xFFFF for k in range(len(terms))] == [
+                    string for _, string in terms
+                ]
+                assert codes._text(form, p) == "".join(
+                    format_bits(string, p) + "," for _, string in terms
                 )
+                assert codes._seed_form(g, base, normalize=True) == form
 
     def test_lanes_and_seed_past_width_16(self):
-        # z & gx reaches bit 2p - 1 >= 32 here, so the parity fold needs
-        # its 32-bit step
+        # the strings take 32-bit lanes here
         p = 17
         g = signed_group(p, 5, True)
-        assert unpack_lanes(codes._lanes(g), 1 << p).tolist() == lane_values(
-            reference_closure_packed(g), p
-        )
         base = (1 << p) - 1 - 6
         norm = g.normalized(base)
-        assert seed_state(norm, base).terms == reference_seed_state(norm, base)
+        want = reference_seed_state(norm, base)
+        assert seed_state(norm, base).terms == want
+        form = codes._seed_form(norm, base, normalize=False)
+        assert codes._text(form, p) == "".join(format_bits(s, p) + "," for _, s in want)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -228,23 +226,19 @@ class TestLanes:
         assert got == outcome(reference_seed_state, g, base)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_broken_signs_refused_as_the_reference(self, seed, monkeypatch):
-        # flip the sign of one non-diagonal element of the walk; where
-        # another element shares its X part, the coefficients disagree
+    def test_broken_signs_refused_as_the_reference(self, seed):
+        # flip the sign of one generator of a normalized group at a time:
+        # a diagonal one breaks the seed, which must be refused naming the
+        # element the reference names; a non-diagonal one gives another
+        # seed, which must be the reference's
         p = 6
         g = random_group(p, seed).normalized(0)
-        phases, xs, zs = reference_closure_packed(g)
-        lam = next(i for i, x in enumerate(xs) if x)
-        phases[lam] ^= 2
-        lanes = pack_lanes(lane_values((phases, xs, zs), p))
-        monkeypatch.setattr(codes, "_lanes", lambda group: lanes)
-        got = outcome(lambda: seed_state(g, 0).terms)
-        assert got == outcome(reference_seed_state, g, 0, (phases, xs, zs))
-        if xs.count(xs[lam]) > 1:
-            assert got == (
-                GroupError,
-                "inconsistent seed coefficients; group signs are broken",
-            )
+        for t, gen in enumerate(g.generators):
+            flipped = PauliOperator(gen.phase + 2, gen.x, gen.z, p)
+            broken = StabilizerGroup((*g.generators[:t], flipped, *g.generators[t + 1 :]))
+            got = outcome(lambda: seed_state(broken, 0).terms)
+            assert got == outcome(reference_seed_state, broken, 0)
+            assert (got[0] is GroupError) == (gen.x == 0)
 
     @pytest.mark.parametrize("p", range(6, 13))
     def test_representatives_match_the_list_minimum(self, p):
