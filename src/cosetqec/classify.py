@@ -7,9 +7,9 @@ operators are only chosen representatives of their cosets and the class
 should not depend on that choice; the strict mod-phase closure of the
 chosen operators is also computed and reported for transparency.
 
-Predicate (b) is read without a check for a ``stabilizer`` seed: its
-strings are the base XOR a span by construction, and loading a code
-file checks such a seed in full against its group.  Any other seed's
+Predicate (b) is read without a check for a ``stabilizer`` seed: every
+code checks such a seed in full against its group when it is made, so
+its strings are the base XOR a span.  Any other seed's
 strings, shifted by its base, are checked with :func:`is_xor_subgroup`.
 
 Type I is the additive (stabilizer) case: both predicates hold.  Type II

@@ -38,12 +38,17 @@ _ENTRY_KEYS = ("error_index", "codeword_index", "error", "codeword", "label")
 
 
 def _load(path: str, kind: type, name: str):
-    """A group or code file read by ``kind.from_dict``; any refusal of
-    its content names the path once, a JSON syntax error with its line
-    and column."""
+    """A group or code file, a JSON object read by ``kind.from_dict``; any
+    refusal of its content names the path once, a JSON syntax error with
+    its line and column."""
     try:
         with open(path) as fh:
-            return kind.from_dict(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"the top level must be a JSON object, got {type(data).__name__}"
+            )
+        return kind.from_dict(data)
     except json.JSONDecodeError as exc:
         where = f"{path}:{exc.lineno}:{exc.colno}"
         raise ParseError(f"{where}: bad {name} file: {exc.msg}")

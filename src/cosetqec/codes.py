@@ -36,28 +36,29 @@ element at a time:
   qubit by qubit, until one member is left.  Each label costs O(p) whole
   plane operations, and only the winner is built as an operator object.
 
-A saved seed is read back as whole lists, not term by term.  A
-``stabilizer`` seed is checked in full against the closure seed of its
-group, derived again from the form: its strings joined by commas must
-be the derived text and its signs the derived units, and the derived
-terms are kept.  Any other seed, and a stabilizer seed that is not
-spelled exactly so, is parsed: a chunk of bit strings is checked on its
-joined text and parsed by one ``int(..., 2)`` into fixed-width lanes,
-and a seed's terms are proved valid by one pass when their strings
-ascend, as every saved seed's do.  Only input that fails those checks
-takes the per-term path, which names the first bad term; a parsed
-stabilizer seed that differs from the derived one is refused at its
-first differing term.  The seeds that :func:`seed_state` and
-:func:`punctured_seed` build are valid by construction and skip the
-check.  The JSON form is written as whole lists too: the strings are
-packed into lanes and formatted as one text.
+Every :class:`QuantumCode` checks a ``stabilizer`` seed in full
+against the closure seed of its group, derived again from the form, and
+refuses it by its term count or at its first differing term, however
+the code was made.  Only a seed derived from the code's own group skips
+that comparison: the one :func:`build_code` derives when given none,
+and a saved one whose strings joined by commas are the derived text
+and whose signs are the derived units, which keeps the derived terms.
+A saved seed is read back as whole lists, not term by term.  Any seed
+that is not spelled exactly so is parsed: a chunk of bit strings is
+checked on its joined text and parsed by one ``int(..., 2)`` into
+fixed-width lanes, and a seed's terms are proved valid by one pass when
+their strings ascend, as every saved seed's do.  Only input that fails
+those checks takes the per-term path, which names the first bad term.
+The seeds that :func:`seed_state` and :func:`punctured_seed` build are
+valid by construction and skip :class:`SeedState`'s checks.  The JSON
+form is written as whole lists too: the strings are packed into lanes
+and formatted as one text.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from operator import index, itemgetter, lt
@@ -72,12 +73,12 @@ from .pauli import (
     format_pauli,
     parse_bits,
     parse_pauli,
-    rank_f2,
 )
 from .stabilizer import (
     GroupError,
     StabilizerGroup,
     format_label,
+    read_key,
     read_list,
     read_width,
 )
@@ -544,11 +545,34 @@ class QuantumCode:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        self._check_fields()
+        if self.seed.origin == SEED_STABILIZER:
+            self._check_closure_seed()
+
+    @classmethod
+    def _make(
+        cls,
+        group: StabilizerGroup,
+        seed: SeedState,
+        codeword_ops: tuple[PauliOperator, ...],
+        labels: tuple[int, ...],
+    ) -> "QuantumCode":
+        """A code whose seed the caller derived from ``group`` itself,
+        written straight into the instance dict: every check of
+        ``__post_init__`` runs but the seed's.  :func:`build_code` without
+        a seed, and :meth:`from_dict` on tokens that spell the derived
+        seed, build only such codes."""
+        code = object.__new__(cls)
+        code.__dict__.update(
+            group=group, seed=seed, codeword_ops=codeword_ops, labels=labels
+        )
+        code._check_fields()
+        return code
+
+    def _check_fields(self) -> None:
         p = self.group.width
         if self.seed.width != p:
             raise ValueError("seed width does not match the group")
-        if self.seed.origin == SEED_STABILIZER:
-            self._check_closure_seed()
         k = len(self.codeword_ops)
         if k != len(self.labels):
             raise ValueError("codeword/label count mismatch")
@@ -566,23 +590,31 @@ class QuantumCode:
                 )
 
     def _check_closure_seed(self) -> None:
-        """Refuse a ``stabilizer`` seed that fails one of two invariants
-        of its group's closure seed: 2^rank(X parts) terms, and unit + at
-        the base string.  O(p^2) plus a bisect of the ascending terms; a
-        seed that passes may still hold other wrong terms or units."""
+        """Refuse a ``stabilizer`` seed that is not the closure seed of
+        ``group.normalized(seed.base)``, derived again from the group's
+        echelon rows (:func:`_seed_form`), by its term count or at the
+        first term that differs."""
         seed, p = self.seed, self.group.width
-        n = 1 << rank_f2(g.x for g in self.group.generators)
-        if len(seed.terms) != n:
+        form = _seed_form(self.group, seed.base, normalize=True)
+        if len(seed.terms) != len(form.units):
             raise ValueError(
                 f"stabilizer seed: {len(seed.terms)} terms, but the "
-                f"closure seed of its group has {n}"
+                f"closure seed of its group has {len(form.units)}"
             )
-        i = bisect_left(seed.terms, seed.base, key=itemgetter(1))
-        if i == n or seed.terms[i] != (0, seed.base):
-            raise ValueError(
-                "stabilizer seed has no + term at its base "
-                f"{format_bits(seed.base, p)}, or its terms do not ascend"
-            )
+        derived = _terms(form, p)
+        if seed.terms == derived:
+            return
+        i = next(i for i, (t, d) in enumerate(zip(seed.terms, derived)) if t != d)
+        (unit, string), (want_unit, want_string) = seed.terms[i], derived[i]
+        if string == want_string:
+            term = f"term {i} ({format_bits(string, p)})"
+            seen, want = _UNIT_TOKENS[unit], _UNIT_TOKENS[want_unit]
+        else:
+            term = f"term {i}"
+            seen, want = format_bits(string, p), format_bits(want_string, p)
+        raise ValueError(
+            f"stabilizer seed {term} is {seen}, {want} in the closure seed of its group"
+        )
 
     @property
     def width(self) -> int:
@@ -607,21 +639,20 @@ class QuantumCode:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuantumCode":
-        """A code from its JSON form.  A ``stabilizer`` seed is checked in
-        full against the closure seed of its group, derived from the
-        group's echelon rows (:func:`_seed_form`) for the file's base.
-        Tokens that spell the derived seed exactly are not parsed, and the
-        derived terms are kept.  Other tokens, and any file whose width is
-        not its group's, take the parse of :meth:`SeedState.from_tokens`
-        and the checks of the code's construction; a ``stabilizer`` seed
-        that passes those is refused at its first term that differs from
-        the derived one."""
+        """A code from its JSON form.  Tokens of a ``stabilizer`` seed that
+        spell the closure seed of its group exactly, derived from the
+        group's echelon rows (:func:`_seed_form`) for the file's base, are
+        not parsed, and the derived terms are kept.  Other tokens, and any
+        file whose width is not its group's, take the parse of
+        :meth:`SeedState.from_tokens` and every check of the code's
+        construction, which compares a ``stabilizer`` seed with the
+        derived one in full."""
         width = read_width(data)
-        group = StabilizerGroup.from_dict(data["cartanion"])
+        group = StabilizerGroup.from_dict(read_key(data, "cartanion"))
         origin = data.get("seed_origin", SEED_EXPLICIT)
         tokens = read_list(data, "seed")
         base_text = data.get("seed_base")
-        seed = derived = None
+        seed = None
         if origin == SEED_STABILIZER and width == group.width:
             try:
                 base = 0 if base_text is None else parse_bits(base_text, width)
@@ -629,38 +660,14 @@ class QuantumCode:
                 pass  # the parse below names the bad base, after the terms
             else:
                 form = _seed_form(group, base, normalize=True)
-                derived = _terms(form, width)
                 if _spelled(tokens, width, form):
-                    seed = SeedState._make(derived, width, base, origin)
+                    seed = SeedState._make(_terms(form, width), width, base, origin)
+        make = cls._make
         if seed is None:
-            seed = SeedState.from_tokens(tokens, width, base_text, origin)
+            make, seed = cls, SeedState.from_tokens(tokens, width, base_text, origin)
         ops = tuple(parse_pauli(s, width) for s in read_list(data, "codeword_spinors"))
         labels = tuple(parse_bits(s, width) for s in read_list(data, "labels"))
-        code = cls(group=group, seed=seed, codeword_ops=ops, labels=labels)
-        if derived is not None and seed.terms != derived:
-            _refuse_first_difference(seed, derived)
-        return code
-
-
-def _refuse_first_difference(seed: SeedState, derived: Sequence[tuple[int, int]]) -> None:
-    """Name the first term of a ``stabilizer`` seed that differs from the
-    closure seed ``derived`` of its group, which has as many terms."""
-    p = seed.width
-    i, (unit, string), (want_unit, want_string) = next(
-        (i, term, want)
-        for i, (term, want) in enumerate(zip(seed.terms, derived))
-        if term != want
-    )
-    if string == want_string:
-        term = f"term {i} ({format_bits(string, p)}):"
-        seen, want = _UNIT_TOKENS[unit], _UNIT_TOKENS[want_unit]
-    else:
-        term = f"term {i} is"
-        seen, want = format_bits(string, p), format_bits(want_string, p)
-    raise ValueError(
-        f"stabilizer seed {term} {seen} in the file, {want} in the closure "
-        "seed of its group"
-    )
+        return make(group, seed, ops, labels)
 
 
 def build_code(
@@ -679,8 +686,10 @@ def build_code(
     coset is one solved member XOR those classes, and its min-weight/lex
     representative is picked on the planes, so only the K winners become
     operator objects.  An explicit ``seed`` (e.g. punctured) replaces the
-    derived one.  Labels are read as ints (``operator.index``); the first
-    label that occurs twice is refused.
+    derived one; a ``stabilizer`` one must be the closure seed of
+    ``group.normalized(seed.base)``, as in every code.  Labels are read
+    as ints (``operator.index``); the first label that occurs twice is
+    refused.
     """
     labels = [*map(index, labels)]
     if not labels:
@@ -693,7 +702,8 @@ def build_code(
         raise ValueError(
             f"duplicate coset label {format_label(dup, group.width)}"
         )
+    ops = tuple(_lightest(group, labels))
     if seed is None:
         seed = _closure_seed(group, 0, normalize=True)
-    ops = tuple(_lightest(group, labels))
-    return QuantumCode(group=group, seed=seed, codeword_ops=ops, labels=tuple(labels))
+        return QuantumCode._make(group, seed, ops, tuple(labels))
+    return QuantumCode(group, seed, ops, tuple(labels))

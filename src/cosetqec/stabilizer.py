@@ -194,10 +194,19 @@ class StabilizerGroup:
         return cls(gens)
 
 
+def read_key(data: dict, key: str):
+    """``data[key]`` of a group or code file; a missing key is refused
+    naming it."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"missing key {key!r}") from None
+
+
 def read_width(data: dict) -> int:
     """The "width" of a group or code file, which must be a JSON integer:
     a float, a string or a bool is refused, not rounded or converted."""
-    width = data["width"]
+    width = read_key(data, "width")
     if type(width) is not int:
         raise ValueError(f"width must be an integer, got {width!r}")
     return width
@@ -207,7 +216,7 @@ def read_list(data: dict, key: str) -> list | tuple:
     """The list at ``data[key]`` of a group or code file.  Anything else
     is refused naming the key: a string would otherwise be read as a list
     of its characters."""
-    value = data[key]
+    value = read_key(data, key)
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{key} must be a list, got {type(value).__name__}")
     return value

@@ -8,7 +8,9 @@ label, the check refuses codes that the dense Knill-Laflamme check
 passes (ROADMAP item 5 records 16 such codes at p=9).  The check runs
 at widths the dense-state engine cannot reach; for seeds that are not
 full group closures the verdict is flagged as algebraic-only so callers
-know to ask the dense engine for confirmation.
+know to ask the dense engine for confirmation.  A ``stabilizer`` seed is
+exactly its group's closure seed, since every code checks it in full
+when it is made, so its verdict needs no such confirmation.
 
 A syndrome table decides distinctness in one cached row-major pass over
 its entries: the pass stops at the first repeated label, which is the

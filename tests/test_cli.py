@@ -196,13 +196,11 @@ class TestVerify:
             ("five2", {"seed": [["+", "00000"]]},
              "stabilizer seed: 1 terms, but the closure seed of its group has 16"),
             ("rep3", {"seed_base": "111"},
-             "stabilizer seed has no + term at its base 111, or its terms do not ascend"),
+             "stabilizer seed term 0 is 000, 111 in the closure seed of its group"),
             ("five2", {"seed": _five2_seed_with(5, ["-", "01010"])},
-             "stabilizer seed term 5 (01010): - in the file, + in the closure seed "
-             "of its group"),
+             "stabilizer seed term 5 (01010) is -, + in the closure seed of its group"),
             ("five2", {"seed": _five2_seed_with(5, ["+", "01011"])},
-             "stabilizer seed term 5 is 01011 in the file, 01010 in the closure seed "
-             "of its group"),
+             "stabilizer seed term 5 is 01011, 01010 in the closure seed of its group"),
         ],
         ids=["cut-seed", "edited-base", "flipped-unit", "changed-string"],
     )
@@ -246,6 +244,23 @@ class TestVerify:
         assert main(["build", "--cartanion", str(path), "--labels", "0"]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: bad group file: generators must be a list, got str\n"
+        )
+
+    def test_a_file_that_is_no_object_exits_two(self, workdir, capsys):
+        path = workdir / "list.json"
+        path.write_text("[]")
+        rc = main(["verify", "--code", str(path), "--errors", str(workdir / "xflips.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad code file: the top level must be a JSON object, got list\n"
+        )
+
+    def test_a_group_file_without_generators_exits_two(self, workdir, capsys):
+        path = workdir / "no-generators.json"
+        path.write_text(json.dumps({"width": 1}))
+        assert main(["build", "--cartanion", str(path), "--labels", "0"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad group file: missing key 'generators'\n"
         )
 
     def test_width_mismatch_exit_two(self, workdir, capsys):

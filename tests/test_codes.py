@@ -26,7 +26,7 @@ from cosetqec import (
     seed_state,
 )
 from cosetqec.codes import SEED_EXPLICIT, SEED_PUNCTURED, SEED_STABILIZER
-from cosetqec.golden import diagonal_group
+from cosetqec.golden import diagonal_group, five_qubit_code
 
 from conftest import pauli_matrix, signed_group
 
@@ -407,6 +407,13 @@ class TestBuildCode:
                 labels=(0, 1),
             )
 
+    def test_labels_checked_on_load(self):
+        # the seed spells its group's, so the load skips only the seed check
+        data = build_code(diagonal_group(2), [0, 3]).to_dict()
+        data["labels"] = ["00", "01"]
+        with pytest.raises(ValueError, match="not in coset"):
+            QuantumCode.from_dict(data)
+
     def test_json_round_trip(self, five2):
         again = QuantumCode.from_dict(five2.to_dict())
         assert again.codeword_ops == five2.codeword_ops
@@ -469,7 +476,13 @@ class TestBuildCode:
                 terms, n = seed.terms, len(seed.terms)
                 i = [string for _, string in terms].index(base)
                 turned = (*terms[:i], (2, base), *terms[i + 1 :])
-                edits = [(turned, rf"no \+ term at its base {format_bits(base, p)},")]
+                edits = [
+                    (
+                        turned,
+                        rf"^stabilizer seed term {i} \({format_bits(base, p)}\) is -, \+ "
+                        "in the closure seed of its group$",
+                    )
+                ]
                 if n > 1:
                     edits.append(
                         (terms[1:], f"{n - 1} terms, but the closure seed of its group has {n}$")
@@ -500,8 +513,25 @@ class TestBuildCode:
 
 
 class TestSavedStabilizerSeed:
-    """A ``stabilizer`` seed is checked in full on load, against the
-    closure seed derived from its group."""
+    """A ``stabilizer`` seed is checked in full wherever a code is made,
+    against the closure seed derived from its group: on load, by
+    ``QuantumCode(...)`` and by ``build_code(seed=...)``."""
+
+    def test_a_seed_of_another_closure_is_refused(self):
+        # another group's seed, with the same 16 terms and + at the base
+        foreign = seed_state(random_group(5, 1).normalized(0))
+        with pytest.raises(ValueError) as info:
+            build_code(five_qubit_code().group, [0, 16], seed=foreign)
+        assert str(info.value) == (
+            "stabilizer seed term 1 is 10000, 11000 in the closure seed of its group"
+        )
+        # the seed of {-XX, ZZ} itself, not of its normalized group
+        signed = StabilizerGroup((parse_pauli("-XX"), parse_pauli("ZZ")))
+        with pytest.raises(ValueError) as info:
+            build_code(signed, [0], seed=seed_state(signed, 0))
+        assert str(info.value) == (
+            "stabilizer seed term 1 (11) is -, + in the closure seed of its group"
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -528,16 +558,27 @@ class TestSavedStabilizerSeed:
         edited["seed"][i] = edit
         with pytest.raises(ValueError) as info:
             QuantumCode.from_dict(edited)
-        if edit[1] == bits and parse_bits(bits) != base:
-            # a flipped unit off the base keeps the terms ascending
-            assert str(info.value) == (
-                f"stabilizer seed term {i} ({bits}): {edit[0]} in the file, "
-                f"{sign} in the closure seed of its group"
-            )
+        if edit[1] != bits and edit[1] in {t[1] for t in seed}:
+            return  # a string that another term holds: a duplicate
+        if edit[1] == bits:
+            message = f"stabilizer seed term {i} ({bits}) is {edit[0]}, {sign}"
+        else:
+            message = f"stabilizer seed term {i} is {edit[1]}, {bits}"
+        message += " in the closure seed of its group"
+        assert str(info.value) == message
+        # the API refuses the same seed with the same message
+        bad = SeedState.from_tokens(
+            edited["seed"], p, edited.get("seed_base"), SEED_STABILIZER
+        )
+        with pytest.raises(ValueError) as info:
+            QuantumCode(g, bad, code.codeword_ops, code.labels)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            build_code(g, code.labels, seed=bad)
+        assert str(info.value) == message
         # marked explicit, the edited seed loads as written
         edited["seed_origin"] = SEED_EXPLICIT
-        if edit[1] == bits or edit[1] not in {t[1] for t in seed}:
-            QuantumCode.from_dict(edited)
+        QuantumCode.from_dict(edited)
 
 
 class TestPuncture:
