@@ -73,6 +73,27 @@ def _emit(payload: str, out: str | None) -> None:
         print(payload)
 
 
+def _code_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` byte for byte for a code file's
+    dict, or a value in it at the depth whose line break and indent is
+    ``pad``.  json's C encoder serves only ``indent=None``, so the dicts
+    are laid out here and each list of scalars is C-encoded with the line
+    break in its item separator.  A list of lists is the seed's
+    [sign, bits] rows, whose tokens need no escaping: str.join lays them
+    out."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(k)}: {_code_text(v, inner)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if not isinstance(value, list) or not value:
+        return json.dumps(value)
+    if isinstance(value[0], list):
+        row = inner + "  "
+        rows = f'"{inner}],{inner}[{row}"'.join(map(f'",{row}"'.join, value))
+        return f'[{inner}[{row}"{rows}"{inner}]{pad}]'
+    return f"[{inner}{json.dumps(value, separators=(',' + inner, ': '))[1:-1]}{pad}]"
+
+
 def _cmd_build(args) -> int:
     group = _load(args.cartanion, StabilizerGroup, "group")
     labels = [parse_bits(tok, group.width) for tok in args.labels.split(",")]
@@ -81,7 +102,7 @@ def _cmd_build(args) -> int:
         base_seed = seed_state(group.normalized(0), 0)
         seed = punctured_seed(base_seed, args.puncture.split(","))
     code = build_code(group, labels, seed=seed)
-    _emit(json.dumps(code.to_dict(), indent=2), args.output)
+    _emit(_code_text(code.to_dict()), args.output)
     return EXIT_OK
 
 
@@ -189,7 +210,7 @@ def _cmd_search(args) -> int:
     if not verdict.correctable:
         raise InternalCheckError("search returned a code that fails verification")
     print(f"# {result.reason}; re-verified correctable", file=sys.stderr)
-    _emit(json.dumps(code.to_dict(), indent=2), args.output)
+    _emit(_code_text(code.to_dict()), args.output)
     return EXIT_OK
 
 

@@ -78,8 +78,8 @@ from .stabilizer import (
     GroupError,
     StabilizerGroup,
     format_label,
-    read_key,
     read_list,
+    read_object,
     read_width,
 )
 
@@ -648,7 +648,7 @@ class QuantumCode:
         construction, which compares a ``stabilizer`` seed with the
         derived one in full."""
         width = read_width(data)
-        group = StabilizerGroup.from_dict(read_key(data, "cartanion"))
+        group = StabilizerGroup.from_dict(read_object(data, "cartanion"))
         origin = data.get("seed_origin", SEED_EXPLICIT)
         tokens = read_list(data, "seed")
         base_text = data.get("seed_base")

@@ -222,6 +222,15 @@ def read_list(data: dict, key: str) -> list | tuple:
     return value
 
 
+def read_object(data: dict, key: str) -> dict:
+    """The JSON object at ``data[key]`` of a code file, refused naming
+    the key when it is anything else."""
+    value = read_key(data, key)
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 # A coset label as a bit string: character t is the bit for generator t.
 format_label = format_bits
 

@@ -8,10 +8,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosetqec.cli as cli
 import cosetqec.verify as verify
-from cosetqec import format_pauli
+from cosetqec import (
+    QuantumCode,
+    SeedState,
+    build_code,
+    format_pauli,
+    punctured_seed,
+    random_group,
+    seed_state,
+)
 from cosetqec.cli import main
 from cosetqec.golden import (
     cat_code,
@@ -99,6 +109,56 @@ class TestBuild:
         assert data["codeword_spinors"] == ["III", "XXX"]
         assert data["labels"] == ["000", "111"]
         assert data["seed"] == [["+", "000"]]
+
+    def test_build_writes_what_json_dumps_writes(self, workdir, capsys):
+        out = workdir / "code.json"
+        argv = ["build", "--cartanion", str(workdir / "diag3.json"), "--labels", "000,111"]
+        assert main([*argv, "-o", str(out)]) == 0
+        code = QuantumCode.from_dict(json.loads(out.read_text()))
+        assert out.read_text() == json.dumps(code.to_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(golden_codes()))
+    def test_code_text_matches_json_dumps_on_golden_codes(self, name):
+        data = golden_codes()[name].to_dict()
+        assert cli._code_text(data) == json.dumps(data, indent=2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_code_text_matches_json_dumps(self, data):
+        p = data.draw(st.integers(1, 8), label="p")
+        group = random_group(p, data.draw(st.integers(0, 10**6), label="group"))
+        base = data.draw(st.integers(0, (1 << p) - 1), label="base")
+        seed = seed_state(group.normalized(base), base)
+        kind = data.draw(st.sampled_from(["stabilizer", "punctured", "explicit"]))
+        if kind == "punctured" and len(seed.terms) > 2:
+            strings = sorted(seed.strings)
+            removed = data.draw(
+                st.lists(
+                    st.sampled_from(strings),
+                    min_size=2,
+                    max_size=len(strings) - 1,
+                    unique=True,
+                ),
+                label="removed",
+            )
+            seed = punctured_seed(seed, removed)
+        elif kind == "explicit":
+            strings = data.draw(
+                st.lists(st.integers(0, (1 << p) - 1), min_size=1, unique=True),
+                label="strings",
+            )
+            units = data.draw(
+                st.lists(st.integers(0, 3), min_size=len(strings), max_size=len(strings)),
+                label="units",
+            )
+            seed = SeedState(tuple(zip(units, sorted(strings))), p, base)
+        labels = data.draw(
+            st.lists(st.integers(1, (1 << p) - 1), max_size=4, unique=True),
+            label="labels",
+        )
+        code = build_code(group, [0, *labels], seed=seed)
+        want = json.dumps(code.to_dict(), indent=2)
+        assert cli._code_text(code.to_dict()) == want
 
     def test_build_bad_label_is_usage_error(self, workdir, capsys):
         rc = main([
@@ -253,6 +313,20 @@ class TestVerify:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: {path}: bad code file: the top level must be a JSON object, got list\n"
+        )
+
+    @pytest.mark.parametrize("cartanion", [[], "abc", 5])
+    def test_a_cartanion_that_is_no_object_exits_two(self, workdir, capsys, cartanion):
+        # it used to exit 2 on json's "list indices must be integers"
+        code = json.loads((workdir / "rep3.json").read_text())
+        code["cartanion"] = cartanion
+        path = workdir / "bad-cartanion.json"
+        path.write_text(json.dumps(code))
+        rc = main(["verify", "--code", str(path), "--errors", str(workdir / "xflips.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad code file: cartanion must be a JSON object, "
+            f"got {type(cartanion).__name__}\n"
         )
 
     def test_a_group_file_without_generators_exits_two(self, workdir, capsys):

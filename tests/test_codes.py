@@ -504,6 +504,15 @@ class TestBuildCode:
             QuantumCode.from_dict(data)
         assert str(info.value) == f"{field} must be a list, got str"
 
+    @pytest.mark.parametrize("cartanion", [[], "abc", 5])
+    def test_a_cartanion_that_is_no_object_is_refused(self, five2, cartanion):
+        data = {**five2.to_dict(), "cartanion": cartanion}
+        with pytest.raises(ValueError) as info:
+            QuantumCode.from_dict(data)
+        assert str(info.value) == (
+            f"cartanion must be a JSON object, got {type(cartanion).__name__}"
+        )
+
     def test_seed_terms_are_parsed_before_the_base(self):
         # a wrong top-level width is reported on the first seed term
         data = build_code(group_of("XXX", "ZZI", "IZZ"), [0]).to_dict()

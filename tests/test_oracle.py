@@ -7,8 +7,10 @@ here as slow references, and the oracle must return the same reports as
 they do."""
 
 import ast
+import gc
 import random
-from dataclasses import FrozenInstanceError, fields
+import weakref
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,6 +42,7 @@ from cosetqec import (
     syndrome_states,
 )
 from cosetqec.golden import (
+    cat_code,
     diagonal_group,
     single_qubit_errors,
     x_flips,
@@ -667,6 +670,116 @@ class TestKnillLaflamme:
             code = build_code(g, list(md.labels[: min(md.dimension, 2)]))
             assert check_correctable(code, errset).correctable
             assert check_knill_laflamme(code, errset).passed
+
+
+def fresh_pair_reports(code, errors):
+    """Both reports, each check reading syndrome states and an upper Gram
+    built afresh for it."""
+
+    def fresh_gram(code, errors):
+        states = syndrome_states(code, errors)
+        return states, oracle._upper_gram([s for _, _, s in states])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_syndrome_gram", fresh_gram)
+        return (
+            check_syndrome_orthogonality(code, errors),
+            check_knill_laflamme(code, errors),
+        )
+
+
+class TestSharedGram:
+    """Orthogonality and Knill-Laflamme share the syndrome states and the
+    upper Gram of the last (code, error set) pair, matched by identity."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shared_reports_match_fresh_ones(self, data):
+        p = data.draw(st.integers(1, 6), label="p")
+        group = random_group(p, seed=data.draw(st.integers(0, 10**6), label="seed"))
+        size = 1 << p
+        labels = data.draw(
+            st.lists(st.integers(1, size - 1), max_size=min(3, size - 1), unique=True),
+            label="labels",
+        )
+        seed = seed_state(group.normalized(0))
+        strings = sorted(seed.strings)
+        if len(strings) > 2 and data.draw(st.booleans(), label="puncture"):
+            removed = data.draw(
+                st.lists(
+                    st.sampled_from(strings),
+                    min_size=2,
+                    max_size=len(strings) - 1,
+                    unique=True,
+                ),
+                label="removed",
+            )
+            seed = punctured_seed(seed, removed)
+        code = build_code(group, [0, *labels], seed=seed)
+        non_identity = st.tuples(
+            st.integers(0, size - 1), st.integers(0, size - 1)
+        ).filter(any)
+        classes = data.draw(
+            st.lists(non_identity, max_size=4, unique=True), label="errors"
+        )
+        if data.draw(st.booleans(), label="degenerate"):
+            # a group element shares the identity's coset
+            elem = data.draw(st.sampled_from(group.closure()[1:]), label="element")
+            if (elem.x, elem.z) not in classes:
+                classes.append((elem.x, elem.z))
+        errs = ErrorSet(
+            tuple(PauliOperator.from_symplectic(x, z, p) for x, z in [(0, 0), *classes])
+        )
+        want = fresh_pair_reports(code, errs)
+        # the pair itself and equal but distinct copies of either side
+        pairs = [(c, e) for c in (code, replace(code)) for e in (errs, replace(errs))]
+        checks = (check_syndrome_orthogonality, check_knill_laflamme)
+        steps = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, 1), st.integers(0, 3)), min_size=1, max_size=6
+            ),
+            label="steps",
+        )
+        for check, pair in steps:
+            assert checks[check](*pairs[pair]) == want[check]
+
+    @pytest.mark.parametrize("copied", ["code", "errors", "both"])
+    def test_the_gram_is_built_once_per_pair(self, rep3, monkeypatch, copied):
+        upper_gram, calls = oracle._upper_gram, []
+
+        def counting(states):
+            calls.append(len(states))
+            return upper_gram(states)
+
+        monkeypatch.setattr(oracle, "_upper_gram", counting)
+        errs = x_flips(3)
+        for _ in range(2):
+            check_syndrome_orthogonality(rep3, errs)
+            check_knill_laflamme(rep3, errs)
+        assert calls == [8]
+        code = replace(rep3) if copied != "errors" else rep3
+        other = replace(errs) if copied != "code" else errs
+        assert code == rep3 and other == errs
+        check_knill_laflamme(code, other)
+        check_syndrome_orthogonality(code, other)
+        assert calls == [8, 8]
+
+    def test_no_state_outlives_its_code(self, monkeypatch):
+        made = []
+
+        def recording(code, errors):
+            states = syndrome_states(code, errors)
+            made.extend(weakref.ref(s) for _, _, s in states)
+            return states
+
+        monkeypatch.setattr(oracle, "syndrome_states", recording)
+        code, errs = cat_code(), single_qubit_errors(3)
+        check_syndrome_orthogonality(code, errs)
+        assert made and all(ref() for ref in made)
+        del code
+        gc.collect()
+        assert oracle._last_gram is None
+        assert not any(ref() for ref in made)
 
 
 class TestCodewordStates:
