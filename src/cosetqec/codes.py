@@ -42,17 +42,25 @@ refuses it by its term count or at its first differing term, however
 the code was made.  Only a seed derived from the code's own group skips
 that comparison: the one :func:`build_code` derives when given none,
 and a saved one whose strings joined by commas are the derived text
-and whose signs are the derived units, which keeps the derived terms.
-A saved seed is read back as whole lists, not term by term.  Any seed
+and whose signs are the derived units, which keeps the derived form.
+A saved seed is read back as whole lists, not term by term, and is
+compared with the derived text a chunk of terms at a time.  Any seed
 that is not spelled exactly so is parsed: a chunk of bit strings is
 checked on its joined text and parsed by one ``int(..., 2)`` into
 fixed-width lanes, and a seed's terms are proved valid by one pass when
 their strings ascend, as every saved seed's do.  Only input that fails
 those checks takes the per-term path, which names the first bad term.
 The seeds that :func:`seed_state` and :func:`punctured_seed` build are
-valid by construction and skip :class:`SeedState`'s checks.  The JSON
-form is written as whole lists too: the strings are packed into lanes
-and formatted as one text.
+valid by construction and skip :class:`SeedState`'s checks.
+
+A derived ``stabilizer`` seed holds its form, and its 2^r
+``(unit, string)`` terms are built only when something reads them:
+equality, hashing, repr, pickling, puncturing and the dense oracle.
+No step of building, saving, loading, classifying, the verdict, the
+syndrome table or diagnosis does.  The JSON form is written from the
+form as whole lists: the units are mapped to their tokens and the text
+of the strings is cut at its commas.  A seed that holds terms has its
+strings packed into lanes and formatted as one text.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from operator import index, itemgetter, lt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._kernels import unpack_lanes
 from .pauli import (
@@ -106,6 +114,14 @@ class SeedState:
     ``origin`` records how the seed was made: derived from a group
     closure, punctured from such a seed, or supplied explicitly (the
     default).
+
+    A ``stabilizer`` seed that :func:`seed_state`, :func:`build_code` or
+    :meth:`QuantumCode.from_dict` derives holds its echelon form
+    (:func:`_seed_form`) and builds ``terms`` on first read: equality,
+    hashing, repr, pickling, :attr:`strings`, puncturing and the dense
+    oracle read them, while :meth:`term_tokens` and the rest of the
+    pipeline read the form.  Such a seed equals, hashes and pickles as
+    the seed built from its terms.
     """
 
     terms: tuple[tuple[int, int], ...]
@@ -162,11 +178,33 @@ class SeedState:
     ) -> "SeedState":
         """A seed whose fields the caller has proven valid, written
         straight into the instance dict without ``__post_init__``'s
-        checks: :func:`seed_state` and :func:`punctured_seed` build only
-        such seeds."""
+        checks: :func:`punctured_seed` builds only such seeds."""
         seed = object.__new__(cls)
         seed.__dict__.update(terms=terms, width=width, base=base, origin=origin)
         return seed
+
+    @classmethod
+    def _from_form(cls, form: "_Form", width: int, base: int) -> "SeedState":
+        """The ``stabilizer`` seed of a form, written like :meth:`_make`'s
+        but with its terms not yet built: :func:`seed_state`,
+        :func:`build_code` and :meth:`QuantumCode.from_dict` derive only
+        such seeds."""
+        seed = object.__new__(cls)
+        seed.__dict__.update(_form=form, width=width, base=base, origin=SEED_STABILIZER)
+        return seed
+
+    def __getattr__(self, name: str):
+        # runs only for a name missing from the instance: the terms of a
+        # seed made by _from_form, built once on first read
+        form = self.__dict__.get("_form") if name == "terms" else None
+        if form is None:
+            raise AttributeError(f"'SeedState' object has no attribute {name!r}")
+        terms = self.__dict__["terms"] = _terms(form, self.width)
+        return terms
+
+    def __getstate__(self) -> dict:
+        # the fields alone, terms built, so a pickle holds no form
+        return {f: getattr(self, f) for f in ("terms", "width", "base", "origin")}
 
     @property
     def strings(self) -> frozenset[int]:
@@ -175,7 +213,13 @@ class SeedState:
     def term_tokens(self) -> list[list[str]]:
         """JSON form: [[sign, bitstring], ...] with sign in + - +i -i.
         The strings are packed into lanes and formatted as one text, which
-        is cut into the tokens' bit strings."""
+        is cut into the tokens' bit strings; a seed that holds its form
+        reads its units and its text (:func:`_text`) from that."""
+        form = self.__dict__.get("_form")
+        if form is not None:
+            # the text ends in a comma, so its last piece is "" and unpaired
+            strings = _text(form, self.width).split(",")
+            return [[_UNIT_TOKENS[u], s] for u, s in zip(form.units, strings)]
         units, strings = zip(*self.terms)
         p, n = self.width, len(strings)
         lane, typecode = _lanes_of(p)
@@ -381,41 +425,53 @@ def _terms(form: _Form, width: int) -> tuple[tuple[int, int], ...]:
     return tuple([*zip(form.units, strings)])
 
 
-def _text(form: _Form, width: int) -> str:
-    """The bit strings of a form's terms as one text, each followed by a
-    comma: doubled as characters, one byte lane of width + 1 per term,
-    where XOR with a 1 byte turns "0" into "1" and back."""
+def _texts(form: _Form, width: int) -> Iterator[str]:
+    """The bit strings of a form's terms, each followed by a comma, as
+    one text per _CHUNK terms: doubled as characters, one byte lane of
+    width + 1 per term, where XOR with a 1 byte turns "0" into "1" and
+    back.  The rows past a chunk's own doublings move its low string."""
     def chars(s: int) -> int:
         return int.from_bytes(format_bits(s, width).encode(), "little")
 
     digits = int.from_bytes(b"\1" * width, "little")
-    lanes = _double(
-        chars(form.low) | ord(",") << 8 * width,
-        [chars(x) & digits for x in form.xs],
-        8 * (width + 1),
-    )
-    return lanes.to_bytes(len(form.units) * (width + 1), "little").decode()
+    rows = _CHUNK.bit_length() - 1
+    head = [chars(x) & digits for x in form.xs[:rows]]
+    outer = form.xs[rows:]
+    size = (1 << len(head)) * (width + 1)
+    for c in range(1 << len(outer)):
+        low = form.low
+        for j, x in enumerate(outer):
+            if c >> j & 1:
+                low ^= x
+        lanes = _double(chars(low) | ord(",") << 8 * width, head, 8 * (width + 1))
+        yield lanes.to_bytes(size, "little").decode()
 
 
-def _closure_seed(group: StabilizerGroup, base: int, normalize: bool) -> SeedState:
-    terms = _terms(_seed_form(group, base, normalize), group.width)
-    return SeedState._make(terms, group.width, base, SEED_STABILIZER)
+def _text(form: _Form, width: int) -> str:
+    """The bit strings of a form's terms as one text, each followed by a
+    comma."""
+    return "".join(_texts(form, width))
 
 
 def _spelled(tokens: Sequence, width: int, form: _Form) -> bool:
     """True when the (sign, bit string) tokens spell a form's terms
-    exactly, checked as whole lists: the strings joined by commas must be
-    :func:`_text`, and the signs' units must be the form's.  Any token
-    that is no such pair gives False."""
+    exactly, checked as whole lists _CHUNK tokens at a time: a chunk's
+    strings joined by commas must be its text from :func:`_texts`, and
+    its signs' units must be the form's.  Any token that is no such pair
+    gives False."""
+    if len(tokens) != len(form.units):
+        return False
     try:
-        signs, strings = zip(*tokens, strict=True)
-        return (
-            len(strings) == len(form.units)
-            and ",".join(strings) + "," == _text(form, width)
-            and bytes(map(_TOKEN_TO_UNIT.get, signs)) == form.units
-        )
+        for lo, text in zip(range(0, len(tokens), _CHUNK), _texts(form, width)):
+            signs, strings = zip(*tokens[lo : lo + _CHUNK], strict=True)
+            if (
+                ",".join(strings) + "," != text
+                or bytes(map(_TOKEN_TO_UNIT.get, signs)) != form.units[lo : lo + _CHUNK]
+            ):
+                return False
     except (TypeError, ValueError):
         return False
+    return True
 
 
 def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
@@ -436,7 +492,7 @@ def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
     base = index(base)
     if not 0 <= base < 1 << p:
         raise ValueError(f"seed base {base:#x} exceeds width {p}")
-    return _closure_seed(group, base, normalize=False)
+    return SeedState._from_form(_seed_form(group, base, normalize=False), p, base)
 
 
 def punctured_seed(seed: SeedState, removed: Iterable[int | str]) -> SeedState:
@@ -642,11 +698,11 @@ class QuantumCode:
         """A code from its JSON form.  Tokens of a ``stabilizer`` seed that
         spell the closure seed of its group exactly, derived from the
         group's echelon rows (:func:`_seed_form`) for the file's base, are
-        not parsed, and the derived terms are kept.  Other tokens, and any
-        file whose width is not its group's, take the parse of
-        :meth:`SeedState.from_tokens` and every check of the code's
-        construction, which compares a ``stabilizer`` seed with the
-        derived one in full."""
+        not parsed, and the seed keeps the derived form, its terms not
+        built.  Other tokens, and any file whose width is not its group's,
+        take the parse of :meth:`SeedState.from_tokens` and every check of
+        the code's construction, which compares a ``stabilizer`` seed with
+        the derived one in full."""
         width = read_width(data)
         group = StabilizerGroup.from_dict(read_object(data, "cartanion"))
         origin = data.get("seed_origin", SEED_EXPLICIT)
@@ -661,7 +717,7 @@ class QuantumCode:
             else:
                 form = _seed_form(group, base, normalize=True)
                 if _spelled(tokens, width, form):
-                    seed = SeedState._make(_terms(form, width), width, base, origin)
+                    seed = SeedState._from_form(form, width, base)
         make = cls._make
         if seed is None:
             make, seed = cls, SeedState.from_tokens(tokens, width, base_text, origin)
@@ -704,6 +760,6 @@ def build_code(
         )
     ops = tuple(_lightest(group, labels))
     if seed is None:
-        seed = _closure_seed(group, 0, normalize=True)
+        seed = SeedState._from_form(_seed_form(group, 0, normalize=True), group.width, 0)
         return QuantumCode._make(group, seed, ops, tuple(labels))
     return QuantumCode(group, seed, ops, tuple(labels))

@@ -24,6 +24,9 @@ _PREFIX_TO_EXP = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _EXP_TO_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+# the x and the z bit of each letter, as a digit
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 class ParseError(ValueError):
@@ -125,12 +128,33 @@ def parse_pauli(text: str, width: int | None = None) -> PauliOperator:
 
     Each character of the body must be one of I, X, Y, Z; a Y at position
     j sets both masks there and adds one to the phase exponent, so any
-    unprefixed string parses to a Hermitian operator.
+    unprefixed string parses to a Hermitian operator.  A well-formed
+    string is read whole: each mask is one ``int(..., 2)`` of the
+    reversed body mapped to bits, and the operator, valid by those
+    checks, skips ``__post_init__``.  Any other string is read letter by
+    letter, which names what is wrong with it.
     """
     try:  # str.strip refuses every non-str, bytes included
         s = str.strip(text)
     except TypeError:
         raise ParseError(f"expected a Pauli string, got {text!r}") from None
+    body = s.lstrip("+-i")
+    phase = _PREFIX_TO_EXP.get(s[: len(s) - len(body)])
+    n = len(body)
+    if (
+        phase is not None
+        and 0 < n <= MAX_WIDTH
+        and (width is None or n == width)
+        and not body.strip("IXYZ")
+    ):
+        body = body[::-1]
+        op = object.__new__(PauliOperator)
+        set_field = object.__setattr__
+        set_field(op, "phase", (phase + body.count("Y")) % 4)
+        set_field(op, "x", int(body.translate(_X_BITS), 2))
+        set_field(op, "z", int(body.translate(_Z_BITS), 2))
+        set_field(op, "width", n)
+        return op
     prefix = ""
     for cand in ("-i", "+i", "i", "-", "+"):
         if s.startswith(cand):

@@ -435,7 +435,7 @@ class TestBuildCode:
 
     def test_loading_validates_the_seed_once(self, monkeypatch):
         # a parsed seed is validated once; a stabilizer seed whose tokens
-        # spell its group's derived closure seed keeps the derived terms,
+        # spell its group's derived closure seed keeps the derived form,
         # valid by construction, and is not validated again
         g = group_of("XXX", "ZZI", "IZZ")
         base = parse_bits("101")
@@ -541,6 +541,28 @@ class TestSavedStabilizerSeed:
         assert str(info.value) == (
             "stabilizer seed term 1 (11) is -, + in the closure seed of its group"
         )
+
+    def test_a_seed_of_many_chunks_is_compared_chunk_by_chunk(self):
+        # 2^13 terms, two chunks of the comparison: the file loads as the
+        # derived seed, and an edit at either end of the second chunk is
+        # refused by the full comparison
+        g = random_group(13, seed=4)
+        code = build_code(g, [0, 5])
+        data = code.to_dict()
+        n = len(data["seed"])
+        assert n == 1 << 13
+        again = QuantumCode.from_dict(data)
+        assert again == code and again.to_dict() == data
+        for i in (4096, n - 1):
+            sign, bits = data["seed"][i]
+            other = "-" if sign == "+" else "+"
+            edited = {**data, "seed": [*data["seed"][:i], [other, bits], *data["seed"][i + 1 :]]}
+            with pytest.raises(ValueError) as info:
+                QuantumCode.from_dict(edited)
+            assert str(info.value) == (
+                f"stabilizer seed term {i} ({bits}) is {other}, {sign} "
+                "in the closure seed of its group"
+            )
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

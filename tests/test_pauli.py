@@ -162,6 +162,80 @@ class TestBitStrings:
         )
 
 
+def reference_parse_pauli(text, width=None):
+    """The letter loop parse_pauli runs on every string it cannot read
+    whole; each operator goes through PauliOperator's checks."""
+    try:
+        s = str.strip(text)
+    except TypeError:
+        raise ParseError(f"expected a Pauli string, got {text!r}") from None
+    prefix = next((c for c in ("-i", "+i", "i", "-", "+") if s.startswith(c)), "")
+    s = s[len(prefix):]
+    if not s:
+        raise ParseError(f"empty Pauli body in {text!r}")
+    if width is not None and len(s) != width:
+        raise ParseError(f"expected {width} Pauli characters, got {len(s)} in {text!r}")
+    if not 1 <= len(s) <= 24:
+        raise ValueError(f"width must be in 1..24, got {len(s)}")
+    phase = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}[prefix]
+    x = z = 0
+    for j, ch in enumerate(s):
+        if ch not in "IXYZ":
+            raise ParseError(f"invalid character {ch!r} at position {j} in {text!r}")
+        x |= (ch in "XY") << j
+        z |= (ch in "YZ") << j
+        phase += ch == "Y"
+    return PauliOperator(phase, x, z, len(s))
+
+
+def _pauli_outcome(*args):
+    """An operator's fields, or the type and message of what was raised."""
+    try:
+        op = parse_pauli(*args)
+    except ValueError as exc:
+        got = (type(exc), str(exc))
+    else:
+        got = (op.phase, op.x, op.z, op.width)
+        assert op == PauliOperator(*got)
+        assert all(type(v) is int for v in got)
+    try:
+        want = reference_parse_pauli(*args)
+    except ValueError as exc:
+        return got, (type(exc), str(exc))
+    return got, (want.phase, want.x, want.z, want.width)
+
+
+# blanks, lowercase, digits, a bit, non-ASCII letters and a stray prefix
+JUNK = [" ", "\t", "\n", "x", "y", "z", "i", "0", "1", "7", "+", "-", "_", "é", "Ι", "Ｘ"]
+
+
+class TestPauliStrings:
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_parse_matches_the_letter_loop(self, data):
+        n = data.draw(st.sampled_from([1, 2, 3, 5, 12, 23, 24, 25]), label="n")
+        letters = st.sampled_from("IXYZ")
+        if data.draw(st.booleans(), label="junk"):
+            letters = st.one_of(letters, st.sampled_from("+-i" + "".join(JUNK)))
+        body = "".join(data.draw(st.lists(letters, min_size=n, max_size=n)))
+        prefix = data.draw(st.sampled_from(["", "+", "-", "i", "+i", "-i", "--", "i-", "+ "]))
+        pad = data.draw(st.sampled_from(["", " ", "\t\n"]))
+        text = pad + prefix + body + pad
+        width = data.draw(st.sampled_from([None, n, n - 1, n + 1]), label="width")
+        got, want = _pauli_outcome(text, width)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "+", "-i", "i", "ii", "iiX", "+-X", "-+X", "X-", "X i", "x", "XYZ ",
+         "I" * 24, "-i" + "Y" * 24, "I" * 25, "Q" * 25, "IXYZ" * 6 + "q"],
+    )
+    @pytest.mark.parametrize("width", [None, 1, 3, 24, 25])
+    def test_edge_inputs_match_the_loop(self, text, width):
+        got, want = _pauli_outcome(text, width)
+        assert got == want
+
+
 class TestMultiply:
     def test_xz_order_convention(self):
         x, z = parse_pauli("X"), parse_pauli("Z")

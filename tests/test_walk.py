@@ -6,6 +6,7 @@ one-int-per-element versions they replaced, kept here as references
 with their own copy of the letter-key packing."""
 
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -13,19 +14,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetqec import (
+    DenseState,
     GroupError,
     PauliOperator,
+    QuantumCode,
+    SeedState,
     StabilizerGroup,
+    build_code,
+    build_table,
+    check_correctable,
+    classify,
     coset_representative,
+    diagnose,
     format_bits,
     format_pauli,
     is_closed_mod_phase,
     is_xor_subgroup,
+    max_dimension,
     random_group,
     seed_state,
 )
 from cosetqec import codes
-from cosetqec.golden import diagonal_group, golden_codes
+from cosetqec.codes import SEED_STABILIZER
+from cosetqec.golden import diagonal_group, golden_codes, single_qubit_errors
 
 from conftest import signed_group
 
@@ -257,6 +268,64 @@ class TestLanes:
                 assert coset_representative(g, label) == reference_representative(
                     g, label
                 )
+
+
+class TestTermsOnDemand:
+    """A derived ``stabilizer`` seed holds its form and builds its terms
+    on first read; read any way, it is the seed built from the terms of
+    the reference walk."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_derived_seed_is_the_seed_of_its_terms(self, data):
+        p = data.draw(st.integers(1, 8), label="p")
+        g = signed_group(p, data.draw(st.integers(0, 10_000)), data.draw(st.booleans()))
+        base = data.draw(st.integers(0, (1 << p) - 1), label="base")
+        labels = [0, *sorted(data.draw(st.sets(st.integers(1, (1 << p) - 1), max_size=3)))]
+        norm = g.normalized(base)
+        text = json.dumps(build_code(g, labels, seed=seed_state(norm, base)).to_dict())
+        made = {  # each call makes a seed whose terms are not yet built
+            "build_code": (lambda: build_code(g, labels).seed, 0),
+            "seed_state": (lambda: seed_state(norm, base), base),
+            "from_dict": (lambda: QuantumCode.from_dict(json.loads(text)).seed, base),
+        }
+        reads = {
+            "==": lambda s, e: s == e and e == s,
+            "hash": lambda s, e: hash(s) == hash(e),
+            "repr": lambda s, e: repr(s) == repr(e),
+            "pickle": lambda s, e: pickle.loads(pickle.dumps(s)) == e,
+            "term_tokens": lambda s, e: s.term_tokens() == e.term_tokens(),
+            "strings": lambda s, e: s.strings == e.strings,
+            "from_seed": lambda s, e: DenseState.from_seed(s) == DenseState.from_seed(e),
+        }
+        for how, (make, b) in made.items():
+            terms = reference_seed_state(g.normalized(b), b)
+            eager = SeedState(terms, p, b, SEED_STABILIZER)
+            for name, read in reads.items():
+                seed = make()
+                assert "terms" not in vars(seed), how
+                assert read(seed, eager), (how, name)
+                assert seed.terms == terms, (how, name)
+
+    def test_the_pipeline_builds_no_terms(self, monkeypatch):
+        # a correctable p=8, K=4 code with greedy labels, built, saved,
+        # loaded, classified, verified and diagnosed with no term builder
+        def no_terms(form, width):
+            raise AssertionError("a seed's terms were built")
+
+        group, errors = random_group(8, 1), single_qubit_errors(8)
+        labels = max_dimension(group, errors).labels
+        monkeypatch.setattr(codes, "_terms", no_terms)
+        code = QuantumCode.from_dict(json.loads(json.dumps(build_code(group, labels).to_dict())))
+        assert code.seed.origin == SEED_STABILIZER
+        assert classify(code).type_tag == "I"
+        assert check_correctable(code, errors).correctable
+        table = build_table(code, errors)
+        for i, j, label in table.iter_entries():
+            found = diagnose(code, errors, label, table)
+            assert (found.error_index, found.codeword_index) == (i, j)
+        with pytest.raises(AssertionError, match="terms were built"):
+            code.seed.terms
 
 
 class TestRepresentative:
