@@ -9,8 +9,9 @@ chosen operators is also computed and reported for transparency.
 
 Predicate (b) is read without a check for a ``stabilizer`` seed: every
 code checks such a seed in full against its group when it is made, so
-its strings are the base XOR a span.  Any other seed's
-strings, shifted by its base, are checked with :func:`is_xor_subgroup`.
+its strings are the base XOR a span.  Any other seed's strings, shifted
+by its base, are checked with :func:`is_xor_subgroup` when their count,
+read without them, is a power of two.
 
 Type I is the additive (stabilizer) case: both predicates hold.  Type II
 drops (a), type III drops (b), type IV drops both.
@@ -86,6 +87,7 @@ def classify(code: QuantumCode) -> CodeClass:
     return CodeClass(
         bcw_is_group=is_xor_subgroup(code.labels),
         csb_is_group=seed.origin == SEED_STABILIZER
-        or is_xor_subgroup(s ^ seed.base for s in seed.strings),
+        or not len(seed) & len(seed) - 1
+        and is_xor_subgroup(s ^ seed.base for s in seed.strings),
         bcw_is_group_strict=is_closed_mod_phase(code.codeword_ops),
     )

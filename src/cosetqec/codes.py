@@ -36,37 +36,34 @@ element at a time:
   qubit by qubit, until one member is left.  Each label costs O(p) whole
   plane operations, and only the winner is built as an operator object.
 
-Every :class:`QuantumCode` checks a ``stabilizer`` seed in full
-against the closure seed of its group, derived again from the form, and
-refuses it by its term count or at its first differing term, however
-the code was made.  Only a seed derived from the code's own group skips
-that comparison: the one :func:`build_code` derives when given none,
-and a saved one whose strings joined by commas are the derived text
-and whose signs are the derived units, which keeps the derived form.
-A saved seed is read back as whole lists, not term by term, and is
-compared with the derived text a chunk of terms at a time.  Any seed
-that is not spelled exactly so is parsed: a chunk of bit strings is
-checked on its joined text and parsed by one ``int(..., 2)`` into
-fixed-width lanes, and a seed's terms are proved valid by one pass when
-their strings ascend, as every saved seed's do.  Only input that fails
-those checks takes the per-term path, which names the first bad term.
-The seeds that :func:`seed_state` and :func:`punctured_seed` build are
-valid by construction and skip :class:`SeedState`'s checks.
+Every seed that :func:`seed_state`, :func:`build_code`,
+:meth:`QuantumCode.from_dict` or :func:`punctured_seed` derives holds
+its echelon form, its base and a frozenset of the term indices cut from
+it, empty for a ``stabilizer`` seed.  Its ``(unit, string)`` terms are
+built only when equality, hashing, repr, pickling,
+:attr:`SeedState.strings` or the dense oracle read them; no step of
+building, puncturing, saving, loading, classifying, the verdict, the
+syndrome table or diagnosis does.  The pivot bits of a string name the
+only term that can hold it (:func:`_index`).  The JSON form is written
+from the form as whole lists: the units are mapped to their tokens and
+the text of the strings is cut at its commas.
 
-A derived ``stabilizer`` seed holds its form, and its 2^r
-``(unit, string)`` terms are built only when something reads them:
-equality, hashing, repr, pickling, puncturing and the dense oracle.
-No step of building, saving, loading, classifying, the verdict, the
-syndrome table or diagnosis does.  The JSON form is written from the
-form as whole lists: the units are mapped to their tokens and the text
-of the strings is cut at its commas.  A seed that holds terms has its
-strings packed into lanes and formatted as one text.
+Every :class:`QuantumCode` checks a ``stabilizer`` seed against the
+closure seed of its group, derived again from the form, however the
+code was made.  The reduced echelon form is unique, so a held form
+equal to the derived one passes at once; any other seed is refused by
+its term count or at its first differing term.  A saved seed whose
+strings joined by commas are the derived text and whose signs are the
+derived units keeps the derived form.  Any other seed holds its terms:
+a chunk of bit strings is checked on its joined text and parsed by one
+``int(..., 2)`` into fixed-width lanes, and the terms are proved valid
+by one pass when their strings ascend, as every saved seed's do.  Only
+input that fails those checks takes the per-term path, which names the
+first bad term.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from operator import index, itemgetter, lt
@@ -115,13 +112,13 @@ class SeedState:
     closure, punctured from such a seed, or supplied explicitly (the
     default).
 
-    A ``stabilizer`` seed that :func:`seed_state`, :func:`build_code` or
-    :meth:`QuantumCode.from_dict` derives holds its echelon form
-    (:func:`_seed_form`) and builds ``terms`` on first read: equality,
-    hashing, repr, pickling, :attr:`strings`, puncturing and the dense
-    oracle read them, while :meth:`term_tokens` and the rest of the
-    pipeline read the form.  Such a seed equals, hashes and pickles as
-    the seed built from its terms.
+    A seed that :func:`seed_state`, :func:`build_code`,
+    :meth:`QuantumCode.from_dict` or :func:`punctured_seed` derives
+    holds its echelon form (:func:`_seed_form`) and the indices of its
+    cut terms, and builds ``terms`` on first read: equality, hashing,
+    repr, pickling, :attr:`strings` and the dense oracle read them, and
+    ``len`` and the rest of the pipeline read the form.  Such a seed
+    equals, hashes and pickles as the seed built from its terms.
     """
 
     terms: tuple[tuple[int, int], ...]
@@ -173,24 +170,16 @@ class SeedState:
             return False
 
     @classmethod
-    def _make(
-        cls, terms: tuple[tuple[int, int], ...], width: int, base: int, origin: str
+    def _from_form(
+        cls, form: "_Form", width: int, base: int, removed: frozenset[int] = frozenset()
     ) -> "SeedState":
-        """A seed whose fields the caller has proven valid, written
-        straight into the instance dict without ``__post_init__``'s
-        checks: :func:`punctured_seed` builds only such seeds."""
+        """The seed of a form with the terms at the indices ``removed``
+        cut, written into the instance dict without ``__post_init__``'s
+        checks and with its terms not yet built: every seed the package
+        derives from a form is such a seed."""
         seed = object.__new__(cls)
-        seed.__dict__.update(terms=terms, width=width, base=base, origin=origin)
-        return seed
-
-    @classmethod
-    def _from_form(cls, form: "_Form", width: int, base: int) -> "SeedState":
-        """The ``stabilizer`` seed of a form, written like :meth:`_make`'s
-        but with its terms not yet built: :func:`seed_state`,
-        :func:`build_code` and :meth:`QuantumCode.from_dict` derive only
-        such seeds."""
-        seed = object.__new__(cls)
-        seed.__dict__.update(_form=form, width=width, base=base, origin=SEED_STABILIZER)
+        seed.__dict__.update(_form=form, _removed=removed, width=width, base=base)
+        seed.__dict__["origin"] = SEED_PUNCTURED if removed else SEED_STABILIZER
         return seed
 
     def __getattr__(self, name: str):
@@ -199,8 +188,15 @@ class SeedState:
         form = self.__dict__.get("_form") if name == "terms" else None
         if form is None:
             raise AttributeError(f"'SeedState' object has no attribute {name!r}")
-        terms = self.__dict__["terms"] = _terms(form, self.width)
+        terms = _terms(form, self.width)
+        if removed := self._removed:
+            terms = tuple([t for k, t in enumerate(terms) if k not in removed])
+        self.__dict__["terms"] = terms
         return terms
+
+    def __len__(self) -> int:
+        form = self.__dict__.get("_form")
+        return len(self.terms) if form is None else len(form.units) - len(self._removed)
 
     def __getstate__(self) -> dict:
         # the fields alone, terms built, so a pickle holds no form
@@ -211,28 +207,18 @@ class SeedState:
         return frozenset(s for _, s in self.terms)
 
     def term_tokens(self) -> list[list[str]]:
-        """JSON form: [[sign, bitstring], ...] with sign in + - +i -i.
-        The strings are packed into lanes and formatted as one text, which
-        is cut into the tokens' bit strings; a seed that holds its form
-        reads its units and its text (:func:`_text`) from that."""
+        """JSON form: [[sign, bitstring], ...] with sign in + - +i -i.  A
+        seed that holds its form reads its units and its text
+        (:func:`_text`) from that, skipping the cut terms."""
         form = self.__dict__.get("_form")
-        if form is not None:
-            # the text ends in a comma, so its last piece is "" and unpaired
-            strings = _text(form, self.width).split(",")
-            return [[_UNIT_TOKENS[u], s] for u, s in zip(form.units, strings)]
-        units, strings = zip(*self.terms)
-        p, n = self.width, len(strings)
-        lane, typecode = _lanes_of(p)
-        words = array(typecode, strings)
-        if sys.byteorder == "big":
-            words.byteswap()
-        # bit j of lane i is character i * lane + j; a sentinel bit above
-        # the top lane keeps the leading zeros
-        text = format(int.from_bytes(words, "little") | 1 << lane * n, "b")[:0:-1]
-        return [
-            [_UNIT_TOKENS[unit], text[at : at + p]]
-            for unit, at in zip(units, range(0, lane * n, lane))
-        ]
+        if form is None:
+            return [[_UNIT_TOKENS[u], format_bits(s, self.width)] for u, s in self.terms]
+        # the text ends in a comma, so its last piece is "" and unpaired
+        strings = _text(form, self.width).split(",")
+        tokens = [[_UNIT_TOKENS[u], s] for u, s in zip(form.units, strings)]
+        if removed := self._removed:
+            tokens = [t for k, t in enumerate(tokens) if k not in removed]
+        return tokens
 
     @classmethod
     def from_tokens(
@@ -495,10 +481,23 @@ def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
     return SeedState._from_form(_seed_form(group, base, normalize=False), p, base)
 
 
+def _index(form: _Form, string: int) -> int | None:
+    """The index k of the form's term at ``string``, or None when no term
+    is there: low has no pivot bit and each pivot bit lies in its own
+    row only, so bit j of k is the pivot bit of row j in the string."""
+    k, x = 0, form.low
+    for j, row in enumerate(form.xs):
+        if string >> row.bit_length() - 1 & 1:
+            k |= 1 << j
+            x ^= row
+    return k if x == string else None
+
+
 def punctured_seed(seed: SeedState, removed: Iterable[int | str]) -> SeedState:
     """Drop the given basis strings from a seed (to build the nonadditive
     code families); at least two strings must go and at least one term
-    must survive."""
+    must survive.  A seed that holds its form gives that form with more
+    terms cut, each found by :func:`_index`."""
     remove: set[int] = set()
     for item in removed:
         if isinstance(item, str):
@@ -506,18 +505,24 @@ def punctured_seed(seed: SeedState, removed: Iterable[int | str]) -> SeedState:
         elif not 0 <= (item := index(item)) < 1 << seed.width:
             raise ValueError(f"basis string {item} outside [0, 2^{seed.width})")
         remove.add(item)
-    present = seed.strings
-    missing = remove - present
+    form = seed.__dict__.get("_form")
+    if form is None:
+        missing = remove - seed.strings
+    else:
+        at = {s: _index(form, s) for s in remove}
+        missing = {s for s, k in at.items() if k is None or k in seed._removed}
     if missing:
         shown = ", ".join(format_bits(s, seed.width) for s in sorted(missing))
         raise ValueError(f"cannot remove absent strings: {shown}")
     if len(remove) < 2:
         raise ValueError("puncturing must remove more than one string")
-    kept = tuple(t for t in seed.terms if t[1] not in remove)
-    if not kept:
+    if len(remove) == len(seed):
         raise ValueError("puncturing removed every term")
-    # a nonempty subsequence of a valid seed's terms, still in order
-    return SeedState._make(kept, seed.width, seed.base, SEED_PUNCTURED)
+    if form is None:
+        kept = tuple(t for t in seed.terms if t[1] not in remove)
+        return SeedState(kept, seed.width, seed.base, SEED_PUNCTURED)
+    cut = seed._removed.union(at.values())
+    return SeedState._from_form(form, seed.width, seed.base, cut)
 
 
 def _planes(group: StabilizerGroup) -> tuple[list[int], list[int], int]:
@@ -647,14 +652,16 @@ class QuantumCode:
 
     def _check_closure_seed(self) -> None:
         """Refuse a ``stabilizer`` seed that is not the closure seed of
-        ``group.normalized(seed.base)``, derived again from the group's
-        echelon rows (:func:`_seed_form`), by its term count or at the
-        first term that differs."""
+        ``group.normalized(seed.base)`` (:func:`_seed_form`): a held form
+        by comparing forms, the reduced echelon form being unique, and
+        any other seed by its term count or at its first differing term."""
         seed, p = self.seed, self.group.width
         form = _seed_form(self.group, seed.base, normalize=True)
-        if len(seed.terms) != len(form.units):
+        if seed.__dict__.get("_form") == form:
+            return
+        if len(seed) != len(form.units):
             raise ValueError(
-                f"stabilizer seed: {len(seed.terms)} terms, but the "
+                f"stabilizer seed: {len(seed)} terms, but the "
                 f"closure seed of its group has {len(form.units)}"
             )
         derived = _terms(form, p)

@@ -31,11 +31,12 @@ from cosetqec import (
     is_closed_mod_phase,
     is_xor_subgroup,
     max_dimension,
+    punctured_seed,
     random_group,
     seed_state,
 )
 from cosetqec import codes
-from cosetqec.codes import SEED_STABILIZER
+from cosetqec.codes import SEED_PUNCTURED, SEED_STABILIZER
 from cosetqec.golden import diagonal_group, golden_codes, single_qubit_errors
 
 from conftest import signed_group
@@ -271,9 +272,9 @@ class TestLanes:
 
 
 class TestTermsOnDemand:
-    """A derived ``stabilizer`` seed holds its form and builds its terms
-    on first read; read any way, it is the seed built from the terms of
-    the reference walk."""
+    """A derived seed holds its form and the indices of the terms cut
+    from it, and builds its terms on first read; read any way, it is the
+    seed built from the kept terms of the reference walk."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -284,11 +285,34 @@ class TestTermsOnDemand:
         labels = [0, *sorted(data.draw(st.sets(st.integers(1, (1 << p) - 1), max_size=3)))]
         norm = g.normalized(base)
         text = json.dumps(build_code(g, labels, seed=seed_state(norm, base)).to_dict())
-        made = {  # each call makes a seed whose terms are not yet built
-            "build_code": (lambda: build_code(g, labels).seed, 0),
-            "seed_state": (lambda: seed_state(norm, base), base),
-            "from_dict": (lambda: QuantumCode.from_dict(json.loads(text)).seed, base),
+        terms = reference_seed_state(norm, base)
+        held = SeedState(terms, p, base, SEED_STABILIZER)
+        # two cuts of at least two strings each, when enough terms are left
+        cuts, left = [], [s for _, s in terms]
+        while len(left) > 2 and len(cuts) < 2:
+            cut = data.draw(st.lists(st.sampled_from(left), min_size=2,
+                                     max_size=len(left) - 1, unique=True), label="cut")
+            cuts.append(cut)
+            left = [s for s in left if s not in cut]
+
+        def punctured(seed, count):
+            for cut in cuts[:count]:
+                seed = punctured_seed(seed, cut)
+            return seed
+
+        # each call makes a seed of the kept terms, its terms not yet
+        # built when it holds its form
+        made = {
+            "build_code": (lambda: build_code(g, labels).seed, 0, 0, True),
+            "seed_state": (lambda: seed_state(norm, base), base, 0, True),
+            "from_dict": (lambda: QuantumCode.from_dict(json.loads(text)).seed, base, 0, True),
         }
+        for count in range(1, len(cuts) + 1):
+            made[f"cut {count}"] = (
+                lambda count=count: punctured(seed_state(norm, base), count), base, count, True
+            )
+        if cuts:
+            made["cut terms"] = (lambda: punctured(held, 1), base, 1, False)
         reads = {
             "==": lambda s, e: s == e and e == s,
             "hash": lambda s, e: hash(s) == hash(e),
@@ -296,20 +320,36 @@ class TestTermsOnDemand:
             "pickle": lambda s, e: pickle.loads(pickle.dumps(s)) == e,
             "term_tokens": lambda s, e: s.term_tokens() == e.term_tokens(),
             "strings": lambda s, e: s.strings == e.strings,
+            "len": lambda s, e: len(s) == len(e) == len(e.terms),
+            "classify": lambda s, e: classify(build_code(g, labels, seed=s))
+            == classify(build_code(g, labels, seed=e)),
             "from_seed": lambda s, e: DenseState.from_seed(s) == DenseState.from_seed(e),
         }
-        for how, (make, b) in made.items():
-            terms = reference_seed_state(g.normalized(b), b)
-            eager = SeedState(terms, p, b, SEED_STABILIZER)
+        for how, (make, b, count, lazy) in made.items():
+            cut = {s for c in cuts[:count] for s in c}
+            kept = tuple(t for t in reference_seed_state(g.normalized(b), b) if t[1] not in cut)
+            eager = SeedState(kept, p, b, SEED_PUNCTURED if count else SEED_STABILIZER)
             for name, read in reads.items():
                 seed = make()
-                assert "terms" not in vars(seed), how
+                assert ("terms" not in vars(seed)) == lazy, how
                 assert read(seed, eager), (how, name)
-                assert seed.terms == terms, (how, name)
+                assert seed.terms == kept, (how, name)
+            # each refusal reads as for the seed of the kept terms: one
+            # string, every term, a string cut before and one never held
+            strings = [s for _, s in kept]
+            never = sorted(set(range(1 << p)) - {s for _, s in terms})
+            tries = [strings[:1], strings]
+            tries += [[s, strings[0]] for s in [*sorted(cut)[:1], *never[:1]]]
+            for items in tries:
+                got = outcome(punctured_seed, make(), items)
+                assert got == outcome(punctured_seed, eager, items), (how, items)
+                assert got[0] is ValueError, (how, items)
 
     def test_the_pipeline_builds_no_terms(self, monkeypatch):
         # a correctable p=8, K=4 code with greedy labels, built, saved,
-        # loaded, classified, verified and diagnosed with no term builder
+        # loaded, classified, verified and diagnosed with no term builder;
+        # then the same code on a seed of 2^7 - 3 terms punctured from it,
+        # and on the seed of its group passed back in
         def no_terms(form, width):
             raise AssertionError("a seed's terms were built")
 
@@ -318,14 +358,24 @@ class TestTermsOnDemand:
         monkeypatch.setattr(codes, "_terms", no_terms)
         code = QuantumCode.from_dict(json.loads(json.dumps(build_code(group, labels).to_dict())))
         assert code.seed.origin == SEED_STABILIZER
-        assert classify(code).type_tag == "I"
-        assert check_correctable(code, errors).correctable
-        table = build_table(code, errors)
-        for i, j, label in table.iter_entries():
-            found = diagnose(code, errors, label, table)
-            assert (found.error_index, found.codeword_index) == (i, j)
-        with pytest.raises(AssertionError, match="terms were built"):
-            code.seed.terms
+        three = [bits for _, bits in code.seed.term_tokens()[:3]]
+        cut = build_code(group, labels, seed=punctured_seed(code.seed, three))
+        assert len(cut.seed) == len(code.seed) - 3 == (1 << 7) - 3
+        assert len(cut.to_dict()["seed"]) == len(cut.seed)
+        for code, tag in ((code, "I"), (cut, "III")):
+            assert classify(code).type_tag == tag
+            verdict = check_correctable(code, errors)
+            assert verdict.correctable
+            assert verdict.algebraic_only == (code is cut)
+            table = build_table(code, errors)
+            for i, j, label in table.iter_entries():
+                found = diagnose(code, errors, label, table)
+                assert (found.error_index, found.codeword_index) == (i, j)
+        again = build_code(group, labels, seed=seed_state(group.normalized(0), 0))
+        assert again.seed.origin == SEED_STABILIZER
+        for seed in (code.seed, cut.seed, again.seed):
+            with pytest.raises(AssertionError, match="terms were built"):
+                seed.terms
 
 
 class TestRepresentative:
