@@ -38,7 +38,6 @@ from .pauli import (
     format_pauli,
     parse_bits,
     parse_pauli,
-    rank_mod_phase,
     symplectic_product,
 )
 from .search import MaxDimension, SearchResult, max_dimension, search_code, sumset_distinct
@@ -104,7 +103,6 @@ __all__ = [
     "parse_pauli",
     "punctured_seed",
     "random_group",
-    "rank_mod_phase",
     "search_code",
     "seed_state",
     "sumset_distinct",

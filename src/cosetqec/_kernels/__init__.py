@@ -12,8 +12,8 @@ same name, so every refusal comes from ``_fallback``.  Set
 ``COSETQEC_PURE=1`` to force the pure-Python lane regardless of whether
 the extension was built.  ``BACKEND`` records the active lane.
 ``unpack_lanes``, which reads the fixed-width lanes of one int into an
-array, is a pure helper of both lanes, used by the seed and the
-saved-seed parser in :mod:`cosetqec.codes` and by the pure sampler.
+array, is a pure helper of both lanes, used by the seed terms of
+:mod:`cosetqec.codes` and by the pure sampler.
 """
 
 from __future__ import annotations

@@ -40,10 +40,10 @@ Every seed that :func:`seed_state`, :func:`build_code`,
 :meth:`QuantumCode.from_dict` or :func:`punctured_seed` derives holds
 its echelon form, its base and a frozenset of the term indices cut from
 it, empty for a ``stabilizer`` seed.  Its ``(unit, string)`` terms are
-built only when equality, hashing, repr, pickling,
-:attr:`SeedState.strings` or the dense oracle read them; no step of
-building, puncturing, saving, loading, classifying, the verdict, the
-syndrome table or diagnosis does.  The pivot bits of a string name the
+built only when repr, pickling, :attr:`SeedState.strings`, the dense
+oracle or equality with a seed that holds another form or none read
+them; no step of building, puncturing, saving, loading, classifying,
+the verdict, the syndrome table or diagnosis does.  The pivot bits of a string name the
 only term that can hold it (:func:`_index`).  The JSON form is written
 from the form as whole lists: the units are mapped to their tokens and
 the text of the strings is cut at its commas.
@@ -52,21 +52,18 @@ Every :class:`QuantumCode` checks a ``stabilizer`` seed against the
 closure seed of its group, derived again from the form, however the
 code was made.  The reduced echelon form is unique, so a held form
 equal to the derived one passes at once; any other seed is refused by
-its term count or at its first differing term.  A saved seed whose
-strings joined by commas are the derived text and whose signs are the
-derived units keeps the derived form.  Any other seed holds its terms:
-a chunk of bit strings is checked on its joined text and parsed by one
-``int(..., 2)`` into fixed-width lanes, and the terms are proved valid
-by one pass when their strings ascend, as every saved seed's do.  Only
-input that fails those checks takes the per-term path, which names the
-first bad term.
+its term count or at its first differing term.  A saved seed has two
+load paths: a ``stabilizer`` seed whose strings joined by commas are
+the derived text and whose signs are the derived units keeps the
+derived form, and any other seed is parsed and checked term by term,
+naming the first bad term.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import index, itemgetter, lt
+from operator import index, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._kernels import unpack_lanes
@@ -94,7 +91,7 @@ SEED_EXPLICIT = "explicit"
 
 _UNIT_TOKENS = ("+", "+i", "-", "-i")
 _TOKEN_TO_UNIT = {"+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
-# tokens per whole-list parse, so that its texts stay small at any seed size
+# terms per text of a derived seed, so that each stays small at any seed size
 _CHUNK = 4096
 # the bytes "0"/"1" of a low unit plane plus twice those of a high one
 _SUM_TO_UNIT = bytes.maketrans(bytes(range(0x90, 0x94)), bytes(range(4)))
@@ -115,10 +112,13 @@ class SeedState:
     A seed that :func:`seed_state`, :func:`build_code`,
     :meth:`QuantumCode.from_dict` or :func:`punctured_seed` derives
     holds its echelon form (:func:`_seed_form`) and the indices of its
-    cut terms, and builds ``terms`` on first read: equality, hashing,
-    repr, pickling, :attr:`strings` and the dense oracle read them, and
-    ``len`` and the rest of the pipeline read the form.  Such a seed
-    equals, hashes and pickles as the seed built from its terms.
+    cut terms, and builds ``terms`` on first read: repr, pickling,
+    :attr:`strings`, the dense oracle and equality with a seed that holds
+    no form read them, and ``len`` and the rest of the pipeline read the
+    form.  Two seeds that hold equal forms are equal when their cut
+    indices and fields are, with no terms built.  The hash reads the
+    fields and the term count only.  Such a seed equals, hashes and
+    pickles as the seed built from its terms.
     """
 
     terms: tuple[tuple[int, int], ...]
@@ -136,8 +136,6 @@ class SeedState:
         mask = (1 << self.width) - 1
         if not 0 <= index(self.base) <= mask:
             raise ValueError(f"seed base {self.base:#x} exceeds width {self.width}")
-        if self._valid_in_order(mask):
-            return
         seen = set()
         for unit, string in self.terms:
             if not 0 <= unit <= 3:
@@ -152,22 +150,17 @@ class SeedState:
                 raise ValueError(f"duplicate basis string {format_bits(string, self.width)}")
             seen.add(string)
 
-    def _valid_in_order(self, mask: int) -> bool:
-        """One pass over the whole list that proves the terms valid when
-        they are pairs of ints with units in 0..3 and strictly ascending
-        strings in [0, mask], as every derived or saved seed is; False
-        sends the terms to the loop that names the first bad one."""
-        try:  # bytes() and an int sum refuse a float or a str, with no loop
-            units, strings = zip(*self.terms, strict=True)
-            return (
-                not bytes(units).translate(None, b"\0\1\2\3")
-                and type(sum(strings)) is int
-                and 0 <= strings[0]
-                and strings[-1] <= mask
-                and all(map(lt, strings, strings[1:]))
-            )
-        except (TypeError, ValueError):
-            return False
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # with equal forms the cut indices name the kept terms
+        form = self.__dict__.get("_form")
+        held = form is not None and form == other.__dict__.get("_form")
+        fields = ("width", "base", "origin", "_removed" if held else "terms")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.base, self.origin, len(self)))
 
     @classmethod
     def _from_form(
@@ -229,61 +222,16 @@ class SeedState:
         origin: str = SEED_EXPLICIT,
     ) -> "SeedState":
         """Parse the JSON form: the term tokens, then ``base`` as a bit
-        string (None for the all-zero string).  Well-formed tokens are
-        parsed as whole lists; any others go through :func:`parse_bits`
-        one by one, which names the first bad token."""
-        if not isinstance(tokens, (list, tuple)):
-            tokens = list(tokens)
-        terms = _parse_terms(tokens, width)
-        if terms is None:
-            terms = []
-            for sign, bits in tokens:
-                unit = _TOKEN_TO_UNIT.get(sign)
-                if unit is None:
-                    raise ParseError(f"unknown seed coefficient {sign!r}")
-                terms.append((unit, parse_bits(bits, width)))
+        string (None for the all-zero string).  Each token goes through
+        :func:`parse_bits` in turn, which names the first bad one."""
+        terms = []
+        for sign, bits in tokens:
+            unit = _TOKEN_TO_UNIT.get(sign)
+            if unit is None:
+                raise ParseError(f"unknown seed coefficient {sign!r}")
+            terms.append((unit, parse_bits(bits, width)))
         parsed_base = 0 if base is None else parse_bits(base, width)
         return cls(tuple(terms), width, parsed_base, origin)
-
-
-def _parse_terms(tokens: Sequence, width: int) -> list[tuple[int, int]] | None:
-    """The terms of (sign, bit string) tokens, parsed _CHUNK at a time,
-    or None when a check fails and the per-term parse must run.
-
-    A chunk's strings must be exactly ``width`` bits each, checked on
-    their joined text: ``int`` would also read whitespace, underscores,
-    a sign and a "0b" prefix.  Joined with zeros between them up to a
-    lane of 16 or 32 bits, the reversed text is one ``int(..., 2)`` that
-    holds string i in lane i."""
-    if type(width) is not int or not 1 <= width <= MAX_WIDTH:
-        return None
-    lane, typecode = _lanes_of(width)
-    pad = "0" * (lane - width)
-    terms: list[tuple[int, int]] = []
-    for lo in range(0, len(tokens), _CHUNK):
-        # raises for a token that is no pair, an unhashable sign, and a
-        # string that is no str or holds a lone surrogate
-        try:
-            signs, strings = zip(*tokens[lo : lo + _CHUNK], strict=True)
-            units = list(map(_TOKEN_TO_UNIT.get, signs))
-            text = "".join(strings).encode()
-        except (TypeError, ValueError):
-            return None
-        if (
-            None in units
-            or set(map(len, strings)) != {width}
-            or text.translate(None, b"01")
-        ):
-            return None
-        values = int(pad.join(strings)[::-1], 2)
-        terms += zip(units, unpack_lanes(values, len(strings), typecode))
-    return terms
-
-
-def _lanes_of(width: int) -> tuple[int, str]:
-    """The lane (16 or 32 bits) and ``array`` typecode that hold one
-    width-bit string."""
-    return (16, "H") if width <= 16 else (32, "I")
 
 
 def _spread(plane: int, n: int) -> int:
@@ -404,7 +352,7 @@ def _double(value: int, xs: Sequence[int], lane: int) -> int:
 def _terms(form: _Form, width: int) -> tuple[tuple[int, int], ...]:
     """The (unit, string) pairs of a form's terms, the strings doubled in
     16- or 32-bit lanes."""
-    lane, typecode = _lanes_of(width)
+    lane, typecode = (16, "H") if width <= 16 else (32, "I")
     lanes = _double(form.low, form.xs, lane)
     strings = unpack_lanes(lanes, len(form.units), typecode).tolist()
     # a list first: tuple() of an iterator resizes as it grows

@@ -542,8 +542,8 @@ def _syndrome_gram(
 ) -> tuple[list[tuple[int, int, DenseState]], list[list[tuple[int, int]]]]:
     """:func:`syndrome_states` and their :func:`_upper_gram`, kept for the
     next call with this very code and error set, both frozen.  The match
-    is ``is``, not ``==``: an equal copy builds its own, and the code's
-    dataclass hash walks every seed term.  The kept pair is dropped
+    is ``is``, not ``==``: an equal copy builds its own, and comparing
+    two codes can compare every seed term.  The kept pair is dropped
     before another is built, so a lone call holds one Gram at its peak,
     and when the code is collected; a code that takes no weak reference
     is not kept.  Each caller reads one snapshot of the kept pair, so

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 MAX_WIDTH = 24
 
@@ -211,18 +211,6 @@ def symplectic_product(s1: PauliOperator, s2: PauliOperator) -> int:
             f"cannot compare width {s1.width} with width {s2.width}"
         )
     return symplectic_parity(s1.x, s1.z, s2.x, s2.z)
-
-
-def rank_mod_phase(ops: Sequence[PauliOperator]) -> int:
-    """GF(2) rank of the (x|z) rows; the size of any maximal independent
-    mod-phase subset."""
-    if not ops:
-        return 0
-    width = ops[0].width
-    for op in ops:
-        if op.width != width:
-            raise WidthMismatchError("mixed widths in rank computation")
-    return rank_f2([op.x | (op.z << width) for op in ops])
 
 
 def parse_bits(text: str, width: int | None = None) -> int:

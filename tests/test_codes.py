@@ -564,6 +564,40 @@ class TestSavedStabilizerSeed:
                 "in the closure seed of its group"
             )
 
+    @pytest.mark.parametrize(
+        "respell, derived",
+        [
+            (lambda sign, bits: [sign, f" {bits}\n"], False),
+            # the units are read through the token map, which reads i as +i
+            (lambda sign, bits: ["i", bits], True),
+        ],
+        ids=["padded-string", "bare-i"],
+    )
+    def test_a_seed_spelled_otherwise_loads_as_the_derived_seed(
+        self, respell, derived, monkeypatch
+    ):
+        # the derived seed with one token spelled another way: one that is
+        # not the derived text is parsed term by term and passes the full
+        # comparison with the derived terms; either way the code is the
+        # one saved, and it saves as the canonical file
+        code = build_code(random_group(6, seed=2), [0, 5, 9])
+        data = code.to_dict()
+        i = next(i for i, (sign, _) in enumerate(data["seed"]) if sign == "+i")
+        respelled = json.loads(json.dumps(data))
+        respelled["seed"][i] = respell(*data["seed"][i])
+        assert respelled["seed"] != data["seed"]
+        checks = []
+        check = QuantumCode._check_closure_seed
+        monkeypatch.setattr(
+            QuantumCode, "_check_closure_seed", lambda code: checks.append(check(code))
+        )
+        again = QuantumCode.from_dict(respelled)
+        assert len(checks) == (0 if derived else 1)
+        assert ("_form" in vars(again.seed)) == derived
+        assert ("terms" in vars(again.seed)) != derived
+        assert again == code
+        assert json.dumps(again.to_dict()) == json.dumps(data)
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_every_single_term_edit_is_refused(self, data):

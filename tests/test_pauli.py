@@ -16,9 +16,9 @@ from cosetqec import (
     format_pauli,
     parse_bits,
     parse_pauli,
-    rank_mod_phase,
     symplectic_product,
 )
+from cosetqec.pauli import rank_f2
 
 from conftest import pauli_matrix
 
@@ -342,11 +342,16 @@ class TestStructure:
         assert op == PauliOperator(1, 1, 0, 1)
 
     def test_rank_examples(self):
-        assert rank_mod_phase([parse_pauli(s) for s in ("ZII", "IZI", "IIZ")]) == 3
+        # GF(2) rank of the packed rows x | z << width, phases dropped
+        def rank(*texts):
+            ops = [parse_pauli(s) for s in texts]
+            return rank_f2([op.x | op.z << op.width for op in ops])
+
+        assert rank("ZII", "IZI", "IIZ") == 3
         # third row is the product of the first two
-        assert rank_mod_phase([parse_pauli(s) for s in ("ZZI", "IZZ", "ZIZ")]) == 2
-        assert rank_mod_phase([parse_pauli(s) for s in ("X", "Y", "Z")]) == 2
-        assert rank_mod_phase([]) == 0
+        assert rank("ZZI", "IZZ", "ZIZ") == 2
+        assert rank("X", "Y", "Z") == 2
+        assert rank() == 0
 
 
 class TestGroupLaw:

@@ -334,6 +334,12 @@ class TestTermsOnDemand:
                 assert ("terms" not in vars(seed)) == lazy, how
                 assert read(seed, eager), (how, name)
                 assert seed.terms == kept, (how, name)
+            if lazy:
+                # two seeds that hold equal forms compare, and each
+                # hashes as the eager seed, with no terms built
+                seed, other = make(), make()
+                assert seed == other and hash(seed) == hash(other) == hash(eager), how
+                assert "terms" not in vars(seed) and "terms" not in vars(other), how
             # each refusal reads as for the seed of the kept terms: one
             # string, every term, a string cut before and one never held
             strings = [s for _, s in kept]
@@ -344,6 +350,10 @@ class TestTermsOnDemand:
                 got = outcome(punctured_seed, make(), items)
                 assert got == outcome(punctured_seed, eager, items), (how, items)
                 assert got[0] is ValueError, (how, items)
+        if len(cuts) == 2:  # one form with two cuts: unequal, no terms built
+            one, two = made["cut 1"][0](), made["cut 2"][0]()
+            assert one != two and two != one
+            assert "terms" not in vars(one) and "terms" not in vars(two)
 
     def test_the_pipeline_builds_no_terms(self, monkeypatch):
         # a correctable p=8, K=4 code with greedy labels, built, saved,
@@ -376,6 +386,24 @@ class TestTermsOnDemand:
         for seed in (code.seed, cut.seed, again.seed):
             with pytest.raises(AssertionError, match="terms were built"):
                 seed.terms
+
+    def test_derived_seeds_compare_and_hash_with_no_terms(self, monkeypatch):
+        # seeds that hold equal forms compare by their cut indices, and a
+        # hash reads the fields and the term count: no term is built
+        def no_terms(form, width):
+            raise AssertionError("a seed's terms were built")
+
+        group = random_group(8, 1)
+        saved = json.dumps(build_code(group, [0]).to_dict())
+        monkeypatch.setattr(codes, "_terms", no_terms)
+        seed = seed_state(group.normalized(0), 0)
+        loaded = QuantumCode.from_dict(json.loads(saved)).seed
+        assert seed == loaded and hash(seed) == hash(loaded)
+        a, b, c = [bits for _, bits in seed.term_tokens()[:3]]
+        cut, again = punctured_seed(seed, [a, b]), punctured_seed(loaded, [b, a])
+        assert cut == again and hash(cut) == hash(again)
+        assert cut != punctured_seed(loaded, [a, c]) and cut != seed
+        assert len({seed, loaded, cut}) == 2
 
 
 class TestRepresentative:
