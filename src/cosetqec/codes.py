@@ -262,8 +262,14 @@ def _seed_form(group: StabilizerGroup, base: int, normalize: bool) -> _Form:
 
     The generators are eliminated to rows i^a X^x Z^z with distinct
     leading bits of x, keeping each product's true phase.  The diagonal
-    rows must act as +1 on |base>; only when one does not is the closure
-    walked, to name the first element that acts as -1.  The r
+    rows must act as +1 on |base>; the first that does not is the first
+    closure element that acts as -1, and the refusal names it.  (Row t
+    is generator t times non-diagonal generators before it.  So a
+    diagonal element is a product of diagonal rows, its top generator
+    index that of its last row; the sign on |base> is linear, so an
+    element that acts as -1 has a row that does, and the least such
+    element is the first such row alone: any earlier diagonal row it
+    took would set that row's own index bit.)  The r
     non-diagonal rows, reduced so that each pivot bit lies in its own row
     only, give the strings low ^ x_k in ascending order of k, where x_k
     is the XOR of the rows at the bits of k and low is base with its
@@ -293,16 +299,14 @@ def _seed_form(group: StabilizerGroup, base: int, normalize: bool) -> _Form:
             ((x & z).bit_count() & 3 if x else 2 * ((z & base).bit_count() & 1), x, z)
             for _, x, z in rows
         ]
-    if any(_acts_as_minus(a, z, base) for a, x, z in rows if not x):
-        elem = next(
-            e for e in group.closure() if not e.x and _acts_as_minus(e.phase, e.z, base)
-        )
-        raise GroupError(
-            f"group is not sign-normalized for base "
-            f"{format_bits(base, p)}: element "
-            f"{format_pauli(elem)} acts as -1 "
-            "(the seed would cancel to zero); call normalized() first"
-        )
+    for a, x, z in rows:
+        if not x and _acts_as_minus(a, z, base):
+            raise GroupError(
+                f"group is not sign-normalized for base "
+                f"{format_bits(base, p)}: element "
+                f"{format_pauli(PauliOperator(a, 0, z, p))} acts as -1 "
+                "(the seed would cancel to zero); call normalized() first"
+            )
     # reduced echelon: each pivot bit in its own row only
     echelon = sorted((row for row in rows if row[1]), key=itemgetter(1))
     for j, (a, x, z) in enumerate(echelon):

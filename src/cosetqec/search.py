@@ -4,13 +4,15 @@ collision-free for a given error set.
 The randomized strategy derives an independent splitmix64 stream per
 candidate index, so results are a pure function of (seed, index); worker
 processes scan disjoint index blocks and the smallest hit index wins,
-making parallel runs bit-identical to sequential ones.
+making parallel runs bit-identical to sequential ones.  Only a search
+that still has more than one worker once the count is clamped to the
+blocks loads the process-pool modules (``concurrent.futures.process``
+and ``multiprocessing``); no other code path of the package imports them.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import index
 from typing import Sequence
@@ -105,6 +107,8 @@ def _random_search(
     if workers <= 1:
         hit = search_range(p, ea, eb, k_target, seed, 0, budget)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         starts = range(0, budget, _BLOCK)
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -198,17 +198,15 @@ class TestSeedState:
         assert str(info.value) == message
 
 
-def reference_from_tokens(tokens, width, base=None, origin=SEED_EXPLICIT):
-    """The per-term parse from_tokens ran before its whole-list codec."""
-    units = {"+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
-    terms = []
-    for sign, bits in tokens:
-        unit = units.get(sign)
-        if unit is None:
-            raise ParseError(f"unknown seed coefficient {sign!r}")
-        terms.append((unit, parse_bits(bits, width)))
-    parsed_base = 0 if base is None else parse_bits(base, width)
-    return SeedState(tuple(terms), width, parsed_base, origin)
+# the seed's sign tokens, spelled apart from the parser's table
+_SIGNS = {"+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
+
+
+def _spelled_seed(pairs, width, base=0):
+    """The seed of (sign, bit string) pairs, each string read
+    independently of parse_bits: character j is bit j."""
+    terms = tuple((_SIGNS[sign], int(bits[::-1], 2)) for sign, bits in pairs)
+    return _seed_outcome(SeedState, terms, width, base)
 
 
 def _seed_outcome(parse, *args):
@@ -220,44 +218,64 @@ def _seed_outcome(parse, *args):
 
 
 def _malformed(bits, width):
-    """Tokens that the whole-list parse must hand to the per-term one;
-    some of them (the padded strings) parse there."""
+    """Tokens that are not a plain [sign, bits] pair, each with what it
+    parses to: the (sign, bit string) pair it reads as, or the type and
+    message of the error that names it."""
     other = "1" if bits[0] == "0" else "0"
+    head = "0" * (width - 3)
+
+    def length(s):
+        return ParseError, f"expected {width} bits, got {len(s)} in {s!r}"
+
+    def invalid(s, j):
+        return ParseError, f"invalid bit {s[j]!r} at position {j} in {s!r}"
+
+    def short_or_invalid(s, j):  # the three-character heads at widths 1 and 2
+        return length(s) if len(s) != width else invalid(s, j)
+
+    def not_bits(value):
+        return ParseError, f"expected a bit string, got {value!r}"
+
+    def unknown(sign):
+        return ParseError, f"unknown seed coefficient {sign!r}"
+
+    too_many = ValueError, "too many values to unpack (expected 2)"
     return [
-        ["+", f" {bits}"],
-        ["-", f"{bits}\n"],
-        ["+", f"\t{bits} "],
-        ["+", bits[:-1]],
-        ["+", bits + "0"],
-        ["+", bits[:-1] + "_"],
-        ["+", "0_1" + "0" * (width - 3)],
-        ["+", "+01" + "0" * (width - 3)],
-        ["+", "0b1" + "0" * (width - 3)],
-        ["+", bits[:-1] + "2"],
-        ["+", bits[:-1] + "\u0661"],
-        ["+", bits[:-1] + "\ud800"],
-        ["+", bits.encode()],
-        ["+", bytearray(bits.encode())],
-        ["+", int(bits, 2)],
-        ["+", None],
-        ["+", [bits]],
-        ["*", bits],
-        ["", bits],
-        ["+-", bits],
-        [None, bits],
-        [["+"], bits],
-        ["+", bits, other],
-        ["+"],
-        "+" + bits,
-        7,
-        ("-i", bits),
+        (["+", f" {bits}"], ("+", bits)),
+        (["-", f"{bits}\n"], ("-", bits)),
+        (["+", f"\t{bits} "], ("+", bits)),
+        (["+", bits[:-1]], length(bits[:-1])),
+        (["+", bits + "0"], length(bits + "0")),
+        (["+", bits[:-1] + "_"], invalid(bits[:-1] + "_", width - 1)),
+        (["+", "0_1" + head], short_or_invalid("0_1" + head, 1)),
+        (["+", "+01" + head], short_or_invalid("+01" + head, 0)),
+        (["+", "0b1" + head], short_or_invalid("0b1" + head, 1)),
+        (["+", bits[:-1] + "2"], invalid(bits[:-1] + "2", width - 1)),
+        (["+", bits[:-1] + "\u0661"], invalid(bits[:-1] + "\u0661", width - 1)),
+        (["+", bits[:-1] + "\ud800"], invalid(bits[:-1] + "\ud800", width - 1)),
+        (["+", bits.encode()], not_bits(bits.encode())),
+        (["+", bytearray(bits.encode())], not_bits(bytearray(bits.encode()))),
+        (["+", int(bits, 2)], not_bits(int(bits, 2))),
+        (["+", None], not_bits(None)),
+        (["+", [bits]], not_bits([bits])),
+        (["*", bits], unknown("*")),
+        (["", bits], unknown("")),
+        (["+-", bits], unknown("+-")),
+        ([None, bits], unknown(None)),
+        ([["+"], bits], (TypeError, "unhashable type: 'list'")),
+        (["+", bits, other], too_many),
+        (["+"], (ValueError, "not enough values to unpack (expected 2, got 1)")),
+        # a string unpacks by character: two of them at width 1
+        ("+" + bits, ("+", bits) if width == 1 else too_many),
+        (7, (TypeError, "cannot unpack non-iterable int object")),
+        (("-i", bits), ("-i", bits)),
     ]
 
 
 class TestSeedCodec:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_whole_list_parse_matches_the_per_term_parse(self, data):
+    def test_tokens_parse_to_their_spelled_terms(self, data):
         width = data.draw(st.integers(1, 24), label="width")
         strings = data.draw(
             st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=40, unique=True)
@@ -271,12 +289,22 @@ class TestSeedCodec:
         tokens = [[sign, format_bits(s, width)] for sign, s in zip(signs, strings)]
         if data.draw(st.booleans()):  # a repeated string
             tokens.append(["+", tokens[0][1]])
+        pairs = [tuple(t) for t in tokens]
+        want = None
         if data.draw(st.booleans()):  # one malformed token, anywhere
             at = data.draw(st.integers(0, len(tokens) - 1))
-            tokens[at] = data.draw(st.sampled_from(_malformed(tokens[at][1], width)))
+            tokens[at], pairs[at] = data.draw(
+                st.sampled_from(_malformed(tokens[at][1], width))
+            )
+            if isinstance(pairs[at][0], type):
+                want = pairs[at]
         base = data.draw(st.sampled_from([None, "1" * width, "2" * width, " " + "0" * width]))
+        if want is None and base == "2" * width:
+            want = ParseError, f"invalid bit '2' at position 0 in {base!r}"
+        if want is None:
+            want = _spelled_seed(pairs, width, (1 << width) - 1 if base == "1" * width else 0)
         got = _seed_outcome(SeedState.from_tokens, tokens, width, base)
-        assert got == _seed_outcome(reference_from_tokens, tokens, width, base)
+        assert got == want
         assert _seed_outcome(SeedState.from_tokens, iter(tokens), width, base) == got
         if isinstance(got, SeedState):
             assert got.term_tokens() == [
@@ -287,44 +315,55 @@ class TestSeedCodec:
 
     @pytest.mark.parametrize("which", range(len(_malformed("01", 2))))
     def test_each_malformed_token_matches_the_per_term_parse(self, which):
+        # from_tokens parses token by token; each malformed token parses
+        # to its pair or raises the error that names it
         for width in (1, 3, 12, 24):
             for at in (0, 1):
                 tokens = [["+", "0" * width], ["-", "1" * width]]
-                tokens[at] = _malformed(tokens[at][1], width)[which]
-                assert _seed_outcome(SeedState.from_tokens, tokens, width) == _seed_outcome(
-                    reference_from_tokens, tokens, width
-                )
+                pairs = [tuple(t) for t in tokens]
+                tokens[at], pairs[at] = _malformed(tokens[at][1], width)[which]
+                want = pairs[at] if isinstance(pairs[at][0], type) else _spelled_seed(pairs, width)
+                assert _seed_outcome(SeedState.from_tokens, tokens, width) == want
 
     @pytest.mark.parametrize("width", [0, 25, 30, 3.0, True, "3"])
     def test_widths_outside_the_codec_match_the_per_term_parse(self, width):
+        # the codec's widths are 0..24; each other width is refused, by the
+        # token parse or by the seed (at width 0 both strings are empty)
+        want = {
+            "0": (ValueError, "duplicate basis string "),
+            "25": (ValueError, "seed width must be in 0..24, got 25"),
+            "30": (ValueError, "seed width must be in 0..24, got 30"),
+            "3.0": (TypeError, "'float' object cannot be interpreted as an integer"),
+            "True": (ParseError, "expected True bits, got 3 in '000'"),
+            "'3'": (ParseError, "expected 3 bits, got 3 in '000'"),
+        }[repr(width)]
         n = width if type(width) is int else 3
         tokens = [["+", "0" * n], ["-", "1" * n]]
-        assert _seed_outcome(SeedState.from_tokens, tokens, width) == _seed_outcome(
-            reference_from_tokens, tokens, width
-        )
+        assert _seed_outcome(SeedState.from_tokens, tokens, width) == want
 
     @pytest.mark.parametrize("width", [13, 16, 17, 24])
     def test_many_chunks(self, width):
-        # more terms than one chunk parses, a bad token last of all
+        # up to 9000 terms, a bad token last of all
         rng = random.Random(width)
         count = min(1 << width, 9000)
         strings = rng.sample(range(1 << width), count)
         tokens = [[rng.choice("+-"), format_bits(s, width)] for s in strings]
         seed = SeedState.from_tokens(tokens, width)
-        assert seed == reference_from_tokens(tokens, width)
+        assert seed == _spelled_seed(tokens, width)
         sign, bits = tokens[-1]
         tokens[-1] = [sign, bits + " "]
         assert SeedState.from_tokens(tokens, width) == seed
-        tokens[-1] = [sign, "_" + bits[1:]]
-        assert _seed_outcome(SeedState.from_tokens, tokens, width) == _seed_outcome(
-            reference_from_tokens, tokens, width
+        bad = "_" + bits[1:]
+        tokens[-1] = [sign, bad]
+        assert _seed_outcome(SeedState.from_tokens, tokens, width) == (
+            ParseError, f"invalid bit '_' at position 0 in {bad!r}"
         )
 
     def test_terms_in_any_order_are_accepted(self):
-        # only ascending strings pass the whole-list check; the term loop
-        # takes the rest
+        # the tokens keep the terms' order, and parse back to the seed
         seed = SeedState(((2, 0b11), (0, 0b00), (1, 0b10)), 2)
         assert seed.term_tokens() == [["-", "11"], ["+", "00"], ["+i", "01"]]
+        assert SeedState.from_tokens(seed.term_tokens(), 2) == seed
 
 
 class TestCosetRepresentative:

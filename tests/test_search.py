@@ -1,7 +1,12 @@
 """Sumset distinctness, greedy dimension, and the code search."""
 
+import concurrent.futures
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -198,7 +203,7 @@ class TestSearch:
     def test_float_worker_count_refused_before_the_pool(self, monkeypatch):
         # it used to start a pool of 1.5 workers and fail in it
         pools = []
-        monkeypatch.setattr(search, "ProcessPoolExecutor", pools.append)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pools.append)
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             search_code(single_qubit_errors(5), 2, budget=5000, workers=1.5)
         assert pools == []
@@ -230,7 +235,7 @@ class TestParallelWaves:
     def test_waves_match_sequential(self, monkeypatch, budget, seed):
         # blocks of two candidates: hits land in later waves, in any slot
         # of a wave, or not at all
-        monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(search, "_BLOCK", 2)
         errs = single_qubit_errors(5)
         seq = search_code(errs, 2, budget=budget, seed=seed, workers=1)
@@ -252,7 +257,7 @@ class TestParallelWaves:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", SizedPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
         errs = single_qubit_errors(5)
         got = search_code(errs, 2, budget=budget, seed=5, workers=workers)
         assert sizes == ([] if pool_size is None else [pool_size])
@@ -260,7 +265,7 @@ class TestParallelWaves:
 
     def test_blocks_are_built_per_wave(self, monkeypatch):
         # 48,829 blocks of 2048 candidates; the hit comes in the first wave
-        monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         errs = single_qubit_errors(5)
         tracemalloc.start()
         try:
@@ -270,3 +275,34 @@ class TestParallelWaves:
             tracemalloc.stop()
         assert result.hit_index == 13
         assert peak < 1_000_000
+
+
+class TestPoolImport:
+    def test_pool_modules_load_only_for_a_pool(self):
+        # in a fresh interpreter the package, the CLI and a one-worker
+        # search load no pool module; a two-worker search of 3 blocks then
+        # starts a real pool and finds the same code
+        script = """
+import sys
+import cosetqec, cosetqec.cli
+from cosetqec import search_code
+from cosetqec.golden import single_qubit_errors
+errs = single_qubit_errors(5)
+one = search_code(errs, 2, budget=6000, seed=11, workers=1)
+loaded = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+assert not loaded, loaded
+two = search_code(errs, 2, budget=6000, seed=11, workers=2)
+assert two == one, (two, one)
+print(one.reason)
+"""
+        src = str(Path(search.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "hit at candidate index 2\n"

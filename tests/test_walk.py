@@ -7,6 +7,7 @@ with their own copy of the letter-key packing."""
 
 import json
 import pickle
+import time
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,48 @@ class TestLanes:
             g = g.normalized(data.draw(st.integers(0, (1 << p) - 1)))
         got = outcome(lambda: seed_state(g, base).terms)
         assert got == outcome(reference_seed_state, g, base)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_refusal_names_the_element_the_walk_names(self, data):
+        # a random group on the low m qubits and Z on the rest, mixed by
+        # products of generators, with random signs, order and base: most
+        # such groups have several diagonal rows and many refuse
+        p = data.draw(st.integers(1, 8))
+        m = data.draw(st.integers(0, p))
+        gens = [PauliOperator(0, 0, 1 << j, p) for j in range(m, p)]
+        if m:
+            small = random_group(m, data.draw(st.integers(0, 10_000)))
+            gens += [PauliOperator(g.phase, g.x, g.z, p) for g in small.generators]
+        for _ in range(data.draw(st.integers(0, 3 * p))):
+            i, j = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+            if i != j:
+                gens[i] = gens[i] * gens[j]
+        flips = data.draw(st.lists(st.booleans(), min_size=p, max_size=p))
+        gens = [PauliOperator(g.phase + 2 * f, g.x, g.z, p) for g, f in zip(gens, flips)]
+        g = StabilizerGroup(tuple(data.draw(st.permutations(gens))))
+        base = data.draw(st.integers(0, (1 << p) - 1))
+        got = outcome(lambda: seed_state(g, base).terms)
+        assert got == outcome(reference_seed_state, g, base)
+
+    def test_wide_refusal_needs_no_walk(self, monkeypatch):
+        # X_0 ... X_22, -Z_23: the one diagonal element -Z_23 is named
+        # from the rows, where the walk would build 2^24 operators
+        p = 24
+        monkeypatch.setattr(StabilizerGroup, "closure", None)
+        g = StabilizerGroup(
+            (*(PauliOperator(0, 1 << j, 0, p) for j in range(p - 1)),
+             PauliOperator(2, 0, 1 << p - 1, p))
+        )
+        start = time.perf_counter()
+        with pytest.raises(GroupError) as info:
+            seed_state(g, 0)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            f"group is not sign-normalized for base {'0' * p}: element "
+            f"-{'I' * (p - 1)}Z acts as -1 (the seed would cancel to zero); "
+            "call normalized() first"
+        )
 
     @pytest.mark.parametrize("seed", range(8))
     def test_broken_signs_refused_as_the_reference(self, seed):
