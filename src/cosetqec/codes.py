@@ -16,13 +16,15 @@ remove it.
 Neither the seed nor the codeword operators walk the closure one
 element at a time:
 
-- The seed comes from the group's reduced echelon rows
-  (:func:`_seed_form`), the quadratic form of Dehaene and De Moor
-  (quant-ph/0304125) with the product rule of Aaronson and Gottesman
-  (quant-ph/0406196).  Its 2^r strings are base XOR the span of the r
-  non-diagonal rows' X parts, and with each row's pivot bit in that row
-  only, doubling once per row in ascending pivot order lists them in
-  ascending order.  Each doubling also adds the row's phase and a cross
+- The seed comes from the group's X-part rows
+  (:meth:`StabilizerGroup._x_rows`), the rows that
+  :meth:`StabilizerGroup.normalized` builds its generators from, reduced
+  to echelon form (:func:`_seed_form`): the quadratic form of Dehaene
+  and De Moor (quant-ph/0304125) with the product rule of Aaronson and
+  Gottesman (quant-ph/0406196).  Its 2^r strings are base XOR the span
+  of the r non-diagonal rows' X parts, and with each row's pivot bit in
+  that row only, doubling once per row in ascending pivot order lists
+  them in ascending order.  Each doubling also adds the row's phase and a cross
   term, an XOR of index-bit planes, to the units, held as two 2^r-bit
   planes.  No sort runs and no Python loop runs per term.
 - A coset is one solved member XOR the closure classes, and its
@@ -138,14 +140,14 @@ class SeedState:
             raise ValueError(f"seed base {self.base:#x} exceeds width {self.width}")
         seen = set()
         for unit, string in self.terms:
+            try:
+                unit, string = index(unit), index(string)
+            except TypeError:
+                raise TypeError(f"seed term {(unit, string)!r} is not two ints") from None
             if not 0 <= unit <= 3:
                 raise ValueError(f"coefficient exponent {unit} out of range")
             if not 0 <= string <= mask:
                 raise ValueError(f"basis string {string:#x} exceeds width {self.width}")
-            try:
-                index(unit), index(string)
-            except TypeError:
-                raise TypeError(f"seed term {(unit, string)!r} is not two ints") from None
             if string in seen:
                 raise ValueError(f"duplicate basis string {format_bits(string, self.width)}")
             seen.add(string)
@@ -255,56 +257,37 @@ class _Form(NamedTuple):
     xs: list[int]
 
 
-def _seed_form(group: StabilizerGroup, base: int, normalize: bool) -> _Form:
-    """The closure seed of ``group`` at ``base``, its terms ascending by
-    string.  With ``normalize`` the seed is that of
-    ``group.normalized(base)``, without building that group.
+def _seed_form(rows: list[tuple[int, int, int]], width: int, base: int) -> _Form:
+    """The closure seed at ``base`` of the group whose X-part rows
+    (:meth:`StabilizerGroup._x_rows`) are ``rows``, its terms ascending by
+    string.  The rows of ``group._x_rows(base)`` give the seed of
+    ``group.normalized(base)`` without building that group.
 
-    The generators are eliminated to rows i^a X^x Z^z with distinct
-    leading bits of x, keeping each product's true phase.  The diagonal
-    rows must act as +1 on |base>; the first that does not is the first
-    closure element that acts as -1, and the refusal names it.  (Row t
-    is generator t times non-diagonal generators before it.  So a
-    diagonal element is a product of diagonal rows, its top generator
-    index that of its last row; the sign on |base> is linear, so an
-    element that acts as -1 has a row that does, and the least such
-    element is the first such row alone: any earlier diagonal row it
-    took would set that row's own index bit.)  The r
-    non-diagonal rows, reduced so that each pivot bit lies in its own row
-    only, give the strings low ^ x_k in ascending order of k, where x_k
-    is the XOR of the rows at the bits of k and low is base with its
-    pivot bits cleared.  The element e_k, the product of those rows,
-    sends |low> to i^u(k) |low ^ x_k>, and each row doubles u by the
-    product rule: u(k + 2^j) = u(k) + a_j + 2 (z_j . low) + 2 (z_k . x_j),
-    whose last term is an XOR of index-bit planes.  The units are held as
+    The rows are i^a X^x Z^z with distinct leading bits of x, each with
+    its product's true phase.  The diagonal rows must act as +1 on
+    |base>; the first that does not is the first closure element that
+    acts as -1, and the refusal names it.  (Row t is generator t times
+    non-diagonal generators before it.  So a diagonal element is a
+    product of diagonal rows, its top generator index that of its last
+    row; the sign on |base> is linear, so an element that acts as -1 has
+    a row that does, and the least such element is the first such row
+    alone: any earlier diagonal row it took would set that row's own
+    index bit.)  The r non-diagonal rows, reduced so that each pivot bit
+    lies in its own row only, give the strings low ^ x_k in ascending
+    order of k, where x_k is the XOR of the rows at the bits of k and low
+    is base with its pivot bits cleared.  The element e_k, the product of
+    those rows, sends |low> to i^u(k) |low ^ x_k>, and each row doubles u
+    by the product rule:
+    u(k + 2^j) = u(k) + a_j + 2 (z_j . low) + 2 (z_k . x_j), whose last term is an XOR of index-bit planes.  The units are held as
     two 2^r-bit planes, and all are shifted so that the term at ``base``
     has unit 0, as the walked sum gives it.
     """
-    p = group.width
-    # leading-bit elimination on the X parts, as normalized() runs it
-    rows: list[tuple[int, int, int]] = []
-    pivots: dict[int, int] = {}
-    for g in group.generators:
-        a, x, z = g.phase, g.x, g.z
-        while x:
-            hb = x.bit_length() - 1
-            if hb not in pivots:
-                pivots[hb] = len(rows)
-                break
-            b, rx, rz = rows[pivots[hb]]
-            a, x, z = (a + b + 2 * (rz & x).bit_count()) & 3, x ^ rx, z ^ rz
-        rows.append((a, x, z))
-    if normalize:  # the generators of normalized(base)
-        rows = [
-            ((x & z).bit_count() & 3 if x else 2 * ((z & base).bit_count() & 1), x, z)
-            for _, x, z in rows
-        ]
     for a, x, z in rows:
         if not x and _acts_as_minus(a, z, base):
             raise GroupError(
                 f"group is not sign-normalized for base "
-                f"{format_bits(base, p)}: element "
-                f"{format_pauli(PauliOperator(a, 0, z, p))} acts as -1 "
+                f"{format_bits(base, width)}: element "
+                f"{format_pauli(PauliOperator(a, 0, z, width))} acts as -1 "
                 "(the seed would cancel to zero); call normalized() first"
             )
     # reduced echelon: each pivot bit in its own row only
@@ -430,7 +413,7 @@ def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
     base = index(base)
     if not 0 <= base < 1 << p:
         raise ValueError(f"seed base {base:#x} exceeds width {p}")
-    return SeedState._from_form(_seed_form(group, base, normalize=False), p, base)
+    return SeedState._from_form(_seed_form(group._x_rows(), p, base), p, base)
 
 
 def _index(form: _Form, string: int) -> int | None:
@@ -604,23 +587,23 @@ class QuantumCode:
 
     def _check_closure_seed(self) -> None:
         """Refuse a ``stabilizer`` seed that is not the closure seed of
-        ``group.normalized(seed.base)`` (:func:`_seed_form`): a held form
-        by comparing forms, the reduced echelon form being unique, and
-        any other seed by its term count or at its first differing term."""
+        ``group.normalized(seed.base)`` (:func:`_seed_form`): first by its
+        term count, with no terms built, then by equality with the derived
+        seed, which compares two held forms without terms.  The refusal
+        names the first differing term."""
         seed, p = self.seed, self.group.width
-        form = _seed_form(self.group, seed.base, normalize=True)
-        if seed.__dict__.get("_form") == form:
-            return
+        form = _seed_form(self.group._x_rows(seed.base), p, seed.base)
         if len(seed) != len(form.units):
             raise ValueError(
                 f"stabilizer seed: {len(seed)} terms, but the "
                 f"closure seed of its group has {len(form.units)}"
             )
-        derived = _terms(form, p)
-        if seed.terms == derived:
+        derived = SeedState._from_form(form, p, seed.base)
+        if seed == derived:
             return
-        i = next(i for i, (t, d) in enumerate(zip(seed.terms, derived)) if t != d)
-        (unit, string), (want_unit, want_string) = seed.terms[i], derived[i]
+        terms, wanted = seed.terms, derived.terms
+        i = next(i for i, (t, d) in enumerate(zip(terms, wanted)) if t != d)
+        (unit, string), (want_unit, want_string) = terms[i], wanted[i]
         if string == want_string:
             term = f"term {i} ({format_bits(string, p)})"
             seen, want = _UNIT_TOKENS[unit], _UNIT_TOKENS[want_unit]
@@ -674,7 +657,7 @@ class QuantumCode:
             except ParseError:
                 pass  # the parse below names the bad base, after the terms
             else:
-                form = _seed_form(group, base, normalize=True)
+                form = _seed_form(group._x_rows(base), width, base)
                 if _spelled(tokens, width, form):
                     seed = SeedState._from_form(form, width, base)
         make = cls._make
@@ -695,16 +678,15 @@ def build_code(
 
     The stored group keeps the caller's generators, so the given labels
     keep their meaning; the seed is that of ``group.normalized(0)``,
-    derived once from the echelon form, which signs the rows as
-    normalization would without building the normalized group.  The
-    bit-planes of the closure classes are built once; each requested
-    coset is one solved member XOR those classes, and its min-weight/lex
-    representative is picked on the planes, so only the K winners become
-    operator objects.  An explicit ``seed`` (e.g. punctured) replaces the
-    derived one; a ``stabilizer`` one must be the closure seed of
-    ``group.normalized(seed.base)``, as in every code.  Labels are read
-    as ints (``operator.index``); the first label that occurs twice is
-    refused.
+    derived once from the group's X-part rows signed for base 0, without
+    building the normalized group.  The bit-planes of the closure classes
+    are built once; each requested coset is one solved member XOR those
+    classes, and its min-weight/lex representative is picked on the
+    planes, so only the K winners become operator objects.  An explicit
+    ``seed`` (e.g. punctured) replaces the derived one; a ``stabilizer``
+    one must be the closure seed of ``group.normalized(seed.base)``, as
+    in every code.  Labels are read as ints (``operator.index``); the
+    first label that occurs twice is refused.
     """
     labels = [*map(index, labels)]
     if not labels:
@@ -719,6 +701,7 @@ def build_code(
         )
     ops = tuple(_lightest(group, labels))
     if seed is None:
-        seed = SeedState._from_form(_seed_form(group, 0, normalize=True), group.width, 0)
+        p = group.width
+        seed = SeedState._from_form(_seed_form(group._x_rows(0), p, 0), p, 0)
         return QuantumCode._make(group, seed, ops, tuple(labels))
     return QuantumCode(group, seed, ops, tuple(labels))

@@ -82,7 +82,7 @@ import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress, repeat
-from operator import add, eq, ne
+from operator import add, eq, index, ne
 
 from .codes import QuantumCode, SeedState
 from .pauli import ErrorSet, PauliOperator, WidthMismatchError, format_pauli
@@ -249,6 +249,8 @@ class DenseState:
 
     @classmethod
     def from_basis(cls, string: int, width: int) -> "DenseState":
+        """|string> on ``width`` qubits; both are read as ints."""
+        string, width = index(string), index(width)
         _check_dense_width(width)
         if not 0 <= string < 1 << width:
             raise ValueError(f"basis string {string} outside [0, 2^{width})")

@@ -22,7 +22,6 @@ MAX_WIDTH = 24
 
 _PREFIX_TO_EXP = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _EXP_TO_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
-_LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 # the x and the z bit of each letter, as a digit
 _X_BITS = str.maketrans("IXYZ", "0110")
@@ -131,8 +130,9 @@ def parse_pauli(text: str, width: int | None = None) -> PauliOperator:
     unprefixed string parses to a Hermitian operator.  A well-formed
     string is read whole: each mask is one ``int(..., 2)`` of the
     reversed body mapped to bits, and the operator, valid by those
-    checks, skips ``__post_init__``.  Any other string is read letter by
-    letter, which names what is wrong with it.
+    checks, skips ``__post_init__``.  Every other string is refused: its
+    prefix, its length and then its letters are checked in turn, and the
+    first check that fails names what is wrong.
     """
     try:  # str.strip refuses every non-str, bytes included
         s = str.strip(text)
@@ -155,10 +155,9 @@ def parse_pauli(text: str, width: int | None = None) -> PauliOperator:
         set_field(op, "z", int(body.translate(_Z_BITS), 2))
         set_field(op, "width", n)
         return op
-    prefix = ""
+    # the string is malformed: the first check that fails names why
     for cand in ("-i", "+i", "i", "-", "+"):
         if s.startswith(cand):
-            prefix = cand
             s = s[len(cand):]
             break
     if not s:
@@ -168,17 +167,9 @@ def parse_pauli(text: str, width: int | None = None) -> PauliOperator:
             f"expected {width} Pauli characters, got {len(s)} in {text!r}"
         )
     _check_width(len(s))
-    phase = _PREFIX_TO_EXP[prefix]
-    x = z = 0
-    for j, ch in enumerate(s):
-        bits = _LETTER_TO_BITS.get(ch)
-        if bits is None:
-            raise ParseError(f"invalid character {ch!r} at position {j} in {text!r}")
-        x |= bits[0] << j
-        z |= bits[1] << j
-        if bits == (1, 1):
-            phase += 1
-    return PauliOperator(phase % 4, x, z, len(s))
+    # a body of letters alone would have been read whole above
+    j, ch = next((j, ch) for j, ch in enumerate(s) if ch not in "IXYZ")
+    raise ParseError(f"invalid character {ch!r} at position {j} in {text!r}")
 
 
 def format_pauli(op: PauliOperator) -> str:

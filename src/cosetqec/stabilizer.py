@@ -14,6 +14,12 @@ The closure itself is stored nowhere.  :meth:`StabilizerGroup.closure`
 walks it by Pauli products on request, with the phase carried as in the
 Aaronson-Gottesman tableau (quant-ph/0406196); the seed and the coset
 minima walk their own bit-parallel forms (:mod:`cosetqec.codes`).
+
+The group owns the one elimination of its generators' X parts,
+:meth:`StabilizerGroup._x_rows`, with the true phase of each product:
+:meth:`StabilizerGroup.normalized` builds its generators from those
+rows, and the seed's echelon form (:func:`cosetqec.codes._seed_form`)
+reduces them further.
 """
 
 from __future__ import annotations
@@ -150,36 +156,45 @@ class StabilizerGroup:
         assert self.syndrome_map(x, z) == label
         return x, z
 
+    def _x_rows(self, base: int | None = None) -> list[tuple[int, int, int]]:
+        """The generators eliminated on their X parts: rows (a, x, z) for
+        i^a X^x Z^z, each non-diagonal row's leading bit of x distinct,
+        row t being generator t times rows before it with its true phase.
+        Given ``base``, the rows are signed as :meth:`normalized` signs
+        them: a diagonal row acts as +1 on |base>, any other row gets a +
+        sign.  No operator object is built."""
+        rows: list[tuple[int, int, int]] = []
+        pivots: dict[int, int] = {}
+        for g in self.generators:
+            a, x, z = g.phase, g.x, g.z
+            while x:
+                hb = x.bit_length() - 1
+                if hb not in pivots:
+                    pivots[hb] = len(rows)
+                    break
+                b, rx, rz = rows[pivots[hb]]
+                a, x, z = (a + b + 2 * (rz & x).bit_count()) & 3, x ^ rx, z ^ rz
+            rows.append((a, x, z))
+        if base is None:
+            return rows
+        return [
+            ((x & z).bit_count() & 3 if x else 2 * ((z & base).bit_count() & 1), x, z)
+            for _, x, z in rows
+        ]
+
     def normalized(self, base: int = 0) -> "StabilizerGroup":
         """Re-choose generators so the diagonal subgroup (elements with no
         X part) is generated by a subset of them, each signed to act as +1
         on the computational-basis state ``base``; non-diagonal generators
-        get a + sign.  The closure mod phase is unchanged.  Refuses a
-        ``base`` that is no int or lies outside [0, 2^p)."""
+        get a + sign.  They are the rows of :meth:`_x_rows` for ``base``.
+        The closure mod phase is unchanged.  Refuses a ``base`` that is no
+        int or lies outside [0, 2^p)."""
         p = self.width
         base = index(base)
         if not 0 <= base < 1 << p:
             raise ValueError(f"seed base {base:#x} exceeds width {p}")
-        out: list[PauliOperator] = []
-        pivots: dict[int, int] = {}
-        for g in self.generators:
-            cur = g
-            while cur.x:
-                hb = cur.x.bit_length() - 1
-                if hb in pivots:
-                    cur = out[pivots[hb]] * cur
-                else:
-                    pivots[hb] = len(out)
-                    break
-            out.append(cur)
-        fixed = []
-        for g in out:
-            if g.x == 0:
-                flip = (g.z & base).bit_count() & 1
-                fixed.append(PauliOperator(2 * flip, 0, g.z, p))
-            else:
-                fixed.append(PauliOperator.from_symplectic(g.x, g.z, p))
-        return StabilizerGroup(tuple(fixed))
+        rows = self._x_rows(base)
+        return StabilizerGroup(tuple(PauliOperator(a, x, z, p) for a, x, z in rows))
 
     def to_dict(self) -> dict:
         return {
@@ -255,8 +270,9 @@ def enumerate_groups(p: int) -> Iterator[StabilizerGroup]:
     phase), in lexicographic order of the sorted packed closure.
 
     Limited to p <= 3: the count is 3, 15, 135 and grows roughly like
-    2^(p(p+1)/2) beyond that.
+    2^(p(p+1)/2) beyond that.  Refuses a non-int ``p``.
     """
+    p = index(p)
     if p < 1:
         raise ValueError(f"width must be at least 1, got {p}")
     if p > ENUMERATION_MAX_WIDTH:

@@ -282,6 +282,38 @@ class TestVerify:
         assert main(argv) in (0, 1)
         assert "error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"width": 2, "seed": [["+", "00"]], "codeword_spinors": ["II"], "labels": ["00"]},
+             "seed width does not match the group"),
+            ({"labels": ["000"]}, "codeword/label count mismatch"),
+            ({"codeword_spinors": [], "labels": []}, "dimension 0 out of range for width 3"),
+            ({"codeword_spinors": ["XXX", "III"], "labels": ["111", "000"]},
+             "the first codeword operator must be the identity"),
+            ({"codeword_spinors": ["III", "XXX", "XXX"], "labels": ["000", "111", "111"]},
+             "codeword coset labels must be distinct"),
+        ],
+        ids=["seed-width", "count-mismatch", "dimension-0", "first-not-identity",
+             "repeated-label"],
+    )
+    def test_inconsistent_code_fields_exit_two(self, workdir, capsys, edit, message):
+        data = {**json.loads((workdir / "rep3.json").read_text()), **edit}
+        path = workdir / "edited.json"
+        path.write_text(json.dumps(data))
+        rc = main(["verify", "--code", str(path), "--errors", str(workdir / "xflips.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}: bad code file: {message}\n"
+
+    def test_an_error_file_of_comments_only_exits_two(self, workdir, capsys):
+        path = workdir / "comments.txt"
+        path.write_text("# no errors\n\n  # here either\n")
+        rc = main(["verify", "--code", str(workdir / "rep3.json"), "--errors", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: error file contains no Pauli strings\n"
+        )
+
     @pytest.mark.parametrize("field", ["generators", "seed", "codeword_spinors", "labels"])
     def test_a_string_in_place_of_a_list_exits_two(self, workdir, capsys, field):
         code = json.loads((workdir / "rep3.json").read_text())

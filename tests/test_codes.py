@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,10 @@ from cosetqec.codes import SEED_EXPLICIT, SEED_PUNCTURED, SEED_STABILIZER
 from cosetqec.golden import diagonal_group, five_qubit_code
 
 from conftest import pauli_matrix, signed_group
+
+
+def ops_of(*strings):
+    return tuple(parse_pauli(s) for s in strings)
 
 
 def group_of(*strings):
@@ -178,10 +183,8 @@ class TestSeedState:
             # the first failing term in term order is named
             (((0, 1), (0, 1), (5, 2)), ValueError, "duplicate basis string 100"),
             (((0, 9), (0, 1), (0, 1)), ValueError, "basis string 0x9 exceeds width 3"),
-            (((0, 0), (0, "1")), TypeError,
-             "'<=' not supported between instances of 'int' and 'str'"),
-            (((0, 0), ([1], 1)), TypeError,
-             "'<=' not supported between instances of 'int' and 'list'"),
+            (((0, 0), (0, "1")), TypeError, "seed term (0, '1') is not two ints"),
+            (((0, 0), ([1], 1)), TypeError, "seed term ([1], 1) is not two ints"),
             (((0, 0, 1),), ValueError, "too many values to unpack (expected 2)"),
             (((0, 0), (0,)), ValueError, "not enough values to unpack (expected 2, got 1)"),
             (((0, 0), 5), TypeError, "cannot unpack non-iterable int object"),
@@ -190,11 +193,33 @@ class TestSeedState:
             (((2.5, 0),), TypeError, "seed term (2.5, 0) is not two ints"),
             (((0, 0.5),), TypeError, "seed term (0, 0.5) is not two ints"),
             (((2, 0), (2.0, 1)), TypeError, "seed term (2.0, 1) is not two ints"),
+            # a non-int is refused as such before any range check
+            (((0, 9.5),), TypeError, "seed term (0, 9.5) is not two ints"),
+            ((("+", 0),), TypeError, "seed term ('+', 0) is not two ints"),
+            (((None, 0),), TypeError, "seed term (None, 0) is not two ints"),
         ],
     )
     def test_bad_terms_name_the_first_failing_term(self, terms, error, message):
         with pytest.raises(error) as info:
             SeedState(terms, 3)
+        assert str(info.value) == message
+
+    def test_a_float_string_past_the_width_is_named(self):
+        with pytest.raises(TypeError) as info:
+            SeedState(((0, 1.5),), 1)
+        assert str(info.value) == "seed term (0, 1.5) is not two ints"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (((), 3), "seed state has no terms"),
+            ((((0, 0),), 3, 0, "closure"), "unknown seed origin 'closure'"),
+        ],
+        ids=["no-terms", "unknown-origin"],
+    )
+    def test_no_terms_and_an_unknown_origin_are_refused(self, args, message):
+        with pytest.raises(ValueError) as info:
+            SeedState(*args)
         assert str(info.value) == message
 
 
@@ -397,6 +422,12 @@ class TestCosetRepresentative:
             coset_representative(diagonal_group(3), 1)
         )
 
+    @pytest.mark.parametrize("label", [8, -1])
+    def test_label_out_of_range_refused(self, label):
+        with pytest.raises(ValueError) as info:
+            coset_representative(diagonal_group(3), label)
+        assert str(info.value) == f"label {label} out of range for width 3"
+
 
 class TestBuildCode:
     def test_repetition(self):
@@ -435,6 +466,31 @@ class TestBuildCode:
     def test_first_label_must_be_zero(self):
         with pytest.raises(ValueError, match="zero coset"):
             build_code(diagonal_group(3), [7, 0])
+
+    def test_no_labels_refused(self):
+        with pytest.raises(ValueError) as info:
+            build_code(diagonal_group(3), [])
+        assert str(info.value) == "no coset labels given"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"seed": SeedState(((0, 0),), 2, 0, SEED_STABILIZER)},
+             "seed width does not match the group"),
+            ({"labels": (0,)}, "codeword/label count mismatch"),
+            ({"codeword_ops": (), "labels": ()}, "dimension 0 out of range for width 3"),
+            ({"codeword_ops": ops_of("XXX", "III"), "labels": (7, 0)},
+             "the first codeword operator must be the identity"),
+            ({"codeword_ops": ops_of("III", "XXX", "XXX"), "labels": (0, 7, 7)},
+             "codeword coset labels must be distinct"),
+        ],
+        ids=["seed-width", "count-mismatch", "dimension-0", "first-not-identity",
+             "repeated-label"],
+    )
+    def test_inconsistent_fields_refused(self, rep3, fields, message):
+        with pytest.raises(ValueError) as info:
+            replace(rep3, **fields)
+        assert str(info.value) == message
 
     def test_labels_checked_against_operators(self):
         good = build_code(diagonal_group(2), [0, 3])

@@ -413,6 +413,23 @@ class TestDenseState:
         with pytest.raises(ValueError, match=message):
             DenseState.from_basis(string, width)
 
+    @pytest.mark.parametrize("string, width", [(1.5, 2), (1, 2.0)], ids=["string", "width"])
+    def test_from_basis_float_refused(self, string, width):
+        with pytest.raises(TypeError) as info:
+            DenseState.from_basis(string, width)
+        assert str(info.value) == "'float' object cannot be interpreted as an integer"
+
+    @pytest.mark.parametrize("re, im", [((1, 0, 0), (0, 0)), ((1, 0), (0,))])
+    def test_wrong_amplitude_length_refused(self, re, im):
+        with pytest.raises(ValueError) as info:
+            DenseState(re, im, 1)
+        assert str(info.value) == "amplitude arrays must have length 2^width"
+
+    def test_apply_at_another_width_refused(self):
+        with pytest.raises(WidthMismatchError) as info:
+            DenseState.from_basis(0, 2).apply(parse_pauli("X"))
+        assert str(info.value) == "operator width 1 != state width 2"
+
     def test_from_basis_edges(self):
         assert DenseState.from_basis(3, 2).re == (0, 0, 0, 1)
         assert DenseState.from_basis(0, 0) == DenseState((1,), (0,), 0)
@@ -1219,7 +1236,7 @@ class TestIndependence:
     NON_INTEGER = ("math", "cmath", "fractions", "decimal", "numpy")
     CLOSURE_VIEWS = (
         "closure_lanes", "closure_packed", "closure_classes", "_lanes", "_planes",
-        "_seed_form",
+        "_seed_form", "_x_rows",
     )
 
     def tree(self):

@@ -163,8 +163,9 @@ class TestBitStrings:
 
 
 def reference_parse_pauli(text, width=None):
-    """The letter loop parse_pauli runs on every string it cannot read
-    whole; each operator goes through PauliOperator's checks."""
+    """The letter loop parse_pauli once ran on every string it could not
+    read whole, each operator going through PauliOperator's checks;
+    parse_pauli keeps only its refusals, which this loop must match."""
     try:
         s = str.strip(text)
     except TypeError:
@@ -296,8 +297,19 @@ class TestCommutation:
         am, bm = parse_pauli("-X"), parse_pauli("-iZ")
         assert symplectic_product(a, b) == symplectic_product(am, bm)
 
+    def test_widths_must_match(self):
+        with pytest.raises(WidthMismatchError) as info:
+            symplectic_product(parse_pauli("XX"), parse_pauli("X"))
+        assert str(info.value) == "cannot compare width 2 with width 1"
+
 
 class TestStructure:
+    @pytest.mark.parametrize("x, z", [(4, 0), (0, 4), (-1, 0)])
+    def test_masks_wider_than_the_width_refused(self, x, z):
+        with pytest.raises(ValueError) as info:
+            PauliOperator(0, x, z, 2)
+        assert str(info.value) == "x/z masks exceed the operator width"
+
     def test_weight(self):
         assert parse_pauli("XIZ").weight == 2
         assert PauliOperator.identity(4).weight == 0
@@ -395,3 +407,18 @@ class TestErrorSet:
     def test_from_text_rejects_bad_first_line(self):
         with pytest.raises(ValueError, match="identity"):
             ErrorSet.from_text("XII\nIII\n")
+
+    def test_empty_set_refused(self):
+        with pytest.raises(ValueError) as info:
+            ErrorSet(())
+        assert str(info.value) == "error set is empty"
+
+    def test_mixed_widths_refused(self):
+        with pytest.raises(WidthMismatchError) as info:
+            ErrorSet((PauliOperator.identity(1), parse_pauli("XI")))
+        assert str(info.value) == "mixed widths in error set"
+
+    def test_from_text_of_comments_only_refused(self):
+        with pytest.raises(ParseError) as info:
+            ErrorSet.from_text("# flips\n\n  # none\n")
+        assert str(info.value) == "error file contains no Pauli strings"

@@ -118,6 +118,21 @@ class TestSearch:
         assert not result.found
         assert "counting" in result.reason
 
+    def test_exhaustive_negative_is_a_proof(self):
+        errs = ErrorSet(tuple(parse_pauli(s) for s in ("II", "ZI", "XI", "YZ")))
+        result = search_code(errs, 1, strategy="exhaustive")
+        assert result.code is None and result.candidates_tried == 15
+        assert result.reason == (
+            "exhausted all 15 groups at width 2; no such code exists under this "
+            "construction"
+        )
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "random"])
+    def test_dimension_target_below_one_refused(self, strategy):
+        with pytest.raises(ValueError) as info:
+            search_code(single_qubit_errors(3), 0, strategy=strategy)
+        assert str(info.value) == "dimension target must be at least 1"
+
     def test_error_set_cap(self):
         # 1026 distinct errors at p=16, K=1 pass the counting bound
         errs = ErrorSet(

@@ -4,12 +4,15 @@ import itertools
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosetqec.stabilizer as stabilizer
 from cosetqec import (
     GroupError,
     PauliOperator,
     StabilizerGroup,
+    WidthMismatchError,
     enumerate_groups,
     format_label,
     format_pauli,
@@ -26,6 +29,37 @@ from conftest import closure_classes
 def group_of(*strings):
     width = len(strings[0])
     return StabilizerGroup(tuple(parse_pauli(s, width) for s in strings))
+
+
+def reference_x_rows(group):
+    """The generators eliminated on their X parts by operator products,
+    as normalized() ran it before it read the group's X-part rows: each
+    row is generator t times the earlier rows that hold its leading bits."""
+    out, pivots = [], {}
+    for g in group.generators:
+        cur = g
+        while cur.x:
+            hb = cur.x.bit_length() - 1
+            if hb in pivots:
+                cur = out[pivots[hb]] * cur
+            else:
+                pivots[hb] = len(out)
+                break
+        out.append(cur)
+    return out
+
+
+def reference_normalized(group, base):
+    """The rows of reference_x_rows, each diagonal row signed to act as +1
+    on |base> and every other row given a + sign."""
+    p, fixed = group.width, []
+    for g in reference_x_rows(group):
+        if g.x == 0:
+            flip = (g.z & base).bit_count() & 1
+            fixed.append(PauliOperator(2 * flip, 0, g.z, p))
+        else:
+            fixed.append(PauliOperator.from_symplectic(g.x, g.z, p))
+    return StabilizerGroup(tuple(fixed))
 
 
 def reference_enumerate_groups(p):
@@ -94,6 +128,16 @@ class TestValidation:
         with pytest.raises(GroupError, match="exactly 3"):
             StabilizerGroup(tuple(parse_pauli(s, 3) for s in ("ZII", "IZI")))
 
+    def test_no_generators_refused(self):
+        with pytest.raises(GroupError) as info:
+            StabilizerGroup(())
+        assert str(info.value) == "no generators given"
+
+    def test_generator_of_another_width_refused(self):
+        with pytest.raises(GroupError) as info:
+            StabilizerGroup((parse_pauli("ZI"), parse_pauli("Z")))
+        assert str(info.value) == "generator 1 has width 1, expected 2"
+
 
 class TestClosure:
     def test_diagonal_closure_is_all_z_strings(self):
@@ -144,6 +188,11 @@ class TestSyndrome:
         label = g.syndrome(op)
         copy = pickle.loads(pickle.dumps(g))
         assert copy == g and copy.syndrome(op) == label
+
+    def test_operator_of_another_width_refused(self):
+        with pytest.raises(WidthMismatchError) as info:
+            diagonal_group(3).syndrome(parse_pauli("XX"))
+        assert str(info.value) == "operator width 2 != group width 3"
 
     def test_kernel_is_closure(self):
         g = group_of("XXX", "ZZI", "IZZ")
@@ -227,6 +276,32 @@ class TestNormalize:
         g = diagonal_group(3)
         assert g.normalized(True) == g.normalized(1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_operator_product_reference(self, data):
+        # a random group on the low m qubits and Z on the rest, mixed by
+        # products of generators, with random signs, order and base: the
+        # rows, unsigned and signed, and the normalized generators all
+        # match the product loop, generator for generator
+        p = data.draw(st.integers(1, 8))
+        m = data.draw(st.integers(0, p))
+        gens = [PauliOperator(0, 0, 1 << j, p) for j in range(m, p)]
+        if m:
+            small = random_group(m, data.draw(st.integers(0, 10_000)))
+            gens += [PauliOperator(g.phase, g.x, g.z, p) for g in small.generators]
+        for _ in range(data.draw(st.integers(0, 3 * p))):
+            i, j = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+            if i != j:
+                gens[i] = gens[i] * gens[j]
+        flips = data.draw(st.lists(st.booleans(), min_size=p, max_size=p))
+        gens = [PauliOperator(g.phase + 2 * f, g.x, g.z, p) for g, f in zip(gens, flips)]
+        g = StabilizerGroup(tuple(data.draw(st.permutations(gens))))
+        base = data.draw(st.integers(0, (1 << p) - 1))
+        want = reference_normalized(g, base)
+        assert g._x_rows() == [(r.phase, r.x, r.z) for r in reference_x_rows(g)]
+        assert g._x_rows(base) == [(r.phase, r.x, r.z) for r in want.generators]
+        assert g.normalized(base).generators == want.generators
+
 
 class TestRandomGroup:
     def test_single_qubit_options(self):
@@ -292,6 +367,16 @@ class TestEnumerate:
     def test_large_width_refused(self):
         with pytest.raises(ValueError, match="width <= 3"):
             next(enumerate_groups(4))
+
+    def test_width_zero_refused(self):
+        with pytest.raises(ValueError) as info:
+            next(enumerate_groups(0))
+        assert str(info.value) == "width must be at least 1, got 0"
+
+    def test_a_float_width_refused(self):
+        with pytest.raises(TypeError) as info:
+            next(enumerate_groups(2.0))
+        assert str(info.value) == "'float' object cannot be interpreted as an integer"
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_the_depth_first_reference(self, p):

@@ -199,7 +199,7 @@ class TestLanes:
                 base = (7 * seed + 3) % (1 << p)
                 norm = g.normalized(base)
                 terms = reference_seed_state(norm, base)
-                form = codes._seed_form(norm, base, normalize=False)
+                form = codes._seed_form(norm._x_rows(), p, base)
                 assert [*form.units] == [unit for unit, _ in terms]
                 lanes = codes._double(form.low, form.xs, 16)
                 assert [lanes >> 16 * k & 0xFFFF for k in range(len(terms))] == [
@@ -208,7 +208,7 @@ class TestLanes:
                 assert codes._text(form, p) == "".join(
                     format_bits(string, p) + "," for _, string in terms
                 )
-                assert codes._seed_form(g, base, normalize=True) == form
+                assert codes._seed_form(g._x_rows(base), p, base) == form
 
     def test_lanes_and_seed_past_width_16(self):
         # the strings take 32-bit lanes here
@@ -218,7 +218,7 @@ class TestLanes:
         norm = g.normalized(base)
         want = reference_seed_state(norm, base)
         assert seed_state(norm, base).terms == want
-        form = codes._seed_form(norm, base, normalize=False)
+        form = codes._seed_form(norm._x_rows(), p, base)
         assert codes._text(form, p) == "".join(format_bits(s, p) + "," for _, s in want)
 
     @settings(max_examples=150, deadline=None)
