@@ -184,6 +184,7 @@ class DenseState:
     _sign: int
 
     def __init__(self, re: tuple[int, ...], im: tuple[int, ...], width: int) -> None:
+        width = index(width)  # refuses a float; stores a bool as its int
         _check_dense_width(width)
         re, im = tuple(re), tuple(im)
         if len(re) != (1 << width) or len(im) != (1 << width):

@@ -219,10 +219,10 @@ def parse_bits(text: str, width: int | None = None) -> int:
 
 
 def format_bits(value: int, width: int) -> str:
-    """The low ``width`` bits of ``value``; character j is bit j."""
+    """The low ``width`` bits of the int ``value``; character j is bit j."""
     # a sentinel bit above the top one keeps the leading zeros
-    top = 1 << width
-    return format(value & (top - 1) | top, "b")[:0:-1]
+    top = 1 << index(width)
+    return format(index(value) & (top - 1) | top, "b")[:0:-1]
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,6 +9,7 @@ any particular input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from . import golden
 from .oracle import (
@@ -34,7 +35,9 @@ class CheckResult:
 
 def run_selftest(max_width: int = 4, seed: int = 1):
     """Run the suite and return a list of CheckResult, deterministically.
-    A ``max_width`` below 1 is refused with ValueError."""
+    Both arguments must be integers (``operator.index``), and a
+    ``max_width`` below 1 is refused with ValueError."""
+    max_width, seed = index(max_width), index(seed)
     if max_width < 1:
         raise ValueError(f"max width must be at least 1, got {max_width}")
     results: list[CheckResult] = []

@@ -18,9 +18,10 @@ verdict's collision, or runs to the end and leaves the label ->
 (error, codeword) inverse that diagnosis reads.  The verdict and the
 diagnosis of one table share that pass.
 
-Diagnosis is one dict lookup per query.  A table passed with the code
-and error set it was built from is recognised by identity, so only a
-table paired with other (possibly equal) objects is compared, and a
+Diagnosis is the decoder's per-syndrome step: one identity check, one
+dict lookup and one instance write per query.  A table passed with the
+code and error set it was built from is recognised by identity, so only
+a table paired with other (possibly equal) objects is compared, and a
 miss raises an error that formats its message only when shown.
 """
 
@@ -177,20 +178,6 @@ class Diagnosis:
     codeword_index: int
     correction: PauliOperator
 
-    @classmethod
-    def _make(
-        cls, error_index: int, codeword_index: int, correction: PauliOperator
-    ) -> "Diagnosis":
-        """The fields written straight into the instance dict, skipping the
-        frozen ``__init__``'s ``object.__setattr__`` per field."""
-        diagnosis = object.__new__(cls)
-        diagnosis.__dict__.update(
-            error_index=error_index,
-            codeword_index=codeword_index,
-            correction=correction,
-        )
-        return diagnosis
-
 
 def diagnose(
     code: QuantumCode,
@@ -204,8 +191,10 @@ def diagnose(
     label is not in the table.  A prebuilt ``table`` must belong to the
     same code and errors; it is checked by identity first, so a caller
     that passes the objects it built the table from pays for no
-    comparison.  ``observed`` must be an integer (``operator.index``),
-    and one outside 0..2^p-1 is refused with ValueError."""
+    comparison; a stream of syndromes should pass the table from
+    :func:`build_table`, since each call without one rebuilds all N*K
+    labels.  ``observed`` must be an integer (``operator.index``), and
+    one outside 0..2^p-1 is refused with ValueError."""
     observed = index(observed)
     if table is None or table.code is not code or table.errors is not errors:
         table = _table_for(code, errors, table)
@@ -214,10 +203,15 @@ def diagnose(
         raise ValueError("syndrome table is not injective; code does not correct this set")
     hit = inverse.get(observed)
     if hit is None:
-        p = code.width
+        p = code.group.generators[0].width
         # every table label is in range, so only a miss needs the check
         if not 0 <= observed < 1 << p:
             raise ValueError(f"label {observed} out of range for width {p}")
         raise UnknownSyndromeError(observed, p)
     i, j = hit
-    return Diagnosis._make(i, j, errors[i])
+    # straight into the instance dict: no frozen __init__ setattr per field
+    diagnosis = object.__new__(Diagnosis)
+    diagnosis.__dict__.update(
+        error_index=i, codeword_index=j, correction=errors.errors[i]
+    )
+    return diagnosis

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetqec.oracle as oracle
+import cosetqec.selftest as selftest
 
 from cosetqec import (
     DenseState,
@@ -418,6 +419,18 @@ class TestDenseState:
         with pytest.raises(TypeError) as info:
             DenseState.from_basis(string, width)
         assert str(info.value) == "'float' object cannot be interpreted as an integer"
+
+    def test_float_width_refused(self):
+        # it used to fail inside 1 << width
+        with pytest.raises(TypeError) as info:
+            DenseState((1, 0), (0, 0), 1.0)
+        assert str(info.value) == "'float' object cannot be interpreted as an integer"
+
+    def test_bool_width_is_stored_as_its_int(self):
+        state = DenseState((1, 0), (0, 0), True)
+        assert type(state.width) is int and state.width == 1
+        assert repr(state) == "DenseState(re=(1, 0), im=(0, 0), width=1)"
+        assert state == DenseState.from_basis(0, 1)
 
     @pytest.mark.parametrize("re, im", [((1, 0, 0), (0, 0)), ((1, 0), (0,))])
     def test_wrong_amplitude_length_refused(self, re, im):
@@ -1223,6 +1236,22 @@ class TestSelftest:
         with pytest.raises(ValueError) as info:
             run_selftest(max_width=width)
         assert str(info.value) == f"max width must be at least 1, got {width}"
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_width": 5.0}, {"max_width": 3.0}, {"seed": 1.5}],
+        ids=["max_width=5.0", "max_width=3.0", "seed=1.5"],
+    )
+    def test_non_int_arguments_refused_before_any_check(self, kwargs, monkeypatch):
+        # 5.0 used to run all 21 checks; 3.0 and 1.5 failed inside range()
+        # and the sampler
+        def untouched(*args):
+            raise AssertionError("the suite started")
+
+        for name in ("random_group", "check_overlap_dichotomy", "check_eigenvectors"):
+            monkeypatch.setattr(selftest, name, untouched)
+        with pytest.raises(TypeError) as info:
+            run_selftest(**kwargs)
+        assert str(info.value) == "'float' object cannot be interpreted as an integer"
 
     def test_max_width_one_runs_the_width_three_checks(self):
         results = run_selftest(max_width=1)

@@ -13,6 +13,7 @@ from cosetqec import (
     PauliOperator,
     WidthMismatchError,
     format_bits,
+    format_label,
     format_pauli,
     parse_bits,
     parse_pauli,
@@ -139,6 +140,14 @@ class TestBitStrings:
     @pytest.mark.parametrize("width", [0, 1, 3, 24])
     def test_format_keeps_the_low_bits(self, value, width):
         assert format_bits(value, width) == reference_format_bits(value, width)
+
+    @pytest.mark.parametrize("value, width", [(1.5, 3), (5, 2.0)], ids=["value", "width"])
+    @pytest.mark.parametrize("fmt", [format_bits, format_label], ids=["bits", "label"])
+    def test_format_refuses_a_float(self, fmt, value, width):
+        # both used to fail inside & and <<
+        with pytest.raises(TypeError) as info:
+            fmt(value, width)
+        assert str(info.value) == "'float' object cannot be interpreted as an integer"
 
     @pytest.mark.parametrize("bad", BAD_BITS)
     def test_every_bad_position_names_the_first_bad_character(self, bad):

@@ -4,7 +4,7 @@ import pickle
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cosetqec.verify as verify
@@ -26,6 +26,7 @@ from cosetqec import (
     diagnose,
     format_label,
     format_pauli,
+    max_dimension,
     parse_bits,
     parse_pauli,
     random_group,
@@ -38,6 +39,22 @@ from cosetqec.golden import (
     z_flips,
 )
 from cosetqec.verify import pigeonhole
+
+
+def draw_errors(data, p):
+    """The identity and up to six other distinct classes at width p."""
+    size = 1 << p
+    classes = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(any),
+            max_size=6,
+            unique=True,
+        ),
+        label="errors",
+    )
+    return ErrorSet(
+        tuple(PauliOperator.from_symplectic(x, z, p) for x, z in [(0, 0), *classes])
+    )
 
 
 class TestTable:
@@ -99,17 +116,7 @@ class TestCollision:
             label="labels",
         )
         code = build_code(group, [0, *labels])
-        classes = data.draw(
-            st.lists(
-                st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(any),
-                max_size=6,
-                unique=True,
-            ),
-            label="errors",
-        )
-        errs = ErrorSet(
-            tuple(PauliOperator.from_symplectic(x, z, p) for x, z in [(0, 0), *classes])
-        )
+        errs = draw_errors(data, p)
         table = build_table(code, errs)
         assert_scan_matches_brute_force(table)
         if not verify.pigeonhole(code, errs):
@@ -357,6 +364,39 @@ class TestDiagnose:
             assert vars(d) == vars(built)
         assert d != Diagnosis(i, j + 1, errs[i])
         assert len({d, built, Diagnosis(i, j + 1, errs[i])}) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_label_of_random_codes(self, data):
+        # each label from -1 to 2^p is diagnosed as the table's rows say,
+        # refused as unknown, or refused as out of range
+        p = data.draw(st.integers(1, 6), label="p")
+        group = random_group(p, seed=data.draw(st.integers(0, 10**6), label="seed"))
+        size = 1 << p
+        errs = draw_errors(data, p)
+        greedy = max_dimension(group, errs)
+        assume(greedy.degenerate_pair is None)
+        k = data.draw(st.integers(1, len(greedy.labels)), label="k")
+        code = build_code(group, list(greedy.labels[:k]))
+        table = build_table(code, errs)
+        assert check_correctable(code, errs, table).correctable
+        where = {lab: (i, j) for i, row in enumerate(table.rows) for j, lab in enumerate(row)}
+        for label in range(-1, size + 1):
+            for tab in (None, table):
+                hit = where.get(label)
+                if hit is not None:
+                    d = diagnose(code, errs, label, tab)
+                    built = Diagnosis(*hit, errs[hit[0]])
+                    assert type(d) is Diagnosis and d == built
+                    assert hash(d) == hash(built) and repr(d) == repr(built)
+                elif 0 <= label < size:
+                    with pytest.raises(UnknownSyndromeError) as info:
+                        diagnose(code, errs, label, tab)
+                    assert info.value.args == (label, p)
+                else:
+                    with pytest.raises(ValueError) as info:
+                        diagnose(code, errs, label, tab)
+                    assert str(info.value) == f"label {label} out of range for width {p}"
 
     def test_diagnosis_is_frozen(self, rep3):
         d = diagnose(rep3, x_flips(3), parse_bits("010"))
