@@ -8,6 +8,7 @@ violation (a structural self-check failed, which should never happen).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -65,33 +66,13 @@ def _load_errors(path: str) -> ErrorSet:
         raise ParseError(f"{path}: {exc}")
 
 
-def _emit(payload: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
+def _emit(payload: str | QuantumCode, out: str | None) -> None:
+    """Write a text and a line break, or a code file, to ``out`` or stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if isinstance(payload, QuantumCode):
+            payload.dump(fh)
+        else:
             fh.write(payload + "\n")
-    else:
-        print(payload)
-
-
-def _code_text(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` byte for byte for a code file's
-    dict, or a value in it at the depth whose line break and indent is
-    ``pad``.  json's C encoder serves only ``indent=None``, so the dicts
-    are laid out here and each list of scalars is C-encoded with the line
-    break in its item separator.  A list of lists is the seed's
-    [sign, bits] rows, whose tokens need no escaping: str.join lays them
-    out."""
-    inner = pad + "  "
-    if isinstance(value, dict) and value:
-        items = (f"{json.dumps(k)}: {_code_text(v, inner)}" for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if not isinstance(value, list) or not value:
-        return json.dumps(value)
-    if isinstance(value[0], list):
-        row = inner + "  "
-        rows = f'"{inner}],{inner}[{row}"'.join(map(f'",{row}"'.join, value))
-        return f'[{inner}[{row}"{rows}"{inner}]{pad}]'
-    return f"[{inner}{json.dumps(value, separators=(',' + inner, ': '))[1:-1]}{pad}]"
 
 
 def _cmd_build(args) -> int:
@@ -102,7 +83,7 @@ def _cmd_build(args) -> int:
         base_seed = seed_state(group.normalized(0), 0)
         seed = punctured_seed(base_seed, args.puncture.split(","))
     code = build_code(group, labels, seed=seed)
-    _emit(_code_text(code.to_dict()), args.output)
+    _emit(code, args.output)
     return EXIT_OK
 
 
@@ -210,7 +191,7 @@ def _cmd_search(args) -> int:
     if not verdict.correctable:
         raise InternalCheckError("search returned a code that fails verification")
     print(f"# {result.reason}; re-verified correctable", file=sys.stderr)
-    _emit(_code_text(code.to_dict()), args.output)
+    _emit(code, args.output)
     return EXIT_OK
 
 

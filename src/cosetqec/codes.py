@@ -45,10 +45,10 @@ it, empty for a ``stabilizer`` seed.  Its ``(unit, string)`` terms are
 built only when repr, pickling, :attr:`SeedState.strings`, the dense
 oracle or equality with a seed that holds another form or none read
 them; no step of building, puncturing, saving, loading, classifying,
-the verdict, the syndrome table or diagnosis does.  The pivot bits of a string name the
-only term that can hold it (:func:`_index`).  The JSON form is written
-from the form as whole lists: the units are mapped to their tokens and
-the text of the strings is cut at its commas.
+the verdict, the syndrome table or diagnosis does.  The pivot bits of a
+string name the only term that can hold it (:func:`_index`).  The JSON
+form is read from the form one text of _CHUNK strings at a time, and
+:meth:`QuantumCode.dump` writes each chunk's rows as it goes.
 
 Every :class:`QuantumCode` checks a ``stabilizer`` seed against the
 closure seed of its group, derived again from the form, however the
@@ -63,10 +63,12 @@ naming the first bad term.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, islice
 from operator import index, itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from ._kernels import unpack_lanes
 from .pauli import (
@@ -93,7 +95,8 @@ SEED_EXPLICIT = "explicit"
 
 _UNIT_TOKENS = ("+", "+i", "-", "-i")
 _TOKEN_TO_UNIT = {"+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
-# terms per text of a derived seed, so that each stays small at any seed size
+_PAIRS = {list, tuple}  # a seed token's types: JSON's list, an API caller's tuple
+# terms per text of a derived seed and per chunk of written rows, kept small
 _CHUNK = 4096
 # the bytes "0"/"1" of a low unit plane plus twice those of a high one
 _SUM_TO_UNIT = bytes.maketrans(bytes(range(0x90, 0x94)), bytes(range(4)))
@@ -201,19 +204,25 @@ class SeedState:
     def strings(self) -> frozenset[int]:
         return frozenset(s for _, s in self.terms)
 
-    def term_tokens(self) -> list[list[str]]:
-        """JSON form: [[sign, bitstring], ...] with sign in + - +i -i.  A
-        seed that holds its form reads its units and its text
-        (:func:`_text`) from that, skipping the cut terms."""
+    def _term_texts(self) -> Iterator[tuple[int, str]]:
+        """The unit and bit string of each term in order, from the form's
+        units and :func:`_texts` when the seed holds one, cut terms skipped."""
         form = self.__dict__.get("_form")
         if form is None:
-            return [[_UNIT_TOKENS[u], format_bits(s, self.width)] for u, s in self.terms]
-        # the text ends in a comma, so its last piece is "" and unpaired
-        strings = _text(form, self.width).split(",")
-        tokens = [[_UNIT_TOKENS[u], s] for u, s in zip(form.units, strings)]
+            return ((u, format_bits(s, self.width)) for u, s in self.terms)
+        # each text ends in a comma, cut before the split
+        strings = chain.from_iterable(t[:-1].split(",") for t in _texts(form, self.width))
+        pairs = zip(form.units, strings)
         if removed := self._removed:
-            tokens = [t for k, t in enumerate(tokens) if k not in removed]
-        return tokens
+            kept = bytearray(b"\1") * len(form.units)
+            for k in removed:
+                kept[k] = 0
+            pairs = compress(pairs, kept)
+        return pairs
+
+    def term_tokens(self) -> list[list[str]]:
+        """JSON form: [[sign, bitstring], ...] with sign in + - +i -i."""
+        return [[_UNIT_TOKENS[u], s] for u, s in self._term_texts()]
 
     @classmethod
     def from_tokens(
@@ -223,11 +232,14 @@ class SeedState:
         base: str | None = None,
         origin: str = SEED_EXPLICIT,
     ) -> "SeedState":
-        """Parse the JSON form: the term tokens, then ``base`` as a bit
-        string (None for the all-zero string).  Each token goes through
-        :func:`parse_bits` in turn, which names the first bad one."""
+        """Parse the JSON form: the term tokens, each a two-item list or
+        tuple read with :func:`parse_bits` in turn, naming the first bad
+        one; then ``base`` as a bit string (None for all zeros)."""
         terms = []
-        for sign, bits in tokens:
+        for k, token in enumerate(tokens):
+            if type(token) not in _PAIRS or len(token) != 2:
+                raise ParseError(f"seed term {k} is not a [sign, bits] pair: {token!r}")
+            sign, bits = token
             unit = _TOKEN_TO_UNIT.get(sign)
             if unit is None:
                 raise ParseError(f"unknown seed coefficient {sign!r}")
@@ -240,11 +252,6 @@ def _spread(plane: int, n: int) -> int:
     """The int whose byte i is the character "0" or "1" of bit i of the
     n-bit ``plane``, with a "1" above them at byte n."""
     return int.from_bytes(format(plane | 1 << n, "b").encode(), "big")
-
-
-def _acts_as_minus(phase: int, z: int, base: int) -> int:
-    """1 when the diagonal operator i^phase Z^z acts as -1 on |base>."""
-    return (phase >> 1 ^ (z & base).bit_count()) & 1
 
 
 class _Form(NamedTuple):
@@ -283,7 +290,7 @@ def _seed_form(rows: list[tuple[int, int, int]], width: int, base: int) -> _Form
     has unit 0, as the walked sum gives it.
     """
     for a, x, z in rows:
-        if not x and _acts_as_minus(a, z, base):
+        if not x and (a >> 1 ^ (z & base).bit_count()) & 1:  # i^a Z^z is -1 on |base>
             raise GroupError(
                 f"group is not sign-normalized for base "
                 f"{format_bits(base, width)}: element "
@@ -368,12 +375,6 @@ def _texts(form: _Form, width: int) -> Iterator[str]:
         yield lanes.to_bytes(size, "little").decode()
 
 
-def _text(form: _Form, width: int) -> str:
-    """The bit strings of a form's terms as one text, each followed by a
-    comma."""
-    return "".join(_texts(form, width))
-
-
 def _spelled(tokens: Sequence, width: int, form: _Form) -> bool:
     """True when the (sign, bit string) tokens spell a form's terms
     exactly, checked as whole lists _CHUNK tokens at a time: a chunk's
@@ -384,9 +385,11 @@ def _spelled(tokens: Sequence, width: int, form: _Form) -> bool:
         return False
     try:
         for lo, text in zip(range(0, len(tokens), _CHUNK), _texts(form, width)):
-            signs, strings = zip(*tokens[lo : lo + _CHUNK], strict=True)
+            chunk = tokens[lo : lo + _CHUNK]
+            signs, strings = zip(*chunk, strict=True)
             if (
-                ",".join(strings) + "," != text
+                not {*map(type, chunk)} <= _PAIRS
+                or ",".join(strings) + "," != text
                 or bytes(map(_TOKEN_TO_UNIT.get, signs)) != form.units[lo : lo + _CHUNK]
             ):
                 return False
@@ -623,10 +626,13 @@ class QuantumCode:
         return len(self.codeword_ops)
 
     def to_dict(self) -> dict:
+        return self._dict(self.seed.term_tokens())
+
+    def _dict(self, seed: list) -> dict:
         out = {
             "width": self.width,
             "cartanion": self.group.to_dict(),
-            "seed": self.seed.term_tokens(),
+            "seed": seed,
             "codeword_spinors": [format_pauli(op) for op in self.codeword_ops],
             "labels": [format_label(lab, self.width) for lab in self.labels],
             "seed_origin": self.seed.origin,
@@ -634,6 +640,21 @@ class QuantumCode:
         if self.seed.base:  # only a nonzero base, so base-0 files stay as they were
             out["seed_base"] = format_bits(self.seed.base, self.width)
         return out
+
+    def dump(self, fh: TextIO) -> None:
+        """Write the JSON form to the text file ``fh``: byte for byte
+        ``json.dumps(self.to_dict(), indent=2) + "\\n"``.  json lays out
+        all but the seed rows; those, whose tokens need no escaping, are
+        laid out here _CHUNK at a time from :meth:`SeedState._term_texts`,
+        so neither the rows nor the file are ever held whole."""
+        head, _, tail = json.dumps(self._dict([]), indent=2).partition('"seed": []')
+        fh.write(head + '"seed": [')
+        terms, sep, row = self.seed._term_texts(), "", '\n    [\n      "'
+        while chunk := [*islice(terms, _CHUNK)]:
+            rows = [f'{_UNIT_TOKENS[u]}",\n      "{s}' for u, s in chunk]
+            fh.write(sep + row + f'"\n    ],{row}'.join(rows) + '"\n    ]')
+            sep = ","
+        fh.write("\n  ]" + tail + "\n")
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuantumCode":
@@ -696,9 +717,7 @@ def build_code(
     counts = Counter(labels)
     if len(counts) != len(labels):
         dup = next(l for l in labels if counts[l] > 1)
-        raise ValueError(
-            f"duplicate coset label {format_label(dup, group.width)}"
-        )
+        raise ValueError(f"duplicate coset label {format_label(dup, group.width)}")
     ops = tuple(_lightest(group, labels))
     if seed is None:
         p = group.width

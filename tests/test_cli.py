@@ -85,6 +85,13 @@ def _five2_seed_with(i, token):
     return seed
 
 
+def _dumped(code):
+    """The text that ``code.dump`` writes."""
+    buf = io.StringIO()
+    code.dump(buf)
+    return buf.getvalue()
+
+
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "diag3.json").write_text(json.dumps(REP3_GROUP))
@@ -117,10 +124,37 @@ class TestBuild:
         code = QuantumCode.from_dict(json.loads(out.read_text()))
         assert out.read_text() == json.dumps(code.to_dict(), indent=2) + "\n"
 
+    def test_build_prints_what_it_writes(self, tmp_path, capsys):
+        # stdout gets the bytes of the -o file: a p=13 seed of two chunks
+        (tmp_path / "g.json").write_text(json.dumps(random_group(13, 4).to_dict()))
+        argv = ["build", "--cartanion", str(tmp_path / "g.json"), "--labels", "0" * 13]
+        assert main([*argv, "-o", str(tmp_path / "c.json")]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        text = (tmp_path / "c.json").read_text()
+        assert capsys.readouterr().out == text
+        assert text.count('"\n    ],\n    [\n') == (1 << 13) - 1
+
     @pytest.mark.parametrize("name", sorted(golden_codes()))
     def test_code_text_matches_json_dumps_on_golden_codes(self, name):
-        data = golden_codes()[name].to_dict()
-        assert cli._code_text(data) == json.dumps(data, indent=2)
+        code = golden_codes()[name]
+        assert _dumped(code) == json.dumps(code.to_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "cut",
+        [slice(0), slice(4100, 4200), slice(0, 4096), slice(4095, 4097)],
+        ids=["stabilizer", "cuts-in-chunk-2", "chunk-1-cut", "cuts-across-chunks"],
+    )
+    def test_code_text_matches_json_dumps_across_chunks(self, cut):
+        # 2^13 terms, two chunks of rows, term k at string k; a chunk whose
+        # every term is cut writes no row
+        group = random_group(13, 4)
+        seed = seed_state(group.normalized(0), 0)
+        assert len(seed) == 1 << 13
+        if cut != slice(0):
+            seed = punctured_seed(seed, range(1 << 13)[cut])
+        code = build_code(group, [0, 5], seed=seed)
+        assert _dumped(code) == json.dumps(code.to_dict(), indent=2) + "\n"
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -157,8 +191,7 @@ class TestBuild:
             label="labels",
         )
         code = build_code(group, [0, *labels], seed=seed)
-        want = json.dumps(code.to_dict(), indent=2)
-        assert cli._code_text(code.to_dict()) == want
+        assert _dumped(code) == json.dumps(code.to_dict(), indent=2) + "\n"
 
     def test_build_bad_label_is_usage_error(self, workdir, capsys):
         rc = main([
@@ -281,6 +314,26 @@ class TestVerify:
         path.write_text(json.dumps({**data, "seed_origin": "explicit"}))
         assert main(argv) in (0, 1)
         assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, at, token",
+        [
+            # the string and the object, iterated, spell the term they replace
+            ("y1", 0, "+0"),
+            ("five2", 5, {"+": 0, "01010": 0}),
+            ("five2", 5, ["+"]),
+            ("five2", 5, ["+", "01010", "0"]),
+        ],
+        ids=["string", "object", "one-item", "three-items"],
+    )
+    def test_a_seed_token_that_is_no_pair_exits_two(self, tmp_path, capsys, name, at, token):
+        data = golden_codes()[name].to_dict()
+        data["seed"][at] = token
+        path = tmp_path / "token.json"
+        path.write_text(json.dumps(data))
+        assert main(["classify", "--code", str(path)]) == 2
+        message = f"seed term {at} is not a [sign, bits] pair: {token!r}"
+        assert capsys.readouterr().err == f"error: {path}: bad code file: {message}\n"
 
     @pytest.mark.parametrize(
         "edit, message",

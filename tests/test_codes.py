@@ -27,7 +27,7 @@ from cosetqec import (
     seed_state,
 )
 from cosetqec.codes import SEED_EXPLICIT, SEED_PUNCTURED, SEED_STABILIZER
-from cosetqec.golden import diagonal_group, five_qubit_code
+from cosetqec.golden import diagonal_group, five_qubit_code, golden_codes
 
 from conftest import pauli_matrix, signed_group
 
@@ -242,10 +242,10 @@ def _seed_outcome(parse, *args):
         return type(exc), str(exc)
 
 
-def _malformed(bits, width):
+def _malformed(bits, width, at=0):
     """Tokens that are not a plain [sign, bits] pair, each with what it
-    parses to: the (sign, bit string) pair it reads as, or the type and
-    message of the error that names it."""
+    parses to as term ``at``: the (sign, bit string) pair it reads as, or
+    the type and message of the error that names it."""
     other = "1" if bits[0] == "0" else "0"
     head = "0" * (width - 3)
 
@@ -264,7 +264,9 @@ def _malformed(bits, width):
     def unknown(sign):
         return ParseError, f"unknown seed coefficient {sign!r}"
 
-    too_many = ValueError, "too many values to unpack (expected 2)"
+    def not_pair(token):  # a list or tuple of two items, nothing else
+        return ParseError, f"seed term {at} is not a [sign, bits] pair: {token!r}"
+
     return [
         (["+", f" {bits}"], ("+", bits)),
         (["-", f"{bits}\n"], ("-", bits)),
@@ -288,11 +290,12 @@ def _malformed(bits, width):
         (["+-", bits], unknown("+-")),
         ([None, bits], unknown(None)),
         ([["+"], bits], (TypeError, "unhashable type: 'list'")),
-        (["+", bits, other], too_many),
-        (["+"], (ValueError, "not enough values to unpack (expected 2, got 1)")),
-        # a string unpacks by character: two of them at width 1
-        ("+" + bits, ("+", bits) if width == 1 else too_many),
-        (7, (TypeError, "cannot unpack non-iterable int object")),
+        (["+", bits, other], not_pair(["+", bits, other])),
+        (["+"], not_pair(["+"])),
+        # a string is no pair, not even one of two characters at width 1
+        ("+" + bits, not_pair("+" + bits)),
+        (7, not_pair(7)),
+        ({"+": 0, bits: 0}, not_pair({"+": 0, bits: 0})),
         (("-i", bits), ("-i", bits)),
     ]
 
@@ -319,7 +322,7 @@ class TestSeedCodec:
         if data.draw(st.booleans()):  # one malformed token, anywhere
             at = data.draw(st.integers(0, len(tokens) - 1))
             tokens[at], pairs[at] = data.draw(
-                st.sampled_from(_malformed(tokens[at][1], width))
+                st.sampled_from(_malformed(tokens[at][1], width, at))
             )
             if isinstance(pairs[at][0], type):
                 want = pairs[at]
@@ -346,7 +349,7 @@ class TestSeedCodec:
             for at in (0, 1):
                 tokens = [["+", "0" * width], ["-", "1" * width]]
                 pairs = [tuple(t) for t in tokens]
-                tokens[at], pairs[at] = _malformed(tokens[at][1], width)[which]
+                tokens[at], pairs[at] = _malformed(tokens[at][1], width, at)[which]
                 want = pairs[at] if isinstance(pairs[at][0], type) else _spelled_seed(pairs, width)
                 assert _seed_outcome(SeedState.from_tokens, tokens, width) == want
 
@@ -692,6 +695,39 @@ class TestSavedStabilizerSeed:
         assert ("terms" in vars(again.seed)) != derived
         assert again == code
         assert json.dumps(again.to_dict()) == json.dumps(data)
+
+    @pytest.mark.parametrize(
+        "name, at, token",
+        [
+            # the string and the object, iterated, spell the term they replace
+            ("y1", 0, "+0"),
+            ("five2", 5, {"+": 0, "01010": 0}),
+            ("five2", 5, ["+"]),
+            ("five2", 5, ["+", "01010", "0"]),
+        ],
+        ids=["string", "object", "one-item", "three-items"],
+    )
+    def test_a_token_that_is_no_pair_is_refused(self, name, at, token):
+        # on both load paths: a stabilizer file is compared with the
+        # derived seed first, an explicit one is only parsed
+        data = golden_codes()[name].to_dict()
+        data["seed"][at] = token
+        for origin in (SEED_STABILIZER, SEED_EXPLICIT):
+            with pytest.raises(ParseError) as info:
+                QuantumCode.from_dict({**data, "seed_origin": origin})
+            assert str(info.value) == (
+                f"seed term {at} is not a [sign, bits] pair: {token!r}"
+            )
+
+    def test_tuple_tokens_load_on_both_paths(self):
+        code = golden_codes()["five2"]
+        data = code.to_dict()
+        data["seed"] = [tuple(token) for token in data["seed"]]
+        again = QuantumCode.from_dict(data)
+        assert "_form" in vars(again.seed)
+        assert again == code
+        explicit = QuantumCode.from_dict({**data, "seed_origin": SEED_EXPLICIT})
+        assert explicit.seed.terms == code.seed.terms
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

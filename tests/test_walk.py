@@ -205,7 +205,7 @@ class TestLanes:
                 assert [lanes >> 16 * k & 0xFFFF for k in range(len(terms))] == [
                     string for _, string in terms
                 ]
-                assert codes._text(form, p) == "".join(
+                assert "".join(codes._texts(form, p)) == "".join(
                     format_bits(string, p) + "," for _, string in terms
                 )
                 assert codes._seed_form(g._x_rows(base), p, base) == form
@@ -219,7 +219,8 @@ class TestLanes:
         want = reference_seed_state(norm, base)
         assert seed_state(norm, base).terms == want
         form = codes._seed_form(norm._x_rows(), p, base)
-        assert codes._text(form, p) == "".join(format_bits(s, p) + "," for _, s in want)
+        text = "".join(codes._texts(form, p))
+        assert text == "".join(format_bits(s, p) + "," for _, s in want)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
