@@ -33,8 +33,10 @@ The sampler and the search loop carry a search's work:
   collide.  Two errors share a label exactly when their product lies in
   the candidate's span, so the sampler, given the set of pairwise error
   products, stops drawing as soon as the span of the pairs kept so far
-  meets it (see ``search_range``).  At p=6 with single-qubit errors a
-  candidate then reads about 37 draws on average instead of about 75.
+  meets it, and checks the span of all p pairs before it returns (see
+  ``search_range``).  At p=6 with single-qubit errors a candidate then
+  reads about 37 draws on average instead of about 75, and only
+  candidates with distinct labels reach the label loop.
 """
 
 from __future__ import annotations
@@ -163,8 +165,10 @@ def sample_group(p: int, seed: int, collide=None):
     the splitmix64 stream seeded at ``seed``: keep each draw that commutes
     with everything kept and raises the GF(2) rank.  Returns (xs, zs), or
     None once the span of the pairs kept so far meets the set ``collide``
-    of packed vectors (0 is in every span).  The span is built only when
-    ``collide`` is given, and only up to the first p-1 pairs."""
+    of packed vectors (0 is in every span), so with ``collide`` given it
+    returns a group only when the span of all p pairs misses the set.
+    The span is built only when ``collide`` is given; the p-th pair's
+    half of it is checked but not kept."""
     if collide is not None and 0 in collide:
         return None
     pmask = (1 << p) - 1
@@ -191,12 +195,13 @@ def sample_group(p: int, seed: int, collide=None):
                     a, b = v & pmask, v >> p
                     xs.append(a)
                     zs.append(b)
-                    if len(xs) == p:
-                        return xs, zs
                     if collide is not None:
                         half = [u ^ v for u in span]
                         if not collide.isdisjoint(half):
                             return None
+                    if len(xs) == p:
+                        return xs, zs
+                    if collide is not None:
                         span += half
                     swapped.append(b | a << p)
                     break
@@ -248,8 +253,10 @@ def search_range(
     every pair, that is iff e ^ f is in S.  The span of the pairs kept
     so far lies in S, so once it holds a pairwise product the labels
     collide whatever the stream draws next; and no candidate's stream
-    depends on another's.  The last pair is still judged by the label
-    loop.  Building the span costs up to 2^(p-1) XORs and lookups, so
+    depends on another's.  The sampler checks the last pair's half of S
+    too, so once it has the products every group it returns has
+    distinct labels, and the label loop catches collisions only before
+    that.  Building the span costs up to 2^p XORs and lookups, so
     the sampler gets the products only when they number at least half
     of 2^p; with fewer, a collision is rare and the check costs more
     than it saves.  The products are built at the first candidate whose

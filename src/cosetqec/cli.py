@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 success/correctable, 1 verified-negative (collision,
-not-found, unknown syndrome), 2 usage, format or path error, 3 internal
-violation (a structural self-check failed, which should never happen).
+not-found, unknown syndrome, or a verify whose dense oracle refutes the
+labels), 2 usage, format or path error, 3 internal violation (a
+structural self-check failed, which should never happen).
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ def _cmd_verify(args) -> int:
     table = None if pigeonhole(code, errors) else build_table(code, errors)
     verdict = check_correctable(code, errors, table)
     oracle_note = None
+    refuted = False
     want_oracle = args.oracle or verdict.algebraic_only
     if want_oracle and not verdict.pigeonhole:
         if code.width > ORTHOGONALITY_MAX_WIDTH:
@@ -105,6 +107,7 @@ def _cmd_verify(args) -> int:
             if report.ok:
                 oracle_note = "oracle confirmed: orthogonality matches labels"
             else:
+                refuted = True
                 oracle_note = (
                     "oracle DISAGREES with labels: " + "; ".join(report.violations[:3])
                 )
@@ -134,7 +137,12 @@ def _cmd_verify(args) -> int:
         if entries is not None:
             lines.append("i\tj\terror\tcodeword\tlabel")
             lines += ("\t".join(map(str, entry)) for entry in entries)
-        if verdict.correctable:
+        if verdict.correctable and refuted:
+            lines.append(
+                "verdict: refuted by the oracle (labels distinct, but syndrome "
+                "states are not orthogonal)"
+            )
+        elif verdict.correctable:
             lines.append("verdict: correctable")
         elif verdict.pigeonhole:
             lines.append(
@@ -155,7 +163,7 @@ def _cmd_verify(args) -> int:
         if oracle_note:
             lines.append(f"note: {oracle_note}")
         _emit("\n".join(lines), args.output)
-    return EXIT_OK if verdict.correctable else EXIT_NEGATIVE
+    return EXIT_OK if verdict.correctable and not refuted else EXIT_NEGATIVE
 
 
 def _cmd_classify(args) -> int:

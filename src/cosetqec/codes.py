@@ -29,14 +29,15 @@ element at a time:
   planes.  No sort runs and no Python loop runs per term.
 - A coset is one solved member XOR the closure classes, and its
   representative is the member of least weight, ties broken by the
-  letter string.  The classes are held as 2p bit-planes of 2^p bits,
-  one x-plane and one z-plane per qubit, with bit i for class i; a
-  coset's planes are these, complemented where the solved member has a
-  bit.  A bit-sliced counter of at most 5 planes sums the p occupancy
-  planes (x | z) into every member's weight at once, and a candidate
-  set is cut down to the least weight, then by the z- and x ^ z-planes
-  qubit by qubit, until one member is left.  Each label costs O(p) whole
-  plane operations, and only the winner is built as an operator object.
+  letter string.  The classes are held as 2p bit-planes of 2^p bits
+  (:meth:`StabilizerGroup._planes`), one x-plane and one z-plane per
+  qubit, with bit i for class i; a coset's planes are these,
+  complemented where the solved member has a bit.  A bit-sliced counter
+  of at most 5 planes sums the p occupancy planes (x | z) into every
+  member's weight at once, and a candidate set is cut down to the least
+  weight, then by the z- and x ^ z-planes qubit by qubit, until one
+  member is left.  Each label costs O(p) whole plane operations, and
+  only the winner is built as an operator object.
 
 Every seed that :func:`seed_state`, :func:`build_code`,
 :meth:`QuantumCode.from_dict` or :func:`punctured_seed` derives holds
@@ -463,29 +464,11 @@ def punctured_seed(seed: SeedState, removed: Iterable[int | str]) -> SeedState:
     return SeedState._from_form(form, seed.width, seed.base, cut)
 
 
-def _planes(group: StabilizerGroup) -> tuple[list[int], list[int], int]:
-    """The closure classes as bit-planes of 2^p bits: bit i of ``xs[j]``
-    (``zs[j]``) is the x (z) bit of qubit j in class i, the XOR of the
-    generators selected by the bits of i; and the int with all 2^p bits
-    set.  Each generator doubles every plane by one shift-XOR, as in the
-    closure's doubling walk."""
-    p = group.width
-    xs, zs, n = [0] * p, [0] * p, 1
-    for g in group.generators:
-        fill = ((1 << n) - 1) << n
-        for j in range(p):
-            x, z = xs[j], zs[j]
-            xs[j] = x | x << n ^ (fill if g.x >> j & 1 else 0)
-            zs[j] = z | z << n ^ (fill if g.z >> j & 1 else 0)
-        n *= 2
-    return xs, zs, (1 << n) - 1
-
-
 def _lightest(group: StabilizerGroup, labels: Sequence[int]) -> list[PauliOperator]:
     # Bit i of a coset's planes, and of the candidate set, stands for
     # member i: the solved member XOR closure class i.
     p = group.width
-    xs, zs, full = _planes(group)
+    xs, zs, full = group._planes()
     out = []
     for label in labels:
         mx, mz = group._solve_member(label)

@@ -12,8 +12,9 @@ this module ever stores.
 
 The closure itself is stored nowhere.  :meth:`StabilizerGroup.closure`
 walks it by Pauli products on request, with the phase carried as in the
-Aaronson-Gottesman tableau (quant-ph/0406196); the seed and the coset
-minima walk their own bit-parallel forms (:mod:`cosetqec.codes`).
+Aaronson-Gottesman tableau (quant-ph/0406196).  The coset minima of
+:mod:`cosetqec.codes` read the closure classes as bit-planes,
+:meth:`StabilizerGroup._planes`, and the seed walks its own echelon form.
 
 The group owns the one elimination of its generators' X parts,
 :meth:`StabilizerGroup._x_rows`, with the true phase of each product:
@@ -155,6 +156,23 @@ class StabilizerGroup:
         x, z = v & ((1 << p) - 1), v >> p
         assert self.syndrome_map(x, z) == label
         return x, z
+
+    def _planes(self) -> tuple[list[int], list[int], int]:
+        """The closure classes as bit-planes of 2^p bits: bit i of ``xs[j]``
+        (``zs[j]``) is the x (z) bit of qubit j in class i, the XOR of the
+        generators selected by the bits of i; and the int with all 2^p bits
+        set.  Each generator doubles every plane by one shift-XOR, as
+        :meth:`closure` doubles its elements."""
+        p = self.width
+        xs, zs, n = [0] * p, [0] * p, 1
+        for g in self.generators:
+            fill = ((1 << n) - 1) << n
+            for j in range(p):
+                x, z = xs[j], zs[j]
+                xs[j] = x | x << n ^ (fill if g.x >> j & 1 else 0)
+                zs[j] = z | z << n ^ (fill if g.z >> j & 1 else 0)
+            n *= 2
+        return xs, zs, (1 << n) - 1
 
     def _x_rows(self, base: int | None = None) -> list[tuple[int, int, int]]:
         """The generators eliminated on their X parts: rows (a, x, z) for

@@ -17,6 +17,8 @@ from cosetqec import (
     QuantumCode,
     SeedState,
     build_code,
+    check_correctable,
+    check_knill_laflamme,
     format_pauli,
     punctured_seed,
     random_group,
@@ -258,6 +260,57 @@ class TestVerify:
         ])
         out = capsys.readouterr().out
         assert rc == 0
+        assert "oracle confirmed" in out
+
+    def _punctured(self, tmp_path, generators, labels, cut, errors):
+        """Build a punctured code through the CLI; return its verify files."""
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"width": len(cut[0]), "generators": generators}))
+        code = tmp_path / "code.json"
+        assert main([
+            "build", "--cartanion", str(group), "--labels", ",".join(labels),
+            "--puncture", ",".join(cut), "-o", str(code),
+        ]) == 0
+        err_path = tmp_path / "errors.txt"
+        err_path.write_text("".join(format_pauli(e) + "\n" for e in errors))
+        return ["--code", str(code), "--errors", str(err_path)]
+
+    def test_oracle_refuted_punctured_code_exits_one(self, tmp_path, capsys):
+        # distinct labels for every single-qubit error, yet the cut seed
+        # fails dense Knill-Laflamme, and the oracle sees it
+        errors = single_qubit_errors(5)
+        files = self._punctured(
+            tmp_path,
+            ["YZXIX", "ZZZXX", "IZYXY", "IXIXZ", "ZXYYY"],
+            ["00000", "01011"],
+            ["00000", "10000"],
+            errors,
+        )
+        code = QuantumCode.from_dict(json.loads(Path(files[1]).read_text()))
+        assert check_correctable(code, errors).correctable
+        assert not check_knill_laflamme(code, errors).passed
+        assert main(["verify", *files]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "verdict: correctable" not in lines
+        assert lines[-3].startswith("verdict: refuted by the oracle")
+        assert lines[-1].startswith("note: oracle DISAGREES with labels")
+        assert main(["verify", "--json", *files]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["correctable"] is True
+        assert payload["oracle"].startswith("oracle DISAGREES with labels")
+
+    def test_oracle_confirmed_punctured_code_exits_zero(self, tmp_path, capsys):
+        errors = x_flips(4)
+        files = self._punctured(
+            tmp_path,
+            ["IIYI", "XYIY", "YYYZ", "XXIZ"],
+            ["0000", "1110"],
+            ["0000", "1111"],
+            errors,
+        )
+        assert main(["verify", *files]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: correctable" in out.splitlines()
         assert "oracle confirmed" in out
 
     def test_malformed_file_exit_two(self, workdir, capsys):

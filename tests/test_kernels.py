@@ -259,14 +259,14 @@ def _error_masks(data, p):
 @given(data=st.data(), p=st.integers(1, 8), seed=SEEDS)
 def test_sampler_stops_exactly_when_a_product_enters_the_span(data, p, seed):
     """Given the pairwise products of the packed errors, the sampler
-    returns None exactly when one of them lies in the span of the first
-    p-1 pairs of the reference group, and the reference group otherwise."""
+    returns None exactly when one of them lies in the span of all p
+    pairs of the reference group, and the reference group otherwise."""
     ea, eb = _error_masks(data, p)
     pmask = (1 << p) - 1
     packed = [a & pmask | (b & pmask) << p for a, b in zip(ea, eb)]
     collide = {u ^ v for i, u in enumerate(packed) for v in packed[:i]}
     xs, zs = reference_sample_group(p, seed)
-    gens = [x | z << p for x, z in zip(xs[:-1], zs[:-1])]
+    gens = [x | z << p for x, z in zip(xs, zs)]
     span = set()
     for subset in range(1 << len(gens)):
         v = 0
@@ -276,6 +276,28 @@ def test_sampler_stops_exactly_when_a_product_enters_the_span(data, p, seed):
         span.add(v)
     got = fb.sample_group(p, seed, collide)
     assert got == (None if collide & span else (xs, zs))
+
+
+@pytest.mark.parametrize("p", [5, 6, 7])
+def test_a_group_sampled_against_the_products_has_distinct_labels(monkeypatch, p):
+    # once search_range hands the sampler the products, only candidates
+    # whose error labels are all distinct come back from it
+    errs = single_qubit_errors(p)
+    ea, eb = [e.x for e in errs], [e.z for e in errs]
+    sample, returned = fb.sample_group, []
+
+    def spy(p, seed, collide=None):
+        group = sample(p, seed, collide)
+        if collide is not None and group is not None:
+            returned.append(group)
+        return group
+
+    monkeypatch.setattr(fb, "sample_group", spy)
+    assert fb.search_range(p, ea, eb, 1 << p, 0, 0, 300) is None
+    assert returned
+    for xs, zs in returned:
+        labels = {syndrome_bits(a, b, xs, zs) for a, b in zip(ea, eb)}
+        assert len(labels) == len(errs)
 
 
 @pytest.mark.parametrize("seed, hit_index", [(7, 0), (0, 8)])
