@@ -3,7 +3,8 @@
 Exit codes: 0 success/correctable, 1 verified-negative (collision,
 not-found, unknown syndrome, or a verify whose dense oracle refutes the
 labels), 2 usage, format or path error, 3 internal violation (a
-structural self-check failed, which should never happen).
+structural self-check failed, which should never happen), 141 stdout
+closed early (128 + SIGPIPE, as a shell reports a writer a pipe killed).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -54,16 +56,16 @@ def _load(path: str, kind: type, name: str):
     except json.JSONDecodeError as exc:
         where = f"{path}:{exc.lineno}:{exc.colno}"
         raise ParseError(f"{where}: bad {name} file: {exc.msg}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the decoder recurses
         raise ParseError(f"{path}: bad {name} file: {exc}")
 
 
 def _load_errors(path: str) -> ErrorSet:
-    with open(path) as fh:
-        text = fh.read()
     try:
-        return ErrorSet.from_text(text)
-    except ValueError as exc:
+        with open(path) as fh:
+            return ErrorSet.from_text(fh.read())
+    except ValueError as exc:  # an undecodable byte too
         raise ParseError(f"{path}: {exc}")
 
 
@@ -245,8 +247,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker processes for random search (default $COSETQEC_WORKERS or 1)",
+        default=1,
+        help="worker processes for random search (default 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -307,9 +309,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+        return status
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to /dev/null so that the
+        # interpreter's exit flush of what is still buffered stays silent
+        with contextlib.suppress(OSError, ValueError):  # no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
-        if exc.filename is None:  # not a path: a broken pipe, say
+        if exc.filename is None:  # not a path
             raise
         print(f"error: {exc}", file=sys.stderr)  # names the path
         return EXIT_USAGE

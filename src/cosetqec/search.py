@@ -12,7 +12,6 @@ and ``multiprocessing``); no other code path of the package imports them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from operator import index
 from typing import Sequence
@@ -178,27 +177,18 @@ def search_code(
     strategy: str = "random",
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> SearchResult:
     """Find a group and K distinct codeword cosets whose syndrome sumset
     with the error labels is collision-free, then build the code.
 
     ``strategy`` is "exhaustive" (width <= 3 only) or "random".  Results
     are deterministic in (strategy, budget, seed); any returned code
-    passes the distinct-label verdict by construction.  ``workers=None``
-    reads the worker count from ``COSETQEC_WORKERS`` (default 1); a count
-    below 1, or a variable that is not an integer, is refused.  The
-    count arguments are read with ``operator.index``, so a float is
-    refused with a TypeError before any work.
+    passes the distinct-label verdict by construction, whatever the
+    worker count; a count below 1 is refused.  The count arguments are
+    read with ``operator.index``, so a float is refused with a TypeError
+    before any work.
     """
-    if workers is None:
-        raw = os.environ.get("COSETQEC_WORKERS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"COSETQEC_WORKERS must be an integer, got {raw!r}"
-            ) from None
     k_target, budget, seed, workers = map(index, (k_target, budget, seed, workers))
     if k_target < 1:
         raise ValueError("dimension target must be at least 1")

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from cosetqec import (
     check_correctable,
     check_knill_laflamme,
     format_pauli,
+    max_dimension,
     punctured_seed,
     random_group,
     seed_state,
@@ -420,6 +422,14 @@ class TestVerify:
             f"error: {path}: error file contains no Pauli strings\n"
         )
 
+    def test_an_undecodable_error_file_exits_two_naming_it(self, workdir, capsys):
+        path = workdir / "undecodable.txt"
+        path.write_bytes(b"III\n\xff\n")
+        rc = main(["verify", "--code", str(workdir / "rep3.json"), "--errors", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "can't decode byte 0xff" in err
+
     @pytest.mark.parametrize("field", ["generators", "seed", "codeword_spinors", "labels"])
     def test_a_string_in_place_of_a_list_exits_two(self, workdir, capsys, field):
         code = json.loads((workdir / "rep3.json").read_text())
@@ -601,9 +611,7 @@ class TestSearch:
         assert rc == 2
         assert capsys.readouterr().err == "error: workers must be at least 1, got 0\n"
 
-    def test_workers_default_comes_from_the_environment(
-        self, workdir, capsys, monkeypatch
-    ):
+    def test_workers_option_reaches_the_scan(self, workdir, monkeypatch):
         import cosetqec.cli as cli
         import cosetqec.search as search
 
@@ -618,17 +626,17 @@ class TestSearch:
             seen["scan"] = workers
             return real_random(errors, k_target, budget, seed, workers)
 
-        monkeypatch.setenv("COSETQEC_WORKERS", "2")
         monkeypatch.setattr(cli, "search_code", spy_search)
         monkeypatch.setattr(search, "_random_search", spy_random)
         rc = main([
+            "--workers", "2",
             "search",
             "--errors", str(workdir / "xflips.txt"),
             "--k", "2",
             "--budget", "200",
         ])
         assert rc == 0
-        assert seen == {"cli": None, "scan": 2}
+        assert seen == {"cli": 2, "scan": 2}
 
 
 class TestDiagnose:
@@ -794,6 +802,24 @@ class TestMalformedFiles:
         self._assert_format_error(capsys, rc, path, text)
 
     @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["build", "--cartanion", "{path}", "--labels", "000"], "group"),
+            (["classify", "--code", "{path}"], "code"),
+        ],
+        ids=["group", "code"],
+    )
+    def test_deeply_nested_json(self, tmp_path, capsys, argv, name):
+        # deeper than the decoder recurses: it used to end in a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        rc = main([arg.format(path=path) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {path}: bad {name} file: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "edit",
         [
             _set_seed_term, _set_label, _set_spinor, _set_generator, _set_seed_base,
@@ -833,9 +859,10 @@ class TestUnreadablePaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert bad.format(d=workdir) in err
 
-    def test_other_os_errors_are_not_path_errors(self, workdir, monkeypatch):
+    def test_other_os_errors_are_not_path_errors(self, workdir, monkeypatch, capsys):
         """An OSError that names no path (a closed pipe on stdout) is not
-        reported as a usage error."""
+        reported as a usage error: it exits 141, as a shell reports a
+        writer that a pipe killed, and prints nothing."""
 
         class ClosedPipe(io.StringIO):
             def write(self, text):
@@ -844,5 +871,58 @@ class TestUnreadablePaths:
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         argv = ["verify", "--code", str(workdir / "rep3.json"),
                 "--errors", str(workdir / "xflips.txt")]
-        with pytest.raises(BrokenPipeError):
-            main(argv)
+        assert main(argv) == 141
+        assert capsys.readouterr().err == ""
+
+
+def _child(argv, stdout, stderr):
+    """``python -m cosetqec *argv`` in a child that finds this package,
+    its stdout block-buffered as it is by default on a pipe."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
+        [sys.executable, "-m", "cosetqec", *argv],
+        stdout=stdout,
+        stderr=stderr,
+        env=env,
+    )
+
+
+class TestClosedStdout:
+    """A reader that leaves early ends the command with status 141 and
+    nothing on stderr: no traceback, and no error in the exit flush."""
+
+    def test_build_piped_into_a_one_byte_reader(self, tmp_path):
+        # the p=16 file is 1.6 MB, far more than a pipe buffer holds
+        p = 16
+        group = random_group(p, 1)
+        labels = max_dimension(group, single_qubit_errors(p)).labels
+        (tmp_path / "group.json").write_text(json.dumps(group.to_dict()))
+        argv = ["build", "--cartanion", str(tmp_path / "group.json"),
+                "--labels", ",".join(format_label(lab, p) for lab in labels)]
+        with open(tmp_path / "err.txt", "wb") as err:
+            proc = _child(argv, subprocess.PIPE, err)
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 141
+        # no traceback, and no "Exception ignored" from the exit flush
+        assert (tmp_path / "err.txt").read_text() == ""
+
+    def test_short_output_into_a_pipe_with_no_reader(self, workdir):
+        # all of classify's lines fit in the buffer: the write fails only
+        # when main flushes stdout
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _child(
+                ["classify", "--code", str(workdir / "rep3.json")],
+                write_end,
+                subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        stderr = proc.communicate(timeout=120)[1]
+        assert proc.returncode == 141
+        assert stderr == b""

@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,14 +16,12 @@ from cosetqec import (
     PauliOperator,
     check_correctable,
     check_syndrome_orthogonality,
-    format_pauli,
     max_dimension,
     parse_pauli,
     search_code,
     sumset_distinct,
 )
 import cosetqec.search as search
-from cosetqec.cli import main
 from cosetqec.golden import (
     diagonal_group,
     single_qubit_errors,
@@ -157,31 +154,12 @@ class TestSearch:
             search_code(errs, 2, strategy="random", budget=-5, workers=workers)
 
     @pytest.mark.parametrize("workers", [0, -3])
-    def test_worker_count_below_one_refused(self, workers, monkeypatch):
+    def test_worker_count_below_one_refused(self, workers):
         # workers=-3 used to run one sequential scan and return a hit
         errs = single_qubit_errors(5)
         message = f"workers must be at least 1, got {workers}"
         with pytest.raises(ValueError, match=message):
             search_code(errs, 2, strategy="random", budget=200, workers=workers)
-        monkeypatch.setenv("COSETQEC_WORKERS", str(workers))
-        with pytest.raises(ValueError, match=message):
-            search_code(errs, 2, strategy="random", budget=200)
-
-    @pytest.mark.parametrize("raw", ["abc", "", "1.5"])
-    def test_worker_variable_not_an_integer_refused(
-        self, raw, monkeypatch, capsys, tmp_path
-    ):
-        # it used to surface int()'s "invalid literal for int() with base 10"
-        errs = single_qubit_errors(5)
-        monkeypatch.setenv("COSETQEC_WORKERS", raw)
-        message = f"COSETQEC_WORKERS must be an integer, got {raw!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            search_code(errs, 2, strategy="random", budget=200)
-        path = tmp_path / "errors.txt"
-        path.write_text("".join(f"{format_pauli(e)}\n" for e in errs))
-        rc = main(["search", "--errors", str(path), "--k", "2", "--budget", "200"])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_deterministic_in_seed(self):
         errs = single_qubit_errors(5)
@@ -278,6 +256,18 @@ class TestParallelWaves:
         assert sizes == ([] if pool_size is None else [pool_size])
         assert got == search_code(errs, 2, budget=budget, seed=5, workers=1)
 
+    def test_a_pool_that_cannot_start_falls_back_to_one_scan(self, monkeypatch):
+        def no_pool(max_workers):
+            raise OSError(38, "Function not implemented")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        errs = single_qubit_errors(5)
+        seq = search_code(errs, 2, budget=6000, seed=11, workers=1)
+        par = search_code(errs, 2, budget=6000, seed=11, workers=2)
+        assert par.found and par.hit_index == seq.hit_index
+        assert par.candidates_tried == seq.candidates_tried
+        assert par.code.to_dict() == seq.code.to_dict()
+
     def test_blocks_are_built_per_wave(self, monkeypatch):
         # 48,829 blocks of 2048 candidates; the hit comes in the first wave
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
@@ -295,8 +285,9 @@ class TestParallelWaves:
 class TestPoolImport:
     def test_pool_modules_load_only_for_a_pool(self):
         # in a fresh interpreter the package, the CLI and a one-worker
-        # search load no pool module; a two-worker search of 3 blocks then
-        # starts a real pool and finds the same code
+        # search load no pool module, nor does a search that names no
+        # worker count, whatever the environment holds; a two-worker
+        # search of 3 blocks then starts a real pool and finds the same code
         script = """
 import sys
 import cosetqec, cosetqec.cli
@@ -304,6 +295,7 @@ from cosetqec import search_code
 from cosetqec.golden import single_qubit_errors
 errs = single_qubit_errors(5)
 one = search_code(errs, 2, budget=6000, seed=11, workers=1)
+assert search_code(errs, 2, budget=6000, seed=11) == one
 loaded = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
 assert not loaded, loaded
 two = search_code(errs, 2, budget=6000, seed=11, workers=2)
@@ -314,7 +306,7 @@ print(one.reason)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, "PYTHONPATH": path, "COSETQEC_WORKERS": "8"},
             capture_output=True,
             text=True,
             timeout=120,
