@@ -52,14 +52,17 @@ form is read from the form one text of _CHUNK strings at a time, and
 :meth:`QuantumCode.dump` writes each chunk's rows as it goes.
 
 Every :class:`QuantumCode` checks a ``stabilizer`` seed against the
-closure seed of its group, derived again from the form, however the
-code was made.  The reduced echelon form is unique, so a held form
-equal to the derived one passes at once; any other seed is refused by
-its term count or at its first differing term.  A saved seed has two
-load paths: a ``stabilizer`` seed whose strings joined by commas are
-the derived text and whose signs are the derived units keeps the
-derived form, and any other seed is parsed and checked term by term,
-naming the first bad term.
+closure seed of its group, however the code was made.  That seed is
+derived in one place, :func:`_closure_form`, which keeps each base's
+form on the group, as the group keeps its syndrome map, so a code built
+or loaded derives it once and its check reads the kept form.  The
+reduced echelon form is unique, so a held form equal to the derived one
+passes at once; any other seed is refused by its term count or at its
+first differing term.  A saved seed has two load paths: a
+``stabilizer`` seed whose strings joined by commas are the derived text
+and whose signs are the derived units keeps the derived form, and any
+other seed is parsed and checked term by term, naming the first bad
+term.
 """
 
 from __future__ import annotations
@@ -399,6 +402,18 @@ def _spelled(tokens: Sequence, width: int, form: _Form) -> bool:
     return True
 
 
+def _closure_form(group: StabilizerGroup, base: int) -> _Form:
+    """The closure seed at ``base`` of ``group.normalized(base)``
+    (:func:`_seed_form`), derived from the group's rows signed for that
+    base on first use and then kept on the group, one form per base; a
+    pickled group holds none (:meth:`StabilizerGroup.__getstate__`)."""
+    forms = group.__dict__.setdefault("_closure_forms", {})
+    form = forms.get(base)
+    if form is None:
+        form = forms[base] = _seed_form(group._x_rows(base), group.width, base)
+    return form
+
+
 def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
     """Sum the group closure applied to |base>, symbolically.
 
@@ -527,31 +542,6 @@ class QuantumCode:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        self._check_fields()
-        if self.seed.origin == SEED_STABILIZER:
-            self._check_closure_seed()
-
-    @classmethod
-    def _make(
-        cls,
-        group: StabilizerGroup,
-        seed: SeedState,
-        codeword_ops: tuple[PauliOperator, ...],
-        labels: tuple[int, ...],
-    ) -> "QuantumCode":
-        """A code whose seed the caller derived from ``group`` itself,
-        written straight into the instance dict: every check of
-        ``__post_init__`` runs but the seed's.  :func:`build_code` without
-        a seed, and :meth:`from_dict` on tokens that spell the derived
-        seed, build only such codes."""
-        code = object.__new__(cls)
-        code.__dict__.update(
-            group=group, seed=seed, codeword_ops=codeword_ops, labels=labels
-        )
-        code._check_fields()
-        return code
-
-    def _check_fields(self) -> None:
         p = self.group.width
         if self.seed.width != p:
             raise ValueError("seed width does not match the group")
@@ -570,15 +560,19 @@ class QuantumCode:
                     f"operator {format_pauli(op)} is not in coset "
                     f"{format_label(lab, p)}"
                 )
+        if self.seed.origin == SEED_STABILIZER:
+            self._check_closure_seed()
 
     def _check_closure_seed(self) -> None:
         """Refuse a ``stabilizer`` seed that is not the closure seed of
-        ``group.normalized(seed.base)`` (:func:`_seed_form`): first by its
-        term count, with no terms built, then by equality with the derived
-        seed, which compares two held forms without terms.  The refusal
-        names the first differing term."""
+        ``group.normalized(seed.base)``, the form that
+        :func:`_closure_form` keeps on the group: first by its term count,
+        with no terms built, then by equality with the derived seed, which
+        compares two held forms without terms, at once when the seed holds
+        the kept form itself.  The refusal names the first differing
+        term."""
         seed, p = self.seed, self.group.width
-        form = _seed_form(self.group._x_rows(seed.base), p, seed.base)
+        form = _closure_form(self.group, seed.base)
         if len(seed) != len(form.units):
             raise ValueError(
                 f"stabilizer seed: {len(seed)} terms, but the "
@@ -642,13 +636,13 @@ class QuantumCode:
     @classmethod
     def from_dict(cls, data: dict) -> "QuantumCode":
         """A code from its JSON form.  Tokens of a ``stabilizer`` seed that
-        spell the closure seed of its group exactly, derived from the
-        group's echelon rows (:func:`_seed_form`) for the file's base, are
-        not parsed, and the seed keeps the derived form, its terms not
-        built.  Other tokens, and any file whose width is not its group's,
-        take the parse of :meth:`SeedState.from_tokens` and every check of
-        the code's construction, which compares a ``stabilizer`` seed with
-        the derived one in full."""
+        spell the closure seed of its group exactly
+        (:func:`_closure_form`, for the file's base) are not parsed, and
+        the seed keeps the derived form, its terms not built.  Other
+        tokens, and any file whose width is not its group's, take the
+        parse of :meth:`SeedState.from_tokens`.  Either way the code's
+        construction runs every check, and its seed check reads the form
+        derived here, so a load derives it at most once."""
         width = read_width(data)
         group = StabilizerGroup.from_dict(read_object(data, "cartanion"))
         origin = data.get("seed_origin", SEED_EXPLICIT)
@@ -661,15 +655,14 @@ class QuantumCode:
             except ParseError:
                 pass  # the parse below names the bad base, after the terms
             else:
-                form = _seed_form(group._x_rows(base), width, base)
+                form = _closure_form(group, base)
                 if _spelled(tokens, width, form):
                     seed = SeedState._from_form(form, width, base)
-        make = cls._make
         if seed is None:
-            make, seed = cls, SeedState.from_tokens(tokens, width, base_text, origin)
+            seed = SeedState.from_tokens(tokens, width, base_text, origin)
         ops = tuple(parse_pauli(s, width) for s in read_list(data, "codeword_spinors"))
         labels = tuple(parse_bits(s, width) for s in read_list(data, "labels"))
-        return make(group, seed, ops, labels)
+        return cls(group, seed, ops, labels)
 
 
 def build_code(
@@ -682,8 +675,8 @@ def build_code(
 
     The stored group keeps the caller's generators, so the given labels
     keep their meaning; the seed is that of ``group.normalized(0)``,
-    derived once from the group's X-part rows signed for base 0, without
-    building the normalized group.  The bit-planes of the closure classes
+    derived from the group's X-part rows signed for base 0 without
+    building the normalized group, once per group (:func:`_closure_form`).  The bit-planes of the closure classes
     are built once; each requested coset is one solved member XOR those
     classes, and its min-weight/lex representative is picked on the
     planes, so only the K winners become operator objects.  An explicit
@@ -703,7 +696,5 @@ def build_code(
         raise ValueError(f"duplicate coset label {format_label(dup, group.width)}")
     ops = tuple(_lightest(group, labels))
     if seed is None:
-        p = group.width
-        seed = SeedState._from_form(_seed_form(group._x_rows(0), p, 0), p, 0)
-        return QuantumCode._make(group, seed, ops, tuple(labels))
+        seed = SeedState._from_form(_closure_form(group, 0), group.width, 0)
     return QuantumCode(group, seed, ops, tuple(labels))

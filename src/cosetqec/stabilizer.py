@@ -114,11 +114,10 @@ class StabilizerGroup:
         return syndrome_map([g.x for g in gens], [g.z for g in gens])
 
     def __getstate__(self) -> dict:
-        # the cached map is a closure or a builtin bound to packed masks,
-        # and neither unpickles; an unpickled group builds its own on first use
-        state = dict(self.__dict__)
-        state.pop("syndrome_map", None)
-        return state
+        # the fields alone: the cached map (a closure or a builtin bound to
+        # packed masks, neither of which unpickles) and the closure seeds
+        # that cosetqec.codes keeps here are rebuilt on first use
+        return {"generators": self.generators, "_pivots": self._pivots}
 
     def syndrome(self, op: PauliOperator) -> int:
         """Coset label of ``op``: bit t is its commutation value against

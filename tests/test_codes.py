@@ -1,6 +1,7 @@
 """Seed states, coset representatives, code assembly, and puncturing."""
 
 import json
+import pickle
 import random
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from cosetqec import (
     random_group,
     seed_state,
 )
+from cosetqec import codes
 from cosetqec.codes import SEED_EXPLICIT, SEED_PUNCTURED, SEED_STABILIZER
 from cosetqec.golden import diagonal_group, five_qubit_code, golden_codes
 
@@ -39,6 +41,19 @@ def ops_of(*strings):
 def group_of(*strings):
     width = len(strings[0])
     return StabilizerGroup(tuple(parse_pauli(s, width) for s in strings))
+
+
+def count_derivations(monkeypatch) -> list:
+    """Spy on ``codes._seed_form``: the list returned gets each closure
+    seed form derived from then on."""
+    forms, derive = [], codes._seed_form
+
+    def spy(*args):
+        forms.append(derive(*args))
+        return forms[-1]
+
+    monkeypatch.setattr(codes, "_seed_form", spy)
+    return forms
 
 
 def seed_vector(seed: SeedState) -> np.ndarray:
@@ -676,8 +691,10 @@ class TestSavedStabilizerSeed:
     ):
         # the derived seed with one token spelled another way: one that is
         # not the derived text is parsed term by term and passes the full
-        # comparison with the derived terms; either way the code is the
-        # one saved, and it saves as the canonical file
+        # comparison with the derived terms; either way the code's
+        # construction checks the seed once, the closure seed is derived
+        # once per load, the code is the one saved, and it saves as the
+        # canonical file
         code = build_code(random_group(6, seed=2), [0, 5, 9])
         data = code.to_dict()
         i = next(i for i, (sign, _) in enumerate(data["seed"]) if sign == "+i")
@@ -689,12 +706,33 @@ class TestSavedStabilizerSeed:
         monkeypatch.setattr(
             QuantumCode, "_check_closure_seed", lambda code: checks.append(check(code))
         )
+        forms = count_derivations(monkeypatch)
         again = QuantumCode.from_dict(respelled)
-        assert len(checks) == (0 if derived else 1)
+        assert len(checks) == 1 and len(forms) == 1
         assert ("_form" in vars(again.seed)) == derived
         assert ("terms" in vars(again.seed)) != derived
         assert again == code
         assert json.dumps(again.to_dict()) == json.dumps(data)
+
+    def test_a_group_derives_its_closure_seed_once(self, monkeypatch):
+        # the form is kept on the group: a second code built on it, and a
+        # code made from a built one's fields, derive none and share it
+        forms = count_derivations(monkeypatch)
+        g = random_group(6, seed=2)
+        first = build_code(g, [0, 5])
+        assert len(forms) == 1
+        second = build_code(g, [0, 9])
+        again = QuantumCode(g, first.seed, first.codeword_ops, first.labels)
+        assert len(forms) == 1 and again == first
+        assert vars(second.seed)["_form"] is vars(first.seed)["_form"] is forms[0]
+        # an unpickled group holds no kept form, pickles as the group did
+        # before any code was built on it, and derives its own
+        fresh = random_group(6, seed=2)
+        copy = pickle.loads(pickle.dumps(g))
+        assert "_closure_forms" not in vars(copy)
+        assert pickle.dumps(g) == pickle.dumps(copy) == pickle.dumps(fresh)
+        assert build_code(copy, [0, 5]) == first
+        assert len(forms) == 2 and forms[1] == forms[0]
 
     @pytest.mark.parametrize(
         "name, at, token",
