@@ -136,7 +136,10 @@ class SeedState:
     origin: str = SEED_EXPLICIT
 
     def __post_init__(self) -> None:
-        if not self.terms:
+        terms = self.terms
+        if type(terms) is not tuple:
+            terms = tuple(terms)
+        if not terms:
             raise ValueError("seed state has no terms")
         if self.origin not in (SEED_STABILIZER, SEED_PUNCTURED, SEED_EXPLICIT):
             raise ValueError(f"unknown seed origin {self.origin!r}")
@@ -146,18 +149,23 @@ class SeedState:
         if not 0 <= index(self.base) <= mask:
             raise ValueError(f"seed base {self.base:#x} exceeds width {self.width}")
         seen = set()
-        for unit, string in self.terms:
+        exact = terms is self.terms  # a tuple of (int, int) tuples is kept as given
+        for term in terms:
+            unit, string = term
             try:
-                unit, string = index(unit), index(string)
+                u, s = index(unit), index(string)
             except TypeError:
                 raise TypeError(f"seed term {(unit, string)!r} is not two ints") from None
-            if not 0 <= unit <= 3:
-                raise ValueError(f"coefficient exponent {unit} out of range")
-            if not 0 <= string <= mask:
-                raise ValueError(f"basis string {string:#x} exceeds width {self.width}")
-            if string in seen:
-                raise ValueError(f"duplicate basis string {format_bits(string, self.width)}")
-            seen.add(string)
+            if not 0 <= u <= 3:
+                raise ValueError(f"coefficient exponent {u} out of range")
+            if not 0 <= s <= mask:
+                raise ValueError(f"basis string {s:#x} exceeds width {self.width}")
+            if s in seen:
+                raise ValueError(f"duplicate basis string {format_bits(s, self.width)}")
+            seen.add(s)
+            exact = exact and type(term) is tuple and u is unit and s is string
+        if not exact:
+            object.__setattr__(self, "terms", tuple((index(u), index(s)) for u, s in terms))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -451,7 +459,10 @@ def punctured_seed(seed: SeedState, removed: Iterable[int | str]) -> SeedState:
     """Drop the given basis strings from a seed (to build the nonadditive
     code families); at least two strings must go and at least one term
     must survive.  A seed that holds its form gives that form with more
-    terms cut, each found by :func:`_index`."""
+    terms cut, each found by :func:`_index`.  A bare str is refused: it
+    would otherwise be read as a list of its characters."""
+    if isinstance(removed, str):
+        raise TypeError("removed must be an iterable of basis strings, got a str")
     remove: set[int] = set()
     for item in removed:
         if isinstance(item, str):
@@ -542,6 +553,9 @@ class QuantumCode:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for name in ("codeword_ops", "labels"):  # a list is stored as a tuple
+            if type(value := getattr(self, name)) is not tuple:
+                object.__setattr__(self, name, tuple(value))
         p = self.group.width
         if self.seed.width != p:
             raise ValueError("seed width does not match the group")

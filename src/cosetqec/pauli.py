@@ -233,6 +233,8 @@ class ErrorSet:
     errors: tuple[PauliOperator, ...]
 
     def __post_init__(self) -> None:
+        if type(self.errors) is not tuple:  # a list is stored as a tuple
+            object.__setattr__(self, "errors", tuple(self.errors))
         if not self.errors:
             raise ValueError("error set is empty")
         width = self.errors[0].width
@@ -255,6 +257,10 @@ class ErrorSet:
     def from_strings(
         cls, lines: Iterable[str], width: int | None = None
     ) -> "ErrorSet":
+        """One Pauli string per item of ``lines``, which must not be a bare
+        str: that would be read as a list of its characters."""
+        if isinstance(lines, str):
+            raise TypeError("lines must be an iterable of Pauli strings, got a str")
         ops = [parse_pauli(line, width) for line in lines]
         return cls(tuple(ops))
 

@@ -60,6 +60,9 @@ class StabilizerGroup:
 
     def __post_init__(self) -> None:
         gens = self.generators
+        if type(gens) is not tuple:  # a list is stored as a tuple
+            gens = tuple(gens)
+            object.__setattr__(self, "generators", gens)
         if not gens:
             raise GroupError("no generators given")
         p = gens[0].width
@@ -82,7 +85,7 @@ class StabilizerGroup:
         # a row that reduces to zero names the dependent subset, and the
         # pivots later solve for a member of any coset.
         pivots: dict[int, tuple[int, int]] = {}
-        for idx, g in enumerate(self.generators):
+        for idx, g in enumerate(gens):
             w = g.z | (g.x << p)
             comb = 1 << idx
             while w:

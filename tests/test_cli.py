@@ -728,6 +728,71 @@ class TestSelftest:
         assert captured.err == f"error: max width must be at least 1, got {width}\n"
 
 
+class TestInternalViolations:
+    """Exit status 3: a structural self-check failed, shown on stderr as
+    ``internal violation:``, or a self-test check reported ``not ok``."""
+
+    def test_broken_syndrome_additivity_exits_3(self, workdir, capsys, monkeypatch):
+        # one entry of the cached syndrome map is broken: product (1, 1),
+        # XII times XXX, gets a wrong label that XOR additivity catches
+        real = cli.build_table
+
+        def broken(code, errors):
+            label = code.group.syndrome_map
+            err, word = errors[1], code.codeword_ops[1]
+            bad = (err.x ^ word.x, err.z ^ word.z)
+            code.group.__dict__["syndrome_map"] = lambda x, z: label(x, z) ^ ((x, z) == bad)
+            return real(code, errors)
+
+        monkeypatch.setattr(cli, "build_table", broken)
+        files = ["--code", str(workdir / "rep3.json"), "--errors", str(workdir / "xflips.txt")]
+        rc = main(["verify", *files])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == "internal violation: syndrome additivity failed at entry (1, 1)\n"
+
+    def test_a_search_result_that_fails_reverification_exits_3(
+        self, workdir, capsys, monkeypatch, tmp_path
+    ):
+        refuted = verify.Verdict(collision=(0, 0, 1, 1))
+        monkeypatch.setattr(cli, "check_correctable", lambda code, errors: refuted)
+        out = tmp_path / "found.json"
+        rc = main([
+            "search",
+            "--errors", str(workdir / "xflips.txt"),
+            "--k", "2",
+            "--strategy", "exhaustive",
+            "-o", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines()[1:] == [
+            "internal violation: search returned a code that fails verification"
+        ]
+
+    def test_a_failed_selftest_check_is_not_ok_with_its_detail(self, capsys, monkeypatch):
+        import cosetqec.selftest as selftest
+        from cosetqec.oracle import OracleReport
+
+        violations = tuple(f"violation {n}" for n in range(4))
+        monkeypatch.setattr(
+            selftest,
+            "check_syndrome_orthogonality",
+            lambda code, errors: OracleReport("orthogonality", 1, violations),
+        )
+        rc = main(["selftest", "--max-width", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 3
+        failed = [line for line in lines if line.startswith("not ok")]
+        assert failed == [
+            f"not ok {n} - syndrome-orthogonality {name} # violation 0; violation 1; violation 2"
+            for n, name in ((5, "rep3"), (7, "cat3"), (9, "bell2"), (11, "y1"))
+        ]
+        assert len(lines) == 14 and lines[0] == "1..13"
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -815,6 +815,36 @@ class TestSavedStabilizerSeed:
         QuantumCode.from_dict(edited)
 
 
+class TestListInputs:
+    """A list given for a field declared as a tuple is stored as a tuple,
+    so the value equals and hashes as the one built from tuples."""
+
+    def test_a_seed_given_as_lists_passes_the_code_check(self, five2):
+        terms = five2.seed.terms
+        for given in (list(terms), tuple(map(list, terms)), [*map(list, terms)]):
+            seed = SeedState(given, 5, 0, SEED_STABILIZER)
+            assert type(seed.terms) is tuple
+            assert all(type(term) is tuple for term in seed.terms)
+            assert seed == five2.seed and hash(seed) == hash(five2.seed)
+            code = QuantumCode(
+                five2.group, seed, list(five2.codeword_ops), list(five2.labels)
+            )
+            assert code == five2 and hash(code) == hash(five2)
+            assert type(code.codeword_ops) is tuple and type(code.labels) is tuple
+
+    def test_a_seed_term_is_stored_as_two_ints(self):
+        seed = SeedState(((True, np.int64(3)), (0, 0)), 2)
+        assert seed.terms == ((1, 3), (0, 0))
+        assert {type(v) for term in seed.terms for v in term} == {int}
+        assert seed == SeedState(((1, 3), (0, 0)), 2)
+
+    def test_a_tuple_of_int_pairs_is_kept_as_given(self, five2):
+        terms = five2.seed.terms
+        assert SeedState(terms, 5, 0, SEED_STABILIZER).terms is terms
+        code = QuantumCode(five2.group, five2.seed, five2.codeword_ops, five2.labels)
+        assert code.codeword_ops is five2.codeword_ops and code.labels is five2.labels
+
+
 class TestPuncture:
     def make_full_seed(self):
         # all-X group: seed is the uniform superposition over all 8 strings
@@ -856,6 +886,14 @@ class TestPuncture:
         error = ParseError if isinstance(item, str) else TypeError
         with pytest.raises(error):
             punctured_seed(five2.seed, [item, 0])
+
+    def test_a_bare_string_is_refused(self, five2):
+        # not read as the list of its characters
+        with pytest.raises(TypeError) as info:
+            punctured_seed(five2.seed, "00000,00110")
+        assert str(info.value) == (
+            "removed must be an iterable of basis strings, got a str"
+        )
 
     def test_code_with_punctured_seed(self):
         g = group_of("XII", "IXI", "IIX")

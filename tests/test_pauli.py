@@ -427,6 +427,19 @@ class TestErrorSet:
             ErrorSet((PauliOperator.identity(1), parse_pauli("XI")))
         assert str(info.value) == "mixed widths in error set"
 
+    def test_from_strings_refuses_a_bare_string(self):
+        # not read as the list of its characters
+        with pytest.raises(TypeError) as info:
+            ErrorSet.from_strings("XYZ")
+        assert str(info.value) == "lines must be an iterable of Pauli strings, got a str"
+        assert len(ErrorSet.from_strings(["III", "XYZ"])) == 2
+
+    def test_a_list_is_stored_as_a_tuple(self):
+        ops = [PauliOperator.identity(2), parse_pauli("XI")]
+        listed = ErrorSet(ops)
+        assert type(listed.errors) is tuple
+        assert listed == ErrorSet(tuple(ops)) and hash(listed) == hash(ErrorSet(tuple(ops)))
+
     def test_from_text_of_comments_only_refused(self):
         with pytest.raises(ParseError) as info:
             ErrorSet.from_text("# flips\n\n  # none\n")

@@ -138,6 +138,12 @@ class TestValidation:
             StabilizerGroup((parse_pauli("ZI"), parse_pauli("Z")))
         assert str(info.value) == "generator 1 has width 1, expected 2"
 
+    def test_a_generator_list_is_stored_as_a_tuple(self):
+        gens = [parse_pauli("XX"), parse_pauli("ZZ")]
+        listed = StabilizerGroup(gens)
+        assert type(listed.generators) is tuple
+        assert listed == group_of("XX", "ZZ") and hash(listed) == hash(group_of("XX", "ZZ"))
+
 
 class TestClosure:
     def test_diagonal_closure_is_all_z_strings(self):

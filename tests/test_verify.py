@@ -291,6 +291,14 @@ class TestDiagnose:
             d = diagnose(five2, errs, lab, table=table)
             assert (d.error_index, d.codeword_index) == (i, j)
 
+    def test_an_error_list_uses_the_table_of_its_tuple(self, five2):
+        errs = single_qubit_errors(5)
+        table = build_table(five2, errs)
+        listed = ErrorSet(list(errs.errors))
+        i, j, lab = next(table.iter_entries())
+        d = diagnose(five2, listed, lab, table)
+        assert (d.error_index, d.codeword_index) == (i, j)
+
     def test_unknown_label(self, rep3):
         errs = ErrorSet((PauliOperator.identity(3), parse_pauli("XII")))
         with pytest.raises(UnknownSyndromeError):
