@@ -112,7 +112,8 @@ class SeedState:
 
     ``terms`` holds (unit, string) pairs of ints where the coefficient of
     the basis string is i**unit; strings are distinct and at least one
-    term is present.  ``width`` is in 0..24.  ``base`` is the basis string
+    term is present.  Terms given as a list, or as pairs that are lists
+    or hold other integer types, are stored as a tuple of int pairs.  ``width`` is in 0..24.  ``base`` is the basis string
     the closure was applied to, a width-bit string like the terms.
     ``origin`` records how the seed was made: derived from a group
     closure, punctured from such a seed, or supplied explicitly (the
@@ -545,7 +546,10 @@ def coset_representative(group: StabilizerGroup, label: int) -> PauliOperator:
 @dataclass(frozen=True)
 class QuantumCode:
     """A dimension-K code: a seed plus K codeword operators, one per
-    chosen coset of the group, the first being the identity."""
+    chosen coset of the group, the first being the identity.  Operators
+    and labels given as lists are stored as tuples.  Every code, however
+    made, passes every check of ``__post_init__``, a ``stabilizer``
+    seed's comparison with its group's closure seed included."""
 
     group: StabilizerGroup
     seed: SeedState
@@ -690,8 +694,9 @@ def build_code(
     The stored group keeps the caller's generators, so the given labels
     keep their meaning; the seed is that of ``group.normalized(0)``,
     derived from the group's X-part rows signed for base 0 without
-    building the normalized group, once per group (:func:`_closure_form`).  The bit-planes of the closure classes
-    are built once; each requested coset is one solved member XOR those
+    building the normalized group, once per group
+    (:func:`_closure_form`).  The bit-planes of the closure classes are
+    built once; each requested coset is one solved member XOR those
     classes, and its min-weight/lex representative is picked on the
     planes, so only the K winners become operator objects.  An explicit
     ``seed`` (e.g. punctured) replaces the derived one; a ``stabilizer``
