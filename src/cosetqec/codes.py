@@ -112,9 +112,10 @@ class SeedState:
 
     ``terms`` holds (unit, string) pairs of ints where the coefficient of
     the basis string is i**unit; strings are distinct and at least one
-    term is present.  Terms given as a list, or as pairs that are lists
-    or hold other integer types, are stored as a tuple of int pairs.  ``width`` is in 0..24.  ``base`` is the basis string
-    the closure was applied to, a width-bit string like the terms.
+    term is present.  The terms are stored as a tuple of int pairs,
+    whether given as a list, as pairs that are lists or as other integer
+    types.  ``width`` is in 0..24.  ``base`` is the basis string the
+    closure was applied to, a width-bit string like the terms.
     ``origin`` records how the seed was made: derived from a group
     closure, punctured from such a seed, or supplied explicitly (the
     default).
@@ -137,9 +138,7 @@ class SeedState:
     origin: str = SEED_EXPLICIT
 
     def __post_init__(self) -> None:
-        terms = self.terms
-        if type(terms) is not tuple:
-            terms = tuple(terms)
+        terms = tuple(self.terms)
         if not terms:
             raise ValueError("seed state has no terms")
         if self.origin not in (SEED_STABILIZER, SEED_PUNCTURED, SEED_EXPLICIT):
@@ -150,9 +149,8 @@ class SeedState:
         if not 0 <= index(self.base) <= mask:
             raise ValueError(f"seed base {self.base:#x} exceeds width {self.width}")
         seen = set()
-        exact = terms is self.terms  # a tuple of (int, int) tuples is kept as given
-        for term in terms:
-            unit, string = term
+        pairs = []
+        for unit, string in terms:
             try:
                 u, s = index(unit), index(string)
             except TypeError:
@@ -164,9 +162,8 @@ class SeedState:
             if s in seen:
                 raise ValueError(f"duplicate basis string {format_bits(s, self.width)}")
             seen.add(s)
-            exact = exact and type(term) is tuple and u is unit and s is string
-        if not exact:
-            object.__setattr__(self, "terms", tuple((index(u), index(s)) for u, s in terms))
+            pairs.append((u, s))
+        object.__setattr__(self, "terms", tuple(pairs))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -558,8 +555,7 @@ class QuantumCode:
 
     def __post_init__(self) -> None:
         for name in ("codeword_ops", "labels"):  # a list is stored as a tuple
-            if type(value := getattr(self, name)) is not tuple:
-                object.__setattr__(self, name, tuple(value))
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         p = self.group.width
         if self.seed.width != p:
             raise ValueError("seed width does not match the group")

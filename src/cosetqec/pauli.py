@@ -233,8 +233,8 @@ class ErrorSet:
     errors: tuple[PauliOperator, ...]
 
     def __post_init__(self) -> None:
-        if type(self.errors) is not tuple:  # a list is stored as a tuple
-            object.__setattr__(self, "errors", tuple(self.errors))
+        # a list is stored as a tuple
+        object.__setattr__(self, "errors", tuple(self.errors))
         if not self.errors:
             raise ValueError("error set is empty")
         width = self.errors[0].width

@@ -59,10 +59,8 @@ class StabilizerGroup:
     generators: tuple[PauliOperator, ...]
 
     def __post_init__(self) -> None:
-        gens = self.generators
-        if type(gens) is not tuple:  # a list is stored as a tuple
-            gens = tuple(gens)
-            object.__setattr__(self, "generators", gens)
+        gens = tuple(self.generators)  # a list is stored as a tuple
+        object.__setattr__(self, "generators", gens)
         if not gens:
             raise GroupError("no generators given")
         p = gens[0].width

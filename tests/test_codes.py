@@ -838,9 +838,7 @@ class TestListInputs:
         assert {type(v) for term in seed.terms for v in term} == {int}
         assert seed == SeedState(((1, 3), (0, 0)), 2)
 
-    def test_a_tuple_of_int_pairs_is_kept_as_given(self, five2):
-        terms = five2.seed.terms
-        assert SeedState(terms, 5, 0, SEED_STABILIZER).terms is terms
+    def test_tuple_fields_are_kept_as_given(self, five2):
         code = QuantumCode(five2.group, five2.seed, five2.codeword_ops, five2.labels)
         assert code.codeword_ops is five2.codeword_ops and code.labels is five2.labels
 
