@@ -3,7 +3,8 @@
 Exit codes: 0 success/correctable, 1 verified-negative (collision,
 not-found, unknown syndrome, or a verify whose dense oracle refutes the
 labels), 2 usage, format or path error, 3 internal violation (a
-structural self-check failed, which should never happen), 141 stdout
+structural self-check or an assert failed, which should never happen:
+any AssertionError), 141 stdout
 closed early (128 + SIGPIPE, as a shell reports a writer a pipe killed).
 """
 
@@ -19,7 +20,7 @@ from . import __version__
 from ._kernels import BACKEND
 from .classify import classify
 from .codes import QuantumCode, build_code, punctured_seed, seed_state
-from .oracle import ORTHOGONALITY_MAX_WIDTH, check_syndrome_orthogonality
+from .oracle import OracleLimitError, check_syndrome_orthogonality
 from .pauli import ErrorSet, ParseError, format_pauli, parse_bits
 from .search import DEFAULT_BUDGET, search_code
 from .selftest import format_tap, run_selftest
@@ -97,22 +98,18 @@ def _cmd_verify(args) -> int:
     verdict = check_correctable(code, errors, table)
     oracle_note = None
     refuted = False
-    want_oracle = args.oracle or verdict.algebraic_only
-    if want_oracle and not verdict.pigeonhole:
-        if code.width > ORTHOGONALITY_MAX_WIDTH:
-            oracle_note = (
-                f"oracle skipped (width {code.width} > "
-                f"{ORTHOGONALITY_MAX_WIDTH}); algebraic results only"
-            )
-        else:
+    if (args.oracle or verdict.algebraic_only) and not verdict.pigeonhole:
+        try:
             report = check_syndrome_orthogonality(code, errors)
-            if report.ok:
-                oracle_note = "oracle confirmed: orthogonality matches labels"
-            else:
-                refuted = True
-                oracle_note = (
-                    "oracle DISAGREES with labels: " + "; ".join(report.violations[:3])
-                )
+        except OracleLimitError as exc:  # the oracle's width cap
+            oracle_note = f"oracle skipped ({exc}); algebraic results only"
+        else:
+            refuted = not report.ok
+            oracle_note = (
+                "oracle DISAGREES with labels: " + "; ".join(report.violations[:3])
+                if refuted
+                else "oracle confirmed: orthogonality matches labels"
+            )
     # (i, j, error, codeword, label) per table entry, for either output
     entries = None
     if table is not None:
@@ -326,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # parse, group, width and oracle-cap refusals too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InternalCheckError as exc:
+    except AssertionError as exc:  # InternalCheckError, InternalOracleError, assert
         print(f"internal violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

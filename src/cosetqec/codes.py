@@ -68,7 +68,6 @@ term.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, islice
 from operator import index, itemgetter
@@ -87,6 +86,7 @@ from .pauli import (
 from .stabilizer import (
     GroupError,
     StabilizerGroup,
+    _read_base,
     format_label,
     read_list,
     read_object,
@@ -114,8 +114,8 @@ class SeedState:
     the basis string is i**unit; strings are distinct and at least one
     term is present.  The terms are stored as a tuple of int pairs,
     whether given as a list, as pairs that are lists or as other integer
-    types.  ``width`` is in 0..24.  ``base`` is the basis string the
-    closure was applied to, a width-bit string like the terms.
+    types, and ``width`` (0..24) and ``base``, the basis string the closure
+    was applied to, a width-bit string like the terms, as ints.
     ``origin`` records how the seed was made: derived from a group
     closure, punctured from such a seed, or supplied explicitly (the
     default).
@@ -143,11 +143,11 @@ class SeedState:
             raise ValueError("seed state has no terms")
         if self.origin not in (SEED_STABILIZER, SEED_PUNCTURED, SEED_EXPLICIT):
             raise ValueError(f"unknown seed origin {self.origin!r}")
-        if not 0 <= index(self.width) <= MAX_WIDTH:
-            raise ValueError(f"seed width must be in 0..{MAX_WIDTH}, got {self.width}")
-        mask = (1 << self.width) - 1
-        if not 0 <= index(self.base) <= mask:
-            raise ValueError(f"seed base {self.base:#x} exceeds width {self.width}")
+        if not 0 <= (width := index(self.width)) <= MAX_WIDTH:
+            raise ValueError(f"seed width must be in 0..{MAX_WIDTH}, got {width}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "base", _read_base(self.base, width))
+        mask = (1 << width) - 1
         seen = set()
         pairs = []
         for unit, string in terms:
@@ -158,9 +158,9 @@ class SeedState:
             if not 0 <= u <= 3:
                 raise ValueError(f"coefficient exponent {u} out of range")
             if not 0 <= s <= mask:
-                raise ValueError(f"basis string {s:#x} exceeds width {self.width}")
+                raise ValueError(f"basis string {s:#x} exceeds width {width}")
             if s in seen:
-                raise ValueError(f"duplicate basis string {format_bits(s, self.width)}")
+                raise ValueError(f"duplicate basis string {format_bits(s, width)}")
             seen.add(s)
             pairs.append((u, s))
         object.__setattr__(self, "terms", tuple(pairs))
@@ -429,15 +429,14 @@ def seed_state(group: StabilizerGroup, base: int = 0) -> SeedState:
     the diagonal subgroup size, and only the unit i^k is kept.  The terms
     come from the group's reduced echelon rows (:func:`_seed_form`): no
     Python loop runs per term and no operator object is built.  Refuses
-    a base outside [0, 2^p), and groups whose diagonal subgroup does not
-    fix |base> with +1, since the character sum then cancels every
-    coefficient to zero; the refusal names the first closure element, in
-    the order of :meth:`StabilizerGroup.closure`, that acts as -1.
+    a base outside [0, 2^p) (:func:`cosetqec.stabilizer._read_base`), and
+    groups whose diagonal subgroup does not fix |base> with +1, since the
+    character sum then cancels every coefficient to zero; the refusal
+    names the first closure element, in the order of
+    :meth:`StabilizerGroup.closure`, that acts as -1.
     """
     p = group.width
-    base = index(base)
-    if not 0 <= base < 1 << p:
-        raise ValueError(f"seed base {base:#x} exceeds width {p}")
+    base = _read_base(base, p)
     return SeedState._from_form(_seed_form(group._x_rows(), p, base), p, base)
 
 
@@ -544,9 +543,10 @@ def coset_representative(group: StabilizerGroup, label: int) -> PauliOperator:
 class QuantumCode:
     """A dimension-K code: a seed plus K codeword operators, one per
     chosen coset of the group, the first being the identity.  Operators
-    and labels given as lists are stored as tuples.  Every code, however
-    made, passes every check of ``__post_init__``, a ``stabilizer``
-    seed's comparison with its group's closure seed included."""
+    and labels given as lists are stored as tuples, labels as ints
+    (``operator.index``).  ``__post_init__`` owns every check of a code,
+    the labels' and a ``stabilizer`` seed's comparison with its group's
+    closure seed included, however the code is made."""
 
     group: StabilizerGroup
     seed: SeedState
@@ -554,21 +554,27 @@ class QuantumCode:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for name in ("codeword_ops", "labels"):  # a list is stored as a tuple
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        labels = self.labels
+        if type(labels) is not tuple or {*map(type, labels)} - {int}:
+            labels = tuple(map(index, labels))
+            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "codeword_ops", tuple(self.codeword_ops))
         p = self.group.width
+        if not labels:
+            raise ValueError("no coset labels given")
+        if labels[0] != 0:
+            raise ValueError("labels[0] must be the zero coset")
+        if len(set(labels)) != len(labels):
+            last = {lab: i for i, lab in enumerate(labels)}
+            dup = next(lab for i, lab in enumerate(labels) if last[lab] != i)
+            raise ValueError(f"duplicate coset label {format_label(dup, p)}")
         if self.seed.width != p:
             raise ValueError("seed width does not match the group")
-        k = len(self.codeword_ops)
-        if k != len(self.labels):
+        if len(self.codeword_ops) != len(labels):
             raise ValueError("codeword/label count mismatch")
-        if not 1 <= k <= (1 << p):
-            raise ValueError(f"dimension {k} out of range for width {p}")
-        if self.labels[0] != 0 or not self.codeword_ops[0].is_identity:
+        if not self.codeword_ops[0].is_identity:
             raise ValueError("the first codeword operator must be the identity")
-        if len(set(self.labels)) != k:
-            raise ValueError("codeword coset labels must be distinct")
-        for op, lab in zip(self.codeword_ops, self.labels):
+        for op, lab in zip(self.codeword_ops, labels):
             if self.group.syndrome(op) != lab:
                 raise ValueError(
                     f"operator {format_pauli(op)} is not in coset "
@@ -695,21 +701,13 @@ def build_code(
     built once; each requested coset is one solved member XOR those
     classes, and its min-weight/lex representative is picked on the
     planes, so only the K winners become operator objects.  An explicit
-    ``seed`` (e.g. punctured) replaces the derived one; a ``stabilizer``
-    one must be the closure seed of ``group.normalized(seed.base)``, as
-    in every code.  Labels are read as ints (``operator.index``); the
-    first label that occurs twice is refused.
+    ``seed`` (e.g. punctured) replaces the derived one.  Labels are read
+    as ints (``operator.index``) for the representatives, and a label
+    outside [0, 2^p) is refused there; every other check, of the labels
+    and of a ``stabilizer`` seed alike, is :class:`QuantumCode`'s.
     """
     labels = [*map(index, labels)]
-    if not labels:
-        raise ValueError("no coset labels given")
-    if labels[0] != 0:
-        raise ValueError("labels[0] must be the zero coset")
-    counts = Counter(labels)
-    if len(counts) != len(labels):
-        dup = next(l for l in labels if counts[l] > 1)
-        raise ValueError(f"duplicate coset label {format_label(dup, group.width)}")
-    ops = tuple(_lightest(group, labels))
+    ops = _lightest(group, labels)
     if seed is None:
         seed = SeedState._from_form(_closure_form(group, 0), group.width, 0)
-    return QuantumCode(group, seed, ops, tuple(labels))
+    return QuantumCode(group, seed, ops, labels)

@@ -154,7 +154,7 @@ class StabilizerGroup:
             if r ^ (((w ^ (1 << bit)) & v).bit_count() & 1):
                 v |= 1 << bit
         x, z = v & ((1 << p) - 1), v >> p
-        assert self.syndrome_map(x, z) == label
+        assert self.syndrome_map(x, z) == label, f"solved member of {label} is off its coset"
         return x, z
 
     def _planes(self) -> tuple[list[int], list[int], int]:
@@ -206,12 +206,9 @@ class StabilizerGroup:
         on the computational-basis state ``base``; non-diagonal generators
         get a + sign.  They are the rows of :meth:`_x_rows` for ``base``.
         The closure mod phase is unchanged.  Refuses a ``base`` that is no
-        int or lies outside [0, 2^p)."""
+        int or lies outside [0, 2^p) (:func:`_read_base`)."""
         p = self.width
-        base = index(base)
-        if not 0 <= base < 1 << p:
-            raise ValueError(f"seed base {base:#x} exceeds width {p}")
-        rows = self._x_rows(base)
+        rows = self._x_rows(_read_base(base, p))
         return StabilizerGroup(tuple(PauliOperator(a, x, z, p) for a, x, z in rows))
 
     def to_dict(self) -> dict:
@@ -262,6 +259,13 @@ def read_object(data: dict, key: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{key} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+def _read_base(base: int, width: int) -> int:
+    """``base`` as an int, refused outside [0, 2^width): every seed's base check."""
+    if not 0 <= (base := index(base)) < 1 << width:
+        raise ValueError(f"seed base {base:#x} exceeds width {width}")
+    return base
 
 
 # A coset label as a bit string: character t is the bit for generator t.

@@ -36,7 +36,7 @@ from cosetqec.golden import (
     x_flips,
     z_flips,
 )
-from cosetqec.stabilizer import format_label
+from cosetqec.stabilizer import StabilizerGroup, format_label
 
 REP3_GROUP = {"width": 3, "generators": ["ZII", "IZI", "IIZ"]}
 XFLIPS = "III\nXII\nIXI\nIIX\n"
@@ -396,11 +396,12 @@ class TestVerify:
             ({"width": 2, "seed": [["+", "00"]], "codeword_spinors": ["II"], "labels": ["00"]},
              "seed width does not match the group"),
             ({"labels": ["000"]}, "codeword/label count mismatch"),
-            ({"codeword_spinors": [], "labels": []}, "dimension 0 out of range for width 3"),
-            ({"codeword_spinors": ["XXX", "III"], "labels": ["111", "000"]},
+            ({"codeword_spinors": [], "labels": []}, "no coset labels given"),
+            # ZII lies in the group, so its coset is the zero label's
+            ({"codeword_spinors": ["ZII", "XXX"]},
              "the first codeword operator must be the identity"),
             ({"codeword_spinors": ["III", "XXX", "XXX"], "labels": ["000", "111", "111"]},
-             "codeword coset labels must be distinct"),
+             "duplicate coset label 111"),
         ],
         ids=["seed-width", "count-mismatch", "dimension-0", "first-not-identity",
              "repeated-label"],
@@ -527,7 +528,11 @@ class TestVerify:
         ])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "oracle skipped" in out
+        # the note quotes the oracle's own refusal of the width
+        assert out.splitlines()[-1] == (
+            "note: oracle skipped (width 13 exceeds the dense-state cap of 12); "
+            "algebraic results only"
+        )
 
     def test_pigeonhole_verdict(self, workdir, capsys):
         crowd = workdir / "crowd.txt"
@@ -771,6 +776,38 @@ class TestInternalViolations:
         assert captured.err.splitlines()[1:] == [
             "internal violation: search returned a code that fails verification"
         ]
+
+    def test_a_failed_oracle_norm_check_exits_3(self, capsys, monkeypatch):
+        # every Gram matrix gets a second codeword norm, which the
+        # Knill-Laflamme check of the self-test refuses as InternalOracleError
+        import cosetqec.oracle as oracle
+
+        real = oracle._upper_gram
+
+        def skewed(states):
+            upper = real(states)
+            upper[1][0] = (upper[1][0][0] + 1, upper[1][0][1])
+            return upper
+
+        monkeypatch.setattr(oracle, "_upper_gram", skewed)
+        rc = main(["selftest", "--max-width", "2"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "internal violation: codeword norms diverged; Pauli action is broken\n"
+        )
+
+    def test_a_failed_assert_exits_3(self, workdir, capsys, monkeypatch):
+        # a syndrome map that sends everything to 0 puts the solved member
+        # of label 111 off its coset, which _solve_member's assert catches
+        monkeypatch.setattr(StabilizerGroup, "syndrome_map", lambda self, x, z: 0)
+        argv = ["build", "--cartanion", str(workdir / "diag3.json"), "--labels", "000,111"]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == "internal violation: solved member of 7 is off its coset\n"
 
     def test_a_failed_selftest_check_is_not_ok_with_its_detail(self, capsys, monkeypatch):
         import cosetqec.selftest as selftest

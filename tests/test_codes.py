@@ -496,11 +496,12 @@ class TestBuildCode:
             ({"seed": SeedState(((0, 0),), 2, 0, SEED_STABILIZER)},
              "seed width does not match the group"),
             ({"labels": (0,)}, "codeword/label count mismatch"),
-            ({"codeword_ops": (), "labels": ()}, "dimension 0 out of range for width 3"),
-            ({"codeword_ops": ops_of("XXX", "III"), "labels": (7, 0)},
+            ({"codeword_ops": (), "labels": ()}, "no coset labels given"),
+            # ZII lies in the group, so its coset is the zero label's
+            ({"codeword_ops": ops_of("ZII", "XXX")},
              "the first codeword operator must be the identity"),
             ({"codeword_ops": ops_of("III", "XXX", "XXX"), "labels": (0, 7, 7)},
-             "codeword coset labels must be distinct"),
+             "duplicate coset label 111"),
         ],
         ids=["seed-width", "count-mismatch", "dimension-0", "first-not-identity",
              "repeated-label"],
@@ -841,6 +842,65 @@ class TestListInputs:
     def test_tuple_fields_are_kept_as_given(self, five2):
         code = QuantumCode(five2.group, five2.seed, five2.codeword_ops, five2.labels)
         assert code.codeword_ops is five2.codeword_ops and code.labels is five2.labels
+
+    def test_seed_width_and_base_are_stored_as_ints(self):
+        seed = SeedState(((0, 0), (0, 1)), True, False)
+        assert (seed.width, seed.base) == (1, 0)
+        assert type(seed.width) is int and type(seed.base) is int
+        assert seed == SeedState(((0, 0), (0, 1)), 1, 0)
+
+
+# Each label fault, and what every entry point that can express it gives:
+# the type and message of its refusal, or the labels it stores.
+LABEL_FAULTS = {
+    "empty": ([], (ValueError, "no coset labels given")),
+    "nonzero-first": ([7, 0], (ValueError, "labels[0] must be the zero coset")),
+    # 2 repeats first, but 1 comes first in list order
+    "repeated": ([0, 1, 2, 2, 1], (ValueError, "duplicate coset label 100")),
+    "float": ([0, 7.0], (TypeError, "'float' object cannot be interpreted as an integer")),
+    "bool": ([False, True], ((0, 1), {int})),
+}
+
+
+def _label_outcome(make):
+    """The type and message of what ``make()`` raised, or the labels of
+    the code it made and their types."""
+    try:
+        code = make()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return code.labels, {*map(type, code.labels)}
+
+
+class TestLabelFaults:
+    """``QuantumCode.__post_init__`` owns every label check, so a fault
+    gets one outcome from ``build_code``, ``QuantumCode(...)``,
+    ``dataclasses.replace``, ``QuantumCode.from_dict`` and the CLI."""
+
+    @pytest.mark.parametrize("fault", sorted(LABEL_FAULTS))
+    def test_every_entry_point_gives_one_outcome(self, rep3, tmp_path, capsys, fault):
+        from cosetqec.cli import main
+
+        labels, want = LABEL_FAULTS[fault]
+        group = rep3.group
+        ops = [coset_representative(group, int(lab)) for lab in labels]
+        assert _label_outcome(lambda: build_code(group, labels)) == want
+        assert _label_outcome(lambda: QuantumCode(group, rep3.seed, ops, labels)) == want
+        assert _label_outcome(
+            lambda: replace(rep3, codeword_ops=tuple(ops), labels=tuple(labels))
+        ) == want
+        if fault in ("float", "bool"):
+            return  # a code file's labels are bit strings
+        data = {
+            **rep3.to_dict(),
+            "codeword_spinors": [format_pauli(op) for op in ops],
+            "labels": [format_bits(lab, 3) for lab in labels],
+        }
+        assert _label_outcome(lambda: QuantumCode.from_dict(data)) == want
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(data))
+        assert main(["classify", "--code", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: bad code file: {want[1]}\n"
 
 
 class TestPuncture:
