@@ -546,7 +546,8 @@ class QuantumCode:
     and labels given as lists are stored as tuples, labels as ints
     (``operator.index``).  ``__post_init__`` owns every check of a code,
     the labels' and a ``stabilizer`` seed's comparison with its group's
-    closure seed included, however the code is made."""
+    closure seed included, however the code is made; a label outside
+    [0, 2^p) is refused before any is compared with its operator."""
 
     group: StabilizerGroup
     seed: SeedState
@@ -562,6 +563,9 @@ class QuantumCode:
         p = self.group.width
         if not labels:
             raise ValueError("no coset labels given")
+        if min(labels) < 0 or max(labels) >= 1 << p:
+            bad = next(lab for lab in labels if not 0 <= lab < 1 << p)
+            raise ValueError(f"label {bad} out of range for width {p}")
         if labels[0] != 0:
             raise ValueError("labels[0] must be the zero coset")
         if len(set(labels)) != len(labels):
@@ -703,8 +707,9 @@ def build_code(
     planes, so only the K winners become operator objects.  An explicit
     ``seed`` (e.g. punctured) replaces the derived one.  Labels are read
     as ints (``operator.index``) for the representatives, and a label
-    outside [0, 2^p) is refused there; every other check, of the labels
-    and of a ``stabilizer`` seed alike, is :class:`QuantumCode`'s.
+    outside [0, 2^p) is refused there, with the message
+    :class:`QuantumCode` gives it; every other check, of the labels and
+    of a ``stabilizer`` seed alike, is :class:`QuantumCode`'s.
     """
     labels = [*map(index, labels)]
     ops = _lightest(group, labels)

@@ -16,7 +16,13 @@ A syndrome table decides distinctness in one cached row-major pass over
 its entries: the pass stops at the first repeated label, which is the
 verdict's collision, or runs to the end and leaves the label ->
 (error, codeword) inverse that diagnosis reads.  The verdict and the
-diagnosis of one table share that pass.
+diagnosis of one table share that pass.  The rows and the pass of the
+last table built are kept for the next call with the same code and
+error set, matched by identity, so a verdict, the table and diagnoses
+of one pair compute the N*K labels once whether or not a table is
+passed along; a caller that alternates between pairs passes each its
+table.  The kept pair is dropped before another is built and when its
+code is collected.
 
 Diagnosis is the decoder's per-syndrome step: one identity check, one
 dict lookup and one instance write per query.  A table passed with the
@@ -27,6 +33,7 @@ miss raises an error that formats its message only when shown.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
@@ -118,10 +125,9 @@ def _check_widths(code: QuantumCode, errors: ErrorSet) -> None:
         )
 
 
-def build_table(code: QuantumCode, errors: ErrorSet) -> SyndromeTable:
+def _rows(code: QuantumCode, errors: ErrorSet) -> tuple[tuple[int, ...], ...]:
     """Compute every product label twice, once from the product's X and
     Z masks and once by XOR additivity, and insist the two agree."""
-    _check_widths(code, errors)
     label = code.group.syndrome_map
     words = [(op.x, op.z) for op in code.codeword_ops]
     rows = []
@@ -134,7 +140,52 @@ def build_table(code: QuantumCode, errors: ErrorSet) -> SyndromeTable:
             j = next(j for j, (d, a) in enumerate(zip(row, additive)) if d != a)
             raise InternalCheckError(f"syndrome additivity failed at entry ({i}, {j})")
         rows.append(row)
-    return SyndromeTable(code=code, errors=errors, rows=tuple(rows))
+    return tuple(rows)
+
+
+# (weak reference to the code, error set, rows, (collision, inverse)) of
+# the last pair build_table built, or None
+_last_table = None
+
+
+def _forget_table(ref: weakref.ref) -> None:
+    """Drop the kept rows once the code they came from is collected."""
+    global _last_table
+    last = _last_table
+    if last is not None and last[0] is ref:
+        _last_table = None
+
+
+def build_table(code: QuantumCode, errors: ErrorSet) -> SyndromeTable:
+    """The syndrome table of ``code`` against ``errors``, its labels
+    cross-checked by :func:`_rows` and its row-major pass made.  The
+    rows and the pass of the last pair built are kept for the next call
+    with this very code and error set, which gets a new table over them
+    without computing a label.  The match is ``is``, not ``==``: an
+    equal copy builds its own, and comparing two codes can compare every
+    seed term.  Only the rows and the pass are kept, never a table, whose
+    ``code`` field would keep the code alive.  The kept pair is dropped
+    before another is built, so a lone call holds one table at its peak,
+    and when its code is collected; a code that takes no weak reference
+    is not kept.  Each caller reads one snapshot of the kept pair, so
+    calls from several threads can cost a rebuild but never mix
+    pairs."""
+    global _last_table
+    last = _last_table
+    if last is not None and last[0]() is code and last[1] is errors:
+        # straight into the instance dict, the pass included, as in diagnose
+        table = object.__new__(SyndromeTable)
+        table.__dict__.update(code=code, errors=errors, rows=last[2], _scan=last[3])
+        return table
+    _check_widths(code, errors)
+    _last_table = None
+    table = SyndromeTable(code=code, errors=errors, rows=_rows(code, errors))
+    try:
+        ref = weakref.ref(code, _forget_table)
+    except TypeError:
+        return table
+    _last_table = (ref, errors, table.rows, table._scan)
+    return table
 
 
 def pigeonhole(code: QuantumCode, errors: ErrorSet) -> bool:
@@ -147,7 +198,8 @@ def _table_for(
     code: QuantumCode, errors: ErrorSet, table: SyndromeTable | None
 ) -> SyndromeTable:
     """The prebuilt table, refused with ValueError unless it was built
-    for this code and error set, or a fresh one when none is given."""
+    for this code and error set, or :func:`build_table`'s when none is
+    given."""
     if table is None:
         return build_table(code, errors)
     # identity first: an equal but distinct code is compared seed by seed
@@ -191,10 +243,12 @@ def diagnose(
     label is not in the table.  A prebuilt ``table`` must belong to the
     same code and errors; it is checked by identity first, so a caller
     that passes the objects it built the table from pays for no
-    comparison; a stream of syndromes should pass the table from
-    :func:`build_table`, since each call without one rebuilds all N*K
-    labels.  ``observed`` must be an integer (``operator.index``), and
-    one outside 0..2^p-1 is refused with ValueError."""
+    comparison.  Without one, the table last built for this very code
+    and error set is reused, so a stream of syndromes computes its N*K
+    labels once; a stream that alternates between pairs should pass
+    each pair's table from :func:`build_table`.  ``observed`` must be an
+    integer (``operator.index``), and one outside 0..2^p-1 is refused
+    with ValueError."""
     observed = index(observed)
     if table is None or table.code is not code or table.errors is not errors:
         table = _table_for(code, errors, table)

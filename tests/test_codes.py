@@ -461,10 +461,6 @@ class TestBuildCode:
         code = build_code(diagonal_group(3), [0])
         assert code.dimension == 1
 
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            build_code(diagonal_group(3), [0, 7, 7])
-
     def test_duplicate_message_names_the_first_label_that_repeats(self):
         # 2 repeats first, but 1 comes first in list order
         with pytest.raises(ValueError) as info:
@@ -855,21 +851,28 @@ class TestListInputs:
 LABEL_FAULTS = {
     "empty": ([], (ValueError, "no coset labels given")),
     "nonzero-first": ([7, 0], (ValueError, "labels[0] must be the zero coset")),
+    "repeated-last": ([0, 7, 7], (ValueError, "duplicate coset label 111")),
     # 2 repeats first, but 1 comes first in list order
     "repeated": ([0, 1, 2, 2, 1], (ValueError, "duplicate coset label 100")),
+    # refused as out of range, not by the coset check, whose message
+    # would name them by their low bits, 000 and 111
+    "out-of-range-high": ([0, 8], (ValueError, "label 8 out of range for width 3")),
+    "out-of-range-low": ([0, -1], (ValueError, "label -1 out of range for width 3")),
     "float": ([0, 7.0], (TypeError, "'float' object cannot be interpreted as an integer")),
-    "bool": ([False, True], ((0, 1), {int})),
+    "bool": ([False, True], ((0, 1), {int}, ["000", "100"])),
 }
+# a code file's labels are bit strings, which cannot spell these
+NOT_IN_A_FILE = {"out-of-range-high", "out-of-range-low", "float", "bool"}
 
 
 def _label_outcome(make):
     """The type and message of what ``make()`` raised, or the labels of
-    the code it made and their types."""
+    the code it made, their types and their JSON form."""
     try:
         code = make()
     except (TypeError, ValueError) as exc:
         return type(exc), str(exc)
-    return code.labels, {*map(type, code.labels)}
+    return code.labels, {*map(type, code.labels)}, code.to_dict()["labels"]
 
 
 class TestLabelFaults:
@@ -883,14 +886,15 @@ class TestLabelFaults:
 
         labels, want = LABEL_FAULTS[fault]
         group = rep3.group
-        ops = [coset_representative(group, int(lab)) for lab in labels]
+        # a label outside the width gets the operator of its low bits
+        ops = [coset_representative(group, int(lab) & 7) for lab in labels]
         assert _label_outcome(lambda: build_code(group, labels)) == want
         assert _label_outcome(lambda: QuantumCode(group, rep3.seed, ops, labels)) == want
         assert _label_outcome(
             lambda: replace(rep3, codeword_ops=tuple(ops), labels=tuple(labels))
         ) == want
-        if fault in ("float", "bool"):
-            return  # a code file's labels are bit strings
+        if fault in NOT_IN_A_FILE:
+            return
         data = {
             **rep3.to_dict(),
             "codeword_spinors": [format_pauli(op) for op in ops],

@@ -206,12 +206,14 @@ SEEDS = st.integers(-(1 << 70), 1 << 70)
 def test_draws_equal_the_scalar_stream(p, seed, batches):
     """A few lane-parallel batches equal the scalar splitmix64 stream
     masked to 2p bits, at every width: a whole group takes about 2^p
-    draws, too many to compare groups above width 16."""
+    draws, too many to compare groups above width 16.  The lane masks
+    are the sampler's own table, so a wrong or missing entry fails."""
     vmask = (1 << 2 * p) - 1
+    assert fb._VMASKS[p] == vmask * fb._LANES
     lanes = ((seed & fb.MASK64) * fb._LANES + fb._OFFSETS) & fb._LANE_MASK
     got = []
     for _ in range(batches):
-        got += fb._draws(lanes, vmask * fb._LANES)
+        got += fb._draws(lanes, fb._VMASKS[p])
         lanes = (lanes + fb._ADVANCE) & fb._LANE_MASK
     state, want = seed & fb.MASK64, []
     for _ in range(batches * fb._BATCH):

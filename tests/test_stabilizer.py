@@ -119,6 +119,15 @@ class TestValidation:
         with pytest.raises(GroupError, match=r"\[0, 1, 2\]"):
             group_of("ZZI", "IZZ", "ZIZ")
 
+    def test_certificate_names_a_proper_subset(self):
+        # XIII commutes with the rest and takes no part in the product
+        with pytest.raises(GroupError) as info:
+            group_of("XIII", "IZZI", "IIZZ", "IZIZ")
+        assert str(info.value) == (
+            "dependent generators: the product of indices [1, 2, 3] "
+            "is +/-identity mod phase"
+        )
+
     def test_non_hermitian_rejected(self):
         bad = (PauliOperator(1, 1, 0, 1),)  # iX
         with pytest.raises(GroupError, match="not Hermitian"):

@@ -1,7 +1,9 @@
 """Syndrome tables, correctability verdicts, and diagnosis."""
 
+import gc
 import pickle
-from dataclasses import FrozenInstanceError, fields
+import weakref
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,13 +34,14 @@ from cosetqec import (
     random_group,
 )
 from cosetqec.golden import (
+    cat_code,
     diagonal_group,
     repetition_code,
     single_qubit_errors,
     x_flips,
     z_flips,
 )
-from cosetqec.verify import pigeonhole
+from cosetqec.verify import InternalCheckError, SyndromeTable, pigeonhole
 
 
 def draw_errors(data, p):
@@ -414,3 +417,120 @@ class TestDiagnose:
         with pytest.raises(FrozenInstanceError):
             del d.error_index
         assert (d.error_index, d.codeword_index) == (2, 0)
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returned, or the type and message it raised."""
+    try:
+        return call(*args)
+    except (LookupError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def fresh_outcomes(code, errors, labels):
+    """The verdict, rows, collision and the diagnosis of each label, all
+    from a table built afresh for them."""
+    table = SyndromeTable(code, errors, verify._rows(code, errors))
+    return (
+        check_correctable(code, errors, table),
+        table.rows,
+        table.collision,
+        [outcome(diagnose, code, errors, lab, table) for lab in labels],
+    )
+
+
+class TestSharedTable:
+    """check_correctable, build_table and diagnose share the rows and the
+    row-major pass of the last (code, error set) pair, matched by
+    identity."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shared_outcomes_match_fresh_ones(self, data):
+        p = data.draw(st.integers(1, 5), label="p")
+        group = random_group(p, seed=data.draw(st.integers(0, 10**6), label="seed"))
+        size = 1 << p
+        labels = data.draw(
+            st.lists(st.integers(1, size - 1), max_size=min(3, size - 1), unique=True),
+            label="labels",
+        )
+        code = build_code(group, [0, *labels])
+        errs = draw_errors(data, p)
+        queries = range(-1, size + 1)
+        verdict, rows, collision, diagnoses = fresh_outcomes(code, errs, queries)
+        # the pair itself and equal but distinct copies of either side
+        pairs = [(c, e) for c in (code, replace(code)) for e in (errs, replace(errs))]
+        steps = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, 2), st.integers(0, 3), st.sampled_from(queries)),
+                min_size=1,
+                max_size=8,
+            ),
+            label="steps",
+        )
+        for call, pair, lab in steps:
+            c, e = pairs[pair]
+            if call == 0:
+                assert check_correctable(c, e) == verdict
+            elif call == 1:
+                table = build_table(c, e)
+                assert table.code is c and table.errors is e
+                assert table.rows == rows and table.collision == collision
+            else:
+                assert outcome(diagnose, c, e, lab) == diagnoses[lab + 1]
+
+    @pytest.mark.parametrize("copied", ["code", "errors", "both"])
+    def test_the_table_is_built_once_per_pair(self, rep3, monkeypatch, copied):
+        rows, calls = verify._rows, []
+
+        def counting(code, errors):
+            calls.append(len(errors))
+            return rows(code, errors)
+
+        monkeypatch.setattr(verify, "_rows", counting)
+        errs = x_flips(3)
+        for _ in range(2):
+            assert check_correctable(rep3, errs).correctable
+            table = build_table(rep3, errs)
+            d = diagnose(rep3, errs, parse_bits("110"))
+            assert (d.error_index, d.codeword_index) == (3, 1)
+        assert calls == [4]
+        assert table.rows == ((0, 7), (1, 6), (2, 5), (4, 3))
+        code = replace(rep3) if copied != "errors" else rep3
+        other = replace(errs) if copied != "code" else errs
+        assert code == rep3 and other == errs
+        diagnose(code, other, 0)
+        build_table(code, other)
+        check_correctable(code, other)
+        assert calls == [4, 4]
+
+    def test_no_kept_entry_outlives_its_code(self):
+        code, errs = cat_code(), single_qubit_errors(3)
+        ref = weakref.ref(code)
+        assert build_table(code, errs).rows
+        assert verify._last_table[0]() is code
+        assert build_table(code, errs).code is code  # a hit keeps no table
+        del code
+        gc.collect()
+        assert ref() is None
+        assert verify._last_table is None
+
+    def test_a_new_pair_with_a_broken_entry_still_raises(self, rep3):
+        # one entry of the new code's syndrome map is broken: product
+        # (1, 1), XII times XXX, gets a wrong label that XOR additivity
+        # catches, while the kept table of rep3 is left alone
+        errs = x_flips(3)
+        assert check_correctable(rep3, errs).correctable
+        code = QuantumCode.from_dict(rep3.to_dict())
+        label = code.group.syndrome_map
+        err, word = errs[1], code.codeword_ops[1]
+        bad = (err.x ^ word.x, err.z ^ word.z)
+        code.group.__dict__["syndrome_map"] = lambda x, z: label(x, z) ^ ((x, z) == bad)
+        for call in (check_correctable, build_table):
+            with pytest.raises(InternalCheckError) as info:
+                call(code, errs)
+            assert str(info.value) == "syndrome additivity failed at entry (1, 1)"
+            # the kept pair was dropped before the build
+            assert verify._last_table is None
+        with pytest.raises(InternalCheckError):
+            diagnose(code, errs, 0)
