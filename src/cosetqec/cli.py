@@ -31,7 +31,6 @@ from .verify import (
     build_table,
     check_correctable,
     diagnose,
-    pigeonhole,
 )
 
 EXIT_OK = 0
@@ -94,8 +93,7 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     code = _load(args.code, QuantumCode, "code")
     errors = _load_errors(args.errors)
-    table = None if pigeonhole(code, errors) else build_table(code, errors)
-    verdict = check_correctable(code, errors, table)
+    verdict = check_correctable(code, errors)
     oracle_note = None
     refuted = False
     if (args.oracle or verdict.algebraic_only) and not verdict.pigeonhole:
@@ -112,7 +110,8 @@ def _cmd_verify(args) -> int:
             )
     # (i, j, error, codeword, label) per table entry, for either output
     entries = None
-    if table is not None:
+    if not verdict.pigeonhole:
+        table = build_table(code, errors)  # the verdict's rows, kept for the pair
         err_text = [format_pauli(e) for e in errors]
         word_text = [format_pauli(op) for op in code.codeword_ops]
         entries = [
@@ -206,13 +205,12 @@ def _cmd_diagnose(args) -> int:
     code = _load(args.code, QuantumCode, "code")
     errors = _load_errors(args.errors)
     observed = parse_bits(args.observed, code.width)
-    table = None if pigeonhole(code, errors) else build_table(code, errors)
-    verdict = check_correctable(code, errors, table)
+    verdict = check_correctable(code, errors)
     if not verdict.correctable:
         print("code does not correct this error set; diagnosis unavailable")
         return EXIT_NEGATIVE
     try:
-        result = diagnose(code, errors, observed, table)
+        result = diagnose(code, errors, observed)
     except UnknownSyndromeError as exc:
         print(f"unknown syndrome: {exc}")
         return EXIT_NEGATIVE

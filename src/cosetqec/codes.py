@@ -68,14 +68,16 @@ term.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from itertools import chain, compress, islice
 from operator import index, itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
 
 from ._kernels import unpack_lanes
 from .pauli import (
     MAX_WIDTH,
+    ErrorSet,
     PauliOperator,
     ParseError,
     format_bits,
@@ -104,6 +106,7 @@ _PAIRS = {list, tuple}  # a seed token's types: JSON's list, an API caller's tup
 _CHUNK = 4096
 # the bytes "0"/"1" of a low unit plane plus twice those of a high one
 _SUM_TO_UNIT = bytes.maketrans(bytes(range(0x90, 0x94)), bytes(range(4)))
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -716,3 +719,47 @@ def build_code(
     if seed is None:
         seed = SeedState._from_form(_closure_form(group, 0), group.width, 0)
     return QuantumCode(group, seed, ops, labels)
+
+
+class _PairMemo:
+    """The value built for the last (code, error set) pair, kept for the
+    next call with these very objects.  ``memo(code, errors, build)``
+    returns the kept value when ``code`` and ``errors`` are the kept
+    ones, and otherwise ``build(code, errors)``, which it keeps.
+
+    The match is ``is``, not ``==``: an equal copy builds its own, and
+    comparing two codes can compare every seed term.  The entry is
+    dropped before a miss builds, so a lone call holds one value at its
+    peak, and when its code is collected; a code that takes no weak
+    reference is answered but not kept.  A value must not refer to its
+    code, or the code would live as long as the entry.  Each call reads
+    one snapshot of the entry, so calls from several threads can cost a
+    rebuild but never mix pairs."""
+
+    def __init__(self) -> None:
+        # (weak reference to the code, error set, value), or None
+        self._entry = None
+
+    def __call__(
+        self,
+        code: QuantumCode,
+        errors: ErrorSet,
+        build: Callable[[QuantumCode, ErrorSet], _T],
+    ) -> _T:
+        entry = self._entry
+        if entry is not None and entry[0]() is code and entry[1] is errors:
+            return entry[2]
+        self._entry = None
+        value = build(code, errors)
+        try:
+            ref = weakref.ref(code, self._forget)
+        except TypeError:
+            return value
+        self._entry = (ref, errors, value)
+        return value
+
+    def _forget(self, ref: weakref.ref) -> None:
+        """Drop the entry once the code it came from is collected."""
+        entry = self._entry
+        if entry is not None and entry[0] is ref:
+            self._entry = None

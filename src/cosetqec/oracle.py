@@ -59,10 +59,9 @@ calls a pair orthogonal when its entry is (0, 0), and only pairs whose
 orthogonality disagrees with their labels are visited in Python.  The
 Knill-Laflamme check compares the k rows of each error whole with one
 row that the conditions want.  Both checks read the same syndrome states
-and triangle, so the last ones built are kept for the next check of the
-same code and error set, matched by identity: orthogonality and then
-Knill-Laflamme on one pair, in either order, build them once.  The kept
-pair is dropped before another is built and when its code is collected.
+and triangle, so the last ones built are kept in a pair memo
+(:class:`~.codes._PairMemo`): orthogonality and then Knill-Laflamme on
+one pair, in either order, build them once.
 
 The eigenvector check makes one pass over the states and applies only
 the p generators to each.  The generators are Hermitian and pairwise
@@ -78,13 +77,12 @@ The report counts every (state, closure element) pair as a case.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress, repeat
 from operator import add, eq, index, ne
 
-from .codes import QuantumCode, SeedState
+from .codes import QuantumCode, SeedState, _PairMemo
 from .pauli import ErrorSet, PauliOperator, WidthMismatchError, format_pauli
 from .stabilizer import StabilizerGroup, format_label
 
@@ -527,43 +525,16 @@ def _upper_gram(states: list[DenseState]) -> list[list[tuple[int, int]]]:
     ]
 
 
-# (weak reference to the code, error set, syndrome states, upper Gram) of
-# the last pair _syndrome_gram built, or None
-_last_gram = None
-
-
-def _forget_gram(ref: weakref.ref) -> None:
-    """Drop the kept Gram once the code it came from is collected."""
-    global _last_gram
-    last = _last_gram
-    if last is not None and last[0] is ref:
-        _last_gram = None
+# (syndrome states, upper Gram) of the last pair built
+_grams = _PairMemo()
 
 
 def _syndrome_gram(
     code: QuantumCode, errors: ErrorSet
 ) -> tuple[list[tuple[int, int, DenseState]], list[list[tuple[int, int]]]]:
-    """:func:`syndrome_states` and their :func:`_upper_gram`, kept for the
-    next call with this very code and error set, both frozen.  The match
-    is ``is``, not ``==``: an equal copy builds its own, and comparing
-    two codes can compare every seed term.  The kept pair is dropped
-    before another is built, so a lone call holds one Gram at its peak,
-    and when the code is collected; a code that takes no weak reference
-    is not kept.  Each caller reads one snapshot of the kept pair, so
-    calls from several threads can cost a rebuild but never mix pairs."""
-    global _last_gram
-    last = _last_gram
-    if last is not None and last[0]() is code and last[1] is errors:
-        return last[2], last[3]
-    _last_gram = None
+    """:func:`syndrome_states` and their :func:`_upper_gram`."""
     states = syndrome_states(code, errors)
-    upper = _upper_gram([s for _, _, s in states])
-    try:
-        ref = weakref.ref(code, _forget_gram)
-    except TypeError:
-        return states, upper
-    _last_gram = (ref, errors, states, upper)
-    return states, upper
+    return states, _upper_gram([s for _, _, s in states])
 
 
 def check_syndrome_orthogonality(
@@ -577,7 +548,7 @@ def check_syndrome_orthogonality(
     """
     _check_dense_width(code.width, ORTHOGONALITY_MAX_WIDTH)
     group = code.group
-    states, upper = _syndrome_gram(code, errors)
+    states, upper = _grams(code, errors, _syndrome_gram)
     err_labels = [group.syndrome(e) for e in errors]
     labels = [err_labels[i] ^ code.labels[j] for i, j, _ in states]
     n = len(states)
@@ -622,7 +593,7 @@ def check_knill_laflamme(code: QuantumCode, errors: ErrorSet) -> KLReport:
     _check_dense_width(code.width, ORTHOGONALITY_MAX_WIDTH)
     # <psi_i|Ea' Eb|psi_j> = <Ea psi_i | Eb psi_j>, the Gram entry of
     # syndrome states a*k+i and b*k+j
-    _, upper = _syndrome_gram(code, errors)
+    _, upper = _grams(code, errors, _syndrome_gram)
     k = code.dimension
     # errors[0] is the identity, so the first k diagonal entries are the
     # codeword norms

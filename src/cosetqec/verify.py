@@ -17,12 +17,10 @@ its entries: the pass stops at the first repeated label, which is the
 verdict's collision, or runs to the end and leaves the label ->
 (error, codeword) inverse that diagnosis reads.  The verdict and the
 diagnosis of one table share that pass.  The rows and the pass of the
-last table built are kept for the next call with the same code and
-error set, matched by identity, so a verdict, the table and diagnoses
-of one pair compute the N*K labels once whether or not a table is
-passed along; a caller that alternates between pairs passes each its
-table.  The kept pair is dropped before another is built and when its
-code is collected.
+last pair built are kept in a pair memo (:class:`~.codes._PairMemo`),
+so a verdict, the table and diagnoses of one pair compute the N*K
+labels once whether or not a table is passed along; a caller that
+alternates between pairs passes each its table.
 
 Diagnosis is the decoder's per-syndrome step: one identity check, one
 dict lookup and one instance write per query.  A table passed with the
@@ -33,12 +31,11 @@ miss raises an error that formats its message only when shown.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
 
-from .codes import QuantumCode, SEED_STABILIZER
+from .codes import QuantumCode, SEED_STABILIZER, _PairMemo
 from .pauli import ErrorSet, PauliOperator, WidthMismatchError
 from .stabilizer import format_label
 
@@ -143,48 +140,27 @@ def _rows(code: QuantumCode, errors: ErrorSet) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-# (weak reference to the code, error set, rows, (collision, inverse)) of
-# the last pair build_table built, or None
-_last_table = None
+# (rows, (collision, inverse)) of the last pair built
+_tables = _PairMemo()
 
 
-def _forget_table(ref: weakref.ref) -> None:
-    """Drop the kept rows once the code they came from is collected."""
-    global _last_table
-    last = _last_table
-    if last is not None and last[0] is ref:
-        _last_table = None
+def _rows_and_pass(code: QuantumCode, errors: ErrorSet) -> tuple:
+    """The rows of the pair's table, cross-checked by :func:`_rows`, and
+    its row-major pass."""
+    _check_widths(code, errors)
+    table = SyndromeTable(code=code, errors=errors, rows=_rows(code, errors))
+    return table.rows, table._scan
 
 
 def build_table(code: QuantumCode, errors: ErrorSet) -> SyndromeTable:
     """The syndrome table of ``code`` against ``errors``, its labels
-    cross-checked by :func:`_rows` and its row-major pass made.  The
-    rows and the pass of the last pair built are kept for the next call
-    with this very code and error set, which gets a new table over them
-    without computing a label.  The match is ``is``, not ``==``: an
-    equal copy builds its own, and comparing two codes can compare every
-    seed term.  Only the rows and the pass are kept, never a table, whose
-    ``code`` field would keep the code alive.  The kept pair is dropped
-    before another is built, so a lone call holds one table at its peak,
-    and when its code is collected; a code that takes no weak reference
-    is not kept.  Each caller reads one snapshot of the kept pair, so
-    calls from several threads can cost a rebuild but never mix
-    pairs."""
-    global _last_table
-    last = _last_table
-    if last is not None and last[0]() is code and last[1] is errors:
-        # straight into the instance dict, the pass included, as in diagnose
-        table = object.__new__(SyndromeTable)
-        table.__dict__.update(code=code, errors=errors, rows=last[2], _scan=last[3])
-        return table
-    _check_widths(code, errors)
-    _last_table = None
-    table = SyndromeTable(code=code, errors=errors, rows=_rows(code, errors))
-    try:
-        ref = weakref.ref(code, _forget_table)
-    except TypeError:
-        return table
-    _last_table = (ref, errors, table.rows, table._scan)
+    cross-checked by :func:`_rows` and its row-major pass made.  Each
+    call gets a new table, over the rows and the pass that the pair memo
+    keeps, so a call with the pair last built computes no label."""
+    rows, scan = _tables(code, errors, _rows_and_pass)
+    # straight into the instance dict, the pass included, as in diagnose
+    table = object.__new__(SyndromeTable)
+    table.__dict__.update(code=code, errors=errors, rows=rows, _scan=scan)
     return table
 
 
@@ -194,20 +170,20 @@ def pigeonhole(code: QuantumCode, errors: ErrorSet) -> bool:
     return len(errors) * code.dimension > (1 << code.width)
 
 
-def _table_for(
+def _scan_for(
     code: QuantumCode, errors: ErrorSet, table: SyndromeTable | None
-) -> SyndromeTable:
-    """The prebuilt table, refused with ValueError unless it was built
-    for this code and error set, or :func:`build_table`'s when none is
-    given."""
+) -> tuple:
+    """The (collision, inverse) pass of the prebuilt table, refused with
+    ValueError unless it was built for this code and error set, or the
+    pair memo's when none is given."""
     if table is None:
-        return build_table(code, errors)
+        return _tables(code, errors, _rows_and_pass)[1]
     # identity first: an equal but distinct code is compared seed by seed
     if (table.code is not code and table.code != code) or (
         table.errors is not errors and table.errors != errors
     ):
         raise ValueError("syndrome table was built for another code or error set")
-    return table
+    return table._scan
 
 
 def check_correctable(
@@ -220,7 +196,7 @@ def check_correctable(
     algebraic_only = code.seed.origin != SEED_STABILIZER
     if pigeonhole(code, errors):
         return Verdict(pigeonhole=True, algebraic_only=algebraic_only)
-    collision = _table_for(code, errors, table).collision
+    collision = _scan_for(code, errors, table)[0]
     return Verdict(collision=collision, algebraic_only=algebraic_only)
 
 
@@ -243,16 +219,16 @@ def diagnose(
     label is not in the table.  A prebuilt ``table`` must belong to the
     same code and errors; it is checked by identity first, so a caller
     that passes the objects it built the table from pays for no
-    comparison.  Without one, the table last built for this very code
-    and error set is reused, so a stream of syndromes computes its N*K
-    labels once; a stream that alternates between pairs should pass
-    each pair's table from :func:`build_table`.  ``observed`` must be an
-    integer (``operator.index``), and one outside 0..2^p-1 is refused
-    with ValueError."""
+    comparison.  Without one, the pass that the pair memo keeps is read
+    and no table is made; a stream that alternates between pairs should
+    pass each pair's table from :func:`build_table`.  ``observed`` must
+    be an integer (``operator.index``), and one outside 0..2^p-1 is
+    refused with ValueError."""
     observed = index(observed)
-    if table is None or table.code is not code or table.errors is not errors:
-        table = _table_for(code, errors, table)
-    inverse = table._scan[1]
+    if table is not None and table.code is code and table.errors is errors:
+        inverse = table._scan[1]
+    else:
+        inverse = _scan_for(code, errors, table)[1]
     if inverse is None:
         raise ValueError("syndrome table is not injective; code does not correct this set")
     hit = inverse.get(observed)

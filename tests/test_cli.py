@@ -696,15 +696,14 @@ class TestGoldenOutputs:
         ],
     )
     def test_table_built_once(self, workdir, capsys, monkeypatch, argv):
-        build = verify.build_table
+        rows = verify._rows
         calls = []
 
         def counting(code, errors):
             calls.append(code)
-            return build(code, errors)
+            return rows(code, errors)
 
-        monkeypatch.setattr(verify, "build_table", counting)
-        monkeypatch.setattr(cli, "build_table", counting)
+        monkeypatch.setattr(verify, "_rows", counting)
         main([
             argv[0],
             "--code", str(workdir / "rep3.json"),
@@ -740,7 +739,7 @@ class TestInternalViolations:
     def test_broken_syndrome_additivity_exits_3(self, workdir, capsys, monkeypatch):
         # one entry of the cached syndrome map is broken: product (1, 1),
         # XII times XXX, gets a wrong label that XOR additivity catches
-        real = cli.build_table
+        real = verify._rows
 
         def broken(code, errors):
             label = code.group.syndrome_map
@@ -749,7 +748,7 @@ class TestInternalViolations:
             code.group.__dict__["syndrome_map"] = lambda x, z: label(x, z) ^ ((x, z) == bad)
             return real(code, errors)
 
-        monkeypatch.setattr(cli, "build_table", broken)
+        monkeypatch.setattr(verify, "_rows", broken)
         files = ["--code", str(workdir / "rep3.json"), "--errors", str(workdir / "xflips.txt")]
         rc = main(["verify", *files])
         captured = capsys.readouterr()

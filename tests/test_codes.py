@@ -654,8 +654,9 @@ class TestSavedStabilizerSeed:
 
     def test_a_seed_of_many_chunks_is_compared_chunk_by_chunk(self):
         # 2^13 terms, two chunks of the comparison: the file loads as the
-        # derived seed, and an edit at either end of the second chunk is
-        # refused by the full comparison
+        # derived seed, its terms not built (a broken chunk would fall
+        # back to the parse and load an equal code), and an edit at
+        # either end of the second chunk is refused by the full comparison
         g = random_group(13, seed=4)
         code = build_code(g, [0, 5])
         data = code.to_dict()
@@ -663,6 +664,7 @@ class TestSavedStabilizerSeed:
         assert n == 1 << 13
         again = QuantumCode.from_dict(data)
         assert again == code and again.to_dict() == data
+        assert "_form" in vars(again.seed) and "terms" not in vars(again.seed)
         for i in (4096, n - 1):
             sign, bits = data["seed"][i]
             other = "-" if sign == "+" else "+"

@@ -4,6 +4,7 @@ import gc
 import pickle
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -508,12 +509,41 @@ class TestSharedTable:
         code, errs = cat_code(), single_qubit_errors(3)
         ref = weakref.ref(code)
         assert build_table(code, errs).rows
-        assert verify._last_table[0]() is code
+        assert verify._tables._entry[0]() is code
         assert build_table(code, errs).code is code  # a hit keeps no table
         del code
         gc.collect()
         assert ref() is None
-        assert verify._last_table is None
+        assert verify._tables._entry is None
+
+    def test_a_code_that_takes_no_weak_reference_is_answered_not_kept(self, rep3):
+        errs = x_flips(3)
+        build_table(rep3, errs)
+        assert verify._tables._entry is not None
+        stand_in = SimpleNamespace(
+            width=rep3.width,
+            group=rep3.group,
+            codeword_ops=rep3.codeword_ops,
+            labels=rep3.labels,
+        )
+        with pytest.raises(TypeError):
+            weakref.ref(stand_in)
+        table = build_table(stand_in, errs)
+        assert table.code is stand_in and table.errors is errs
+        assert table.rows == ((0, 7), (1, 6), (2, 5), (4, 3))
+        assert table.collision is None and table.inverse[parse_bits("110")] == (3, 1)
+        assert verify._tables._entry is None
+
+    def test_diagnose_without_a_table_builds_none(self, rep3, monkeypatch):
+        errs = x_flips(3)
+        assert check_correctable(rep3, errs).correctable
+
+        def refused(code, errors):
+            raise AssertionError("diagnose built a table")
+
+        monkeypatch.setattr(verify, "build_table", refused)
+        d = diagnose(rep3, errs, parse_bits("110"))
+        assert (d.error_index, d.codeword_index) == (3, 1)
 
     def test_a_new_pair_with_a_broken_entry_still_raises(self, rep3):
         # one entry of the new code's syndrome map is broken: product
@@ -531,6 +561,6 @@ class TestSharedTable:
                 call(code, errs)
             assert str(info.value) == "syndrome additivity failed at entry (1, 1)"
             # the kept pair was dropped before the build
-            assert verify._last_table is None
+            assert verify._tables._entry is None
         with pytest.raises(InternalCheckError):
             diagnose(code, errs, 0)
