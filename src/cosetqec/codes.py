@@ -70,9 +70,10 @@ from __future__ import annotations
 import json
 import weakref
 from dataclasses import dataclass
+from functools import update_wrapper
 from itertools import chain, compress, islice
 from operator import index, itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from ._kernels import unpack_lanes
 from .pauli import (
@@ -106,7 +107,6 @@ _PAIRS = {list, tuple}  # a seed token's types: JSON's list, an API caller's tup
 _CHUNK = 4096
 # the bytes "0"/"1" of a low unit plane plus twice those of a high one
 _SUM_TO_UNIT = bytes.maketrans(bytes(range(0x90, 0x94)), bytes(range(4)))
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -722,10 +722,10 @@ def build_code(
 
 
 class _PairMemo:
-    """The value built for the last (code, error set) pair, kept for the
-    next call with these very objects.  ``memo(code, errors, build)``
-    returns the kept value when ``code`` and ``errors`` are the kept
-    ones, and otherwise ``build(code, errors)``, which it keeps.
+    """A ``build(code, errors)`` function that keeps the value it built
+    for the last (code, error set) pair: decorated by ``_PairMemo``, the
+    function returns the kept value when ``code`` and ``errors`` are the
+    kept ones, and otherwise builds and keeps a new one.
 
     The match is ``is``, not ``==``: an equal copy builds its own, and
     comparing two codes can compare every seed term.  The entry is
@@ -736,21 +736,18 @@ class _PairMemo:
     one snapshot of the entry, so calls from several threads can cost a
     rebuild but never mix pairs."""
 
-    def __init__(self) -> None:
+    def __init__(self, build: Callable[[QuantumCode, ErrorSet], tuple]) -> None:
+        update_wrapper(self, build)
+        self._build = build
         # (weak reference to the code, error set, value), or None
         self._entry = None
 
-    def __call__(
-        self,
-        code: QuantumCode,
-        errors: ErrorSet,
-        build: Callable[[QuantumCode, ErrorSet], _T],
-    ) -> _T:
+    def __call__(self, code: QuantumCode, errors: ErrorSet) -> tuple:
         entry = self._entry
         if entry is not None and entry[0]() is code and entry[1] is errors:
             return entry[2]
         self._entry = None
-        value = build(code, errors)
+        value = self._build(code, errors)
         try:
             ref = weakref.ref(code, self._forget)
         except TypeError:

@@ -525,10 +525,7 @@ def _upper_gram(states: list[DenseState]) -> list[list[tuple[int, int]]]:
     ]
 
 
-# (syndrome states, upper Gram) of the last pair built
-_grams = _PairMemo()
-
-
+@_PairMemo
 def _syndrome_gram(
     code: QuantumCode, errors: ErrorSet
 ) -> tuple[list[tuple[int, int, DenseState]], list[list[tuple[int, int]]]]:
@@ -548,7 +545,7 @@ def check_syndrome_orthogonality(
     """
     _check_dense_width(code.width, ORTHOGONALITY_MAX_WIDTH)
     group = code.group
-    states, upper = _grams(code, errors, _syndrome_gram)
+    states, upper = _syndrome_gram(code, errors)
     err_labels = [group.syndrome(e) for e in errors]
     labels = [err_labels[i] ^ code.labels[j] for i, j, _ in states]
     n = len(states)
@@ -593,7 +590,7 @@ def check_knill_laflamme(code: QuantumCode, errors: ErrorSet) -> KLReport:
     _check_dense_width(code.width, ORTHOGONALITY_MAX_WIDTH)
     # <psi_i|Ea' Eb|psi_j> = <Ea psi_i | Eb psi_j>, the Gram entry of
     # syndrome states a*k+i and b*k+j
-    _, upper = _grams(code, errors, _syndrome_gram)
+    _, upper = _syndrome_gram(code, errors)
     k = code.dimension
     # errors[0] is the identity, so the first k diagonal entries are the
     # codeword norms

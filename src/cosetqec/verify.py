@@ -86,14 +86,8 @@ class SyndromeTable:
 
     @cached_property
     def _scan(self) -> tuple[tuple[int, ...] | None, dict[int, tuple[int, int]] | None]:
-        """(collision, inverse) from one row-major pass, exactly one None."""
-        seen: dict[int, tuple[int, int]] = {}
-        for i, row in enumerate(self.rows):
-            for j, lab in enumerate(row):
-                if lab in seen:
-                    return (*seen[lab], i, j), None
-                seen[lab] = (i, j)
-        return None, seen
+        """:func:`_pass` over the table's rows."""
+        return _pass(self.rows)
 
     @property
     def collision(self) -> tuple[int, int, int, int] | None:
@@ -140,16 +134,25 @@ def _rows(code: QuantumCode, errors: ErrorSet) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-# (rows, (collision, inverse)) of the last pair built
-_tables = _PairMemo()
+def _pass(rows: tuple[tuple[int, ...], ...]) -> tuple:
+    """(collision, inverse) from one row-major pass over ``rows``,
+    exactly one None."""
+    seen: dict[int, tuple[int, int]] = {}
+    for i, row in enumerate(rows):
+        for j, lab in enumerate(row):
+            if lab in seen:
+                return (*seen[lab], i, j), None
+            seen[lab] = (i, j)
+    return None, seen
 
 
+@_PairMemo
 def _rows_and_pass(code: QuantumCode, errors: ErrorSet) -> tuple:
     """The rows of the pair's table, cross-checked by :func:`_rows`, and
-    its row-major pass."""
+    their :func:`_pass`."""
     _check_widths(code, errors)
-    table = SyndromeTable(code=code, errors=errors, rows=_rows(code, errors))
-    return table.rows, table._scan
+    rows = _rows(code, errors)
+    return rows, _pass(rows)
 
 
 def build_table(code: QuantumCode, errors: ErrorSet) -> SyndromeTable:
@@ -157,7 +160,7 @@ def build_table(code: QuantumCode, errors: ErrorSet) -> SyndromeTable:
     cross-checked by :func:`_rows` and its row-major pass made.  Each
     call gets a new table, over the rows and the pass that the pair memo
     keeps, so a call with the pair last built computes no label."""
-    rows, scan = _tables(code, errors, _rows_and_pass)
+    rows, scan = _rows_and_pass(code, errors)
     # straight into the instance dict, the pass included, as in diagnose
     table = object.__new__(SyndromeTable)
     table.__dict__.update(code=code, errors=errors, rows=rows, _scan=scan)
@@ -177,7 +180,7 @@ def _scan_for(
     ValueError unless it was built for this code and error set, or the
     pair memo's when none is given."""
     if table is None:
-        return _tables(code, errors, _rows_and_pass)[1]
+        return _rows_and_pass(code, errors)[1]
     # identity first: an equal but distinct code is compared seed by seed
     if (table.code is not code and table.code != code) or (
         table.errors is not errors and table.errors != errors

@@ -808,7 +808,7 @@ class TestSharedGram:
         assert made and all(ref() for ref in made)
         del code
         gc.collect()
-        assert oracle._grams._entry is None
+        assert oracle._syndrome_gram._entry is None
         assert not any(ref() for ref in made)
 
 

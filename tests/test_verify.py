@@ -236,7 +236,7 @@ class TestCorrectable:
 
     def test_prebuilt_table_is_not_rebuilt(self, rep3, monkeypatch):
         table = build_table(rep3, x_flips(3))
-        monkeypatch.setattr(verify, "build_table", None)  # any call fails
+        monkeypatch.setattr(verify, "_rows", None)  # any build fails
         assert check_correctable(rep3, x_flips(3), table).correctable
 
     def test_equal_code_and_errors_accept_the_table(self):
@@ -509,17 +509,17 @@ class TestSharedTable:
         code, errs = cat_code(), single_qubit_errors(3)
         ref = weakref.ref(code)
         assert build_table(code, errs).rows
-        assert verify._tables._entry[0]() is code
+        assert verify._rows_and_pass._entry[0]() is code
         assert build_table(code, errs).code is code  # a hit keeps no table
         del code
         gc.collect()
         assert ref() is None
-        assert verify._tables._entry is None
+        assert verify._rows_and_pass._entry is None
 
     def test_a_code_that_takes_no_weak_reference_is_answered_not_kept(self, rep3):
         errs = x_flips(3)
         build_table(rep3, errs)
-        assert verify._tables._entry is not None
+        assert verify._rows_and_pass._entry is not None
         stand_in = SimpleNamespace(
             width=rep3.width,
             group=rep3.group,
@@ -532,7 +532,7 @@ class TestSharedTable:
         assert table.code is stand_in and table.errors is errs
         assert table.rows == ((0, 7), (1, 6), (2, 5), (4, 3))
         assert table.collision is None and table.inverse[parse_bits("110")] == (3, 1)
-        assert verify._tables._entry is None
+        assert verify._rows_and_pass._entry is None
 
     def test_diagnose_without_a_table_builds_none(self, rep3, monkeypatch):
         errs = x_flips(3)
@@ -561,6 +561,6 @@ class TestSharedTable:
                 call(code, errs)
             assert str(info.value) == "syndrome additivity failed at entry (1, 1)"
             # the kept pair was dropped before the build
-            assert verify._tables._entry is None
+            assert verify._rows_and_pass._entry is None
         with pytest.raises(InternalCheckError):
             diagnose(code, errs, 0)
